@@ -9,6 +9,18 @@ hyperplane.  Zero values propagate (a vanishing numerator produces an
 honest zero); a step whose divisor vanishes is simply not taken, so a
 point is ``blocked`` only when every path inside the window is.
 
+The flood does integer arithmetic up to one Fraction per step taken.  Each
+generator side, scalar * prod(base ** exp), becomes one integer numerator
+over one constant integer denominator: the bases are evaluated with
+``MultiPoly.evaluate_cleared``, whose cleared form is built once and kept on
+the polynomial, so the floods of repeated ``propagate`` calls share it.  A
+move is dropped when its target is outside the window or already visited
+before the exception planes are consulted or anything is evaluated, so
+only steps that can be taken cost an evaluation; the BFS order, the values
+and the certificates are those of evaluating every move.  The values of
+A_i and B_i at a point are not memoised: each is needed by at most one step
+taken, and a per-point memo costs memory without saving time.
+
 The same flood supplies the comparison oracle for piecewise closed forms
 and the search for boxes on which the term is nonzero.
 """
@@ -23,7 +35,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, PreconditionError
 from .geometry import LatticeBox
 from .poly import Point
-from .termratio import TermSpec
+from .termratio import FactoredRational, TermSpec
 
 # ---------------------------------------------------------------------------
 # propagation
@@ -60,6 +72,25 @@ def _window_bounds(
     return lo, hi
 
 
+def _integer_side(side: FactoredRational) -> tuple[int, tuple, int]:
+    """A generator side as (scale, factors, denominator): at an integer
+    point z its value is scale * prod(f(z) ** e for f, e in factors) over
+    the constant denominator, every factor f being a base's
+    ``evaluate_cleared``.  Generator sides have positive exponents."""
+    scale, denominator = side.scalar.numerator, side.scalar.denominator
+    factors = []
+    for base, exp in side.factors:
+        denominator *= base.cleared[0] ** exp
+        factors.append((base.evaluate_cleared, exp))
+    return scale, tuple(factors), denominator
+
+
+def _side_numerator(scale: int, factors: tuple, z: Point) -> int:
+    for f, exp in factors:
+        scale *= f(z) ** exp
+    return scale
+
+
 class _Flood:
     """Deterministic BFS flood of propagated values from the seed.
 
@@ -78,12 +109,18 @@ class _Flood:
         k = spec.arity
         moves = []
         for i in range(k):
-            e = tuple(1 if j == i else 0 for j in range(k))
-            em = tuple(-1 if j == i else 0 for j in range(k))
-            moves.append((e, i, True))
-            moves.append((em, i, False))
+            for delta in (1, -1):
+                moves.append((tuple(delta if j == i else 0 for j in range(k)), i, delta))
         moves.sort(key=lambda m: m[0] if step_order is None else step_order(m[0]))
-        self.moves = moves
+        self.moves = [(i, delta) for _, i, delta in moves]
+        # per axis: A = a_scale * prod(a_factors) / a_den and likewise B,
+        # so A / B = (a_scale * b_den) * prod(a_factors)
+        #          / ((b_scale * a_den) * prod(b_factors))
+        self.sides = []
+        for gen in spec.generators:
+            a_scale, a_factors, a_den = _integer_side(gen.num)
+            b_scale, b_factors, b_den = _integer_side(gen.den)
+            self.sides.append((a_scale * b_den, a_factors, b_scale * a_den, b_factors))
         self.values: dict[Point, Fraction] = {}
         self.steps: dict[Point, Optional[tuple[Point, PathStep]]] = {}
         self._run()
@@ -91,44 +128,49 @@ class _Flood:
     def _in_window(self, z: Point) -> bool:
         return all(a <= x <= b for x, a, b in zip(z, self.lo, self.hi))
 
-    def _step(self, node: Point, move) -> Optional[tuple[Point, PathStep]]:
-        offset, axis, forward = move
-        target = tuple(a + b for a, b in zip(node, offset))
-        gen = self.spec.generators[axis]
-        at = node if forward else target
-        if self.spec.exceptions.covers(at):
-            return None
-        a_val = gen.num.evaluate(at)
-        b_val = gen.den.evaluate(at)
+    def _multiplier(self, axis: int, forward: bool, at: Point) -> Optional[Fraction]:
+        """A_i(at) / B_i(at) forward or B_i(at) / A_i(at) backward; None
+        when the divisor vanishes."""
+        a_scale, a_factors, b_scale, b_factors = self.sides[axis]
         if forward:
+            b_val = _side_numerator(b_scale, b_factors, at)
             if b_val == 0:
                 return None
-            mult = a_val / b_val
-        else:
-            if a_val == 0:
-                return None
-            mult = b_val / a_val
-        return target, PathStep(at, axis, forward, mult)
+            return Fraction(_side_numerator(a_scale, a_factors, at), b_val)
+        a_val = _side_numerator(a_scale, a_factors, at)
+        if a_val == 0:
+            return None
+        return Fraction(_side_numerator(b_scale, b_factors, at), a_val)
 
     def _run(self) -> None:
         seed_point, seed_value = self.spec.seed
         if not self._in_window(seed_point):
             return
-        self.values[seed_point] = Fraction(seed_value)
-        self.steps[seed_point] = None
+        values, steps, lo, hi = self.values, self.steps, self.lo, self.hi
+        covers = self.spec.exceptions.covers
+        values[seed_point] = Fraction(seed_value)
+        steps[seed_point] = None
         frontier = [seed_point]
         while frontier:
             nxt = []
             for node in frontier:
-                for move in self.moves:
-                    stepped = self._step(node, move)
-                    if stepped is None:
+                for axis, delta in self.moves:
+                    # a unit step leaves the window only along its own axis
+                    x = node[axis] + delta
+                    if not lo[axis] <= x <= hi[axis]:
                         continue
-                    target, step = stepped
-                    if target in self.values or not self._in_window(target):
+                    target = node[:axis] + (x,) + node[axis + 1 :]
+                    if target in values:
                         continue
-                    self.values[target] = self.values[node] * step.multiplier
-                    self.steps[target] = (node, step)
+                    forward = delta > 0
+                    at = node if forward else target
+                    if covers(at):
+                        continue
+                    mult = self._multiplier(axis, forward, at)
+                    if mult is None:
+                        continue
+                    values[target] = values[node] * mult
+                    steps[target] = (node, PathStep(at, axis, forward, mult))
                     nxt.append(target)
             frontier = nxt
 

@@ -201,6 +201,32 @@ class MultiPoly:
             total += term
         return total
 
+    @functools.cached_property
+    def cleared(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """(d, terms): d is the least positive integer making d * p
+        integral, and terms lists d * p as (integer coefficient, variable
+        indices repeated by exponent) pairs.  Built once per polynomial and
+        kept on it for ``evaluate_cleared``."""
+        d = math.lcm(*(c.denominator for _, c in self.terms))
+        terms = tuple(
+            (
+                c.numerator * (d // c.denominator),
+                tuple(i for i, e in enumerate(mono) for _ in range(e)),
+            )
+            for mono, c in self.terms
+        )
+        return d, terms
+
+    def evaluate_cleared(self, point: Sequence[int]) -> int:
+        """d * p(point) at an integer point of length ``arity``, in int
+        arithmetic only, where d = ``cleared[0]``."""
+        total = 0
+        for c, variables in self.cleared[1]:
+            for i in variables:
+                c *= point[i]
+            total += c
+        return total
+
     def shift(self, v: Sequence[int]) -> "MultiPoly":
         """The polynomial z -> p(z + v)."""
         if len(v) != self.arity:

@@ -218,7 +218,6 @@ class TermSpec:
     generators: tuple[Generator, ...]
     exceptions: MeasureZeroSet = field(default_factory=MeasureZeroSet.empty)
     seed: Optional[tuple[Point, Fraction]] = None
-    honest: bool = True
     zero_divisor_witness: Optional[MultiPoly] = None
 
     @staticmethod
@@ -227,7 +226,6 @@ class TermSpec:
         generators: Sequence[tuple],
         exceptions: MeasureZeroSet = MeasureZeroSet.empty(),
         seed: Optional[tuple[Sequence[int], Fraction]] = None,
-        honest: bool = True,
         zero_divisor_witness: Optional[MultiPoly] = None,
     ) -> "TermSpec":
         """Each generator is a (numerator, denominator) pair; either side
@@ -252,7 +250,6 @@ class TermSpec:
             tuple(gens),
             exceptions,
             seed,
-            honest,
             zero_divisor_witness,
         )
 
@@ -262,7 +259,6 @@ class TermSpec:
         ratios: Sequence["FactoredRational"],
         exceptions: MeasureZeroSet = MeasureZeroSet.empty(),
         seed: Optional[tuple[Sequence[int], Fraction]] = None,
-        honest: bool = True,
     ) -> "TermSpec":
         """Build a spec directly from reduced quotients, preserving their
         factored structure."""
@@ -271,7 +267,6 @@ class TermSpec:
             [r.split() for r in ratios],
             exceptions=exceptions,
             seed=seed,
-            honest=honest,
         )
 
     def ratios(self) -> list[FactoredRational]:
@@ -285,21 +280,20 @@ class TermSpec:
             self.generators,
             self.exceptions,
             (tuple(int(x) for x in point), Fraction(value)),
-            self.honest,
             self.zero_divisor_witness,
         )
 
 
 def _as_factored_poly(value, arity: int) -> FactoredRational:
-    if isinstance(value, FactoredRational):
-        if any(e < 0 for _, e in value.factors):
-            raise PreconditionError("generator sides must be polynomials")
-        return value
     if isinstance(value, MultiPoly):
         if value.is_zero:
             raise PreconditionError("generator polynomials must be nonzero")
         return FactoredRational.from_poly(value)
-    return FactoredRational.make(arity, 1, list(value))
+    if not isinstance(value, FactoredRational):
+        value = FactoredRational.make(arity, 1, list(value))
+    if any(e < 0 for _, e in value.factors):
+        raise PreconditionError("generator sides must be polynomials")
+    return value
 
 
 def zero_divisor_spec(
@@ -401,6 +395,5 @@ def extend_by_zero(spec: TermSpec, support: PolyhedralRegion) -> TermSpec:
         tuple(gens),
         exceptions,
         seed,
-        spec.honest,
         spec.zero_divisor_witness,
     )

@@ -1,13 +1,57 @@
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hyperterm.bundled import annihilated_spec, binomial_spec, constant_spec, odd_product_spec
+from hyperterm.bundled import (
+    annihilated_spec,
+    binomial_spec,
+    bundled_specs,
+    constant_spec,
+    odd_product_spec,
+)
 from hyperterm.errors import PreconditionError
-from hyperterm.geometry import LatticeBox
-from hyperterm.oracle import nonzero_box_search, propagate, propagate_window
-from hyperterm.termratio import compose_direction
+from hyperterm.geometry import Hyperplane, LatticeBox, MeasureZeroSet
+from hyperterm.jsonio import spec_from_json
+from hyperterm.oracle import (
+    _integer_side,
+    _side_numerator,
+    nonzero_box_search,
+    propagate,
+    propagate_window,
+)
+from hyperterm.parsing import parse_multipoly
+from hyperterm.termratio import FactoredRational, TermSpec, compose_direction
+
+SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def P(text):
+    return parse_multipoly(text, 2)
+
+
+def scaled_binomial_spec(exceptions=MeasureZeroSet.empty()):
+    """choose(z1, z2) * 3^z2 / 4^z1 / 7: the generator sides carry the
+    scalars 1/2 (from rational coefficients), 2 and 3."""
+    return TermSpec.make(
+        2,
+        [
+            (P("1/2*z1 + 1/2"), P("2*z1 - 2*z2 + 2")),
+            (P("3*z1 - 3*z2"), P("z2 + 1")),
+        ],
+        exceptions=exceptions,
+        seed=((0, 0), Fraction(1, 7)),
+    )
+
+
+def scaled_binomial_value(z):
+    z1, z2 = z
+    binom = math.comb(z1, z2) if 0 <= z2 <= z1 else 0
+    return binom * Fraction(3) ** z2 / Fraction(4) ** z1 / 7
 
 
 def test_propagate_to_seed():
@@ -125,8 +169,66 @@ def test_nonzero_box_zero_divisor():
 def test_propagate_requires_seed():
     spec = binomial_spec()
     bare = spec.with_seed((0, 0), 1)
-    from hyperterm.termratio import TermSpec
-
     no_seed = TermSpec(bare.arity, bare.generators, bare.exceptions, None)
     with pytest.raises(PreconditionError):
         propagate_window(no_seed, LatticeBox((0, 0), 2))
+
+
+# -- integer kernel of the flood ----------------------------------------------
+
+
+def test_integer_sides_match_factored_evaluate():
+    specs = [spec_from_json(json.loads(f.read_text())) for f in sorted(SPECS_DIR.glob("*.json"))]
+    specs += list(bundled_specs().values())
+    specs += [annihilated_spec(), scaled_binomial_spec()]
+    assert len(specs) >= 7
+    sides = [(s.arity, side) for s in specs for g in s.generators for side in (g.num, g.den)]
+    # bases with rational coefficients, as a FactoredRational built directly
+    # (not through make) may hold them
+    sides.append(
+        (2, FactoredRational(2, Fraction(-3, 5), ((P("1/2*z1 + 1/3"), 2), (P("z1*z2 - 3/4"), 1))))
+    )
+    for arity, side in sides:
+        scale, factors, denominator = _integer_side(side)
+        for z in itertools.product(range(-4, 5), repeat=arity):
+            assert Fraction(_side_numerator(scale, factors, z), denominator) == side.evaluate(z)
+
+
+def test_flood_with_exceptions_and_scalars():
+    # the line z1 + z2 = 5 is declared an exception, so no step is evaluated
+    # on it: the flood reaches it from below and never crosses it
+    plane = Hyperplane.make((1, 1), 5)
+    spec = scaled_binomial_spec(MeasureZeroSet.make([plane]))
+    window = LatticeBox((-2, -2), 9)
+    table = propagate_window(spec, window)
+    open_table = propagate_window(scaled_binomial_spec(), window)
+    reached = beyond = 0
+    for z in window.points():
+        single = propagate(spec, spec.seed, z)
+        assert table.get(z) == single.value
+        if z[0] + z[1] > 5 and z[0] >= 0:
+            assert not single.ok and single.reason == "blocked"
+            assert open_table[z] == scaled_binomial_value(z)
+            beyond += 1
+        if not single.ok:
+            continue
+        reached += 1
+        assert single.value == scaled_binomial_value(z)
+        # replay the certificate with the Fraction evaluation of each side
+        position, value = spec.seed
+        for step in single.path:
+            assert not spec.exceptions.covers(step.at)
+            gen = spec.generators[step.axis]
+            a_val, b_val = gen.num.evaluate(step.at), gen.den.evaluate(step.at)
+            unit = tuple(int(i == step.axis) for i in range(spec.arity))
+            if step.forward:
+                assert step.at == position
+                assert step.multiplier == a_val / b_val
+                position = tuple(x + u for x, u in zip(position, unit))
+            else:
+                position = tuple(x - u for x, u in zip(position, unit))
+                assert step.at == position
+                assert step.multiplier == b_val / a_val
+            value *= step.multiplier
+        assert position == z and value == single.value
+    assert reached > 20 and beyond > 10

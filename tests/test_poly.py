@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -71,6 +72,58 @@ def test_shift_composes():
         z = tuple(rng.randint(-4, 4) for _ in range(k))
         zu = tuple(a + b for a, b in zip(z, u))
         assert p.shift(u).evaluate(z) == p.evaluate(zu)
+
+
+# -- integer evaluation -------------------------------------------------------
+
+
+def test_evaluate_cleared_matches_evaluate_random():
+    # rational coefficients; each polynomial carries a linear factor with a
+    # known integer root, and half the points are moved onto that root
+    rng = random.Random(73)
+    roots_hit = 0
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        q = MultiPoly.from_dict(
+            k,
+            {
+                tuple(rng.randint(0, 2) for _ in range(k)): Fraction(
+                    rng.randint(-9, 9), rng.randint(1, 12)
+                )
+                for _ in range(rng.randint(1, 4))
+            },
+        )
+        axis, root = rng.randrange(k), rng.randint(-4, 4)
+        linear = MultiPoly.linear(
+            [rng.randint(1, 3) if i == axis else 0 for i in range(k)]
+        )
+        shift = linear.evaluate([root if i == axis else 0 for i in range(k)])
+        p = q * (linear - MultiPoly.constant(k, shift))
+        d, terms = p.cleared
+        assert d == math.lcm(*(c.denominator for _, c in p.terms))
+        for (mono, coeff), (c, variables) in zip(p.terms, terms):
+            assert c == coeff * d
+            assert sorted(variables) == [i for i, e in enumerate(mono) for _ in range(e)]
+        for _ in range(10):
+            z = [rng.randint(-6, 6) for _ in range(k)]
+            if rng.random() < 0.5:
+                z[axis] = root
+            z = tuple(z)
+            value = p.evaluate_cleared(z)
+            assert isinstance(value, int)
+            assert value == d * p.evaluate(z)
+            if z[axis] == root:
+                assert value == 0
+                roots_hit += 1
+    assert roots_hit > 100
+
+
+def test_evaluate_cleared_is_kept_on_the_polynomial():
+    p = P("1/6*z1^2 - 3/4*z2 + 1/2", 2)
+    assert p.cleared is p.cleared
+    assert p.cleared[0] == 12
+    assert p.evaluate_cleared((3, -2)) == 12 * p.evaluate((3, -2))
+    assert MultiPoly(2, ()).evaluate_cleared((5, 5)) == 0
 
 
 # -- gcd and division ---------------------------------------------------------

@@ -70,6 +70,20 @@ def test_factored_zero_rejected():
         FactoredRational.make(1, 1, [(MultiPoly(1, ()), 1)])
 
 
+def test_generator_sides_reject_negative_exponents():
+    # each side of A(z) f(z) = B(z) f(z + e_i) is a polynomial, whether it
+    # arrives as a FactoredRational or as a list of (base, exponent) pairs
+    pole = [(P("z1 + 3", 1), -1)]
+    plain = [(P("z1 + 1", 1), 1)]
+    for gen in [(pole, plain), (plain, pole), (FactoredRational.make(1, 1, pole), plain)]:
+        with pytest.raises(PreconditionError):
+            TermSpec.make(1, [gen], seed=((0,), 1))
+    # exponents that merge to a polynomial are fine
+    merged = [(P("z1 + 3", 1), 2), (P("z1 + 3", 1), -1)]
+    spec = TermSpec.make(1, [(merged, plain)], seed=((0,), 1))
+    assert spec.generators[0].num.factors == ((P("z1 + 3", 1), 1),)
+
+
 # -- compatibility ----------------------------------------------------------------
 
 
