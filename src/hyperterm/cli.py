@@ -123,6 +123,8 @@ def _cmd_eval(spec: TermSpec, args) -> int:
     if args.at is None:
         raise ParseError("eval requires --at z1,...,zk")
     point = tuple(int(x) for x in args.at.split(","))
+    if len(point) != spec.arity:
+        raise ParseError(f"expected {spec.arity} coordinates in --at, got {len(point)}")
     ps = build_structure(spec)
     outcome = closed_form_eval(ps, point)
     if outcome.status == "ok":

@@ -472,6 +472,22 @@ class UniPoly:
             total = total * x + c
         return total
 
+    @functools.cached_property
+    def cleared(self) -> tuple[int, tuple[int, ...]]:
+        """(d, coeffs): d is the least positive integer making d * p
+        integral, and coeffs are those of d * p, constant first.  Built
+        once per polynomial and kept on it for ``evaluate_cleared``."""
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        return d, tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
+
+    def evaluate_cleared(self, x: int) -> int:
+        """d * p(x) at an integer x by Horner's rule in int arithmetic
+        only, where d = ``cleared[0]``."""
+        total = 0
+        for c in reversed(self.cleared[1]):
+            total = total * x + c
+        return total
+
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly.make(

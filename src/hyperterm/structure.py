@@ -13,6 +13,12 @@ The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.
 
+``closed_form_eval`` evaluates this formula in integers, with one Fraction
+per point.  Each piece keeps, per chain, a prefix table of gp(v.z0, t) over
+the range of t evaluated so far, extended on demand; the tables live on the
+structure, so evaluating a window costs a table read per chain and point
+rather than a product rebuilt from the base point.
+
 ``split_factorial`` intersects each piece with the sign conditions of
 v.(z - z0) and rewrites the generalized products as plain products
 prod_{j=1}^{w.z + n} with nonnegative upper limits (the value 0 denotes
@@ -22,8 +28,10 @@ polynomials split over the rationals into rising factorials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,7 +40,6 @@ from .errors import (
     IntegrityError,
     PreconditionError,
     SplittingError,
-    ZeroTermError,
 )
 from .geometry import (
     HalfSpace,
@@ -49,7 +56,7 @@ from .geometry import (
     s_path,
 )
 from .oracle import propagate
-from .oresato import OreSatoForm, decompose, gp_eval
+from .oresato import Chain, OreSatoForm, decompose
 from .poly import MultiPoly, Point, UniPoly, find_nonzero_in_box, integer_roots, rational_roots
 from .termratio import TermSpec
 
@@ -73,6 +80,13 @@ class PiecewiseStructure:
     form: OreSatoForm
     pieces: tuple[Piece, ...]
     excluded: MeasureZeroSet  # hyperplane cover of the complement of the pieces
+
+    @functools.cached_property
+    def _tables(self) -> tuple["_PieceTable", ...]:
+        """Per-piece evaluation tables for ``closed_form_eval``, built on
+        first use and kept on the structure; their chain tables grow with
+        the points evaluated."""
+        return tuple(_PieceTable(self.form, p) for p in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -230,39 +244,111 @@ def _zero_divisor_structure(spec: TermSpec) -> PiecewiseStructure:
     return PiecewiseStructure(form, (piece,), MeasureZeroSet.empty())
 
 
+class _ChainTable:
+    """gp(a, t) of one chain from a = v.z0 of one piece, kept as integer
+    (numerator, denominator) prefix products over the range touched so far
+    and extended on demand up or down.
+
+    The factor at j is a(j)/b(j) = (d_b * A(j)) / (d_a * B(j)) with A, B
+    the cleared chain polynomials and d_a, d_b their denominators.  Each
+    factor is checked for zero when it is added, so an entry exists only
+    for a range free of zero factors."""
+
+    def __init__(self, chain: Chain, a: int):
+        self.chain = chain
+        self.a = a
+        self.up = [(1, 1)]  # up[i]: product over j in [a, a + i)
+        self.down = [(1, 1)]  # down[i]: product over j in [a - i, a)
+        self._lock = threading.Lock()
+
+    def _factors(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Factor pairs for j in [lo, hi); the lowest zero factor raises
+        IntegrityError, so the j named is the first gp_eval would meet."""
+        num, den = self.chain.num, self.chain.den
+        d_a, d_b = num.cleared[0], den.cleared[0]
+        out = []
+        for j in range(lo, hi):
+            n, d = num.evaluate_cleared(j), den.evaluate_cleared(j)
+            if n == 0 or d == 0:
+                raise IntegrityError(f"chain factor vanishes inside a piece at j = {j}")
+            out.append((d_b * n, d_a * d))
+        return out
+
+    def ratio(self, t: int) -> tuple[int, int]:
+        """gp(a, t) as (numerator, denominator), denominator nonzero."""
+        up = t >= self.a
+        table, n = (self.up, t - self.a) if up else (self.down, self.a - t)
+        if n >= len(table):
+            # entries are only ever appended, so reads need no lock; a
+            # thread that waited here finds the range already covered
+            with self._lock:
+                have = len(table)
+                if up:
+                    factors = self._factors(self.a + have - 1, t)
+                else:
+                    factors = reversed(self._factors(t, self.a - have + 1))
+                num, den = table[-1]
+                for fn, fd in factors:
+                    num, den = num * fn, den * fd
+                    table.append((num, den))
+        num, den = table[n]
+        return (num, den) if up else (den, num)
+
+
+class _PieceTable:
+    """Per-piece constants of the closed form in integers and the piece's
+    chain tables: value(z) = base * D(z0)/C(z0) * gamma^(z - z0) * C(z)/D(z)
+    * prod of chain ratios, where C and D are taken cleared of
+    denominators (their ratios are unchanged)."""
+
+    def __init__(self, form: OreSatoForm, piece: Piece):
+        z0 = piece.base_point
+        self.piece = piece
+        self.gamma = tuple((Fraction(g).numerator, Fraction(g).denominator) for g in form.gamma)
+        self.chains = tuple(
+            _ChainTable(c, sum(x * y for x, y in zip(c.direction, z0))) for c in form.chains
+        )
+        base = piece.base_value
+        self.scale = None if base is None else (
+            base.numerator * form.d_poly.evaluate_cleared(z0),
+            base.denominator * form.c_poly.evaluate_cleared(z0),
+        )
+
+
 def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     """Value of the closed form at a lattice point, or the reason it is
-    undefined there.  A zero chain factor inside the touched product range
-    violates the construction guarantees and raises IntegrityError."""
+    undefined there.
+
+    Arithmetic is in integers with one Fraction per point: C and D are
+    evaluated cleared of denominators, and each chain product
+    gp(v.z0, v.z) is read from the piece's prefix table, kept on ``ps``
+    and extended to v.z if it does not reach it yet, so each chain factor
+    is evaluated once per structure.  A zero chain factor inside the
+    touched product range violates the construction guarantees and raises
+    IntegrityError naming j, at the same points as a fresh product would."""
     z = tuple(int(x) for x in z)
-    piece = next((p for p in ps.pieces if p.region.contains(z)), None)
-    if piece is None:
+    table = next((t for t in ps._tables if t.piece.region.contains(z)), None)
+    if table is None:
         return EvalOutcome("no-piece")
     form = ps.form
-    if form.d_poly.evaluate(z) == 0:
+    d_z = form.d_poly.evaluate_cleared(z)
+    if d_z == 0:
         return EvalOutcome("d-zero")
-    if piece.base_value is None:
+    if table.scale is None:
         return EvalOutcome("value-unknown")
-    z0 = piece.base_point
-    value = piece.base_value
-    for g, zi, z0i in zip(form.gamma, z, z0):
-        value *= Fraction(g) ** (zi - z0i)
-    value *= form.c_poly.evaluate(z) / form.c_poly.evaluate(z0)
-    value *= form.d_poly.evaluate(z0) / form.d_poly.evaluate(z)
-    for chain in form.chains:
-        a = sum(x * y for x, y in zip(chain.direction, z0))
-        b = sum(x * y for x, y in zip(chain.direction, z))
-        try:
-            value *= gp_eval(
-                a, b, lambda j: chain.num.evaluate(j) / chain.den.evaluate(j)
-                if chain.den.evaluate(j) != 0
-                else Fraction(0)
-            )
-        except ZeroTermError as exc:
-            raise IntegrityError(
-                f"chain factor vanishes inside a piece at j = {exc.index}"
-            ) from exc
-    return EvalOutcome("ok", value)
+    num, den = table.scale
+    num *= form.c_poly.evaluate_cleared(z)
+    den *= d_z
+    for (gn, gd), zi, z0i in zip(table.gamma, z, table.piece.base_point):
+        e = zi - z0i
+        if e >= 0:
+            num, den = num * gn**e, den * gd**e
+        else:
+            num, den = num * gd**-e, den * gn**-e
+    for chain in table.chains:
+        cn, cd = chain.ratio(sum(x * y for x, y in zip(chain.chain.direction, z)))
+        num, den = num * cn, den * cd
+    return EvalOutcome("ok", Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------

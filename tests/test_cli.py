@@ -187,6 +187,15 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_point_arity_is_a_usage_error(tmp_path, capsys):
+    path = write_spec(tmp_path, binomial_spec())
+    for at in ["1", "1,2,3"]:
+        assert main(["eval", path, "--at", at]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected 2 coordinates in --at, got {len(at.split(','))}" in captured.err
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "hyperterm" in capsys.readouterr().out

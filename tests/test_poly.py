@@ -126,6 +126,39 @@ def test_evaluate_cleared_is_kept_on_the_polynomial():
     assert MultiPoly(2, ()).evaluate_cleared((5, 5)) == 0
 
 
+def test_unipoly_evaluate_cleared_matches_evaluate_random():
+    # rational coefficients, the zero polynomial among them, at negative,
+    # zero and positive arguments
+    rng = random.Random(74)
+    polys = [UniPoly.make([]), UniPoly.constant(Fraction(-3, 4))]
+    for _ in range(40):
+        polys.append(
+            UniPoly.make(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for _ in range(rng.randint(0, 5))
+            )
+        )
+    assert any(p.is_zero for p in polys)
+    for p in polys:
+        d, coeffs = p.cleared
+        assert d == math.lcm(*(c.denominator for c in p.coeffs))
+        assert coeffs == tuple(c * d for c in p.coeffs)
+        for x in range(-7, 8):
+            value = p.evaluate_cleared(x)
+            assert isinstance(value, int)
+            assert value == d * p.evaluate(x)
+
+
+def test_unipoly_evaluate_cleared_is_kept_on_the_polynomial():
+    p = parse_unipoly("1/6*t^2 - 3/4*t + 1/2")
+    assert p.cleared is p.cleared
+    assert p.cleared == (12, (6, -9, 2))
+    assert p.evaluate_cleared(-2) == 12 * p.evaluate(-2)
+    assert p.evaluate_cleared(0) == 6
+    assert UniPoly.make([]).cleared == (1, ())
+    assert UniPoly.make([]).evaluate_cleared(5) == 0
+
+
 # -- gcd and division ---------------------------------------------------------
 
 

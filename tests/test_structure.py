@@ -1,18 +1,35 @@
+import dataclasses
 import itertools
+import json
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hyperterm.bundled import annihilated_spec, binomial_spec, constant_spec, odd_product_spec
-from hyperterm.errors import IntegrityError, PreconditionError, SplittingError
-from hyperterm.geometry import HalfSpace, LatticeBox, PolyhedralRegion
+from hyperterm.bundled import (
+    annihilated_spec,
+    binomial_spec,
+    bundled_specs,
+    constant_spec,
+    odd_product_spec,
+)
+from hyperterm.errors import IntegrityError, PreconditionError, SplittingError, ZeroTermError
+from hyperterm.geometry import HalfSpace, LatticeBox, MeasureZeroSet, PolyhedralRegion
+from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import grid_compare, propagate
+from hyperterm.oresato import Chain, OreSatoForm, gp_eval
 from hyperterm.parsing import parse_unipoly
 from hyperterm.poly import MultiPoly, UniPoly
 from hyperterm.structure import (
+    EvalOutcome,
     FactorialChain,
     FactorialForm,
+    Piece,
+    PiecewiseStructure,
     build_structure,
     closed_form_eval,
     factorial_eval,
@@ -271,8 +288,6 @@ def test_structure_random_forms_end_to_end():
     # random decompositions with nontrivial C and D exercise the erosion
     # path (degree > 0) and base-point search; the closed form must agree
     # with propagation everywhere both are defined
-    import random
-
     from conftest import random_form, spec_from_form
 
     rng = random.Random(79)
@@ -302,6 +317,165 @@ def test_structure_random_forms_end_to_end():
                 assert factorial_eval(ff, z) == outcome.value
                 assert pochhammer_eval(pf, z) == outcome.value
         done += 1
+
+
+# -- closed-form evaluation ----------------------------------------------------
+
+
+def reference_eval(ps, z):
+    """closed_form_eval as a fresh per-point product: every chain product
+    rebuilt by gp_eval from the base point, C and D in Fractions."""
+    z = tuple(z)
+    piece = next((p for p in ps.pieces if p.region.contains(z)), None)
+    if piece is None:
+        return EvalOutcome("no-piece")
+    form = ps.form
+    if form.d_poly.evaluate(z) == 0:
+        return EvalOutcome("d-zero")
+    if piece.base_value is None:
+        return EvalOutcome("value-unknown")
+    z0 = piece.base_point
+    value = piece.base_value
+    for g, zi, z0i in zip(form.gamma, z, z0):
+        value *= Fraction(g) ** (zi - z0i)
+    value *= form.c_poly.evaluate(z) / form.c_poly.evaluate(z0)
+    value *= form.d_poly.evaluate(z0) / form.d_poly.evaluate(z)
+    for chain in form.chains:
+        a = sum(x * y for x, y in zip(chain.direction, z0))
+        b = sum(x * y for x, y in zip(chain.direction, z))
+
+        def term(j, chain=chain):
+            den = chain.den.evaluate(j)
+            return chain.num.evaluate(j) / den if den != 0 else Fraction(0)
+
+        try:
+            value *= gp_eval(a, b, term)
+        except ZeroTermError as exc:
+            raise IntegrityError(
+                f"chain factor vanishes inside a piece at j = {exc.index}"
+            ) from exc
+    return EvalOutcome("ok", value)
+
+
+def outcome_or_error(evaluate, ps, z):
+    try:
+        return evaluate(ps, z)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+def assert_matches_reference(ps, points, seed):
+    # each order on a fresh copy of the structure, so that the prefix
+    # tables are extended upward, downward and in jumps both ways
+    expected = {z: outcome_or_error(reference_eval, ps, z) for z in points}
+    shuffled = list(points)
+    random.Random(seed).shuffle(shuffled)
+    for order in (list(points), list(reversed(points)), shuffled):
+        fresh = dataclasses.replace(ps)
+        for z in order:
+            assert outcome_or_error(closed_form_eval, fresh, z) == expected[z], z
+
+
+def test_closed_form_eval_matches_reference_on_specs():
+    specs = list(bundled_specs().values()) + [annihilated_spec()]
+    for path in sorted((Path(__file__).parent.parent / "specs").glob("*.json")):
+        specs.append(spec_from_json(json.loads(path.read_text(encoding="utf-8"))))
+    for n, spec in enumerate(specs):
+        ps = build_structure(spec)
+        k = spec.arity
+        window = LatticeBox((-12,) * k, 24) if k < 3 else LatticeBox((-3,) * k, 6)
+        assert_matches_reference(ps, list(window.points()), seed=n)
+
+
+def test_closed_form_eval_matches_reference_on_random_forms():
+    from conftest import random_form, spec_from_form
+
+    rng = random.Random(83)
+    statuses = set()
+    for k in (1, 1, 2, 2, 2, 3):
+        form = random_form(rng, k)
+        spec = spec_from_form(form, seed=((0,) * k, Fraction(1)))
+        ps = build_structure(spec)
+        window = LatticeBox((-12,) * k, 24) if k < 3 else LatticeBox((-3,) * k, 6)
+        points = list(window.points())
+        assert_matches_reference(ps, points, seed=k)
+        statuses.update(reference_eval(ps, z).status for z in points)
+    assert {"ok", "no-piece", "d-zero"} <= statuses
+
+
+def test_closed_form_eval_from_threads(odd_structure):
+    # fresh structures, each evaluated by more threads than cores that start
+    # together and walk outward in steps of 10, so that most thread switches
+    # fall inside a table extension; a lost or doubled update shows in the
+    # values the threads read, or once the tables grow further
+    points = [(10 * t,) for t in range(-30, 31)]
+    expected = {z: reference_eval(odd_structure, z) for z in points}
+    further = {(z,): reference_eval(odd_structure, (z,)) for z in range(-400, 401, 7)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            ps = dataclasses.replace(odd_structure)
+            results = [{} for _ in range(4)]
+            start = threading.Barrier(len(results))
+
+            def work(result):
+                start.wait(timeout=60)
+                for z in sorted(points, key=lambda z: abs(z[0])):
+                    result[z] = closed_form_eval(ps, z)
+
+            threads = [threading.Thread(target=work, args=(r,)) for r in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for result in results:
+                assert result == expected
+            assert {z: closed_form_eval(ps, z) for z in further} == further
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def chain_root_structure():
+    """One piece, all of Z, based at 0, with the chain a(j)/b(j) =
+    ((j - 3)(j + 4)/3) / (j/2 + 3): zero factors at j = 3 above the base
+    point and at j = -4, -6 below it, all inside the piece."""
+    num = parse_unipoly("(t - 3)*(t + 4)").scale(Fraction(1, 3))
+    den = UniPoly.make([3, Fraction(1, 2)])
+    form = OreSatoForm(
+        1,
+        MultiPoly.constant(1, 1),
+        MultiPoly.constant(1, 1),
+        (Fraction(1, 2),),
+        (Chain((1,), num, den),),
+    )
+    piece = Piece(PolyhedralRegion.whole(1), (0,), Fraction(5))
+    return PiecewiseStructure(form, (piece,), MeasureZeroSet.empty())
+
+
+def test_closed_form_eval_zero_chain_factor_raises():
+    def raises_at(ps, z, j):
+        with pytest.raises(IntegrityError, match=f"at j = {j}$"):
+            closed_form_eval(ps, (z,))
+
+    # fresh structures: the first evaluation reaches across a root; below
+    # the base point the lowest zero factor is named, as gp_eval does
+    for z, j in [(4, 3), (9, 3), (-5, -4), (-7, -6)]:
+        raises_at(chain_root_structure(), z, j)
+    # tables extended first on both sides of the base point, then across
+    ps = chain_root_structure()
+    for z in [2, -3, 3, -1, 1, -2]:
+        assert closed_form_eval(ps, (z,)) == reference_eval(ps, (z,))
+    # 5 * (1/2)^3 * a(0)/b(0) * a(1)/b(1) * a(2)/b(2)
+    assert closed_form_eval(ps, (3,)).value == (
+        5 * Fraction(1, 8) * Fraction(-4, 3) * Fraction(-20, 21) * Fraction(-1, 2)
+    )
+    for z, j in [(4, 3), (-7, -6), (-5, -4), (-4, -4), (4, 3), (12, 3)]:
+        raises_at(ps, z, j)
+    # a raise leaves the tables as they were
+    for z in [3, 2, -3, 0, -2]:
+        assert closed_form_eval(ps, (z,)) == reference_eval(ps, (z,))
 
 
 # -- factorial split -------------------------------------------------------------
@@ -348,8 +522,6 @@ def test_factorial_matches_closed_form(odd_structure, binomial_structure):
 
 
 def test_factorial_upper_limits_nonnegative(odd_structure, binomial_structure):
-    import random
-
     rng = random.Random(71)
     for ps in [odd_structure, binomial_structure]:
         forms = split_factorial(ps)
