@@ -46,7 +46,7 @@ from .poly import (
     rational_roots,
     shift_between,
 )
-from .termratio import FactoredRational, TermSpec, check_compatibility
+from .termratio import FactoredRational, TermSpec, _unit, check_compatibility
 
 # ---------------------------------------------------------------------------
 # generalized products
@@ -159,10 +159,6 @@ def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
 # ---------------------------------------------------------------------------
 
 
-def _unit(k: int, i: int) -> Point:
-    return tuple(1 if j == i else 0 for j in range(k))
-
-
 def _split_simple_base(base: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Refine a simple base by factoring its univariate profile at rational
     roots; non-simple bases are returned unchanged."""
@@ -267,29 +263,15 @@ def _anchor_family(profile: UniPoly) -> tuple[UniPoly, int]:
     return anchor, -m
 
 
-class _FamilyData:
-    """Observed exponents of one simple shift family (direction, anchor):
-    per generator, offset -> exponent."""
+class _Exponents:
+    """Observed exponents of one shift family or orbit: per generator,
+    offset -> exponent, with zero totals dropped.  Offsets are integers
+    along a simple family's direction and lattice points for an orbit."""
 
     def __init__(self, arity: int):
-        self.observed: list[dict[int, int]] = [dict() for _ in range(arity)]
+        self.observed: list[dict[int | Point, int]] = [dict() for _ in range(arity)]
 
-    def add(self, gen_index: int, offset: int, exp: int) -> None:
-        d = self.observed[gen_index]
-        d[offset] = d.get(offset, 0) + exp
-        if d[offset] == 0:
-            del d[offset]
-
-
-class _OrbitData:
-    """Observed exponents of one non-simple shift orbit: per generator,
-    lattice offset -> exponent."""
-
-    def __init__(self, rep: MultiPoly, arity: int):
-        self.rep = rep
-        self.observed: list[dict[Point, int]] = [dict() for _ in range(arity)]
-
-    def add(self, gen_index: int, offset: Point, exp: int) -> None:
+    def add(self, gen_index: int, offset: int | Point, exp: int) -> None:
         d = self.observed[gen_index]
         d[offset] = d.get(offset, 0) + exp
         if d[offset] == 0:
@@ -297,7 +279,7 @@ class _OrbitData:
 
 
 def _solve_family(
-    direction: Point, anchor: UniPoly, data: _FamilyData
+    direction: Point, anchor: UniPoly, data: _Exponents
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Recover the chain multiplicities mu and the C/D multiplicities nu of
     one simple family from the observed generator exponents.
@@ -397,7 +379,7 @@ def _solve_family(
     return mu, nu
 
 
-def _solve_orbit(data: _OrbitData, k: int) -> dict[Point, int]:
+def _solve_orbit(rep: MultiPoly, data: _Exponents, k: int) -> dict[Point, int]:
     """Recover the signed C/D multiplicity pattern m of a non-simple shift
     orbit from the k difference equations
 
@@ -425,7 +407,7 @@ def _solve_orbit(data: _OrbitData, k: int) -> dict[Point, int]:
         if acc != 0:
             raise StructureError(
                 "orbit multiplicities do not come from a polynomial pair",
-                factor=data.rep,
+                factor=rep,
             )
 
     def m_of(w: Point) -> int:
@@ -445,7 +427,7 @@ def _solve_orbit(data: _OrbitData, k: int) -> dict[Point, int]:
             if observed[i].get(w, 0) != m_of(w_minus) - m_of(w):
                 raise StructureError(
                     f"generator {i + 1} disagrees with the orbit multiplicities",
-                    factor=data.rep,
+                    factor=rep,
                 )
     return m
 
@@ -462,8 +444,8 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     k = spec.arity
     ratios = _joint_refine(spec.ratios())
 
-    families: dict[tuple[Point, UniPoly], _FamilyData] = {}
-    orbits: list[_OrbitData] = []
+    families: dict[tuple[Point, UniPoly], _Exponents] = {}
+    orbits: list[tuple[MultiPoly, _Exponents]] = []  # (representative, exponents)
     base_route: dict[MultiPoly, tuple] = {}
 
     for i, fr in enumerate(ratios):
@@ -476,23 +458,23 @@ def decompose(spec: TermSpec) -> OreSatoForm:
                     anchor, offset = _anchor_family(profile)
                     route = ("family", (v, anchor), offset)
                 else:
-                    for orbit in orbits:
-                        u = shift_between(orbit.rep, base)
+                    for rep, data in orbits:
+                        u = shift_between(rep, base)
                         if u is not None:
-                            route = ("orbit", orbit, u)
+                            route = ("orbit", data, u)
                             break
                     else:
-                        orbit = _OrbitData(base, k)
-                        orbits.append(orbit)
-                        route = ("orbit", orbit, (0,) * k)
+                        data = _Exponents(k)
+                        orbits.append((base, data))
+                        route = ("orbit", data, (0,) * k)
                 base_route[base] = route
             kind = route[0]
             if kind == "family":
                 key, offset = route[1], route[2]
-                families.setdefault(key, _FamilyData(k)).add(i, offset, exp)
+                families.setdefault(key, _Exponents(k)).add(i, offset, exp)
             else:
-                orbit, u = route[1], route[2]
-                orbit.add(i, u, exp)
+                data, u = route[1], route[2]
+                data.add(i, u, exp)
 
     c_poly = MultiPoly.constant(k, 1)
     d_poly = MultiPoly.constant(k, 1)
@@ -519,10 +501,10 @@ def decompose(spec: TermSpec) -> OreSatoForm:
                 else:
                     d_poly = d_poly * piece
 
-    for orbit in orbits:
-        m = _solve_orbit(orbit, k)
+    for rep, data in orbits:
+        m = _solve_orbit(rep, data, k)
         for w, mult in sorted(m.items()):
-            piece = orbit.rep.shift(w)
+            piece = rep.shift(w)
             for _ in range(abs(mult)):
                 if mult > 0:
                     c_poly = c_poly * piece

@@ -13,6 +13,13 @@ The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.
 
+A piece is an arrangement cell eroded by d = deg C + deg D.  The cell is
+convex and each point of the piece carries a size-d box inside it, so for
+d >= 1 the hull lemma (``geometry.hull_points``) joins any two points of
+the piece by unit steps inside the cell; nothing re-checks this.  At d = 0
+a thin cell may hold lattice points that no unit step inside it reaches;
+that case is not proven, and ``grid_compare`` checks it against the oracle.
+
 ``closed_form_eval`` evaluates this formula in integers, with one Fraction
 per point.  Each piece keeps, per chain, a prefix table of gp(v.z0, t) over
 the range of t evaluated so far, extended on demand; the tables live on the
@@ -52,8 +59,6 @@ from .geometry import (
     fm_feasible,
     is_measure_zero,
     region_rows,
-    region_sample,
-    s_path,
 )
 from .oracle import propagate
 from .oresato import Chain, OreSatoForm, decompose
@@ -95,60 +100,36 @@ class EvalOutcome:
     value: Optional[Fraction] = None
 
 
-_MAX_CONNECTIVITY_SPLITS = 40
+def _chain_zero_hyperplanes(form: OreSatoForm, d: int) -> list[Hyperplane]:
+    """Hyperplanes where some chain factor a_v(v.z + j) or b_v(v.z + j)
+    with -reach <= j < reach vanishes at an integer point: exactly the
+    hyperplanes v.z = r - j for integer roots r of a_v or b_v.
 
-
-def _step_set(d: int, k: int) -> list[Point]:
-    """Differences of size-d boxes around the origin and size-d boxes around
-    the unit steps; always contains the unit steps themselves."""
-    s0 = set(itertools.product(range(-d, d + 1), repeat=k))
-    s1 = set()
-    for s in s0:
-        for i in range(k):
-            for sign in (1, -1):
-                s1.add(tuple(x + (sign if j == i else 0) for j, x in enumerate(s)))
-    return sorted({tuple(a - b for a, b in zip(x, y)) for x in s0 for y in s1})
-
-
-def _chain_zero_hyperplanes(form: OreSatoForm, steps: Sequence[Point]) -> list[Hyperplane]:
-    """Hyperplanes where some chain factor touched by a step in ``steps``
-    vanishes at an integer point.  A factor a_v(v.z + j) vanishes on the
-    lattice exactly on the hyperplanes v.z = r - j for integer roots r."""
+    reach = 2 d |v|_1 + |v|_inf is the largest |v.w| over w = x - y - s
+    with x, y in [-d, d]^k and s a unit step, so off these planes no chain
+    factor vanishes between a point and any point within two d-boxes and
+    a unit step of it."""
     planes: list[Hyperplane] = []
     for chain in form.chains:
         v = chain.direction
-        products = [sum(a * b for a, b in zip(v, w)) for w in steps]
-        lo = min(0, min(products, default=0))
-        hi = max(0, max(products, default=0))
+        reach = 2 * d * sum(abs(x) for x in v) + max(abs(x) for x in v)
         roots = set(integer_roots(chain.num)) | set(integer_roots(chain.den))
         for r in roots:
-            for j in range(lo, hi):
+            for j in range(-reach, reach):
                 planes.append(Hyperplane.make(v, r - j))
     return planes
 
 
-def _sample_spread(region: PolyhedralRegion) -> list[Point]:
-    """A handful of integer points spread across the region, for sampled
-    connectivity checks."""
-    first = region_sample(region)
-    if first is None:
-        return []
-    points = [first]
-    k = region.arity
-    for i in range(k):
-        for sign in (1, -1):
-            v = tuple(sign if j == i else 0 for j in range(k))
-            level = sum(a * b for a, b in zip(v, first)) + 4
-            shifted = region.intersect(HalfSpace.make(v, level))
-            extra = region_sample(shifted)
-            if extra is not None and extra not in points:
-                points.append(extra)
-    return points
-
-
-def build_structure(spec: TermSpec, propagation_margin: Optional[int] = None) -> PiecewiseStructure:
+def build_structure(spec: TermSpec) -> PiecewiseStructure:
     """Construct the piecewise closed form of a term given by a compatible
     spec with a seed value.
+
+    Each piece is a convex arrangement cell eroded by d = deg C + deg D,
+    so for d >= 1 the hull lemma (``geometry.hull_points``) joins any two
+    of its points by unit steps inside the cell and no connectivity check
+    is made.  At d = 0 a thin cell may hold lattice points that no unit
+    step inside it reaches; that case is not proven here, and
+    ``grid_compare`` checks it against the oracle.
 
     Pieces unreachable from the seed by nonzero-quotient propagation are
     kept with an unknown base value rather than a guessed one.
@@ -161,8 +142,7 @@ def build_structure(spec: TermSpec, propagation_margin: Optional[int] = None) ->
     form = decompose(spec)
     d = form.c_poly.total_degree() + form.d_poly.total_degree()
     cd = form.c_poly * form.d_poly
-    steps = _step_set(d, k)
-    h2 = _chain_zero_hyperplanes(form, steps)
+    h2 = _chain_zero_hyperplanes(form, d)
     h2.extend(spec.exceptions.hyperplanes)
     h2 = sorted({p for p in h2 if not p.empty})
     log.info("structure: %d hyperplanes in the arrangement", len(h2))
@@ -170,10 +150,7 @@ def build_structure(spec: TermSpec, propagation_margin: Optional[int] = None) ->
     excluded = list(h2)
 
     pieces: list[Piece] = []
-    worklist = list(cells)
-    splits = 0
-    while worklist:
-        cell = worklist.pop()
+    for cell in cells:
         mz, cover = is_measure_zero(cell)
         if mz:
             excluded.extend(cover.hyperplanes)
@@ -184,38 +161,13 @@ def build_structure(spec: TermSpec, propagation_margin: Optional[int] = None) ->
         if mz:
             excluded.extend(cover.hyperplanes)
             continue
-        # sampled connectivity check: step-set paths through the full cell
-        samples = _sample_spread(shrunk)
-        if not samples:
-            log.warning("dropping cell with no reachable sample: %s", cell)
-            continue
-        hub = samples[0]
-        failed_pair = None
-        margin = max(max(abs(x) for x in s) for s in steps) * (k + 1) + d
-        for other in samples[1:]:
-            if s_path(hub, other, cell, steps, margin=margin) is None:
-                failed_pair = (hub, other)
-                break
-        if failed_pair is not None and splits < _MAX_CONNECTIVITY_SPLITS:
-            splits += 1
-            a, b = failed_pair
-            axis = max(range(k), key=lambda i: abs(a[i] - b[i]))
-            level = (a[axis] + b[axis]) // 2
-            plane = Hyperplane.make(tuple(1 if j == axis else 0 for j in range(k)), level)
-            excluded.append(plane)
-            side = HalfSpace.make(plane.v, plane.n)
-            worklist.append(cell.intersect(side))
-            worklist.append(cell.intersect(side.complement()))
-            continue
-        if failed_pair is not None:
-            log.warning("sampled connectivity check failed; keeping cell %s", cell)
         inner = find_box(shrunk, d)
         if inner is None:
             log.warning("dropping cell without a base box: %s", cell)
             continue
         z0 = find_nonzero_in_box(cd, inner.corner, d)
         assert z0 is not None
-        result = propagate(spec, spec.seed, z0, margin=propagation_margin)
+        result = propagate(spec, spec.seed, z0)
         base_value = result.value if result.ok else None
         if base_value is None:
             log.info("piece at %s is unreachable from the seed", z0)

@@ -8,6 +8,13 @@ from hyperterm.poly import UniPoly, gcd
 from hyperterm.termratio import TermSpec
 
 
+DIRECTIONS = {
+    1: [(1,)],
+    2: [(1, 0), (0, 1), (1, -1), (1, 1), (2, 1)],
+    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, 1)],
+}
+
+
 def random_form(rng, k):
     """A small random decomposition form: C/D from a coprime pool, up to two
     chains, rational per-axis scalars."""
@@ -23,11 +30,7 @@ def random_form(rng, k):
         ],
     }[k]
     pool_uni = [parse_unipoly(t) for t in ["t + 1", "2*t + 1", "t + 3", "t", "3*t - 1"]]
-    dirs = {
-        1: [(1,)],
-        2: [(1, 0), (0, 1), (1, -1), (1, 1), (2, 1)],
-        3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, 1)],
-    }[k]
+    dirs = DIRECTIONS[k]
     c = parse_multipoly("1", k)
     d = parse_multipoly("1", k)
     if rng.random() < 0.5:

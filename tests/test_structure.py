@@ -18,18 +18,27 @@ from hyperterm.bundled import (
     odd_product_spec,
 )
 from hyperterm.errors import IntegrityError, PreconditionError, SplittingError, ZeroTermError
-from hyperterm.geometry import HalfSpace, LatticeBox, MeasureZeroSet, PolyhedralRegion
+from hyperterm.geometry import (
+    HalfSpace,
+    Hyperplane,
+    LatticeBox,
+    MeasureZeroSet,
+    PolyhedralRegion,
+    region_sample,
+    s_path,
+)
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import grid_compare, propagate
 from hyperterm.oresato import Chain, OreSatoForm, gp_eval
 from hyperterm.parsing import parse_unipoly
-from hyperterm.poly import MultiPoly, UniPoly
+from hyperterm.poly import MultiPoly, UniPoly, integer_roots
 from hyperterm.structure import (
     EvalOutcome,
     FactorialChain,
     FactorialForm,
     Piece,
     PiecewiseStructure,
+    _chain_zero_hyperplanes,
     build_structure,
     closed_form_eval,
     factorial_eval,
@@ -38,6 +47,7 @@ from hyperterm.structure import (
     split_factorial,
     to_pochhammer,
 )
+from hyperterm.termratio import TermSpec
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +327,124 @@ def test_structure_random_forms_end_to_end():
                 assert factorial_eval(ff, z) == outcome.value
                 assert pochhammer_eval(pf, z) == outcome.value
         done += 1
+
+
+def step_set(d, k):
+    """Differences of size-d boxes around the origin and size-d boxes around
+    the unit steps; always contains the unit steps themselves.  Its v.w
+    range is the reference for the reach in _chain_zero_hyperplanes."""
+    s0 = set(itertools.product(range(-d, d + 1), repeat=k))
+    s1 = set()
+    for s in s0:
+        for i in range(k):
+            for sign in (1, -1):
+                s1.add(tuple(x + (sign if j == i else 0) for j, x in enumerate(s)))
+    return sorted({tuple(a - b for a, b in zip(x, y)) for x in s0 for y in s1})
+
+
+def step_set_hyperplanes(form, steps):
+    """The chain-zero hyperplanes from the min and max of v.w over steps."""
+    planes = []
+    for chain in form.chains:
+        v = chain.direction
+        products = [sum(a * b for a, b in zip(v, w)) for w in steps]
+        lo = min(0, min(products, default=0))
+        hi = max(0, max(products, default=0))
+        roots = set(integer_roots(chain.num)) | set(integer_roots(chain.den))
+        for r in roots:
+            for j in range(lo, hi):
+                planes.append(Hyperplane.make(v, r - j))
+    return planes
+
+
+def test_chain_zero_hyperplanes_match_step_set():
+    # the closed-form reach 2 d |v|_1 + |v|_inf gives the planes the step
+    # set enumeration gave, for the conftest directions and steeper ones
+    from conftest import DIRECTIONS
+
+    steep = {1: [(3,), (-2,)], 2: [(3, -2), (5, 3), (-1, 4)], 3: [(2, -3, 1), (5, 3, 0)]}
+    num = parse_unipoly("(t + 1)*(t - 2)*(2*t + 1)")
+    den = parse_unipoly("t + 5")
+    for k in (1, 2, 3):
+        directions = DIRECTIONS[k] + steep[k]
+        chains = tuple(Chain(v, num, den) for v in directions)
+        one = MultiPoly.constant(k, 1)
+        form = OreSatoForm(k, one, one, (Fraction(1),) * k, chains)
+        for d in range(5):
+            got = _chain_zero_hyperplanes(form, d)
+            want = step_set_hyperplanes(form, step_set(d, k))
+            assert sorted(got) == sorted(want), (k, d)
+
+
+def spread_samples(region):
+    """A handful of integer points spread across the region: one sample,
+    then one beyond it by at least 4 along each signed axis."""
+    first = region_sample(region)
+    if first is None:
+        return []
+    points = [first]
+    k = region.arity
+    for i in range(k):
+        for sign in (1, -1):
+            v = tuple(sign if j == i else 0 for j in range(k))
+            level = sum(a * b for a, b in zip(v, first)) + 4
+            extra = region_sample(region.intersect(HalfSpace.make(v, level)))
+            if extra is not None and extra not in points:
+                points.append(extra)
+    return points
+
+
+def test_pieces_are_unit_step_connected():
+    # the hull lemma, searched for: the base point of every piece reaches
+    # points spread across the piece by unit steps inside it; build_structure
+    # relies on this without checking it (d = 0 pairs included)
+    from conftest import random_form, spec_from_form
+
+    rng = random.Random(89)
+    pairs = eroded = 0
+    for k in [1] * 4 + [2] * 12 + [3] * 4:
+        form = random_form(rng, k)
+        spec = spec_from_form(form, seed=((0,) * k, Fraction(1)))
+        ps = build_structure(spec)
+        d = form.c_poly.total_degree() + form.d_poly.total_degree()
+        units = [tuple(s if j == i else 0 for j in range(k)) for i in range(k) for s in (1, -1)]
+        for piece in ps.pieces:
+            for z in spread_samples(piece.region):
+                path = s_path(piece.base_point, z, piece.region, units, margin=2 * d + 2)
+                assert path is not None, (form, piece.base_point, z)
+                pairs += 1
+                eroded += d >= 1
+    assert eroded >= 100 and pairs - eroded >= 20, (pairs, eroded)
+
+
+def test_thin_wedges_at_degree_zero_keep_their_points():
+    # d = 0: f = 2^z1 3^z2 with the exception planes 5 z1 = 4 z2 and
+    # 4 z1 = 3 z2, whose wedge is thin; its lattice points are not all
+    # joined by unit steps inside it, yet the closed form agrees with the
+    # oracle there, so the cells are kept whole and nothing else is excluded
+    one = MultiPoly.constant(2, 1)
+    walls = [Hyperplane.make((5, -4), 0), Hyperplane.make((4, -3), 0)]
+    spec = TermSpec.make(
+        2,
+        [(MultiPoly.constant(2, 2), one), (MultiPoly.constant(2, 3), one)],
+        exceptions=MeasureZeroSet.make(walls),
+        seed=((0, 0), Fraction(1)),
+    )
+    ps = build_structure(spec)
+    assert sorted(ps.excluded.hyperplanes) == sorted(walls)
+    window = LatticeBox((-30, -30), 30)
+    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    isolated = [
+        z
+        for p in ps.pieces
+        for z in window.points()
+        if p.region.contains(z)
+        and not any(p.region.contains((z[0] + a, z[1] + b)) for a, b in units)
+    ]
+    assert (-7, -9) in isolated
+    report = grid_compare(ps, spec, window)
+    assert report.mismatches == ()
+    assert report.checked == report.equal == 947
 
 
 # -- closed-form evaluation ----------------------------------------------------
