@@ -40,10 +40,9 @@ from .oracle import (
     GridReport,
     PropagationResult,
     grid_compare,
-    nonzero_box_search,
     propagate,
 )
-from .oresato import Chain, GPRange, OreSatoForm, decompose, gp_eval, ratio_from_form
+from .oresato import Chain, OreSatoForm, decompose, gp_eval, ratio_from_form
 from .parsing import parse_factored, parse_multipoly, parse_unipoly
 from .poly import (
     MultiPoly,
@@ -86,7 +85,6 @@ __all__ = [
     "FactoredRational",
     "FactorialChain",
     "FactorialForm",
-    "GPRange",
     "Generator",
     "GridReport",
     "HalfSpace",
@@ -129,7 +127,6 @@ __all__ = [
     "hull_points",
     "integer_roots",
     "is_measure_zero",
-    "nonzero_box_search",
     "parse_factored",
     "parse_multipoly",
     "parse_unipoly",

@@ -21,7 +21,6 @@ import json
 import logging
 import re
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .errors import HypertermError, ParseError
@@ -29,6 +28,7 @@ from .geometry import LatticeBox
 from .jsonio import (
     factorial_to_json,
     form_to_json,
+    fraction_from_json,
     fraction_to_json,
     pochhammer_to_json,
     report_to_json,
@@ -54,7 +54,7 @@ def _load_spec(path: str, seed_override: Optional[str]) -> TermSpec:
         if not value_text:
             raise ParseError("--seed expects 'z1,...,zk=p/q'")
         point = tuple(int(x) for x in point_text.split(","))
-        spec = spec.with_seed(point, Fraction(value_text))
+        spec = spec.with_seed(point, fraction_from_json(value_text))
     return spec
 
 

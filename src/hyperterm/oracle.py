@@ -21,13 +21,11 @@ and the certificates are those of evaluating every move.  The values of
 A_i and B_i at a point are not memoised: each is needed by at most one step
 taken, and a per-point memo costs memory without saving time.
 
-The same flood supplies the comparison oracle for piecewise closed forms
-and the search for boxes on which the term is nonzero.
+The same flood supplies the comparison oracle for piecewise closed forms.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -288,26 +286,3 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     return GridReport(
         checked, equal, on_h, d_zero, blocked, value_unknown, tuple(mismatches)
     )
-
-
-# ---------------------------------------------------------------------------
-# nonzero boxes
-# ---------------------------------------------------------------------------
-
-
-def nonzero_box_search(
-    spec: TermSpec, size: int, window: LatticeBox
-) -> Optional[LatticeBox]:
-    """A box of the given size inside the window on which every propagated
-    value is defined and nonzero; None when there is none."""
-    table = propagate_window(spec, window)
-    k = spec.arity
-    span = window.size - size
-    if span < 0:
-        return None
-    for offset in itertools.product(range(span + 1), repeat=k):
-        corner = tuple(c + o for c, o in zip(window.corner, offset))
-        box = LatticeBox(corner, size)
-        if all(table.get(p, Fraction(0)) != 0 for p in box.points()):
-            return box
-    return None

@@ -22,7 +22,6 @@ input that does not telescope raises StructureError.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -40,8 +39,8 @@ from .poly import (
     MultiPoly,
     Point,
     UniPoly,
+    coprime_base,
     detect_simple,
-    exact_div,
     gcd,
     rational_roots,
     shift_between,
@@ -71,23 +70,6 @@ def gp_eval(a: int, b: int, term: Callable[[int], Fraction]) -> Fraction:
             raise ZeroTermError(f"zero factor at j = {j}", j)
         value *= t
     return 1 / value
-
-
-@dataclass(frozen=True)
-class GPRange:
-    """Endpoints of a generalized product; upper < lower is legal and means
-    the reciprocal product."""
-
-    lower: int
-    upper: int
-
-    def evaluate(self, term: Callable[[int], Fraction]) -> Fraction:
-        return gp_eval(self.lower, self.upper, term)
-
-    def indices(self) -> range:
-        return range(self.lower, self.upper) if self.upper >= self.lower else range(
-            self.upper, self.lower
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -183,70 +165,21 @@ def _split_simple_base(base: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
 
 def _joint_refine(ratios: list[FactoredRational]) -> list[FactoredRational]:
-    """Re-express all ratios over one pairwise-coprime base set shared
-    across the generators (gcd-splitting plus univariate factorization of
-    simple bases)."""
-    arity = ratios[0].arity
-    bases = sorted(
-        {b for fr in ratios for b, _ in fr.factors},
-        key=lambda p: (p.total_degree(), p.terms),
-    )
-    work: list[MultiPoly] = []
-    for b in bases:
-        work.extend(piece for piece, _ in _split_simple_base(b))
-    work = sorted(set(work), key=lambda p: (p.total_degree(), p.terms))
-    changed = True
-    while changed:
-        changed = False
-        for p, q in itertools.combinations(work, 2):
-            if _surely_coprime(p, q):
-                continue
-            g = gcd(p, q)
-            if g.is_constant:
-                continue
-            pieces = {g}
-            for poly in (p, q):
-                rest = poly
-                while True:
-                    nxt = exact_div(rest, g)
-                    if nxt is None:
-                        break
-                    rest = nxt
-                if not rest.is_constant:
-                    pieces.add(rest)
-            work = [x for x in work if x not in (p, q)]
-            work.extend(x for x in pieces if x not in work)
-            work.sort(key=lambda t: (t.total_degree(), t.terms))
-            changed = True
-            break
-    refined = work
-    out = []
-    for fr in ratios:
-        factors: list[tuple[MultiPoly, int]] = []
+    """Re-express all ratios over one shared coprime base: simple bases are
+    split at the rational roots of their profiles, then one
+    ``coprime_base`` call refines every ratio's bases together, with one
+    exponent coordinate per ratio."""
+    n = len(ratios)
+    pool = []
+    for i, fr in enumerate(ratios):
         for base, exp in fr.factors:
-            rest = base
-            for piece in refined:
-                mult = 0
-                while True:
-                    nxt = exact_div(rest, piece)
-                    if nxt is None:
-                        break
-                    rest = nxt
-                    mult += 1
-                if mult:
-                    factors.append((piece, mult * exp))
-            if not rest.is_constant:
-                raise IntegrityError("base did not factor over the refined set")
-        out.append(FactoredRational.make(arity, fr.scalar, factors))
-    return out
-
-
-def _surely_coprime(p: MultiPoly, q: MultiPoly) -> bool:
-    """Cheap filter: simple polynomials in different directions share no
-    nonconstant factor (every factor of a simple polynomial is simple with
-    the same direction)."""
-    ip, iq = detect_simple(p), detect_simple(q)
-    return ip is not None and iq is not None and ip[0] != iq[0]
+            for piece, mult in _split_simple_base(base):
+                pool.append((piece, tuple(mult * exp * u for u in _unit(n, i))))
+    refined = coprime_base(pool)
+    return [
+        FactoredRational(fr.arity, fr.scalar, tuple((b, e[i]) for b, e in refined if e[i]))
+        for i, fr in enumerate(ratios)
+    ]
 
 
 def _anchor_family(profile: UniPoly) -> tuple[UniPoly, int]:

@@ -422,8 +422,47 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return result.normalized()[1]
 
 
-def coprime(p: MultiPoly, q: MultiPoly) -> bool:
-    return gcd(p, q).is_constant
+def coprime_base(
+    pairs: Iterable[tuple[MultiPoly, Sequence[int]]],
+) -> list[tuple[MultiPoly, tuple[int, ...]]]:
+    """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 15, 1993):
+    the natural coprime base of normalized nonconstant polynomials, each
+    carrying an exponent vector.
+
+    An incoming p that shares g = gcd(p, b) with a base element b replaces b
+    by g, b/g and p/g, the exponents of b and p adding up on g; identical
+    bases merge.  The product of base ** exponent is kept in every exponent
+    coordinate, and the result is normalized, nonconstant and pairwise
+    coprime.  The bases depend on the input polynomials alone, and those
+    whose exponents all cancel are dropped only once refinement is done, so
+    the result, sorted by (total degree, terms), does not depend on the
+    input order."""
+    base: dict[MultiPoly, tuple[int, ...]] = {}
+    work = [(p, tuple(e)) for p, e in pairs]
+    while work:
+        p, e = work.pop()
+        if p in base:
+            base[p] = tuple(x + y for x, y in zip(base[p], e))
+            continue
+        for b in base:
+            # p is not in base, and distinct normalized linear polynomials
+            # are coprime, linear ones being irreducible
+            if p.total_degree() == 1 == b.total_degree():
+                continue
+            g = gcd(p, b)
+            if not g.is_constant:
+                f = base.pop(b)
+                work.append((g, tuple(x + y for x, y in zip(e, f))))
+                for rest, exps in ((exact_div(b, g), f), (exact_div(p, g), e)):
+                    if not rest.is_constant:
+                        work.append((rest, exps))
+                break
+        else:
+            base[p] = e
+    return sorted(
+        ((b, e) for b, e in base.items() if any(e)),
+        key=lambda t: (t[0].total_degree(), t[0].terms),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -859,21 +898,3 @@ def shift_between(p: MultiPoly, q: MultiPoly) -> Optional[Point]:
         if max(abs(x) for x in u) <= w and p.shift(u) == q:
             return u
     return None
-
-
-def univariate_shift_between(p: UniPoly, q: UniPoly) -> Optional[int]:
-    """Integer s with p(t + s) = q(t), or None.  Arguments normalized."""
-    if p == q:
-        return 0
-    d = p.degree()
-    if d != q.degree() or d == 0:
-        return None
-    if p.leading_coeff() != q.leading_coeff():
-        return None
-    # subleading coefficient shifts by d * lc * s
-    diff = q.coeffs[d - 1] - p.coeffs[d - 1]
-    s = diff / (d * p.leading_coeff())
-    if s.denominator != 1:
-        return None
-    s = int(s)
-    return s if p.shift_arg(s) == q else None

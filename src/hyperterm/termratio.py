@@ -9,8 +9,9 @@ quotients and finitely many propagated values.
 Rational functions are kept in factored form: a nonzero rational scalar
 together with (base, exponent) pairs whose bases are normalized,
 nonconstant, and pairwise coprime.  Input factors are trusted as the
-finest available decomposition; they are refined only by gcd-splitting
-between factors.
+finest available decomposition; ``poly.coprime_base`` refines them into
+their natural coprime base, which splits a factor only where it shares a
+gcd with another and does not depend on the order of the factors.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .geometry import (
     certificate_cover,
     characteristic_certificates,
 )
-from .poly import MultiPoly, Point, exact_div, gcd
+from .poly import MultiPoly, Point, coprime_base
 
 # ---------------------------------------------------------------------------
 # factored rational functions
@@ -48,7 +49,7 @@ class FactoredRational:
         scalar = Fraction(scalar)
         if scalar == 0:
             raise PreconditionError("rational function scalar must be nonzero")
-        pool: list[tuple[MultiPoly, int]] = []
+        pool: list[tuple[MultiPoly, tuple[int]]] = []
         for base, exp in factors:
             if base.arity != arity:
                 raise DimensionError("factor arity mismatch")
@@ -59,11 +60,9 @@ class FactoredRational:
             s, prim = base.normalized()
             scalar *= Fraction(s) ** exp
             if not prim.is_constant:
-                pool.append((prim, exp))
-        pool = _merge(pool)
-        pool = _refine_coprime(pool)
-        pool.sort(key=lambda t: (t[0].total_degree(), t[0].terms))
-        return FactoredRational(arity, scalar, tuple(pool))
+                pool.append((prim, (exp,)))
+        refined = tuple((b, e) for b, (e,) in coprime_base(pool))
+        return FactoredRational(arity, scalar, refined)
 
     @staticmethod
     def one(arity: int) -> "FactoredRational":
@@ -152,43 +151,6 @@ class FactoredRational:
         if den.is_constant and den.constant_value() == 1:
             return format_multipoly(num)
         return f"({format_multipoly(num)}) / ({format_multipoly(den)})"
-
-
-def _merge(pool: list[tuple[MultiPoly, int]]) -> list[tuple[MultiPoly, int]]:
-    merged: dict[MultiPoly, int] = {}
-    for base, exp in pool:
-        merged[base] = merged.get(base, 0) + exp
-    return [(b, e) for b, e in merged.items() if e != 0]
-
-
-def _refine_coprime(pool: list[tuple[MultiPoly, int]]) -> list[tuple[MultiPoly, int]]:
-    """gcd-split bases until pairwise coprime; exponents follow along."""
-    work = list(pool)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                p, ep = work[i]
-                q, eq = work[j]
-                g = gcd(p, q)
-                if g.is_constant:
-                    continue
-                p2 = exact_div(p, g)
-                q2 = exact_div(q, g)
-                assert p2 is not None and q2 is not None
-                replacement = [(g, ep + eq)]
-                if not p2.is_constant:
-                    replacement.append((p2, ep))
-                if not q2.is_constant:
-                    replacement.append((q2, eq))
-                work = [work[m] for m in range(len(work)) if m not in (i, j)] + replacement
-                work = _merge(work)
-                changed = True
-                break
-            if changed:
-                break
-    return work
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from hyperterm.bundled import annihilated_spec, binomial_spec, constant_spec, odd_product_spec
 from hyperterm.cli import main
@@ -184,7 +187,8 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "zero.json"
     bad.write_text(json.dumps({"k": 1, "generators": [{"num": "0", "den": "1"}]}))
     assert main(["check", str(bad)]) == 2
-    capsys.readouterr()
+    assert main(["check", path, "--seed", "0=1/0"]) == 2
+    assert "bad rational literal '1/0'" in capsys.readouterr().err
 
 
 def test_eval_point_arity_is_a_usage_error(tmp_path, capsys):
@@ -234,3 +238,68 @@ def test_structure_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["decompose", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# -- golden outputs ----------------------------------------------------------------
+#
+# tests/golden/ holds the stdout of every command below on specs/*.json and on
+# the bundled specs (written with spec_to_json), and golden/exit_status.json
+# their exit statuses.  A change that alters CLI output must regenerate them
+# (`PYTHONPATH=src python tests/test_cli.py`) and say why.
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+GOLDEN_COMMANDS = ["check", "decompose", "structure", "factorial", "pochhammer", "compare"]
+BUNDLED = {
+    "constant": constant_spec,
+    "odd_product": odd_product_spec,
+    "binomial": binomial_spec,
+    "annihilated": annihilated_spec,
+}
+
+
+def golden_spec_paths(workdir: Path) -> dict[str, str]:
+    """Name -> spec file: specs/*.json as they are, the bundled specs
+    written into workdir."""
+    paths = {f"specs_{p.stem}": str(p) for p in sorted((REPO / "specs").glob("*.json"))}
+    for name, make in BUNDLED.items():
+        paths[f"bundled_{name}"] = write_spec(workdir, make(), f"{name}.json")
+    return paths
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
+    results = {}
+    for name, path in golden_spec_paths(workdir).items():
+        for command in GOLDEN_COMMANDS:
+            results[f"{name}.{command}"] = run_cli([command, path])
+    return results
+
+
+def test_cli_output_matches_goldens(tmp_path):
+    statuses = json.loads((GOLDEN / "exit_status.json").read_text(encoding="utf-8"))
+    results = golden_outputs(tmp_path)
+    assert sorted(results) == sorted(statuses)
+    for key, (status, out) in results.items():
+        assert status == statuses[key], key
+        assert out.encode("utf-8") == (GOLDEN / f"{key}.out").read_bytes(), key
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        results = golden_outputs(Path(workdir))
+    for key, (_, out) in results.items():
+        (GOLDEN / f"{key}.out").write_bytes(out.encode("utf-8"))
+    statuses = {key: status for key, (status, _) in sorted(results.items())}
+    (GOLDEN / "exit_status.json").write_text(
+        json.dumps(statuses, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

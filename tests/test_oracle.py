@@ -20,7 +20,6 @@ from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import (
     _integer_side,
     _side_numerator,
-    nonzero_box_search,
     propagate,
     propagate_window,
 )
@@ -144,26 +143,6 @@ def test_propagate_window_matches_pointwise():
         single = propagate(spec, spec.seed, z)
         if z in table:
             assert single.ok and single.value == table[z]
-
-
-def test_nonzero_box_binomial():
-    spec = binomial_spec()
-    box = nonzero_box_search(spec, 2, LatticeBox((0, 0), 10))
-    assert box is not None
-    table = propagate_window(spec, LatticeBox((0, 0), 10))
-    for p in box.points():
-        assert table[p] != 0
-
-
-def test_nonzero_box_constant():
-    spec = constant_spec()
-    box = nonzero_box_search(spec, 3, LatticeBox((-5,), 10))
-    assert box == LatticeBox((-5,), 3)
-
-
-def test_nonzero_box_zero_divisor():
-    spec = annihilated_spec()
-    assert nonzero_box_search(spec, 1, LatticeBox((-5,), 10)) is None
 
 
 def test_propagate_requires_seed():

@@ -179,16 +179,6 @@ def test_decompose_direction_with_step_two():
         assert ratio_from_form(recovered, w).eq_rational(compose_direction(spec, w))
 
 
-def test_gprange_type():
-    from hyperterm.oresato import GPRange
-
-    r = GPRange(2, 5)
-    assert r.evaluate(lambda j: Fraction(j)) == 24
-    back = GPRange(5, 2)
-    assert back.evaluate(lambda j: Fraction(j)) == Fraction(1, 24)
-    assert list(back.indices()) == [2, 3, 4]
-
-
 def test_decompose_nonsimple_quotient():
     # R_i = C(z+e_i)/C(z) for the non-simple C = z1*z2 + 1
     c = P("z1*z2 + 1", 2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import (
     MultiPoly,
     UniPoly,
+    coprime_base,
     detect_simple,
     exact_div,
     find_nonzero_in_box,
@@ -17,7 +19,6 @@ from hyperterm.poly import (
     primitive_vector,
     rational_roots,
     shift_between,
-    univariate_shift_between,
 )
 
 
@@ -214,6 +215,62 @@ def test_exact_div_failure():
     assert exact_div(P("z1 + 1", 1), P("z1", 1)) is None
 
 
+# -- coprime base -------------------------------------------------------------
+
+ATOMS = ["z1", "z1 + 1", "z2 - 1", "z1 + z2", "z1*z2 + 1", "2*z1 - 3"]
+
+
+def random_pool(rng, width):
+    """Two to four normalized products of one to three atoms, each with an
+    exponent vector of the given width (all-zero vectors included)."""
+    pool = []
+    for _ in range(rng.randint(2, 4)):
+        p = P("1", 2)
+        for _ in range(rng.randint(1, 3)):
+            p = p * P(rng.choice(ATOMS), 2)
+        pool.append((p.normalized()[1], tuple(rng.randint(-2, 2) for _ in range(width))))
+    return pool
+
+
+def power_product(pairs, coord):
+    """prod base ** exponent in one exponent coordinate, as (num, den)."""
+    num = den = P("1", 2)
+    for base, exps in pairs:
+        if exps[coord] > 0:
+            num = num * base ** exps[coord]
+        else:
+            den = den * base ** -exps[coord]
+    return num, den
+
+
+def test_coprime_base_random_pools():
+    rng = random.Random(5)
+    for _ in range(150):
+        width = rng.randint(1, 3)
+        pool = random_pool(rng, width)
+        base = coprime_base(pool)
+        for b, exps in base:
+            assert not b.is_constant and b.normalized()[1] == b and any(exps)
+        for (b1, _), (b2, _) in itertools.combinations(base, 2):
+            assert gcd(b1, b2).is_constant
+        for coord in range(width):
+            num_in, den_in = power_product(pool, coord)
+            num_out, den_out = power_product(base, coord)
+            assert num_in * den_out == num_out * den_in
+        for perm in itertools.permutations(pool):
+            assert coprime_base(perm) == base
+
+
+def test_coprime_base_splits_before_dropping():
+    # z1*(z1 + 1) cancels exactly, yet it still splits z1*(z2 - 1)
+    pool = [
+        (P("z1^2 + z1", 2), (1,)),
+        (P("z1*z2 - z1", 2), (1,)),
+        (P("z1^2 + z1", 2), (-1,)),
+    ]
+    assert coprime_base(pool) == [(P("z2 - 1", 2), (1,)), (P("z1", 2), (1,))]
+
+
 # -- detect_simple -------------------------------------------------------------
 
 
@@ -391,12 +448,6 @@ def test_shift_between_degenerate_top():
 
 def test_shift_between_none():
     assert shift_between(P("z1*z2 + 1", 2), P("z1*z2 + z1", 2)) is None
-
-
-def test_univariate_shift():
-    p = parse_unipoly("2*t^2 - 1")
-    assert univariate_shift_between(p, p.shift_arg(4)) == 4
-    assert univariate_shift_between(p, parse_unipoly("2*t^2 - 2")) is None
 
 
 # -- misc -------------------------------------------------------------------------

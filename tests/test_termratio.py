@@ -50,6 +50,24 @@ def test_factored_reduction():
         assert gcd(b1, b2).is_constant
 
 
+def test_factored_make_ignores_factor_order():
+    # the last factor is (2*z1 - 3)*(z2 - 1) expanded; 2*z1 - 3 cancels
+    # between the first two, and must still split the last one
+    factors = [
+        (P("2*z1^4 + z1^3 - 4*z1^2 - 3*z1", 2), -1),
+        (P("2*z1 - 3", 2), 1),
+        (P("2*z1*z2 - 2*z1 - 3*z2 + 3", 2), -2),
+    ]
+    expected = (
+        (P("z2 - 1", 2), -2),
+        (P("2*z1 - 3", 2), -2),
+        (P("z1^3 + 2*z1^2 + z1", 2), -1),
+    )
+    for perm in itertools.permutations(factors):
+        fr = FactoredRational.make(2, 1, perm)
+        assert fr.scalar == 1 and fr.factors == expected
+
+
 def test_factored_constant_folding():
     fr = FactoredRational.make(1, 1, [(P("-2*z1 + 4", 1), 2)])
     assert fr.scalar == 4
