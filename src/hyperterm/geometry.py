@@ -10,10 +10,7 @@ Conventions:
 
 All decisions (feasibility, emptiness of interiors, bounds) are made with
 exact rational arithmetic via Fourier-Motzkin elimination; no floating
-point is involved.  Integer witnesses inside rationally feasible regions
-are found by rounding a rational sample and searching a small window; a
-rationally feasible cell whose integer witness is not found is dropped with
-a logged warning.
+point is involved.
 """
 
 from __future__ import annotations
@@ -469,9 +466,9 @@ def arrangement(planes: Iterable[Hyperplane], arity: int) -> list[PolyhedralRegi
 
     Each cell is an intersection of strict sides, one per hyperplane; cells
     are pairwise disjoint, disjoint from every hyperplane, and together
-    with the hyperplanes cover Z^k.  Cells with no integer point are not
-    returned; a cell that is rationally feasible but yields no integer
-    witness within the search window is dropped with a warning.
+    with the hyperplanes cover Z^k.  A cell feasible in integer-tightened
+    rational rows is returned even with no integer point; it holds no box,
+    so ``is_measure_zero`` covers it by hyperplanes.
     """
     unique = sorted({p for p in planes if not p.empty})
     for p in unique:
@@ -484,10 +481,6 @@ def arrangement(planes: Iterable[Hyperplane], arity: int) -> list[PolyhedralRegi
         if not fm_feasible(region_rows(region), arity):
             return
         if index == len(unique):
-            witness = region_sample(region)
-            if witness is None:
-                log.warning("dropping rationally feasible cell with no integer witness: %s", region)
-                return
             cells.append(region)
             return
         h = unique[index]

@@ -31,6 +31,7 @@ from .parsing import (
     parse_multipoly,
     parse_unipoly,
 )
+from .poly import coprime_base
 from .structure import (
     FactorialChain,
     FactorialForm,
@@ -160,11 +161,13 @@ def spec_from_json(obj: dict) -> TermSpec:
         k, gens, exceptions=exceptions, seed=seed, zero_divisor_witness=witness
     )
     # quotients are stated on reduced pairs; unreduced input still works
-    # (reduction is applied on use) but is worth flagging
-    from .poly import gcd
-
+    # (reduction is applied on use) but is worth flagging.  On the joint
+    # coprime base of both sides, a common factor is a base that carries
+    # a numerator and a denominator exponent.
     for i, g in enumerate(spec.generators):
-        if not gcd(g.num.numerator(), g.den.numerator()).is_constant:
+        pairs = [(b, (e, 0)) for b, e in g.num.factors]
+        pairs += [(b, (0, e)) for b, e in g.den.factors]
+        if any(all(e) for _, e in coprime_base(pairs)):
             log.warning("generator %d is not reduced; its quotient is reduced on use", i + 1)
     return spec
 

@@ -163,8 +163,7 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
             continue
         inner = find_box(shrunk, d)
         if inner is None:
-            log.warning("dropping cell without a base box: %s", cell)
-            continue
+            raise IntegrityError(f"no base box in a cell that is not measure zero: {cell}")
         z0 = find_nonzero_in_box(cd, inner.corner, d)
         assert z0 is not None
         result = propagate(spec, spec.seed, z0)

@@ -12,6 +12,8 @@ nonconstant, and pairwise coprime.  Input factors are trusted as the
 finest available decomposition; ``poly.coprime_base`` refines them into
 their natural coprime base, which splits a factor only where it shares a
 gcd with another and does not depend on the order of the factors.
+Equality of rational functions is decided on that base: two are equal
+exactly when their quotient refines to the constant 1.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ class FactoredRational:
         return den
 
     def eq_rational(self, other: "FactoredRational") -> bool:
-        """Equality as rational functions (cross multiplication; robust to
-        different factor granularity)."""
-        return self.numerator() * other.denominator() == other.numerator() * self.denominator()
+        """Equality as rational functions at any factor granularity: the
+        quotient, refined onto one coprime base, is a constant only when
+        every exponent cancels (unique factorization)."""
+        return (self * other.inv()).is_one
 
     def evaluate(self, z: Sequence[int]) -> Optional[Fraction]:
         """Value at an integer point; None when a denominator factor

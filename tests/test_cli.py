@@ -48,6 +48,22 @@ def test_spec_round_trip():
         assert spec_from_json(spec_to_json(spec)) == spec
 
 
+def test_spec_loader_flags_unreduced_generators(caplog):
+    spec = {"k": 1, "generators": [{"num": "z1^2 + z1", "den": "z1 * (z1 + 2)"}]}
+    with caplog.at_level("WARNING", logger="hyperterm.jsonio"):
+        spec_from_json(spec)
+    assert "generator 1 is not reduced" in caplog.text
+    caplog.clear()
+    paths = sorted(REPO.glob("specs/*.json")) + sorted(REPO.glob("perfbench/specs/*.json"))
+    assert paths
+    with caplog.at_level("WARNING", logger="hyperterm.jsonio"):
+        for path in paths:
+            spec_from_json(json.loads(path.read_text(encoding="utf-8")))
+        for spec in [constant_spec(), odd_product_spec(), binomial_spec(), annihilated_spec()]:
+            spec_from_json(spec_to_json(spec))
+    assert "not reduced" not in caplog.text
+
+
 def test_factored_round_trip():
     from hyperterm.parsing import parse_multipoly
 

@@ -162,6 +162,26 @@ def test_arrangement_partition():
             assert hits == 1
 
 
+def test_arrangement_keeps_cell_without_integer_point():
+    # the cell 0 < 3*z1 - 2*z2 < 2, 1 < z1 < 3 has rational points only
+    # (z1 = 2, z2 = 5/2); it is returned, and the measure-zero test covers
+    # it by its one level 3*z1 - 2*z2 = 1
+    planes = [
+        Hyperplane.make((3, -2), 0),
+        Hyperplane.make((3, -2), 2),
+        Hyperplane.make((1, 0), 1),
+        Hyperplane.make((1, 0), 3),
+    ]
+    cells = arrangement(planes, 2)
+    assert len(cells) == 9
+    cell = region(2, HS((3, -2), 0), HS((-3, 2), -2), HS((1, 0), 1), HS((-1, 0), -3))
+    assert cell in cells
+    assert not any(cell.contains(z) for z in window(2, -6, 6))
+    flag, cover = is_measure_zero(cell)
+    assert flag
+    assert cover.hyperplanes == (Hyperplane.make((3, -2), 1),)
+
+
 # -- measure zero -------------------------------------------------------------------
 
 

@@ -114,6 +114,16 @@ def test_structure_requires_seed():
         build_structure(no_seed)
 
 
+def test_structure_missing_base_box_raises(monkeypatch):
+    # find_box succeeds on every region that is not measure zero, so a
+    # cell without a base box is a construction bug, not a cell to drop
+    from hyperterm import structure
+
+    monkeypatch.setattr(structure, "find_box", lambda r, size: None)
+    with pytest.raises(IntegrityError, match="no base box"):
+        build_structure(binomial_spec())
+
+
 def test_binomial_partition(binomial_structure):
     # every lattice point lies in exactly one piece or on a hyperplane of H
     ps = binomial_structure

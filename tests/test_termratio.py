@@ -50,6 +50,43 @@ def test_factored_reduction():
         assert gcd(b1, b2).is_constant
 
 
+def _cross_multiplied_eq(a, b):
+    """Reference equality: multiply numerators and denominators out."""
+    return a.numerator() * b.denominator() == b.numerator() * a.denominator()
+
+
+def test_eq_rational_matches_cross_multiplication():
+    from conftest import random_form, spec_from_form
+    from hyperterm.oresato import ratio_from_form
+
+    rng = random.Random(59)
+    pool = ["z1 + 1", "z1 + 2", "z1^2 + 3*z1 + 2", "2*z1 + 1"]
+    for trial in range(30):
+        k = 1 + trial % 3
+        form = random_form(rng, k)
+        spec = spec_from_form(form)
+        w = tuple(rng.randint(-2, 2) for _ in range(k))
+        lhs = ratio_from_form(form, w)
+        rhs = compose_direction(spec, w)
+        extra = FactoredRational.from_poly(P(rng.choice(pool), k))
+        num, _ = lhs.split()
+        cases = [
+            (lhs, rhs, True),
+            (lhs * extra, rhs, False),
+            (lhs, rhs * FactoredRational.make(k, 2), False),
+            (FactoredRational.from_poly(num.numerator()), num, True),
+            (
+                FactoredRational.make(k, 1, [(lhs.numerator(), 1), (lhs.denominator(), -1)]),
+                lhs,
+                True,
+            ),
+        ]
+        for a, b, expected in cases:
+            assert _cross_multiplied_eq(a, b) == expected
+            assert a.eq_rational(b) == expected
+            assert b.eq_rational(a) == expected
+
+
 def test_factored_make_ignores_factor_order():
     # the last factor is (2*z1 - 3)*(z2 - 1) expanded; 2*z1 - 3 cancels
     # between the first two, and must still split the last one
