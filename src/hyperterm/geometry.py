@@ -97,13 +97,6 @@ class HalfSpace:
     def contains(self, z: Sequence[int]) -> bool:
         return sum(a * b for a, b in zip(self.v, z)) > self.n
 
-    def boundary(self) -> Hyperplane:
-        return Hyperplane.make(self.v, self.n)
-
-    def complement(self) -> "HalfSpace":
-        """The other open side: {z : v . z < n} as a half-space."""
-        return HalfSpace.make(tuple(-x for x in self.v), -self.n)
-
 
 @dataclass(frozen=True)
 class PolyhedralRegion:

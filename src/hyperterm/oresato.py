@@ -15,9 +15,12 @@ unconditionally.
 simple factors (univariate polynomials of an integer linear form) are
 sorted into per-direction shift families and balanced into telescoping
 chains, while non-simple factors are grouped into shift orbits whose signed
-multiplicity pattern must come from a single C/D pair.  Each generator
-divided by the form's ratio in its direction must refine to a constant, its
-gamma; input that does not telescope raises StructureError.
+multiplicity pattern gives the C/D pair.  Each family and orbit is solved
+from one generator's exponents; the residue pass checks the rest: each
+generator divided by the form's ratio in its direction must refine to a
+constant, its gamma.  That one pass is the verification.  When it fails,
+incompatible generators raise CocycleError and input that does not
+telescope raises StructureError.
 """
 
 from __future__ import annotations
@@ -95,9 +98,6 @@ class OreSatoForm:
     d_poly: MultiPoly
     gamma: tuple[Fraction, ...]
     chains: tuple[Chain, ...]
-
-    def directions(self) -> list[Point]:
-        return [c.direction for c in self.chains]
 
 
 def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
@@ -211,54 +211,28 @@ class _Exponents:
             del d[offset]
 
 
-def _solve_family(
-    direction: Point, anchor: UniPoly, data: _Exponents
-) -> tuple[dict[int, int], dict[int, int]]:
+def _solve_family(direction: Point, data: _Exponents) -> tuple[dict[int, int], dict[int, int]]:
     """Recover the chain multiplicities mu and the C/D multiplicities nu of
     one simple family from the observed generator exponents.
 
     With G the cumulative unknown (chain prefix sums minus C/D placement),
     each generator imposes o_i(r) = G(r) - G(r - v_i); G is recovered by
-    prefix summation along the first axis with v_i != 0 and checked against
-    the rest.  The chain part is the monotone envelope of G clamped between
-    0 and its limit M, which keeps the chain multiplicities single-signed
-    (no cancelling root pairs between a_v and b_v); the remainder is pure
-    telescoping and is absorbed into C/D.
+    prefix summation along the first axis with v_i != 0, and the residue
+    pass checks the rest.  The chain part is the monotone envelope of G
+    clamped between 0 and its limit M, which keeps the chain multiplicities
+    single-signed (no cancelling root pairs between a_v and b_v); the
+    remainder is pure telescoping and is absorbed into C/D.
     """
-    k = len(direction)
     observed = data.observed
-    for i in range(k):
-        if direction[i] == 0 and observed[i]:
-            raise StructureError(
-                f"factors of direction {direction} appear in generator {i + 1} "
-                "which cannot produce them",
-                factor=anchor,
-            )
-    pivot = next(i for i in range(k) if direction[i] != 0)
+    pivot = next(i for i, vi in enumerate(direction) if vi != 0)
     v = direction[pivot]  # positive: direction is primitive-canonical
-    totals = {i: sum(observed[i].values()) for i in range(k)}
-    if totals[pivot] % v != 0:
-        raise StructureError("family exponent total does not telescope", factor=anchor)
-    m_total = totals[pivot] // v
-    for i in range(k):
-        if totals[i] != direction[i] * m_total:
-            raise StructureError(
-                "family exponent totals are inconsistent across generators",
-                factor=anchor,
-            )
+    m_total = sum(observed[pivot].values()) // v
     support = sorted(set().union(*[set(d) for d in observed]) or {0})
     lo, hi = min(support) - v, max(support)
     o_pivot = observed[pivot]
     g_table: dict[int, int] = {}
     for r in range(lo, hi + 1):
         g_table[r] = o_pivot.get(r, 0) + g_table.get(r - v, 0)
-    # tails must stabilise at M on every residue class
-    for r in range(hi - v + 1, hi + 1):
-        if g_table.get(r, 0) != m_total:
-            raise StructureError(
-                "family multiplicities do not telescope to a chain",
-                factor=anchor,
-            )
 
     def g_of(r: int) -> int:
         if r < lo:
@@ -267,16 +241,6 @@ def _solve_family(
             return m_total
         return g_table[r]
 
-    for i in range(k):
-        vi = direction[i]
-        if vi == 0:
-            continue
-        for r in range(lo - abs(vi), hi + abs(vi) + 1):
-            if observed[i].get(r, 0) != g_of(r) - g_of(r - vi):
-                raise StructureError(
-                    f"generator {i + 1} disagrees with the family chain",
-                    factor=anchor,
-                )
     # split G into a monotone chain part and a finite C/D correction
     phi: dict[int, int] = {}
     if m_total > 0:
@@ -312,19 +276,16 @@ def _solve_family(
     return mu, nu
 
 
-def _solve_orbit(rep: MultiPoly, data: _Exponents, k: int) -> dict[Point, int]:
+def _solve_orbit(data: _Exponents) -> dict[Point, int]:
     """Recover the signed C/D multiplicity pattern m of a non-simple shift
     orbit from the k difference equations
 
         observed_i(w) = m(w - e_i) - m(w),
 
-    by summation along the first axis, verifying the others."""
+    by summation along the first axis; the residue pass checks the others."""
     observed = data.observed
-    positions = set().union(*[set(d) for d in observed])
-    if not positions:
-        return {}
     lines: dict[tuple[int, ...], list[int]] = {}
-    for w in positions:
+    for w in set().union(*[set(d) for d in observed]):
         lines.setdefault(w[1:], []).append(w[0])
     m: dict[Point, int] = {}
     o1 = observed[0]
@@ -336,32 +297,6 @@ def _solve_orbit(rep: MultiPoly, data: _Exponents, k: int) -> dict[Point, int]:
             if acc != 0:
                 m[(x,) + rest] = acc
             acc += o1.get((x,) + rest, 0)
-        # the full line sum must vanish for m to have finite support
-        if acc != 0:
-            raise StructureError(
-                "orbit multiplicities do not come from a polynomial pair",
-                factor=rep,
-            )
-
-    def m_of(w: Point) -> int:
-        return m.get(w, 0)
-
-    check_positions = set(m) | positions
-    widened = set()
-    for w in check_positions:
-        for i in range(k):
-            e = _unit(k, i)
-            widened.add(tuple(a + b for a, b in zip(w, e)))
-            widened.add(w)
-    for w in widened:
-        for i in range(k):
-            e = _unit(k, i)
-            w_minus = tuple(a - b for a, b in zip(w, e))
-            if observed[i].get(w, 0) != m_of(w_minus) - m_of(w):
-                raise StructureError(
-                    f"generator {i + 1} disagrees with the orbit multiplicities",
-                    factor=rep,
-                )
     return m
 
 
@@ -369,14 +304,16 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     """Compute an Ore-Sato form whose displayed formula reproduces every
     generator exactly.  The construction is heuristic-free for honest
     compatible input presented in factored form.  The closing residue pass
-    is the verification: R_i over the gamma-free ratio in direction e_i
-    must refine to a constant, which becomes gamma_i."""
+    is the only verification: R_i over the gamma-free ratio in direction
+    e_i must refine to a constant, which becomes gamma_i.  A form that
+    passes it proves the generators compatible, since the ratios of one
+    term satisfy the cocycle identity; so compatibility is only consulted
+    to name the error when a residue is not constant."""
     if spec.zero_divisor_witness is not None:
         raise PreconditionError("zero-divisor specs have no reduced decomposition")
-    if not check_compatibility(spec):
-        raise CocycleError("generators are not compatible")
     k = spec.arity
-    ratios = _joint_refine(spec.ratios())
+    original = spec.ratios()
+    ratios = _joint_refine(original)
 
     families: dict[tuple[Point, UniPoly], _Exponents] = {}
     orbits: list[tuple[MultiPoly, _Exponents]] = []  # (representative, exponents)
@@ -417,7 +354,7 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     for (v, anchor), data in sorted(
         families.items(), key=lambda t: (t[0][0], t[0][1].coeffs)
     ):
-        mu, nu = _solve_family(v, anchor, data)
+        mu, nu = _solve_family(v, data)
         num, den = chain_parts.get(v, (UniPoly.constant(1), UniPoly.constant(1)))
         for s, mult in sorted(mu.items()):
             piece = anchor.shift_arg(s)
@@ -436,7 +373,7 @@ def decompose(spec: TermSpec) -> OreSatoForm:
                     d_poly = d_poly * piece
 
     for rep, data in orbits:
-        m = _solve_orbit(rep, data, k)
+        m = _solve_orbit(data)
         for w, mult in sorted(m.items()):
             piece = rep.shift(w)
             for _ in range(abs(mult)):
@@ -453,18 +390,19 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     form = OreSatoForm(
         k, c_poly.normalized()[1], d_poly.normalized()[1], (Fraction(1),) * k, chains
     )
-    if not gcd(form.c_poly, form.d_poly).is_constant:
-        raise IntegrityError("decomposition produced non-coprime C and D")
 
     gamma = []
-    original = spec.ratios()
     for i in range(k):
         recon = ratio_from_form(form, _unit(k, i))
         residue = original[i] * recon.inv()
         if residue.factors:
+            if not check_compatibility(spec):
+                raise CocycleError("generators are not compatible")
             raise StructureError(
                 f"generator {i + 1} is not reproduced by the decomposition",
                 factor=residue.factors[0][0],
             )
         gamma.append(residue.scalar)
+    if not gcd(form.c_poly, form.d_poly).is_constant:
+        raise IntegrityError("decomposition produced non-coprime C and D")
     return replace(form, gamma=tuple(gamma))

@@ -130,14 +130,6 @@ class MultiPoly:
     def as_dict(self) -> dict[Monomial, Fraction]:
         return dict(self.terms)
 
-    def variables_used(self) -> list[int]:
-        used = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return sorted(used)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
@@ -343,16 +335,6 @@ def _coeffs_in(p: MultiPoly, index: int) -> dict[int, MultiPoly]:
     return {e: MultiPoly.from_dict(p.arity, d) for e, d in out.items()}
 
 
-def _from_coeffs(arity: int, index: int, coeffs: Mapping[int, MultiPoly]) -> MultiPoly:
-    d: dict[Monomial, Fraction] = {}
-    for e, q in coeffs.items():
-        for mono, c in q.terms:
-            m = list(mono)
-            m[index] += e
-            d[tuple(m)] = d.get(tuple(m), Fraction(0)) + c
-    return MultiPoly.from_dict(arity, d)
-
-
 def _content_in(p: MultiPoly, index: int) -> MultiPoly:
     parts = list(_coeffs_in(p, index).values())
     g = MultiPoly(p.arity, ())
@@ -498,11 +480,6 @@ class UniPoly:
     def degree(self) -> int:
         """Degree; 0 for the zero polynomial."""
         return max(len(self.coeffs) - 1, 0)
-
-    def leading_coeff(self) -> Fraction:
-        if self.is_zero:
-            raise PreconditionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)

@@ -129,6 +129,27 @@ def test_check_incompatible(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "incompatible"
 
 
+def test_incompatible_spec_is_an_error_for_decompose_and_structure(tmp_path, capsys):
+    # the spec of test_check_incompatible with a seed, which structure needs
+    # before it decomposes; decompose names incompatibility only after its
+    # residue pass fails
+    obj = {
+        "k": 2,
+        "generators": [
+            {"num": "z2", "den": "1"},
+            {"num": "1", "den": "1"},
+        ],
+        "seed": {"point": [0, 0], "value": "1"},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for command in ["decompose", "structure"]:
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: generators are not compatible\n"
+
+
 def test_eval_paper_value(tmp_path, capsys):
     path = write_spec(tmp_path, odd_product_spec())
     assert main(["eval", path, "--at", "-2"]) == 0

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperterm.errors import PreconditionError, StructureError, ZeroTermError
+from conftest import random_form, spec_from_form
+from hyperterm.errors import CocycleError, PreconditionError, StructureError, ZeroTermError
 from hyperterm.oresato import Chain, OreSatoForm, decompose, gp_eval, ratio_from_form
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import UniPoly, gcd
@@ -217,12 +218,38 @@ def test_decompose_rejects_zero_divisor_spec():
 
 def test_decompose_opaque_product_is_structure_error():
     # the same expanded two-factor product in every generator: gcd-splitting
-    # cannot recover the factors, and the orbit multiplicities cannot come
-    # from a single polynomial pair
+    # cannot recover the factors, so the C/D pair solved from the first
+    # generator does not reproduce the second.  The residue pass finds that,
+    # and since the generators are compatible its error is StructureError
     c = P("(z1 + z2 + 1)*(z1*z2 + 1)", 2)
     spec = TermSpec.make(2, [(c.shift((1, 0)), c), (c.shift((0, 1)), c)])
     with pytest.raises(StructureError):
         decompose(spec)
+
+
+def test_decompose_incompatible_is_cocycle_error():
+    # R_1 times (z2 + 1), which no second generator balances
+    spec = binomial_spec()
+    r1, r2 = spec.ratios()
+    extra = FactoredRational.from_poly(P("z2 + 1", 2))
+    with pytest.raises(CocycleError):
+        decompose(TermSpec.from_ratios(2, [r1 * extra, r2]))
+
+
+def test_decompose_does_not_consult_compatibility_on_success(monkeypatch):
+    # the residue pass is the verification: check_compatibility only names
+    # the error after a residue fails, so a successful decompose never calls it
+    rng = random.Random(61)
+    specs = [binomial_spec(), odd_product_spec(), constant_spec()]
+    specs += [spec_from_form(random_form(rng, rng.choice([1, 2, 3]))) for _ in range(10)]
+    expected = [decompose(spec) for spec in specs]
+
+    def refuse(spec):
+        raise AssertionError("check_compatibility called")
+
+    monkeypatch.setattr("hyperterm.oresato.check_compatibility", refuse)
+    for spec, form in zip(specs, expected):
+        assert decompose(spec) == form
 
 
 def test_decompose_round_trip_generators():
@@ -296,9 +323,6 @@ def test_chain_factors_are_simple():
 
 
 # -- random round trips ----------------------------------------------------------------
-
-
-from conftest import random_form, spec_from_form
 
 
 def test_random_forms_round_trip():
