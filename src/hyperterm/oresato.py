@@ -39,6 +39,7 @@ from .errors import (
     ZeroTermError,
 )
 from .poly import (
+    Coeff,
     MultiPoly,
     Point,
     UniPoly,
@@ -96,7 +97,7 @@ class OreSatoForm:
     arity: int
     c_poly: MultiPoly
     d_poly: MultiPoly
-    gamma: tuple[Fraction, ...]
+    gamma: tuple[Coeff, ...]
     chains: tuple[Chain, ...]
 
 
@@ -190,7 +191,7 @@ def _anchor_family(profile: UniPoly) -> tuple[UniPoly, int]:
     d = prim.degree()
     if d == 0:
         raise PreconditionError("constant profile has no shift family")
-    centroid = -prim.coeffs[d - 1] / (d * prim.coeffs[d])
+    centroid = Fraction(-prim.coeffs[d - 1], d * prim.coeffs[d])
     m = math.floor(centroid)
     anchor = prim.shift_arg(m)
     return anchor, -m
@@ -388,7 +389,7 @@ def decompose(spec: TermSpec) -> OreSatoForm:
         if not (num.is_constant and den.is_constant)
     )
     form = OreSatoForm(
-        k, c_poly.normalized()[1], d_poly.normalized()[1], (Fraction(1),) * k, chains
+        k, c_poly.normalized()[1], d_poly.normalized()[1], (1,) * k, chains
     )
 
     gamma = []

@@ -226,7 +226,7 @@ def parse_factored(text: str, arity: int) -> list[tuple[MultiPoly, int]]:
 def parse_unipoly(text: str) -> UniPoly:
     """Parse univariate polynomial text in the variable t."""
     p = _Parser(_Lexer(text, {"t": 0}), 1).parse()
-    coeffs = [Fraction(0)] * (p.total_degree() + 1)
+    coeffs = [0] * (p.total_degree() + 1)
     for (e,), c in p.terms:
         coeffs[e] = c
     return UniPoly.make(coeffs)

@@ -3,11 +3,17 @@
 Two representations are used throughout the package:
 
   MultiPoly  -- sparse multivariate polynomial: a sorted tuple of
-                (exponent tuple, Fraction) pairs.  The zero polynomial has
-                no terms.  Coefficients are exact rationals; no floating
-                point appears anywhere.
+                (exponent tuple, coefficient) pairs.  The zero polynomial
+                has no terms.
   UniPoly    -- dense univariate polynomial: coefficient tuple, constant
                 term first, leading coefficient nonzero.
+
+Coefficients follow one rule: a coefficient is an ``int`` when it is
+integral and a ``Fraction`` otherwise, never a ``float``.  The constructors
+apply it, and a float raises TypeError.  Normalized polynomials therefore
+have ``int`` coefficients only, so the gcd and the factor refinement on them
+run in int arithmetic; a division of coefficients goes through ``Fraction``
+explicitly.
 
 Both types are immutable and hashable, so they can be dict keys and shared
 freely between threads.
@@ -32,6 +38,39 @@ from .errors import DimensionError, PreconditionError
 
 Monomial = tuple[int, ...]
 Point = tuple[int, ...]
+Coeff = int | Fraction
+
+
+def _coeff(c) -> Coeff:
+    """The coefficient rule: c as an int when it is integral, as a Fraction
+    otherwise.  A float raises TypeError, since it is not exact."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"float {c!r} cannot be an exact coefficient")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _primitive(coeffs: list[Coeff], lead: Coeff) -> tuple[Coeff, Optional[list[int]]]:
+    """(s, [c / s for c in coeffs]) for the rational s, of the sign of lead,
+    that makes the coefficients coprime integers; (1, None) when they
+    already are and lead is positive."""
+    content, den = 0, 1
+    for c in coeffs:
+        content = math.gcd(content, c.numerator)
+        if c.denominator != 1:
+            den = math.lcm(den, c.denominator)
+    if lead < 0:
+        content = -content
+    if den == 1:
+        if content == 1:
+            return 1, None
+        return content, [c // content for c in coeffs]
+    return Fraction(content, den), [
+        c.numerator * (den // c.denominator) // content for c in coeffs
+    ]
 
 
 def _glex_key(mono: Monomial):
@@ -45,51 +84,52 @@ def _glex_key(mono: Monomial):
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients, each an
+    int when integral and a Fraction otherwise.
 
     ``terms`` is sorted by descending graded-lex order and never contains a
     zero coefficient, so equality and hashing are structural.
     """
 
     arity: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, Coeff], ...]
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_dict(arity: int, coeffs: Mapping[Monomial, Fraction]) -> "MultiPoly":
+    def from_dict(arity: int, coeffs: Mapping[Monomial, Coeff]) -> "MultiPoly":
         items = []
         for mono, c in coeffs.items():
             if len(mono) != arity:
                 raise DimensionError(f"monomial {mono} has wrong length for arity {arity}")
-            c = Fraction(c)
-            if c != 0:
+            c = _coeff(c)
+            if c:
                 items.append((tuple(mono), c))
         items.sort(key=lambda t: _glex_key(t[0]), reverse=True)
         return MultiPoly(arity, tuple(items))
 
     @staticmethod
     def constant(arity: int, value) -> "MultiPoly":
-        return MultiPoly.from_dict(arity, {(0,) * arity: Fraction(value)})
+        return MultiPoly.from_dict(arity, {(0,) * arity: value})
 
     @staticmethod
     def variable(arity: int, index: int) -> "MultiPoly":
         if not 0 <= index < arity:
             raise DimensionError(f"variable index {index} out of range for arity {arity}")
         mono = tuple(1 if i == index else 0 for i in range(arity))
-        return MultiPoly(arity, ((mono, Fraction(1)),))
+        return MultiPoly(arity, ((mono, 1),))
 
     @staticmethod
     def linear(coeffs: Sequence[int], constant=0) -> "MultiPoly":
         """The polynomial coeffs . z + constant."""
         arity = len(coeffs)
-        d: dict[Monomial, Fraction] = {}
+        d: dict[Monomial, Coeff] = {}
         for i, c in enumerate(coeffs):
             if c:
                 mono = tuple(1 if j == i else 0 for j in range(arity))
-                d[mono] = Fraction(c)
+                d[mono] = c
         if constant:
-            d[(0,) * arity] = Fraction(constant)
+            d[(0,) * arity] = constant
         return MultiPoly.from_dict(arity, d)
 
     # -- basic queries -------------------------------------------------------
@@ -102,9 +142,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m, _ in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise PreconditionError("polynomial is not constant")
         return self.terms[0][1]
@@ -116,18 +156,18 @@ class MultiPoly:
     def degree_in(self, index: int) -> int:
         return max((m[index] for m, _ in self.terms), default=0)
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Coeff]:
         if self.is_zero:
             raise PreconditionError("zero polynomial has no leading term")
         return self.terms[0]
 
-    def coefficient(self, mono: Monomial) -> Fraction:
+    def coefficient(self, mono: Monomial) -> Coeff:
         for m, c in self.terms:
             if m == mono:
                 return c
-        return Fraction(0)
+        return 0
 
-    def as_dict(self) -> dict[Monomial, Fraction]:
+    def as_dict(self) -> dict[Monomial, Coeff]:
         return dict(self.terms)
 
     # -- arithmetic ----------------------------------------------------------
@@ -140,14 +180,14 @@ class MultiPoly:
         self._check(other)
         d = self.as_dict()
         for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) + c
+            d[m] = d.get(m, 0) + c
         return MultiPoly.from_dict(self.arity, d)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         d = self.as_dict()
         for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) - c
+            d[m] = d.get(m, 0) - c
         return MultiPoly.from_dict(self.arity, d)
 
     def __neg__(self) -> "MultiPoly":
@@ -155,18 +195,18 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        d: dict[Monomial, Fraction] = {}
+        d: dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = tuple(a + b for a, b in zip(m1, m2))
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
+                d[m] = d.get(m, 0) + c1 * c2
         return MultiPoly.from_dict(self.arity, d)
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if c == 0:
+        c = _coeff(c)
+        if not c:
             return MultiPoly(self.arity, ())
-        return MultiPoly(self.arity, tuple((m, c * k) for m, k in self.terms))
+        return MultiPoly(self.arity, tuple((m, _coeff(c * k)) for m, k in self.terms))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -226,31 +266,31 @@ class MultiPoly:
         if all(x == 0 for x in v):
             return self
         # expand each (z_i + v_i)^e with binomial coefficients
-        d: dict[Monomial, Fraction] = {}
+        d: dict[Monomial, Coeff] = {}
         for mono, coeff in self.terms:
-            partial: dict[Monomial, Fraction] = {(0,) * self.arity: coeff}
+            partial: dict[Monomial, Coeff] = {(0,) * self.arity: coeff}
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
                 vi = v[i]
-                nxt: dict[Monomial, Fraction] = {}
+                nxt: dict[Monomial, Coeff] = {}
                 for m0, c0 in partial.items():
                     for j in range(e + 1):
-                        c = c0 * math.comb(e, j) * Fraction(vi) ** (e - j)
+                        c = c0 * math.comb(e, j) * vi ** (e - j)
                         if c == 0:
                             continue
                         m = list(m0)
                         m[i] += j
                         key = tuple(m)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c
+                        nxt[key] = nxt.get(key, 0) + c
                 partial = nxt
             for m, c in partial.items():
-                d[m] = d.get(m, Fraction(0)) + c
+                d[m] = d.get(m, 0) + c
         return MultiPoly.from_dict(self.arity, d)
 
     def partial(self, index: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable ``index``."""
-        d: dict[Monomial, Fraction] = {}
+        d: dict[Monomial, Coeff] = {}
         for mono, coeff in self.terms:
             e = mono[index]
             if e == 0:
@@ -265,21 +305,16 @@ class MultiPoly:
             self.arity, tuple((m, c) for m, c in self.terms if sum(m) == degree)
         )
 
-    def normalized(self) -> tuple[Fraction, "MultiPoly"]:
+    def normalized(self) -> tuple[Coeff, "MultiPoly"]:
         """Split p = scalar * q with q having coprime integer coefficients
         and positive graded-lex leading coefficient.  The zero polynomial
-        normalizes to (1, 0)."""
+        normalizes to (1, 0), and a normalized p to (1, p)."""
         if self.is_zero:
-            return Fraction(1), self
-        num_gcd = 0
-        den_lcm = 1
-        for _, c in self.terms:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        scalar = Fraction(num_gcd, den_lcm)
-        if self.terms[0][1] < 0:
-            scalar = -scalar
-        return scalar, self.scale(1 / scalar)
+            return 1, self
+        scalar, prim = _primitive([c for _, c in self.terms], self.terms[0][1])
+        if prim is None:
+            return 1, self
+        return scalar, MultiPoly(self.arity, tuple(zip((m for m, _ in self.terms), prim)))
 
     def __str__(self) -> str:
         from .parsing import format_multipoly
@@ -310,15 +345,20 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> Optional[MultiPoly]:
     if p.arity != q.arity:
         raise DimensionError("arity mismatch in division")
     lq_mono, lq_coeff = q.leading()
-    quotient: dict[Monomial, Fraction] = {}
+    quotient: dict[Monomial, Coeff] = {}
     rem = p
     while not rem.is_zero:
         lr_mono, lr_coeff = rem.leading()
         m = _mono_div(lr_mono, lq_mono)
         if m is None:
             return None
-        c = lr_coeff / lq_coeff
-        quotient[m] = quotient.get(m, Fraction(0)) + c
+        if type(lr_coeff) is int and type(lq_coeff) is int:
+            c, r = divmod(lr_coeff, lq_coeff)
+            if r:
+                c = Fraction(lr_coeff, lq_coeff)
+        else:
+            c = Fraction(lr_coeff, lq_coeff)
+        quotient[m] = quotient.get(m, 0) + c
         rem = rem - MultiPoly.from_dict(p.arity, {m: c}) * q
     return MultiPoly.from_dict(p.arity, quotient)
 
@@ -326,7 +366,7 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> Optional[MultiPoly]:
 def _coeffs_in(p: MultiPoly, index: int) -> dict[int, MultiPoly]:
     """View p as a polynomial in variable ``index``: exponent -> coefficient
     (a MultiPoly of the same arity not involving that variable)."""
-    out: dict[int, dict[Monomial, Fraction]] = {}
+    out: dict[int, dict[Monomial, Coeff]] = {}
     for mono, coeff in p.terms:
         e = mono[index]
         m = list(mono)
@@ -354,20 +394,29 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, index: int) -> MultiPoly:
         r_coeffs = _coeffs_in(r, index)
         lr = r_coeffs[dr]
         shift_mono = tuple(dr - db if i == index else 0 for i in range(a.arity))
-        r = r * lb - b * (lr * MultiPoly.from_dict(a.arity, {shift_mono: Fraction(1)}))
+        r = r * lb - b * (lr * MultiPoly.from_dict(a.arity, {shift_mono: 1}))
     return r
 
 
-@functools.lru_cache(maxsize=8192)
 def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized (coprime integer coefficients,
     positive graded-lex leading coefficient).  gcd(p, 0) is the normalized p.
 
     Uses content/primitive-part recursion on the variable of lowest degree,
-    with a primitive pseudo-remainder sequence.  Adequate at small scale
-    (arity <= 4, degree <= 6)."""
+    with the primitive pseudo-remainder sequence of Collins (J. ACM 14,
+    1967); on integer coefficients every step stays in int arithmetic.
+    Adequate at small scale (arity <= 4, degree <= 6).  The arguments are
+    put in (total degree, terms) order before the cached computation, so
+    gcd(q, p) is a cache hit after gcd(p, q)."""
     if p.arity != q.arity:
         raise DimensionError("arity mismatch in gcd")
+    if (q.total_degree(), q.terms) < (p.total_degree(), p.terms):
+        p, q = q, p
+    return _gcd(p, q)
+
+
+@functools.lru_cache(maxsize=8192)
+def _gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_zero and q.is_zero:
         return p
     if p.is_zero:
@@ -454,14 +503,15 @@ def coprime_base(
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial, constant coefficient first."""
+    """Dense univariate polynomial, constant coefficient first; each
+    coefficient is an int when integral and a Fraction otherwise."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Coeff, ...]
 
     @staticmethod
     def make(coeffs: Iterable) -> "UniPoly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [_coeff(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         return UniPoly(tuple(cs))
 
@@ -523,21 +573,20 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
             return UniPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly.make(out)
 
     def scale(self, c) -> "UniPoly":
-        c = Fraction(c)
-        if c == 0:
+        c = _coeff(c)
+        if not c:
             return UniPoly(())
-        return UniPoly(tuple(c * k for k in self.coeffs))
+        return UniPoly(tuple(_coeff(c * k) for k in self.coeffs))
 
     def shift_arg(self, c) -> "UniPoly":
         """The polynomial t -> p(t + c)."""
-        c = Fraction(c)
         result = UniPoly(())
         linear = UniPoly.make([c, 1])
         for coeff in reversed(self.coeffs):
@@ -551,31 +600,26 @@ class UniPoly:
             [(-1) ** i * coeff for i, coeff in enumerate(shifted.coeffs)]
         )
 
-    def divmod_linear(self, root: Fraction) -> tuple["UniPoly", Fraction]:
+    def divmod_linear(self, root: Coeff) -> tuple["UniPoly", Coeff]:
         """Divide by (t - root); return (quotient, remainder value)."""
         q = []
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * root + c
             q.append(acc)
-        rem = q.pop() if q else Fraction(0)
+        rem = q.pop() if q else 0
         q.reverse()
         return UniPoly.make(q), rem
 
-    def normalized(self) -> tuple[Fraction, "UniPoly"]:
+    def normalized(self) -> tuple[Coeff, "UniPoly"]:
         """Split p = scalar * q, q with coprime integer coefficients and
-        positive leading coefficient."""
+        positive leading coefficient; a normalized p gives (1, p)."""
         if self.is_zero:
-            return Fraction(1), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        scalar = Fraction(num_gcd, den_lcm)
-        if self.coeffs[-1] < 0:
-            scalar = -scalar
-        return scalar, self.scale(1 / scalar)
+            return 1, self
+        scalar, prim = _primitive(self.coeffs, self.coeffs[-1])
+        if prim is None:
+            return 1, self
+        return scalar, UniPoly(tuple(prim))
 
     def as_multipoly(self, direction: Sequence[int], offset: int = 0) -> MultiPoly:
         """Substitute t = direction . z + offset, producing a MultiPoly."""
@@ -602,16 +646,17 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
-    """All rational roots of p with multiplicity (sorted ascending), plus the
-    root-free cofactor q with p = q * prod(t - root)."""
+def rational_roots(p: UniPoly) -> tuple[list[Coeff], UniPoly]:
+    """All rational roots of p with multiplicity (sorted ascending), each an
+    int when integral, plus the root-free cofactor q with
+    p = q * prod(t - root)."""
     if p.is_zero:
         raise PreconditionError("zero polynomial has no well-defined roots")
-    roots: list[Fraction] = []
+    roots: list[Coeff] = []
     work = p
     # strip powers of t
     while not work.is_constant and work.coeffs[0] == 0:
-        roots.append(Fraction(0))
+        roots.append(0)
         work = UniPoly(work.coeffs[1:])
     if work.is_constant:
         roots.sort()
@@ -621,7 +666,7 @@ def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
     lead = prim.coeffs[-1].numerator
     candidates = sorted(
         {
-            Fraction(sign * a, b)
+            _coeff(Fraction(sign * a, b))
             for a in _divisors(trailing)
             for b in _divisors(lead)
             for sign in (1, -1)
@@ -638,7 +683,7 @@ def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
 
 def integer_roots(p: UniPoly) -> list[int]:
     roots, _ = rational_roots(p)
-    return [int(r) for r in roots if r.denominator == 1]
+    return [r for r in roots if type(r) is int]
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +778,11 @@ def detect_simple(p: MultiPoly) -> Optional[tuple[Point, UniPoly]]:
         return (0,) * p.arity, UniPoly.constant(p.constant_value())
     j0 = used[0]
     base = partials[j0]
-    ratios = [Fraction(0)] * p.arity
-    ratios[j0] = Fraction(1)
+    ratios: list[Coeff] = [0] * p.arity
+    ratios[j0] = 1
     base_lead_mono, base_lead_coeff = base.leading()
     for i in used[1:]:
-        ci = partials[i].coefficient(base_lead_mono) / base_lead_coeff
+        ci = Fraction(partials[i].coefficient(base_lead_mono), base_lead_coeff)
         if ci == 0 or partials[i] - base.scale(ci) != MultiPoly(p.arity, ()):
             return None
         ratios[i] = ci
@@ -801,7 +846,7 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         scale = aug[r][c]
-        aug[r] = [x / scale for x in aug[r]]
+        aug[r] = [Fraction(x, scale) for x in aug[r]]
         for i in range(len(aug)):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]

@@ -62,7 +62,16 @@ from .geometry import (
 )
 from .oracle import propagate
 from .oresato import Chain, OreSatoForm, decompose
-from .poly import MultiPoly, Point, UniPoly, find_nonzero_in_box, integer_roots, rational_roots
+from .poly import (
+    Coeff,
+    MultiPoly,
+    Point,
+    UniPoly,
+    _coeff,
+    find_nonzero_in_box,
+    integer_roots,
+    rational_roots,
+)
 from .termratio import TermSpec
 
 log = logging.getLogger(__name__)
@@ -187,7 +196,7 @@ def _zero_divisor_structure(spec: TermSpec) -> PiecewiseStructure:
         k,
         MultiPoly.constant(k, 1),
         d_poly,
-        (Fraction(1),) * k,
+        (1,) * k,
         (),
     )
     z0 = find_nonzero_in_box(d_poly, (0,) * k, d_poly.total_degree())
@@ -255,7 +264,7 @@ class _PieceTable:
     def __init__(self, form: OreSatoForm, piece: Piece):
         z0 = piece.base_point
         self.piece = piece
-        self.gamma = tuple((Fraction(g).numerator, Fraction(g).denominator) for g in form.gamma)
+        self.gamma = tuple((g.numerator, g.denominator) for g in form.gamma)
         self.chains = tuple(
             _ChainTable(c, sum(x * y for x, y in zip(c.direction, z0))) for c in form.chains
         )
@@ -318,8 +327,8 @@ class FactorialChain:
 @dataclass(frozen=True)
 class FactorialForm:
     region: PolyhedralRegion
-    gamma: tuple[Fraction, ...]
-    scalar: Fraction
+    gamma: tuple[Coeff, ...]
+    scalar: Coeff
     c_poly: MultiPoly
     d_poly: MultiPoly
     chains: tuple[FactorialChain, ...]
@@ -387,7 +396,7 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
                 FactorialForm(
                     region,
                     form.gamma,
-                    scalar,
+                    _coeff(scalar),
                     form.c_poly,
                     form.d_poly,
                     tuple(chains),
@@ -427,7 +436,7 @@ def factorial_eval(ff: FactorialForm, z: Sequence[int]) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class PochhammerEntry:
-    base: Fraction  # m of the rising factorial (m)_r
+    base: Coeff  # m of the rising factorial (m)_r
     direction: Point
     offset: int  # r = direction.z + offset
 
@@ -435,8 +444,8 @@ class PochhammerEntry:
 @dataclass(frozen=True)
 class PochhammerForm:
     region: PolyhedralRegion
-    gamma: tuple[Fraction, ...]
-    scalar: Fraction
+    gamma: tuple[Coeff, ...]
+    scalar: Coeff
     c_poly: MultiPoly
     d_poly: MultiPoly
     numerator: tuple[PochhammerEntry, ...]
@@ -460,9 +469,11 @@ def to_pochhammer(ff: FactorialForm) -> PochhammerForm:
     symbol (1 - rho) rising (w.z + n) times; the leading coefficient alpha
     contributes alpha^w to the per-axis scalars and alpha^n to the global
     one.  A chain polynomial with an irreducible nonlinear factor over the
-    rationals does not rewrite and raises SplittingError.
+    rationals does not rewrite and raises SplittingError.  Scalars and
+    symbols follow the coefficient rule of ``poly``: an int when integral,
+    else a Fraction.
     """
-    gamma = [Fraction(g) for g in ff.gamma]
+    gamma = list(ff.gamma)
     scalar = ff.scalar
     numerator: list[PochhammerEntry] = []
     denominator: list[PochhammerEntry] = []
@@ -472,7 +483,7 @@ def to_pochhammer(ff: FactorialForm) -> PochhammerForm:
             (chain.den, denominator, True),
         ):
             if poly.is_constant:
-                alpha = poly.coeffs[0] if poly.coeffs else Fraction(0)
+                alpha = poly.coeffs[0] if poly.coeffs else 0
             else:
                 roots, cofactor = rational_roots(poly)
                 if cofactor.degree() >= 1:
@@ -485,14 +496,16 @@ def to_pochhammer(ff: FactorialForm) -> PochhammerForm:
                     target.append(PochhammerEntry(1 - rho, chain.direction, chain.offset))
             if alpha == 0:
                 raise IntegrityError("zero chain polynomial in a factorial form")
+            # a Fraction, so that a negative power of an int alpha stays exact
+            alpha = Fraction(alpha)
             exponent = -1 if inverted else 1
             for i, w in enumerate(chain.direction):
                 gamma[i] *= alpha ** (exponent * w)
             scalar *= alpha ** (exponent * chain.offset)
     return PochhammerForm(
         ff.region,
-        tuple(gamma),
-        scalar,
+        tuple(_coeff(g) for g in gamma),
+        _coeff(scalar),
         ff.c_poly,
         ff.d_poly,
         tuple(numerator),

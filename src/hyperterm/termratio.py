@@ -30,7 +30,7 @@ from .geometry import (
     certificate_cover,
     characteristic_certificates,
 )
-from .poly import MultiPoly, Point, coprime_base
+from .poly import Coeff, MultiPoly, Point, _coeff, coprime_base
 
 # ---------------------------------------------------------------------------
 # factored rational functions
@@ -40,15 +40,16 @@ from .poly import MultiPoly, Point, coprime_base
 @dataclass(frozen=True)
 class FactoredRational:
     """scalar * prod(base ** exponent) with normalized, pairwise coprime,
-    nonconstant bases and nonzero exponents."""
+    nonconstant bases and nonzero exponents.  The scalar follows the
+    coefficient rule of ``poly``: an int when integral, else a Fraction."""
 
     arity: int
-    scalar: Fraction
+    scalar: Coeff
     factors: tuple[tuple[MultiPoly, int], ...]
 
     @staticmethod
     def make(arity: int, scalar, factors: Iterable[tuple[MultiPoly, int]] = ()) -> "FactoredRational":
-        scalar = Fraction(scalar)
+        scalar = _coeff(scalar)
         if scalar == 0:
             raise PreconditionError("rational function scalar must be nonzero")
         pool: list[tuple[MultiPoly, tuple[int]]] = []
@@ -60,15 +61,16 @@ class FactoredRational:
             if base.is_zero:
                 raise PreconditionError("zero polynomial cannot be a factor")
             s, prim = base.normalized()
-            scalar *= Fraction(s) ** exp
+            if s != 1:
+                scalar *= Fraction(s) ** exp
             if not prim.is_constant:
                 pool.append((prim, (exp,)))
         refined = tuple((b, e) for b, (e,) in coprime_base(pool))
-        return FactoredRational(arity, scalar, refined)
+        return FactoredRational(arity, _coeff(scalar), refined)
 
     @staticmethod
     def one(arity: int) -> "FactoredRational":
-        return FactoredRational(arity, Fraction(1), ())
+        return FactoredRational(arity, 1, ())
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "FactoredRational":
@@ -93,7 +95,7 @@ class FactoredRational:
 
     def inv(self) -> "FactoredRational":
         return FactoredRational(
-            self.arity, 1 / self.scalar, tuple((b, -e) for b, e in self.factors)
+            self.arity, _coeff(Fraction(1, self.scalar)), tuple((b, -e) for b, e in self.factors)
         )
 
     def shift(self, v: Sequence[int]) -> "FactoredRational":
@@ -109,7 +111,7 @@ class FactoredRational:
             self.arity, self.scalar, tuple((b, e) for b, e in self.factors if e > 0)
         )
         den = FactoredRational(
-            self.arity, Fraction(1), tuple((b, -e) for b, e in self.factors if e < 0)
+            self.arity, 1, tuple((b, -e) for b, e in self.factors if e < 0)
         )
         return num, den
 
@@ -139,7 +141,7 @@ class FactoredRational:
         for base, exp in self.factors:
             if exp < 0 and base.evaluate(z) == 0:
                 return None
-        value = self.scalar
+        value = Fraction(self.scalar)
         for base, exp in self.factors:
             v = base.evaluate(z)
             if v == 0:

@@ -343,3 +343,38 @@ def test_random_forms_round_trip():
             w = tuple(rng.randint(-3, 3) for _ in range(k))
             assert ratio_from_form(recovered, w).eq_rational(compose_direction(spec, w))
         done += 1
+
+
+# -- known shift_between defects ----------------------------------------------
+# shift_between searches a bounded window of offsets and returns an arbitrary
+# point of a degenerate solution set; these forms are valid and must
+# decompose once it decides exactly.
+
+
+def _round_trip(form):
+    spec = spec_from_form(form)
+    decomposed = decompose(spec)
+    for i, r in enumerate(spec.ratios()):
+        e = tuple(1 if j == i else 0 for j in range(form.arity))
+        assert ratio_from_form(decomposed, e).eq_rational(r)
+
+
+def _shifted_pair_form(s):
+    p = P("(z1 + z2)^2 + z1", 2)
+    return OreSatoForm(2, p, p.shift((s, -s)), (1, 1), ())
+
+
+@pytest.mark.parametrize("s", [10, 17])
+def test_decompose_shifted_pair(s):
+    _round_trip(_shifted_pair_form(s))
+
+
+@pytest.mark.xfail(strict=True, raises=StructureError, reason="shift_between misses part of the orbit")
+def test_decompose_shifted_pair_at_sixteen():
+    _round_trip(_shifted_pair_form(16))
+
+
+@pytest.mark.xfail(strict=True, raises=StructureError, reason="shift_between offsets are not canonical")
+@pytest.mark.parametrize("c", ["z2*z3 + 1", "(z1 + z2)*z3 + 1"])
+def test_decompose_translation_invariant_factor(c):
+    _round_trip(OreSatoForm(3, P(c, 3), P("1", 3), (1, 1, 1), ()))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperterm import poly
 from hyperterm.errors import DimensionError, PreconditionError
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import (
@@ -209,6 +210,21 @@ def test_gcd_divides_and_cofactors_coprime():
             assert gcd(cp, cq).is_constant
             # c divides the gcd
             assert c.is_zero or exact_div(g, gcd(g, c.normalized()[1])) is not None
+
+
+def test_gcd_cache_ignores_argument_order():
+    p = P("(z1*z2 + 7)*(z1 - 5*z2 + 3)", 2)
+    q = P("(z1*z2 + 7)*(z1^2 + 11)", 2)
+    g = gcd(p, q)
+    misses = poly._gcd.cache_info().misses
+    assert gcd(q, p) == g == P("z1*z2 + 7", 2)
+    assert poly._gcd.cache_info().misses == misses
+
+
+def test_exact_div_rational_quotient():
+    # integer arguments, rational quotient
+    assert exact_div(P("2*z1^2 + 2*z1", 1), P("3*z1", 1)) == P("2/3*z1 + 2/3", 1)
+    assert exact_div(P("2*z1 + 1", 1), P("2*z1 + 1", 1)) == P("1", 1)
 
 
 def test_exact_div_failure():
