@@ -1,10 +1,15 @@
-"""JSON encodings of the public value types.
+"""JSON encodings: term specs are read and written, results are written.
+
+The pipeline has one input, a term spec (``spec_from_json``, with the
+factored, hyperplane and rational readers it calls).  Forms, structures,
+factorial and Pochhammer forms and grid reports are output only; nothing
+reads them back, so they have writers and no readers.
 
 Rationals are serialized as "p/q" strings to avoid precision ambiguity.
 Polynomials travel as text in the z1..zk grammar (univariate chain
 polynomials use the variable t); generator numerators and denominators are
-emitted in factored form so that round trips preserve the factor structure
-the decomposition relies on.
+emitted in factored form so that a written spec reads back with the factor
+structure the decomposition relies on.
 """
 
 from __future__ import annotations
@@ -14,32 +19,18 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .geometry import (
-    HalfSpace,
-    Hyperplane,
-    LatticeBox,
-    MeasureZeroSet,
-    PolyhedralRegion,
-)
+from .geometry import HalfSpace, Hyperplane, MeasureZeroSet, PolyhedralRegion
 from .oracle import GridReport
-from .oresato import Chain, OreSatoForm
+from .oresato import OreSatoForm
 from .parsing import (
     format_fraction,
     format_multipoly,
     format_unipoly,
     parse_factored,
     parse_multipoly,
-    parse_unipoly,
 )
 from .poly import coprime_base
-from .structure import (
-    FactorialChain,
-    FactorialForm,
-    Piece,
-    PiecewiseStructure,
-    PochhammerEntry,
-    PochhammerForm,
-)
+from .structure import FactorialForm, PiecewiseStructure, PochhammerForm
 from .termratio import FactoredRational, TermSpec
 
 log = logging.getLogger(__name__)
@@ -90,26 +81,8 @@ def halfspace_to_json(h: HalfSpace) -> dict:
     return {"v": list(h.v), "gt": h.n}
 
 
-def halfspace_from_json(obj: dict) -> HalfSpace:
-    return HalfSpace.make(tuple(obj["v"]), int(obj["gt"]))
-
-
 def region_to_json(r: PolyhedralRegion) -> dict:
     return {"k": r.arity, "halfspaces": [halfspace_to_json(h) for h in r.halfspaces]}
-
-
-def region_from_json(obj: dict) -> PolyhedralRegion:
-    return PolyhedralRegion.make(
-        int(obj["k"]), [halfspace_from_json(h) for h in obj["halfspaces"]]
-    )
-
-
-def box_to_json(b: LatticeBox) -> dict:
-    return {"corner": list(b.corner), "size": b.size}
-
-
-def box_from_json(obj: dict) -> LatticeBox:
-    return LatticeBox(tuple(int(x) for x in obj["corner"]), int(obj["size"]))
 
 
 # -- term specs ---------------------------------------------------------------
@@ -191,24 +164,6 @@ def form_to_json(form: OreSatoForm) -> dict:
     }
 
 
-def form_from_json(obj: dict, arity: int) -> OreSatoForm:
-    chains = tuple(
-        Chain(
-            tuple(int(x) for x in c["v"]),
-            parse_unipoly(c["a"]),
-            parse_unipoly(c["b"]),
-        )
-        for c in obj["chains"]
-    )
-    return OreSatoForm(
-        arity,
-        parse_multipoly(obj["C"], arity),
-        parse_multipoly(obj["D"], arity),
-        tuple(fraction_from_json(g) for g in obj["gamma"]),
-        chains,
-    )
-
-
 def structure_to_json(ps: PiecewiseStructure) -> dict:
     return {
         "form": form_to_json(ps.form),
@@ -222,28 +177,6 @@ def structure_to_json(ps: PiecewiseStructure) -> dict:
             for p in ps.pieces
         ],
     }
-
-
-def structure_from_json(obj: dict) -> PiecewiseStructure:
-    pieces = []
-    arity = None
-    for p in obj["pieces"]:
-        region = region_from_json(p["region"])
-        arity = region.arity
-        pieces.append(
-            Piece(
-                region,
-                tuple(int(x) for x in p["z0"]),
-                None if p["f0"] is None else fraction_from_json(p["f0"]),
-            )
-        )
-    if arity is None:
-        raise ParseError("structure JSON needs at least one piece")
-    return PiecewiseStructure(
-        form_from_json(obj["form"], arity),
-        tuple(pieces),
-        MeasureZeroSet.make([hyperplane_from_json(h) for h in obj["H"]]),
-    )
 
 
 def factorial_to_json(ff: FactorialForm) -> dict:
@@ -265,27 +198,6 @@ def factorial_to_json(ff: FactorialForm) -> dict:
     }
 
 
-def factorial_from_json(obj: dict) -> FactorialForm:
-    region = region_from_json(obj["region"])
-    arity = region.arity
-    return FactorialForm(
-        region,
-        tuple(fraction_from_json(g) for g in obj["gamma"]),
-        fraction_from_json(obj["scalar"]),
-        parse_multipoly(obj["C"], arity),
-        parse_multipoly(obj["D"], arity),
-        tuple(
-            FactorialChain(
-                tuple(int(x) for x in c["v"]),
-                parse_unipoly(c["a"]),
-                parse_unipoly(c["b"]),
-                int(c["n"]),
-            )
-            for c in obj["chains"]
-        ),
-    )
-
-
 def pochhammer_to_json(pf: PochhammerForm) -> dict:
     def entries(entries_):
         return [
@@ -302,31 +214,6 @@ def pochhammer_to_json(pf: PochhammerForm) -> dict:
         "numerator": entries(pf.numerator),
         "denominator": entries(pf.denominator),
     }
-
-
-def pochhammer_from_json(obj: dict) -> PochhammerForm:
-    region = region_from_json(obj["region"])
-    arity = region.arity
-
-    def entries(items):
-        return tuple(
-            PochhammerEntry(
-                fraction_from_json(e["m"]),
-                tuple(int(x) for x in e["v"]),
-                int(e["r"]),
-            )
-            for e in items
-        )
-
-    return PochhammerForm(
-        region,
-        tuple(fraction_from_json(g) for g in obj["gamma"]),
-        fraction_from_json(obj["scalar"]),
-        parse_multipoly(obj["C"], arity),
-        parse_multipoly(obj["D"], arity),
-        entries(obj["numerator"]),
-        entries(obj["denominator"]),
-    )
 
 
 def report_to_json(report: GridReport) -> dict:

@@ -189,20 +189,17 @@ def propagate(
     spec: TermSpec,
     frm: tuple[Sequence[int], Fraction],
     to: Sequence[int],
-    margin: Optional[int] = None,
     step_order=None,
 ) -> PropagationResult:
     """Value of the term at ``to`` propagated from the given point/value
     pair, searching within the bounding box of the two points inflated by
-    ``margin`` (default 2 (k+1))."""
+    2 (k+1), the margin ``propagate_window`` uses too."""
     point, value = (tuple(int(x) for x in frm[0]), Fraction(frm[1]))
     to = tuple(int(x) for x in to)
     if len(point) != spec.arity or len(to) != spec.arity:
         raise DimensionError("point arity mismatch")
     working = spec.with_seed(point, value)
-    if margin is None:
-        margin = 2 * (spec.arity + 1)
-    lo, hi = _window_bounds([point, to], margin)
+    lo, hi = _window_bounds([point, to], 2 * (spec.arity + 1))
     flood = _Flood(working, lo, hi, step_order=step_order)
     if to in flood.values:
         return PropagationResult(flood.values[to], path=flood.certificate(to))

@@ -140,7 +140,8 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m, _ in self.terms)
+        # the leading term has the largest total degree
+        return not self.terms or not any(self.terms[0][0])
 
     def constant_value(self) -> Coeff:
         if self.is_zero:
@@ -150,8 +151,9 @@ class MultiPoly:
         return self.terms[0][1]
 
     def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((sum(m) for m, _ in self.terms), default=0)
+        """Total degree; 0 for the zero polynomial.  ``terms`` is in
+        descending graded-lex order, so it is the leading term's degree."""
+        return sum(self.terms[0][0]) if self.terms else 0
 
     def degree_in(self, index: int) -> int:
         return max((m[index] for m, _ in self.terms), default=0)
@@ -713,51 +715,9 @@ def primitive_vector(values: Sequence[Fraction]) -> Optional[Point]:
     return tuple(ints)
 
 
-def bezout_vector(v: Sequence[int]) -> Point:
-    """An integer vector w with v . w = 1; requires v primitive."""
-    g = 0
-    coeffs = [0] * len(v)
-    for i, x in enumerate(v):
-        if x == 0:
-            continue
-        if g == 0:
-            g = abs(x)
-            coeffs[i] = 1 if x > 0 else -1
-            continue
-        new_g, a, b = _ext_gcd(g, abs(x))
-        coeffs = [c * a for c in coeffs]
-        coeffs[i] = b if x > 0 else -b
-        g = new_g
-    if g != 1:
-        raise PreconditionError(f"vector {tuple(v)} is not primitive")
-    return tuple(coeffs)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
 # ---------------------------------------------------------------------------
 # simple-polynomial detection
 # ---------------------------------------------------------------------------
-
-
-def _interpolate(points: list[tuple[Fraction, Fraction]]) -> UniPoly:
-    """Lagrange interpolation through exact points."""
-    result = UniPoly(())
-    for i, (xi, yi) in enumerate(points):
-        num = UniPoly.constant(yi)
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * UniPoly.make([-xj, 1])
-            den *= xi - xj
-        result = result + num.scale(1 / den)
-    return result
 
 
 @functools.lru_cache(maxsize=8192)
@@ -788,13 +748,14 @@ def detect_simple(p: MultiPoly) -> Optional[tuple[Point, UniPoly]]:
         ratios[i] = ci
     v = primitive_vector(ratios)
     assert v is not None
-    # read off the univariate polynomial along a section with v . w = 1
-    w = bezout_vector(v)
-    n = p.total_degree()
-    samples = [
-        (Fraction(t), p.evaluate([t * wi for wi in w])) for t in range(n + 1)
-    ]
-    q = _interpolate(samples)
+    # on the axis j0, p(s e_j0) = q(v[j0] s): q's coefficient of t^n is p's
+    # coefficient of z_j0^n over v[j0]^n
+    vj = v[j0]
+    axis = [0] * (p.total_degree() + 1)
+    for m, c in p.terms:
+        if sum(m) == m[j0]:
+            axis[m[j0]] = Fraction(c, vj ** m[j0])
+    q = UniPoly.make(axis)
     if q.as_multipoly(v) != p:
         return None
     return v, q

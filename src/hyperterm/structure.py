@@ -407,9 +407,12 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
 
 def factorial_eval(ff: FactorialForm, z: Sequence[int]) -> Optional[Fraction]:
     """Value of a factorial form at a point of its region; None when the
-    denominator polynomial vanishes.  Negative upper limits and zero chain
-    factors violate the form's guarantees and raise IntegrityError."""
+    denominator polynomial vanishes.  Points outside the region are a caller
+    error (PreconditionError).  Inside it, negative upper limits and zero
+    chain factors violate the form's guarantees and raise IntegrityError."""
     z = tuple(int(x) for x in z)
+    if not ff.region.contains(z):
+        raise PreconditionError(f"{z} is outside the form's region")
     if ff.d_poly.evaluate(z) == 0:
         return None
     value = ff.scalar

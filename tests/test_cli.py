@@ -6,31 +6,15 @@ from pathlib import Path
 
 from hyperterm.bundled import annihilated_spec, binomial_spec, constant_spec, odd_product_spec
 from hyperterm.cli import main
-from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, PolyhedralRegion
+from hyperterm.geometry import Hyperplane
 from hyperterm.jsonio import (
-    box_from_json,
-    box_to_json,
     factored_from_json,
     factored_to_json,
-    factorial_from_json,
-    factorial_to_json,
-    form_from_json,
-    form_to_json,
-    halfspace_from_json,
-    halfspace_to_json,
     hyperplane_from_json,
     hyperplane_to_json,
-    pochhammer_from_json,
-    pochhammer_to_json,
-    region_from_json,
-    region_to_json,
     spec_from_json,
     spec_to_json,
-    structure_from_json,
-    structure_to_json,
 )
-from hyperterm.oresato import decompose
-from hyperterm.structure import build_structure, split_factorial, to_pochhammer
 from hyperterm.termratio import FactoredRational
 
 
@@ -78,32 +62,6 @@ def test_factored_round_trip():
 def test_geometry_round_trips():
     h = Hyperplane.make((2, -4), 6)
     assert hyperplane_from_json(hyperplane_to_json(h)) == h
-    hs = HalfSpace.make((1, -2), 3)
-    assert halfspace_from_json(halfspace_to_json(hs)) == hs
-    r = PolyhedralRegion.make(2, [hs, HalfSpace.make((0, 1), -1)])
-    assert region_from_json(region_to_json(r)) == r
-    b = LatticeBox((-1, 4), 3)
-    assert box_from_json(box_to_json(b)) == b
-
-
-def test_form_round_trip():
-    for spec in [odd_product_spec(), binomial_spec()]:
-        form = decompose(spec)
-        assert form_from_json(form_to_json(form), spec.arity) == form
-
-
-def test_structure_round_trip():
-    for spec in [odd_product_spec(), binomial_spec()]:
-        ps = build_structure(spec)
-        assert structure_from_json(structure_to_json(ps)) == ps
-
-
-def test_factorial_and_pochhammer_round_trips():
-    ps = build_structure(odd_product_spec())
-    for ff in split_factorial(ps):
-        assert factorial_from_json(factorial_to_json(ff)) == ff
-        pf = to_pochhammer(ff)
-        assert pochhammer_from_json(pochhammer_to_json(pf)) == pf
 
 
 # -- commands ----------------------------------------------------------------------

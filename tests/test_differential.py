@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperterm.poly import MultiPoly, UniPoly, coprime_base, gcd, rational_roots
+from hyperterm.poly import MultiPoly, UniPoly, coprime_base, detect_simple, gcd, rational_roots
 
 sympy = pytest.importorskip("sympy")
 
@@ -21,7 +21,9 @@ def _to_sympy(p: MultiPoly):
 
 
 def _from_sympy(poly, arity: int) -> MultiPoly:
-    return MultiPoly.from_dict(arity, {m: int(c) for m, c in poly.terms()})
+    return MultiPoly.from_dict(
+        arity, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+    )
 
 
 def _random_poly(rng, arity, degree):
@@ -106,3 +108,46 @@ def test_rational_roots_match_sympy():
         for r in roots:
             product = product * UniPoly.make([-r, 1])
         assert product == p
+
+
+def _compose(coeffs, direction, offset: int = 0):
+    """q(v . z + offset) expanded by sympy, for q with the given
+    coefficients, constant first."""
+    k = len(direction)
+    t = sympy.Poly(sum(x * z for x, z in zip(direction, GENS)) + offset, *GENS[:k])
+    return sum((sympy.Rational(c) * t**n for n, c in enumerate(coeffs)), sympy.Poly(0, *GENS[:k]))
+
+
+def _partials_rank(p) -> int:
+    """The rank of the coefficient matrix of the partials of p."""
+    rows = [p.diff(z).as_dict() for z in p.gens]
+    monos = sorted({m for row in rows for m in row})
+    return sympy.Matrix([[row.get(m, 0) for m in monos] for row in rows]).rank()
+
+
+def test_detect_simple_matches_sympy():
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        v = [0] * k
+        while not any(v):
+            v = [rng.randint(-3, 3) for _ in range(k)]
+        # planted q(v . z + c), q of degree 1..4
+        q = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        q.append(Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)))
+        planted = _compose(q, v, rng.randint(-3, 3))
+        got = detect_simple(_from_sympy(planted, k))
+        assert got is not None, planted
+        assert (_compose(got[1].coeffs, got[0]) - planted).is_zero, planted
+        # perturbed: simple exactly when the partials span at most a line
+        perturbed = planted + _to_sympy(_random_poly(rng, k, rng.randint(0, 3)))
+        if perturbed.is_zero:
+            continue
+        got = detect_simple(_from_sympy(perturbed, k))
+        assert (got is None) == (_partials_rank(perturbed) >= 2), perturbed
+        if got is not None:
+            assert (_compose(got[1].coeffs, got[0]) - perturbed).is_zero, perturbed
+        outcomes[got is None] += 1
+    # both outcomes occur among the perturbed polynomials
+    assert min(outcomes.values()) >= 20, outcomes

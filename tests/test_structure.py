@@ -758,8 +758,24 @@ def test_pochhammer_nonsplitting_raises():
 
 
 def test_pochhammer_outside_region_rejected():
+    # both evaluators reject a point outside the form's region as a caller
+    # error, on every binomial form over [-6, 6]^2
     forms = split_factorial(build_structure(odd_product_spec()))
     nonneg = next(ff for ff in forms if ff.region.contains((1,)))
     pf = to_pochhammer(nonneg)
     with pytest.raises(PreconditionError):
         pochhammer_eval(pf, (-3,))
+    with pytest.raises(PreconditionError):
+        factorial_eval(nonneg, (-3,))
+    outside = 0
+    for ff in split_factorial(build_structure(binomial_spec())):
+        pf = to_pochhammer(ff)
+        for z in itertools.product(range(-6, 7), repeat=2):
+            if ff.region.contains(z):
+                continue
+            outside += 1
+            with pytest.raises(PreconditionError):
+                factorial_eval(ff, z)
+            with pytest.raises(PreconditionError):
+                pochhammer_eval(pf, z)
+    assert outside
