@@ -9,19 +9,28 @@ hyperplane.  Zero values propagate (a vanishing numerator produces an
 honest zero); a step whose divisor vanishes is simply not taken, so a
 point is ``blocked`` only when every path inside the window is.
 
-The flood does integer arithmetic up to one Fraction per step taken.  Each
-generator side, scalar * prod(base ** exp), becomes one integer numerator
-over one constant integer denominator: the bases are evaluated with
-``MultiPoly.evaluate_cleared``, whose cleared form is built once and kept on
-the polynomial, so the floods of repeated ``propagate`` calls share it.  A
-move is dropped when its target is outside the window or already visited
-before the exception planes are consulted or anything is evaluated, so
-only steps that can be taken cost an evaluation; the BFS order, the values
-and the certificates are those of evaluating every move.  The values of
-A_i and B_i at a point are not memoised: each is needed by at most one step
-taken, and a per-point memo costs memory without saving time.
+The flood does integer arithmetic and builds one Fraction per step taken.
+Each generator side, scalar * prod(base ** exp), becomes one integer
+numerator over one constant integer denominator: the bases are evaluated
+with ``MultiPoly.evaluate_cleared``, whose cleared form is built once and
+kept on the polynomial, so repeated floods share it.  A step multiplies the
+value's numerator and denominator by the two side numerators and reduces
+once, in a single ``Fraction``.  A move is dropped when its target is
+outside the window or already visited before the exception planes are
+consulted (not at all when the spec declares none) or anything is
+evaluated, so only steps that can be taken cost an evaluation; the BFS
+order, the values and the certificates are those of evaluating every move.
+The values of A_i and B_i at a point are not memoised: each is needed by at
+most one step taken, and a per-point memo costs memory without saving time.
 
-The same flood supplies the comparison oracle for piecewise closed forms.
+The flood keeps, per point reached, only the point it came from and the
+axis of the step.  ``propagate`` rebuilds the certificate of its target
+from them on demand, re-evaluating the multiplier of each step on the path.
+
+``build_structure`` takes every piece's base value from one flood out of
+the seed over the seed and all base points (``propagate_targets``); the
+same flood, over a comparison window, supplies the oracle for piecewise
+closed forms.
 """
 
 from __future__ import annotations
@@ -120,38 +129,38 @@ class _Flood:
             b_scale, b_factors, b_den = _integer_side(gen.den)
             self.sides.append((a_scale * b_den, a_factors, b_scale * a_den, b_factors))
         self.values: dict[Point, Fraction] = {}
-        self.steps: dict[Point, Optional[tuple[Point, PathStep]]] = {}
+        # per point reached: (the point it was reached from, the step's axis)
+        self.steps: dict[Point, Optional[tuple[Point, int]]] = {}
         self._run()
 
     def _in_window(self, z: Point) -> bool:
         return all(a <= x <= b for x, a, b in zip(z, self.lo, self.hi))
 
-    def _multiplier(self, axis: int, forward: bool, at: Point) -> Optional[Fraction]:
-        """A_i(at) / B_i(at) forward or B_i(at) / A_i(at) backward; None
-        when the divisor vanishes."""
+    def _multiplier(self, axis: int, forward: bool, at: Point) -> Optional[tuple[int, int]]:
+        """A_i(at) / B_i(at) forward or B_i(at) / A_i(at) backward, as an
+        integer (numerator, denominator); None when the divisor vanishes."""
         a_scale, a_factors, b_scale, b_factors = self.sides[axis]
-        if forward:
-            b_val = _side_numerator(b_scale, b_factors, at)
-            if b_val == 0:
-                return None
-            return Fraction(_side_numerator(a_scale, a_factors, at), b_val)
-        a_val = _side_numerator(a_scale, a_factors, at)
-        if a_val == 0:
+        if not forward:
+            a_scale, a_factors, b_scale, b_factors = b_scale, b_factors, a_scale, a_factors
+        den = _side_numerator(b_scale, b_factors, at)
+        if den == 0:
             return None
-        return Fraction(_side_numerator(b_scale, b_factors, at), a_val)
+        return _side_numerator(a_scale, a_factors, at), den
 
     def _run(self) -> None:
         seed_point, seed_value = self.spec.seed
         if not self._in_window(seed_point):
             return
         values, steps, lo, hi = self.values, self.steps, self.lo, self.hi
-        covers = self.spec.exceptions.covers
+        multiplier = self._multiplier
+        covers = self.spec.exceptions.covers if self.spec.exceptions.hyperplanes else None
         values[seed_point] = Fraction(seed_value)
         steps[seed_point] = None
         frontier = [seed_point]
         while frontier:
             nxt = []
             for node in frontier:
+                value = values[node]
                 for axis, delta in self.moves:
                     # a unit step leaves the window only along its own axis
                     x = node[axis] + delta
@@ -162,24 +171,29 @@ class _Flood:
                         continue
                     forward = delta > 0
                     at = node if forward else target
-                    if covers(at):
+                    if covers is not None and covers(at):
                         continue
-                    mult = self._multiplier(axis, forward, at)
+                    mult = multiplier(axis, forward, at)
                     if mult is None:
                         continue
-                    values[target] = values[node] * mult
-                    steps[target] = (node, PathStep(at, axis, forward, mult))
+                    num, den = mult
+                    values[target] = Fraction(value.numerator * num, value.denominator * den)
+                    steps[target] = (node, axis)
                     nxt.append(target)
             frontier = nxt
 
     def certificate(self, z: Point) -> tuple[PathStep, ...]:
+        """The steps from the seed to z, rebuilt from the parent links with
+        each multiplier evaluated again."""
         out = []
         while True:
             prev = self.steps[z]
             if prev is None:
                 break
-            node, step = prev
-            out.append(step)
+            node, axis = prev
+            forward = z[axis] > node[axis]
+            at = node if forward else z
+            out.append(PathStep(at, axis, forward, Fraction(*self._multiplier(axis, forward, at))))
             z = node
         out.reverse()
         return tuple(out)
@@ -204,6 +218,20 @@ def propagate(
     if to in flood.values:
         return PropagationResult(flood.values[to], path=flood.certificate(to))
     return PropagationResult(None, reason="blocked")
+
+
+def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional[Fraction]]:
+    """Values of the term at each target, from one flood out of the seed
+    over the bounding box of the seed and all targets inflated by 2 (k+1),
+    the margin ``propagate`` uses; None at a target the flood does not
+    reach.  That box contains the box of every ``propagate(spec, spec.seed,
+    t)``, so each target it reaches gets the same value, and it may reach
+    a target those floods do not."""
+    if spec.seed is None:
+        raise PreconditionError("propagation requires a seed value")
+    lo, hi = _window_bounds([spec.seed[0], *targets], 2 * (spec.arity + 1))
+    values = _Flood(spec, lo, hi).values
+    return [values.get(t) for t in targets]
 
 
 def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction]:

@@ -9,6 +9,9 @@ into polyhedral pieces on which the term is given exactly by
 
 with a base point z0 in the piece where C and D are both nonzero and the
 base value f(z0) obtained by recurrence propagation from the user seed.
+All base values come from one flood out of the seed over the seed and
+every base point (``oracle.propagate_targets``); a piece is unreachable,
+with an unknown base value, exactly when that flood does not reach z0.
 The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.
@@ -60,7 +63,7 @@ from .geometry import (
     is_measure_zero,
     region_rows,
 )
-from .oracle import propagate
+from .oracle import propagate_targets
 from .oresato import Chain, OreSatoForm, decompose
 from .poly import (
     Coeff,
@@ -140,8 +143,13 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     step inside it reaches; that case is not proven here, and
     ``grid_compare`` checks it against the oracle.
 
-    Pieces unreachable from the seed by nonzero-quotient propagation are
-    kept with an unknown base value rather than a guessed one.
+    Base values come from a single flood out of the seed over the
+    bounding box of the seed and all base points, inflated by 2 (k+1).
+    That box contains the box ``propagate(spec, spec.seed, z0)`` searches
+    for each piece, so a piece that call reaches gets the same value here,
+    and a piece can only go from unknown to known.  Pieces the flood does
+    not reach by nonzero-quotient propagation are kept with an unknown
+    base value rather than a guessed one.
     """
     k = spec.arity
     if spec.zero_divisor_witness is not None:
@@ -158,7 +166,7 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     cells = arrangement(h2, k)
     excluded = list(h2)
 
-    pieces: list[Piece] = []
+    found: list[tuple[PolyhedralRegion, Point]] = []
     for cell in cells:
         mz, cover = is_measure_zero(cell)
         if mz:
@@ -175,8 +183,11 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
             raise IntegrityError(f"no base box in a cell that is not measure zero: {cell}")
         z0 = find_nonzero_in_box(cd, inner.corner, d)
         assert z0 is not None
-        result = propagate(spec, spec.seed, z0)
-        base_value = result.value if result.ok else None
+        found.append((shrunk, z0))
+
+    base_values = propagate_targets(spec, [z0 for _, z0 in found])
+    pieces: list[Piece] = []
+    for (shrunk, z0), base_value in zip(found, base_values):
         if base_value is None:
             log.info("piece at %s is unreachable from the seed", z0)
         pieces.append(Piece(shrunk, z0, base_value))

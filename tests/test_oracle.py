@@ -15,16 +15,18 @@ from hyperterm.bundled import (
     odd_product_spec,
 )
 from hyperterm.errors import PreconditionError
-from hyperterm.geometry import Hyperplane, LatticeBox, MeasureZeroSet
+from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet, PolyhedralRegion
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import (
+    PathStep,
     _integer_side,
     _side_numerator,
     propagate,
+    propagate_targets,
     propagate_window,
 )
 from hyperterm.parsing import parse_multipoly
-from hyperterm.termratio import FactoredRational, TermSpec, compose_direction
+from hyperterm.termratio import FactoredRational, TermSpec, compose_direction, extend_by_zero
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -211,3 +213,113 @@ def test_flood_with_exceptions_and_scalars():
             value *= step.multiplier
         assert position == z and value == single.value
     assert reached > 20 and beyond > 10
+
+
+# -- differential check of the flood against a plain BFS -----------------------
+
+
+def reference_flood(spec, lo, hi):
+    """A plain BFS from the seed inside [lo, hi]: moves in lexicographic
+    order of the step vector, every move evaluated through the
+    FactoredRational sides, a PathStep list kept for every point."""
+    k = spec.arity
+    moves = sorted(
+        (tuple(delta if j == i else 0 for j in range(k)), i, delta)
+        for i in range(k)
+        for delta in (1, -1)
+    )
+    seed_point, seed_value = spec.seed
+    values = {seed_point: Fraction(seed_value)}
+    paths = {seed_point: ()}
+    frontier = [seed_point]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for step, axis, delta in moves:
+                target = tuple(x + s for x, s in zip(node, step))
+                if target in values or not all(a <= x <= b for x, a, b in zip(target, lo, hi)):
+                    continue
+                forward = delta > 0
+                at = node if forward else target
+                if spec.exceptions.covers(at):
+                    continue
+                gen = spec.generators[axis]
+                a_val, b_val = gen.num.evaluate(at), gen.den.evaluate(at)
+                num, den = (a_val, b_val) if forward else (b_val, a_val)
+                if den == 0:
+                    continue
+                multiplier = num / den
+                values[target] = values[node] * multiplier
+                paths[target] = paths[node] + (PathStep(at, axis, forward, multiplier),)
+                nxt.append(target)
+        frontier = nxt
+    return values, paths
+
+
+def inflated_box(points, k):
+    margin = 2 * (k + 1)
+    lo = tuple(min(p[i] for p in points) - margin for i in range(k))
+    hi = tuple(max(p[i] for p in points) + margin for i in range(k))
+    return lo, hi
+
+
+def random_extended_specs(rng, count):
+    """Random forms restricted to a random support around the seed and
+    extended by zero: the certificate planes become declared exceptions,
+    and chain and C/D roots put zero walls inside the window."""
+    from conftest import random_form, spec_from_form
+
+    out = []
+    while len(out) < count:
+        k = rng.choice([1, 2, 2, 3])
+        seed_point = tuple(rng.randint(-2, 2) for _ in range(k))
+        spec = spec_from_form(random_form(rng, k), seed=(seed_point, Fraction(rng.choice([1, -2, 3]))))
+        halves = []
+        for _ in range(rng.randint(1, 2)):
+            v = tuple(rng.randint(-1, 2) for _ in range(k))
+            if not any(v):
+                continue
+            level = sum(a * b for a, b in zip(v, seed_point)) - rng.randint(1, 3)
+            halves.append(HalfSpace.make(v, level))  # v.z > level holds at the seed
+        extended = extend_by_zero(spec, PolyhedralRegion.make(k, halves))
+        if len(extended.exceptions):
+            out.append(extended)
+    return out
+
+
+def test_flood_matches_reference_bfs():
+    rng = random.Random(97)
+    specs = random_extended_specs(rng, 16)
+    blocked = reached = 0
+    for spec in specs:
+        k = spec.arity
+        seed_point = spec.seed[0]
+        window = LatticeBox(tuple(x - 2 for x in seed_point), 4 if k < 3 else 3)
+        corner_hi = tuple(c + window.size for c in window.corner)
+        values, _ = reference_flood(spec, *inflated_box([window.corner, corner_hi, seed_point], k))
+        assert propagate_window(spec, window) == {z: v for z, v in values.items() if window.contains(z)}
+        for _ in range(6):
+            to = tuple(x + rng.randint(-3, 3) for x in seed_point)
+            values, paths = reference_flood(spec, *inflated_box([seed_point, to], k))
+            result = propagate(spec, spec.seed, to)
+            if to in values:
+                reached += 1
+                assert result.value == values[to]
+                assert result.path == paths[to]
+            else:
+                blocked += 1
+                assert not result.ok and result.reason == "blocked"
+    assert reached > 30 and blocked > 10
+
+
+def test_propagate_targets_matches_propagate():
+    rng = random.Random(101)
+    for spec in random_extended_specs(rng, 6) + [binomial_spec(), scaled_binomial_spec()]:
+        seed_point = spec.seed[0]
+        targets = [tuple(x + rng.randint(-5, 5) for x in seed_point) for _ in range(8)]
+        singles = [propagate(spec, spec.seed, t).value for t in targets]
+        # one target floods the window propagate floods
+        assert [propagate_targets(spec, [t])[0] for t in targets] == singles
+        # all targets share one wider window, which can only add values
+        for value, single in zip(propagate_targets(spec, targets), singles):
+            assert single is None or value == single

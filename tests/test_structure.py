@@ -339,6 +339,57 @@ def test_structure_random_forms_end_to_end():
         done += 1
 
 
+def single_flood_specs():
+    """specs/*.json, perfbench/specs/*.json, the bundled specs and 30
+    seeded random forms, k = 1..3."""
+    from conftest import random_form, spec_from_form
+
+    root = Path(__file__).resolve().parent.parent
+    specs = list(bundled_specs().values())
+    for path in sorted(root.glob("specs/*.json")) + sorted(root.glob("perfbench/specs/*.json")):
+        specs.append(spec_from_json(json.loads(path.read_text(encoding="utf-8"))))
+    rng = random.Random(89)
+    for _ in range(30):
+        k = rng.choice([1, 2, 2, 3])
+        specs.append(spec_from_form(random_form(rng, k), seed=((0,) * k, Fraction(1))))
+    return specs
+
+
+def test_single_build_flood_never_loses_a_piece():
+    # the build's one flood covers the window of every per-piece propagate,
+    # so a piece that call reaches keeps its value, and a piece may become
+    # known, never unknown
+    pieces = 0
+    for spec in single_flood_specs():
+        for piece in build_structure(spec).pieces:
+            single = propagate(spec, spec.seed, piece.base_point)
+            if single.ok:
+                assert piece.base_value == single.value, (spec, piece)
+            pieces += 1
+    assert pieces > 60
+
+
+def test_build_runs_one_flood(monkeypatch):
+    from hyperterm import oracle
+
+    floods = []
+
+    class CountedFlood(oracle._Flood):
+        def __init__(self, *args, **kwargs):
+            floods.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_Flood", CountedFlood)
+    for spec in single_flood_specs()[:8]:
+        floods.clear()
+        ps = build_structure(spec)
+        assert len(floods) == 1
+        _, lo, hi = floods[0]
+        # the one window holds the seed and every base point
+        for z in [spec.seed[0]] + [p.base_point for p in ps.pieces]:
+            assert all(a <= x <= b for x, a, b in zip(z, lo, hi))
+
+
 def step_set(d, k):
     """Differences of size-d boxes around the origin and size-d boxes around
     the unit steps; always contains the unit steps themselves.  Its v.w
