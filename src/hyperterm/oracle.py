@@ -226,29 +226,33 @@ def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional
     the margin ``propagate`` uses; None at a target the flood does not
     reach.  That box contains the box of every ``propagate(spec, spec.seed,
     t)``, so each target it reaches gets the same value, and it may reach
-    a target those floods do not."""
+    a target those floods do not.  A target of another arity than the spec
+    raises DimensionError."""
     if spec.seed is None:
         raise PreconditionError("propagation requires a seed value")
+    if any(len(t) != spec.arity for t in targets):
+        raise DimensionError("point arity mismatch")
     lo, hi = _window_bounds([spec.seed[0], *targets], 2 * (spec.arity + 1))
     values = _Flood(spec, lo, hi).values
     return [values.get(t) for t in targets]
 
 
 def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction]:
-    """All propagated values inside the window (plus a margin so paths may
-    route around zero walls near the boundary)."""
+    """All propagated values inside the window, from one flood over the
+    window and the seed inflated by 2 (k+1), so paths may route around zero
+    walls near the boundary.  The result lists the points reached in window
+    order (``LatticeBox.points``); a window of another arity than the spec
+    raises DimensionError."""
     if spec.seed is None:
         raise PreconditionError("propagation requires a seed value")
+    if window.arity != spec.arity:
+        raise DimensionError("window arity mismatch")
     margin = 2 * (spec.arity + 1)
     seed_point = spec.seed[0]
     corner_hi = tuple(c + window.size for c in window.corner)
     lo, hi = _window_bounds([window.corner, corner_hi, seed_point], margin)
-    flood = _Flood(spec, lo, hi)
-    return {
-        z: v
-        for z, v in flood.values.items()
-        if window.contains(z)
-    }
+    values = _Flood(spec, lo, hi).values
+    return {z: values[z] for z in window.points() if z in values}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +284,9 @@ class GridReport:
 
 def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     """Compare the piecewise closed form against propagated values at every
-    point of the window; exact equality where both are defined."""
+    point of the window; exact equality where both are defined.  A window of
+    another arity than the spec raises DimensionError (from
+    ``propagate_window``) before any point is evaluated."""
     from .structure import closed_form_eval
 
     if spec.seed is None:

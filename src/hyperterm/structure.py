@@ -27,7 +27,13 @@ that case is not proven, and ``grid_compare`` checks it against the oracle.
 per point.  Each piece keeps, per chain, a prefix table of gp(v.z0, t) over
 the range of t evaluated so far, extended on demand; the tables live on the
 structure, so evaluating a window costs a table read per chain and point
-rather than a product rebuilt from the base point.
+rather than a product rebuilt from the base point.  The piece holding a
+point is found by a slab index, also kept on the structure: the distinct
+half-space normals up to sign, each with its sorted thresholds, give every
+point a key (per normal u, the number of thresholds <= u.z) that fixes the
+truth value of every half-space, and a memo maps each key met to its piece.
+So a point costs one dot product and one bisection per normal, and only
+the first point of each slab cell scans the pieces.
 
 ``split_factorial`` intersects each piece with the sign conditions of
 v.(z - z0) and rewrites the generalized products as plain products
@@ -41,12 +47,15 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import operator
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    DimensionError,
     IntegrityError,
     PreconditionError,
     SplittingError,
@@ -104,6 +113,13 @@ class PiecewiseStructure:
         first use and kept on the structure; their chain tables grow with
         the points evaluated."""
         return tuple(_PieceTable(self.form, p) for p in self.pieces)
+
+    @functools.cached_property
+    def _locator(self) -> "_PieceLocator":
+        """The slab index ``closed_form_eval`` finds a point's piece with,
+        built on first use and kept on the structure; its memo grows with
+        the slab cells met."""
+        return _PieceLocator(self._tables)
 
 
 @dataclass(frozen=True)
@@ -286,9 +302,54 @@ class _PieceTable:
         )
 
 
+class _PieceLocator:
+    """Exact point location over the pieces' half-spaces.
+
+    Every half-space v.z > n of every piece is read along the normal
+    u = +-v whose first nonzero entry is positive: as u.z >= n + 1 when
+    u = v, as u.z < -n when u = -v.  Per distinct u the thresholds
+    (n + 1, respectively -n) are kept sorted, and the key of a point is
+    the number of thresholds <= u.z for each u.  The key fixes the truth
+    value of every half-space, hence the piece, so a memo from key to
+    piece table (None: no piece) answers every point of a slab cell once
+    one point of it has been located by the ordered scan; the answer is
+    the first piece in ``tables`` order that contains z, as the scan
+    gives.  The memo holds at most one entry per slab cell met; a racing
+    duplicate insert stores the same value, so no lock is needed."""
+
+    _MISS = object()
+
+    def __init__(self, tables: Sequence["_PieceTable"]):
+        self.tables = tables
+        thresholds: dict[Point, set[int]] = {}
+        for table in tables:
+            for h in table.piece.region.halfspaces:
+                if next(x for x in h.v if x) > 0:
+                    thresholds.setdefault(h.v, set()).add(h.n + 1)
+                else:
+                    thresholds.setdefault(tuple(-x for x in h.v), set()).add(-h.n)
+        self.slabs = tuple((u, sorted(ts)) for u, ts in sorted(thresholds.items()))
+        self.memo: dict[tuple[int, ...], Optional[_PieceTable]] = {}
+
+    def locate(self, z: Point) -> Optional["_PieceTable"]:
+        key = tuple(bisect_right(ts, sum(map(operator.mul, u, z))) for u, ts in self.slabs)
+        table = self.memo.get(key, self._MISS)
+        if table is self._MISS:
+            table = next((t for t in self.tables if t.piece.region.contains(z)), None)
+            self.memo[key] = table
+        return table
+
+
 def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     """Value of the closed form at a lattice point, or the reason it is
     undefined there.
+
+    The piece is the first of ``ps.pieces`` that contains z, found through
+    the structure's slab index: z's key (per distinct half-space normal u,
+    the number of the normal's thresholds <= u.z) is looked up in a memo
+    kept on ``ps``, and only a key not met before scans the pieces in order
+    and records the answer.  A point of another arity than the structure
+    raises DimensionError.
 
     Arithmetic is in integers with one Fraction per point: C and D are
     evaluated cleared of denominators, and each chain product
@@ -298,10 +359,12 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     touched product range violates the construction guarantees and raises
     IntegrityError naming j, at the same points as a fresh product would."""
     z = tuple(int(x) for x in z)
-    table = next((t for t in ps._tables if t.piece.region.contains(z)), None)
+    form = ps.form
+    if len(z) != form.arity:
+        raise DimensionError("point arity mismatch")
+    table = ps._locator.locate(z)
     if table is None:
         return EvalOutcome("no-piece")
-    form = ps.form
     d_z = form.d_poly.evaluate_cleared(z)
     if d_z == 0:
         return EvalOutcome("d-zero")

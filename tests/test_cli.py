@@ -238,7 +238,8 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # -- golden outputs ----------------------------------------------------------------
 #
 # tests/golden/ holds the stdout of every command below on specs/*.json and on
-# the bundled specs (written with spec_to_json), and golden/exit_status.json
+# the bundled specs (written with spec_to_json), the stdout of `compare` on the
+# benchmark specs over their workload windows, and golden/exit_status.json
 # their exit statuses.  A change that alters CLI output must regenerate them
 # (`PYTHONPATH=src python tests/test_cli.py`) and say why.
 
@@ -250,6 +251,11 @@ BUNDLED = {
     "odd_product": odd_product_spec,
     "binomial": binomial_spec,
     "annihilated": annihilated_spec,
+}
+# perfbench/specs/<stem>.json -> the --window of its workload
+COMPARE_WINDOWS = {
+    "wedge3d": "-2:4,-2:4,8:14",
+    "flood3d": "-4:4,-4:4,-4:4",
 }
 
 
@@ -274,6 +280,9 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
     for name, path in golden_spec_paths(workdir).items():
         for command in GOLDEN_COMMANDS:
             results[f"{name}.{command}"] = run_cli([command, path])
+    for stem, window in COMPARE_WINDOWS.items():
+        path = str(REPO / "perfbench" / "specs" / f"{stem}.json")
+        results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])
     return results
 
 

@@ -14,18 +14,20 @@ from hyperterm.bundled import (
     constant_spec,
     odd_product_spec,
 )
-from hyperterm.errors import PreconditionError
+from hyperterm.errors import DimensionError, PreconditionError
 from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet, PolyhedralRegion
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import (
     PathStep,
     _integer_side,
     _side_numerator,
+    grid_compare,
     propagate,
     propagate_targets,
     propagate_window,
 )
 from hyperterm.parsing import parse_multipoly
+from hyperterm.structure import build_structure
 from hyperterm.termratio import FactoredRational, TermSpec, compose_direction, extend_by_zero
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -145,6 +147,29 @@ def test_propagate_window_matches_pointwise():
         single = propagate(spec, spec.seed, z)
         if z in table:
             assert single.ok and single.value == table[z]
+
+
+def test_propagate_window_lists_window_order():
+    spec = binomial_spec()
+    window = LatticeBox((-3, -3), 7)
+    table = propagate_window(spec, window)
+    assert list(table) == [z for z in window.points() if z in table]
+    assert len(table) < (window.size + 1) ** 2  # the points behind the zero wall
+
+
+def test_arity_mismatch_is_a_dimension_error():
+    spec = binomial_spec()
+    ps = build_structure(spec)
+    for window in [LatticeBox((0,), 3), LatticeBox((0, 0, 0), 3)]:
+        with pytest.raises(DimensionError, match="window arity mismatch"):
+            propagate_window(spec, window)
+        with pytest.raises(DimensionError, match="window arity mismatch"):
+            grid_compare(ps, spec, window)
+    # unchecked, a long target would read as unreached and a short one
+    # would raise IndexError
+    for target in [(1, 2, 3), (1,)]:
+        with pytest.raises(DimensionError, match="point arity mismatch"):
+            propagate_targets(spec, [(2, 1), target])
 
 
 def test_propagate_requires_seed():

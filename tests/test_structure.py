@@ -17,7 +17,13 @@ from hyperterm.bundled import (
     constant_spec,
     odd_product_spec,
 )
-from hyperterm.errors import IntegrityError, PreconditionError, SplittingError, ZeroTermError
+from hyperterm.errors import (
+    DimensionError,
+    IntegrityError,
+    PreconditionError,
+    SplittingError,
+    ZeroTermError,
+)
 from hyperterm.geometry import (
     HalfSpace,
     Hyperplane,
@@ -624,6 +630,132 @@ def test_closed_form_eval_from_threads(odd_structure):
             assert {z: closed_form_eval(ps, z) for z in further} == further
     finally:
         sys.setswitchinterval(interval)
+
+
+def locator_structures():
+    """(name, structure, windows): the bundled specs, the zero-divisor
+    structure, specs/*.json, the benchmark specs (with their workload
+    windows) and random forms for k = 1..3."""
+    from conftest import random_form, spec_from_form
+
+    repo = Path(__file__).parent.parent
+    named = [(f"bundled {n}", s) for n, s in bundled_specs().items()]
+    named.append(("annihilated", annihilated_spec()))
+    for path in sorted((repo / "specs").glob("*.json")) + sorted(
+        (repo / "perfbench" / "specs").glob("*.json")
+    ):
+        named.append((path.name, spec_from_json(json.loads(path.read_text(encoding="utf-8")))))
+    rng = random.Random(89)
+    for k in (1, 1, 2, 2, 2, 3, 3):
+        form = random_form(rng, k)
+        named.append((f"random k={k}", spec_from_form(form, seed=((0,) * k, Fraction(1)))))
+    workload_windows = {
+        "wedge3d.json": LatticeBox((-2, -2, 8), 6),
+        "flood3d.json": LatticeBox((-4, -4, -4), 8),
+    }
+    out = []
+    for name, spec in named:
+        k = spec.arity
+        window = LatticeBox((-12,) * k, 24) if k < 3 else LatticeBox((-3,) * k, 6)
+        windows = [window] + ([workload_windows[name]] if name in workload_windows else [])
+        out.append((name, build_structure(spec), windows))
+    return out
+
+
+def scan(ps, z):
+    """Reference piece lookup: the first piece table whose region holds z."""
+    return next((t for t in ps._tables if t.piece.region.contains(z)), None)
+
+
+def test_locator_matches_linear_scan():
+    normals = set()
+    for name, built, windows in locator_structures():
+        k = built.form.arity
+        on_planes = [
+            z
+            for window in windows
+            for h in built.excluded.hyperplanes
+            for z in window.points()
+            if h.contains(z)
+        ]
+        far = [
+            tuple(a + b for a, b in zip(corner, offset))
+            for corner in itertools.product((-10**6, 0, 10**6), repeat=k)
+            for offset in itertools.product((-1, 0, 1), repeat=k)
+        ]
+        windowed = [z for window in windows for z in window.points()]
+        # each kind of point first on a fresh structure, so that each kind
+        # fills the memo for the others
+        for first in (windowed, on_planes, far):
+            ps = dataclasses.replace(built)
+            for z in first + windowed + on_planes + far:
+                assert ps._locator.locate(z) is scan(ps, z), (name, z)
+        normals.update(u for u, _ in ps._locator.slabs)
+        if built.excluded.hyperplanes:
+            assert on_planes, name
+    assert len(normals) > 5
+
+
+def test_locator_slabs_and_memo():
+    repo = Path(__file__).parent.parent
+    spec = spec_from_json(
+        json.loads((repo / "perfbench" / "specs" / "wedge3d.json").read_text(encoding="utf-8"))
+    )
+    wedge = build_structure(spec)
+    # one normal, z1 + z3, cut at each level of the erosion and chain planes
+    ((u, thresholds),) = wedge._locator.slabs
+    assert u == (1, 0, 1) and len(thresholds) == 23
+    for ps, window in [
+        (wedge, LatticeBox((-2, -2, 8), 6)),
+        (build_structure(binomial_spec()), LatticeBox((-30, -30), 60)),
+    ]:
+        first = [closed_form_eval(ps, z) for z in window.points()]
+        memo = dict(ps._locator.memo)
+        assert 0 < len(memo) < len(first)
+        assert [closed_form_eval(ps, z) for z in window.points()] == first
+        assert ps._locator.memo == memo
+
+
+def test_locator_from_threads(binomial_structure):
+    # fresh structures whose memo more threads than cores fill together, each
+    # in its own order; a racing insert must store the scan's answer
+    points = list(LatticeBox((-10, -10), 20).points())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ps = dataclasses.replace(binomial_structure)
+            results = [{} for _ in range(4)]
+            start = threading.Barrier(len(results))
+
+            def work(result, order):
+                start.wait(timeout=60)
+                for z in order:
+                    result[z] = ps._locator.locate(z)
+
+            orders = [points, points[::-1], points[1::2] + points[::2], points[::-2] + points]
+            threads = [threading.Thread(target=work, args=a) for a in zip(results, orders)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            expected = {z: scan(ps, z) for z in points}
+            for result in results:
+                assert result.keys() == expected.keys()
+                assert all(result[z] is expected[z] for z in points)
+            assert all(ps._locator.locate(z) is expected[z] for z in points)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_closed_form_eval_point_arity(binomial_structure):
+    # the locator zips a point against each normal, which would drop the
+    # extra coordinates of a long point; the arity is checked first
+    ps = build_structure(annihilated_spec())
+    for built, z in [(binomial_structure, (1, 2, 3)), (binomial_structure, (1,)), (ps, (1, 2))]:
+        with pytest.raises(DimensionError, match="point arity mismatch"):
+            closed_form_eval(built, z)
 
 
 def chain_root_structure():
