@@ -23,14 +23,25 @@ order, the values and the certificates are those of evaluating every move.
 The values of A_i and B_i at a point are not memoised: each is needed by at
 most one step taken, and a per-point memo costs memory without saving time.
 
-The flood keeps, per point reached, only the point it came from and the
-axis of the step.  ``propagate`` rebuilds the certificate of its target
-from them on demand, re-evaluating the multiplier of each step on the path.
+The flood keeps, per point reached, only the step that reached it, as one
+small integer: i for a forward step along axis i, ~i for a backward one,
+so a link allocates no object.  ``propagate`` rebuilds the certificate of
+its target from the links on demand, re-evaluating the multiplier of each
+step on the path.
+
+The flood is demand driven.  Building one only seeds it; each point asked
+for runs whole BFS layers until that point is reached or the frontier is
+empty, and the next question resumes where the last one stopped.  BFS
+layers do not depend on when the flood stops, so every value and link is
+the one a flood run to exhaustion gives.  A flood runs to exhaustion only
+when a point asked for inside its box is unreachable, which is exactly when
+the answer needs the whole box.
 
 ``build_structure`` takes every piece's base value from one flood out of
-the seed over the seed and all base points (``propagate_targets``); the
-same flood, over a comparison window, supplies the oracle for piecewise
-closed forms.
+the seed over the seed and all base points (``propagate_targets``).  A
+flood of the same kind, over a comparison window and the seed, supplies
+the oracle for piecewise closed forms: ``grid_compare`` asks it only at the
+points where the closed form has a value.
 """
 
 from __future__ import annotations
@@ -99,12 +110,15 @@ def _side_numerator(scale: int, factors: tuple, z: Point) -> int:
 
 
 class _Flood:
-    """Deterministic BFS flood of propagated values from the seed.
+    """Deterministic BFS flood of propagated values from the seed, inside
+    the box [lo, hi].
 
     Steps are explored in lexicographic order of the step vector, so the
     discovered path to each point (and therefore its certificate) is
     deterministic; the value itself is path independent for compatible
-    specs wherever it is defined at all.
+    specs wherever it is defined at all.  The constructor only seeds the
+    flood; ``get`` runs it layer by layer as far as the points asked for
+    need.  ``values`` and ``steps`` hold the points reached so far.
     """
 
     def __init__(self, spec: TermSpec, lo: Point, hi: Point, step_order=None):
@@ -129,9 +143,16 @@ class _Flood:
             b_scale, b_factors, b_den = _integer_side(gen.den)
             self.sides.append((a_scale * b_den, a_factors, b_scale * a_den, b_factors))
         self.values: dict[Point, Fraction] = {}
-        # per point reached: (the point it was reached from, the step's axis)
-        self.steps: dict[Point, Optional[tuple[Point, int]]] = {}
-        self._run()
+        # per point reached: the step that reached it, axis i forward or ~i
+        # backward; None at the seed
+        self.steps: dict[Point, Optional[int]] = {}
+        # the last layer reached; its moves are not yet explored
+        self.frontier: list[Point] = []
+        seed_point, seed_value = spec.seed
+        if self._in_window(seed_point):
+            self.values[seed_point] = Fraction(seed_value)
+            self.steps[seed_point] = None
+            self.frontier = [seed_point]
 
     def _in_window(self, z: Point) -> bool:
         return all(a <= x <= b for x, a, b in zip(z, self.lo, self.hi))
@@ -147,51 +168,62 @@ class _Flood:
             return None
         return _side_numerator(a_scale, a_factors, at), den
 
-    def _run(self) -> None:
-        seed_point, seed_value = self.spec.seed
-        if not self._in_window(seed_point):
-            return
+    def get(self, z: Point) -> Optional[Fraction]:
+        """The propagated value at z, or None when the flood cannot reach it
+        inside the box.  Runs whole BFS layers until z is reached or the
+        frontier is empty, so a point of the box behind a wall costs the
+        whole flood and any other point only the layers up to its own; a
+        point outside the box costs nothing."""
+        values = self.values
+        if z in values:
+            return values[z]
+        if not self._in_window(z):
+            return None
+        while self.frontier and z not in values:
+            self._layer()
+        return values.get(z)
+
+    def _layer(self) -> None:
+        """Explore every move out of the frontier; the points reached become
+        the next frontier."""
         values, steps, lo, hi = self.values, self.steps, self.lo, self.hi
         multiplier = self._multiplier
         covers = self.spec.exceptions.covers if self.spec.exceptions.hyperplanes else None
-        values[seed_point] = Fraction(seed_value)
-        steps[seed_point] = None
-        frontier = [seed_point]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                value = values[node]
-                for axis, delta in self.moves:
-                    # a unit step leaves the window only along its own axis
-                    x = node[axis] + delta
-                    if not lo[axis] <= x <= hi[axis]:
-                        continue
-                    target = node[:axis] + (x,) + node[axis + 1 :]
-                    if target in values:
-                        continue
-                    forward = delta > 0
-                    at = node if forward else target
-                    if covers is not None and covers(at):
-                        continue
-                    mult = multiplier(axis, forward, at)
-                    if mult is None:
-                        continue
-                    num, den = mult
-                    values[target] = Fraction(value.numerator * num, value.denominator * den)
-                    steps[target] = (node, axis)
-                    nxt.append(target)
-            frontier = nxt
+        nxt = []
+        for node in self.frontier:
+            value = values[node]
+            for axis, delta in self.moves:
+                # a unit step leaves the window only along its own axis
+                x = node[axis] + delta
+                if not lo[axis] <= x <= hi[axis]:
+                    continue
+                target = node[:axis] + (x,) + node[axis + 1 :]
+                if target in values:
+                    continue
+                forward = delta > 0
+                at = node if forward else target
+                if covers is not None and covers(at):
+                    continue
+                mult = multiplier(axis, forward, at)
+                if mult is None:
+                    continue
+                num, den = mult
+                values[target] = Fraction(value.numerator * num, value.denominator * den)
+                steps[target] = axis if forward else ~axis
+                nxt.append(target)
+        self.frontier = nxt
 
     def certificate(self, z: Point) -> tuple[PathStep, ...]:
-        """The steps from the seed to z, rebuilt from the parent links with
-        each multiplier evaluated again."""
+        """The steps from the seed to z, rebuilt from the links with each
+        multiplier evaluated again."""
         out = []
         while True:
-            prev = self.steps[z]
-            if prev is None:
+            step = self.steps[z]
+            if step is None:
                 break
-            node, axis = prev
-            forward = z[axis] > node[axis]
+            forward = step >= 0
+            axis = step if forward else ~step
+            node = z[:axis] + (z[axis] - 1 if forward else z[axis] + 1,) + z[axis + 1 :]
             at = node if forward else z
             out.append(PathStep(at, axis, forward, Fraction(*self._multiplier(axis, forward, at))))
             z = node
@@ -215,9 +247,10 @@ def propagate(
     working = spec.with_seed(point, value)
     lo, hi = _window_bounds([point, to], 2 * (spec.arity + 1))
     flood = _Flood(working, lo, hi, step_order=step_order)
-    if to in flood.values:
-        return PropagationResult(flood.values[to], path=flood.certificate(to))
-    return PropagationResult(None, reason="blocked")
+    value = flood.get(to)
+    if value is None:
+        return PropagationResult(None, reason="blocked")
+    return PropagationResult(value, path=flood.certificate(to))
 
 
 def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional[Fraction]]:
@@ -233,26 +266,37 @@ def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional
     if any(len(t) != spec.arity for t in targets):
         raise DimensionError("point arity mismatch")
     lo, hi = _window_bounds([spec.seed[0], *targets], 2 * (spec.arity + 1))
-    values = _Flood(spec, lo, hi).values
-    return [values.get(t) for t in targets]
+    flood = _Flood(spec, lo, hi)
+    return [flood.get(t) for t in targets]
 
 
 def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction]:
     """All propagated values inside the window, from one flood over the
     window and the seed inflated by 2 (k+1), so paths may route around zero
-    walls near the boundary.  The result lists the points reached in window
-    order (``LatticeBox.points``); a window of another arity than the spec
-    raises DimensionError."""
+    walls near the boundary.  The flood is asked for every window point, so
+    it stops at the layer holding the last of them, or runs the whole box
+    when one of them is unreachable.  The result lists the points reached
+    in window order (``LatticeBox.points``); a window of another arity than
+    the spec raises DimensionError."""
+    flood = _window_flood(spec, window)
+    table = {}
+    for z in window.points():
+        value = flood.get(z)
+        if value is not None:
+            table[z] = value
+    return table
+
+
+def _window_flood(spec: TermSpec, window: LatticeBox) -> _Flood:
+    """The flood, not yet run, over the window and the seed inflated by
+    2 (k+1)."""
     if spec.seed is None:
         raise PreconditionError("propagation requires a seed value")
     if window.arity != spec.arity:
         raise DimensionError("window arity mismatch")
-    margin = 2 * (spec.arity + 1)
-    seed_point = spec.seed[0]
     corner_hi = tuple(c + window.size for c in window.corner)
-    lo, hi = _window_bounds([window.corner, corner_hi, seed_point], margin)
-    values = _Flood(spec, lo, hi).values
-    return {z: values[z] for z in window.points() if z in values}
+    lo, hi = _window_bounds([window.corner, corner_hi, spec.seed[0]], 2 * (spec.arity + 1))
+    return _Flood(spec, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +328,20 @@ class GridReport:
 
 def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     """Compare the piecewise closed form against propagated values at every
-    point of the window; exact equality where both are defined.  A window of
-    another arity than the spec raises DimensionError (from
-    ``propagate_window``) before any point is evaluated."""
+    point of the window; exact equality where both are defined.
+
+    The oracle is a flood over the box ``propagate_window`` floods, asked
+    only at the points where the closed form has a value, so it stops at the
+    layer holding the last of them, or runs the whole box when one of them
+    is unreachable.  ``blocked`` counts those unreachable points; points on
+    an excluded hyperplane, where D vanishes or in a piece of unknown base
+    value are counted apart and never asked.  A window of another arity than the
+    spec raises DimensionError before any point is evaluated."""
     from .structure import closed_form_eval
 
     if spec.seed is None:
         raise PreconditionError("grid comparison requires a seed value")
-    table = propagate_window(spec, window)
+    flood = _window_flood(spec, window)
     checked = equal = on_h = d_zero = blocked = value_unknown = 0
     mismatches = []
     for z in window.points():
@@ -305,7 +355,7 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
         if outcome.status == "value-unknown":
             value_unknown += 1
             continue
-        oracle_value = table.get(z)
+        oracle_value = flood.get(z)
         if oracle_value is None:
             blocked += 1
             continue

@@ -11,7 +11,9 @@ with a base point z0 in the piece where C and D are both nonzero and the
 base value f(z0) obtained by recurrence propagation from the user seed.
 All base values come from one flood out of the seed over the seed and
 every base point (``oracle.propagate_targets``); a piece is unreachable,
-with an unknown base value, exactly when that flood does not reach z0.
+with an unknown base value, exactly when that flood does not reach z0.  The
+flood stops at the BFS layer holding the last base point, and runs its
+whole box only when some base point is unreachable.
 The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.

@@ -18,7 +18,10 @@ from hyperterm.errors import DimensionError, PreconditionError
 from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet, PolyhedralRegion
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import (
+    GridReport,
+    Mismatch,
     PathStep,
+    _Flood,
     _integer_side,
     _side_numerator,
     grid_compare,
@@ -27,10 +30,11 @@ from hyperterm.oracle import (
     propagate_window,
 )
 from hyperterm.parsing import parse_multipoly
-from hyperterm.structure import build_structure
+from hyperterm.structure import build_structure, closed_form_eval
 from hyperterm.termratio import FactoredRational, TermSpec, compose_direction, extend_by_zero
 
-SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS_DIR = ROOT / "specs"
 
 
 def P(text):
@@ -348,3 +352,137 @@ def test_propagate_targets_matches_propagate():
         # all targets share one wider window, which can only add values
         for value, single in zip(propagate_targets(spec, targets), singles):
             assert single is None or value == single
+
+
+# -- the demand-driven flood against the exhaustive reference ------------------
+
+
+def box_points(lo, hi):
+    return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+
+
+def test_flood_get_matches_reference():
+    rng = random.Random(103)
+    specs = random_extended_specs(rng, 12) + list(bundled_specs().values())
+    asked = {"reached": 0, "blocked": 0, "outside": 0}
+    for spec in specs:
+        k = spec.arity
+        seed_point = spec.seed[0]
+        lo = tuple(x - rng.randint(1, 4) for x in seed_point)
+        hi = tuple(x + rng.randint(1, 4) for x in seed_point)
+        values, paths = reference_flood(spec, lo, hi)
+        reached = [z for z in box_points(lo, hi) if z in values]
+        blocked = [z for z in box_points(lo, hi) if z not in values]
+        outside = []
+        for _ in range(3):
+            axis = rng.randrange(k)
+            z = list(rng.choice(reached))
+            z[axis] = lo[axis] - rng.randint(1, 3) if rng.random() < 0.5 else hi[axis] + rng.randint(1, 3)
+            outside.append(tuple(z))
+        points = rng.sample(reached, min(8, len(reached))) + blocked[:2] + outside
+        rng.shuffle(points)
+        flood = _Flood(spec, lo, hi)
+        for z in points:
+            value = flood.get(z)
+            assert value == values.get(z)
+            if value is not None:
+                assert flood.certificate(z) == paths[z]
+            asked["reached" if value is not None else "blocked" if z in blocked else "outside"] += 1
+        # whatever the flood holds is a prefix of the reference, links included
+        for z, value in flood.values.items():
+            assert value == values[z]
+            assert flood.certificate(z) == paths[z]
+        if blocked[:2]:
+            assert flood.values.keys() == values.keys()
+    assert asked["reached"] > 60 and asked["blocked"] > 10 and asked["outside"] > 30
+
+
+def reference_grid_report(ps, spec, window):
+    """``grid_compare`` over a table from ``reference_flood``, every window
+    point evaluated and looked up."""
+    k = spec.arity
+    corner_hi = tuple(c + window.size for c in window.corner)
+    values, _ = reference_flood(spec, *inflated_box([window.corner, corner_hi, spec.seed[0]], k))
+    counts = {"ok": 0, "equal": 0, "no-piece": 0, "d-zero": 0, "blocked": 0, "value-unknown": 0}
+    mismatches = []
+    for z in window.points():
+        outcome = closed_form_eval(ps, z)
+        if outcome.status != "ok":
+            counts[outcome.status] += 1
+        elif z not in values:
+            counts["blocked"] += 1
+        else:
+            counts["ok"] += 1
+            if outcome.value == values[z]:
+                counts["equal"] += 1
+            else:
+                mismatches.append(Mismatch(z, outcome.value, values[z]))
+    return GridReport(
+        counts["ok"],
+        counts["equal"],
+        counts["no-piece"],
+        counts["d-zero"],
+        counts["blocked"],
+        counts["value-unknown"],
+        tuple(mismatches),
+    )
+
+
+def test_grid_compare_matches_reference():
+    rng = random.Random(107)
+    cases = []
+    for spec in random_extended_specs(rng, 8) + list(bundled_specs().values()):
+        k = spec.arity
+        window = LatticeBox(tuple(x - 2 for x in spec.seed[0]), 4 if k < 3 else 3)
+        cases.append((build_structure(spec), spec, window))
+    # a structure checked against a flood that may not cross z1 + z2 = 5:
+    # closed-form points beyond the line are blocked
+    open_spec = scaled_binomial_spec()
+    walled = scaled_binomial_spec(MeasureZeroSet.make([Hyperplane.make((1, 1), 5)]))
+    cases.append((build_structure(open_spec), walled, LatticeBox((-2, -2), 9)))
+    cases.append((build_structure(open_spec), open_spec, LatticeBox((-2, -2), 9)))
+    blocked = 0
+    for ps, spec, window in cases:
+        report = grid_compare(ps, spec, window)
+        assert report == reference_grid_report(ps, spec, window)
+        blocked += report.blocked
+    assert blocked > 10
+
+
+def captured_floods(monkeypatch):
+    from hyperterm import oracle
+
+    floods = []
+
+    class CapturedFlood(oracle._Flood):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            floods.append(self)
+
+    monkeypatch.setattr(oracle, "_Flood", CapturedFlood)
+    return floods
+
+
+@pytest.mark.parametrize(
+    "name, window, checked, exhaustive",
+    [
+        ("wedge3d", LatticeBox((-2, -2, 8), 6), 301, 12351),
+        # flood3d's window holds points of unreachable pieces, never asked
+        ("flood3d", LatticeBox((-4, -4, -4), 8), 189, 8125),
+    ],
+)
+def test_grid_compare_flood_stops_early(monkeypatch, name, window, checked, exhaustive):
+    spec = spec_from_json(json.loads((ROOT / "perfbench" / "specs" / f"{name}.json").read_text()))
+    ps = build_structure(spec)
+    floods = captured_floods(monkeypatch)
+    report = grid_compare(ps, spec, window)
+    assert report.checked == checked and report.blocked == 0
+    (flood,) = floods
+    values, _ = reference_flood(spec, flood.lo, flood.hi)
+    assert len(values) == exhaustive
+    assert len(flood.values) <= len(values) // 2
+    # one unreachable point asked for runs the flood over the whole box
+    blocked = next(z for z in box_points(flood.lo, flood.hi) if z not in values)
+    assert flood.get(blocked) is None
+    assert not flood.frontier
+    assert flood.values.keys() == values.keys()
