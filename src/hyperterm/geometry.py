@@ -9,8 +9,14 @@ Conventions:
   * A box of size n at corner c is {z : c_i <= z_i <= c_i + n}.
 
 All decisions (feasibility, emptiness of interiors, bounds) are made with
-exact rational arithmetic via Fourier-Motzkin elimination; no floating
-point is involved.
+exact rational arithmetic by one Fourier-Motzkin elimination loop,
+``_fm_project_all``; ``fm_feasible``, ``fm_sample`` and ``fm_sup`` read its
+projections, and no floating point is involved.  The measure-zero
+dichotomy (a region either holds arbitrarily large boxes or is covered by
+finitely many hyperplanes) is decided by ``is_measure_zero`` on a system
+in (z, t) where t is the box size; eroding by d substitutes t -> t + d in
+that system, so erosion never turns a region that holds large boxes into
+one that does not.
 """
 
 from __future__ import annotations
@@ -280,52 +286,33 @@ def fm_sample(rows: list[Row], n_vars: int) -> Optional[tuple[Fraction, ...]]:
             values.append(hi - 1)
         elif hi is None:
             values.append(lo + 1)
-        elif lo == hi:
-            values.append(lo)
         else:
             values.append((lo + hi) / 2)
     return tuple(values)
 
 
-def fm_sup(rows: list[Row], n_vars: int, objective: Sequence[Fraction]):
-    """Supremum of objective . x over the solution set.
+def fm_sup(
+    rows: list[Row], n_vars: int, objective: Sequence[Fraction]
+) -> Optional[Fraction]:
+    """Supremum of objective . x over the solution set, None when unbounded;
+    requires a feasible system.
 
-    Returns (value, attained) where value is None for unbounded; requires a
-    feasible system."""
-    ext_rows: list[Row] = [
-        (tuple(coeffs) + (Fraction(0),), rhs, strict) for coeffs, rhs, strict in rows
-    ]
+    The objective becomes variable 0, tied to x by two opposite rows, and
+    ``_fm_project_all`` projects x away; the supremum is the least upper
+    bound the projected system puts on variable 0."""
     obj = tuple(Fraction(c) for c in objective)
-    # y = objective . x encoded by two opposite inequalities
-    ext_rows.append((obj + (Fraction(-1),), Fraction(0), False))
-    ext_rows.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0), False))
-    current = ext_rows
-    for j in range(n_vars):
-        current = _eliminate(current, j)
-        if current is None:
-            raise PreconditionError("fm_sup called on infeasible system")
-    hi: Optional[Fraction] = None
-    hi_strict = False
-    for coeffs, rhs, strict in current:
-        c = coeffs[n_vars]
-        if c < 0:
-            bound = rhs / c
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_strict = bound, strict
-    return hi, not hi_strict
+    ext_rows: list[Row] = [((Fraction(0),) + tuple(c), rhs, strict) for c, rhs, strict in rows]
+    ext_rows.append(((Fraction(1),) + tuple(-c for c in obj), Fraction(0), False))
+    ext_rows.append(((Fraction(-1),) + obj, Fraction(0), False))
+    systems = _fm_project_all(ext_rows, n_vars + 1)
+    if systems is None:
+        raise PreconditionError("fm_sup called on infeasible system")
+    return min((rhs / c[0] for c, rhs, _ in systems[1] if c[0] < 0), default=None)
 
 
-def region_rows(r: PolyhedralRegion, strict: bool = False) -> list[Row]:
-    """The region as rational rows.  With strict=False the integer-exact
-    form v . z >= n + 1 is used; with strict=True the open form v . z > n."""
-    rows: list[Row] = []
-    for h in r.halfspaces:
-        coeffs = tuple(Fraction(x) for x in h.v)
-        if strict:
-            rows.append((coeffs, Fraction(h.n), True))
-        else:
-            rows.append((coeffs, Fraction(h.n + 1), False))
-    return rows
+def region_rows(r: PolyhedralRegion) -> list[Row]:
+    """The region as rational rows in the integer-exact form v . z >= n + 1."""
+    return [(tuple(Fraction(x) for x in h.v), Fraction(h.n + 1), False) for h in r.halfspaces]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +358,13 @@ def erode(r: PolyhedralRegion, n: int) -> tuple[PolyhedralRegion, MeasureZeroSet
 
     The eroded region is the intersection of r - b over corners b of the
     size-n box at the origin; for a constraint {v . z > m} that tightens m
-    by n * sum(max(0, -v_i)).  The removed set r \\ r' is covered by the
-    returned hyperplanes {v . z = c}, m < c <= m + shift.
+    by n * s with s = sum(max(0, -v_i)).  The removed set r \\ r' is covered
+    by the returned hyperplanes {v . z = c}, m < c <= m + n * s.
+
+    In the system v . z - s * t >= m + 1 that ``is_measure_zero`` solves,
+    the eroded constraint v . z - s * t >= m + n * s + 1 is the substitution
+    t -> t + n; so t is unbounded above for r' exactly when it is for r, and
+    a region that is not measure zero erodes into one that is not either.
     """
     if n < 0:
         raise PreconditionError("erosion size must be nonnegative")
@@ -398,9 +390,10 @@ def is_measure_zero(r: PolyhedralRegion) -> tuple[bool, Optional[MeasureZeroSet]
     of measure zero.  Eroding by a parameter t tightens each constraint by
     t * s_h with s_h >= 0; the region contains arbitrarily large boxes
     exactly when the joint system over (z, t) allows t to grow without
-    bound, which is decided exactly by rational elimination.  When the
-    region is measure zero a witness cover is produced from a constraint
-    whose value is bounded above over the region.
+    bound, which ``fm_sup`` decides exactly.  When the region is measure
+    zero a witness cover is produced from a constraint whose value is
+    bounded above over the region.  Erosion shifts t (see ``erode``), so
+    the answer for an eroded region is the answer for the region itself.
     """
     base = region_rows(r)
     if not fm_feasible(base, r.arity):
@@ -411,13 +404,13 @@ def is_measure_zero(r: PolyhedralRegion) -> tuple[bool, Optional[MeasureZeroSet]
         coeffs = tuple(Fraction(x) for x in h.v) + (Fraction(-s),)
         rows.append((coeffs, Fraction(h.n + 1), False))
     objective = (Fraction(0),) * r.arity + (Fraction(1),)
-    sup_t, _ = fm_sup(rows, r.arity + 1, objective)
+    sup_t = fm_sup(rows, r.arity + 1, objective)
     if sup_t is None:
         return False, None
     # some constraint value is bounded above; cover its integer levels
     best: Optional[tuple[int, HalfSpace, int]] = None
     for h in r.halfspaces:
-        hi, _ = fm_sup(base, r.arity, [Fraction(x) for x in h.v])
+        hi = fm_sup(base, r.arity, [Fraction(x) for x in h.v])
         if hi is None:
             continue
         count = math.floor(hi) - h.n
@@ -580,6 +573,14 @@ def hull_points(b0: LatticeBox, b1: LatticeBox) -> Callable[[Sequence[int]], boo
 # ---------------------------------------------------------------------------
 
 
+def _crossed_levels(h: HalfSpace, i: int) -> range:
+    """The values of v . z from which a unit step along e_i crosses the
+    boundary of {v . z > n}: n - v_i < v . z <= n for v_i > 0, and
+    n < v . z <= n - v_i for v_i < 0; none for v_i = 0."""
+    vi = h.v[i]
+    return range(h.n + 1 - max(vi, 0), h.n + 1 + max(-vi, 0))
+
+
 def characteristic_certificates(r: PolyhedralRegion) -> list[MultiPoly]:
     """For each unit direction e_i, a nonzero product p_i of integer-rooted
     linear simple polynomials with
@@ -594,14 +595,7 @@ def characteristic_certificates(r: PolyhedralRegion) -> list[MultiPoly]:
     for i in range(r.arity):
         p = MultiPoly.constant(r.arity, 1)
         for h in r.halfspaces:
-            vi = h.v[i]
-            if vi > 0:
-                levels = range(h.n - vi + 1, h.n + 1)
-            elif vi < 0:
-                levels = range(h.n + 1, h.n - vi + 1)
-            else:
-                continue
-            for m in levels:
+            for m in _crossed_levels(h, i):
                 p = p * MultiPoly.linear(h.v, -m)
         out.append(p)
     return out
@@ -609,10 +603,9 @@ def characteristic_certificates(r: PolyhedralRegion) -> list[MultiPoly]:
 
 def certificate_cover(r: PolyhedralRegion) -> MeasureZeroSet:
     """The hyperplanes where some characteristic certificate vanishes."""
-    planes = []
-    for h in r.halfspaces:
-        pos = max((x for x in h.v if x > 0), default=0)
-        neg = max((-x for x in h.v if x < 0), default=0)
-        for m in range(h.n - pos + 1, h.n + neg + 1):
-            planes.append(Hyperplane.make(h.v, m))
-    return MeasureZeroSet.make(planes)
+    return MeasureZeroSet.make(
+        Hyperplane.make(h.v, m)
+        for h in r.halfspaces
+        for i in range(r.arity)
+        for m in _crossed_levels(h, i)
+    )

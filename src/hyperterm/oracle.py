@@ -82,14 +82,6 @@ class PropagationResult:
         return self.value is not None
 
 
-def _window_bounds(
-    points: Sequence[Point], margin: int
-) -> tuple[Point, Point]:
-    lo = tuple(min(p[i] for p in points) - margin for i in range(len(points[0])))
-    hi = tuple(max(p[i] for p in points) + margin for i in range(len(points[0])))
-    return lo, hi
-
-
 def _integer_side(side: FactoredRational) -> tuple[int, tuple, int]:
     """A generator side as (scale, factors, denominator): at an integer
     point z its value is scale * prod(f(z) ** e for f, e in factors) over
@@ -110,8 +102,8 @@ def _side_numerator(scale: int, factors: tuple, z: Point) -> int:
 
 
 class _Flood:
-    """Deterministic BFS flood of propagated values from the seed, inside
-    the box [lo, hi].
+    """Deterministic BFS flood of propagated values from the seed of a
+    seeded spec, inside the box [lo, hi], which holds the seed.
 
     Steps are explored in lexicographic order of the step vector, so the
     discovered path to each point (and therefore its certificate) is
@@ -122,8 +114,6 @@ class _Flood:
     """
 
     def __init__(self, spec: TermSpec, lo: Point, hi: Point, step_order=None):
-        if spec.seed is None:
-            raise PreconditionError("propagation requires a seed value")
         self.spec = spec
         self.lo = lo
         self.hi = hi
@@ -146,13 +136,11 @@ class _Flood:
         # per point reached: the step that reached it, axis i forward or ~i
         # backward; None at the seed
         self.steps: dict[Point, Optional[int]] = {}
-        # the last layer reached; its moves are not yet explored
-        self.frontier: list[Point] = []
         seed_point, seed_value = spec.seed
-        if self._in_window(seed_point):
-            self.values[seed_point] = Fraction(seed_value)
-            self.steps[seed_point] = None
-            self.frontier = [seed_point]
+        self.values[seed_point] = Fraction(seed_value)
+        self.steps[seed_point] = None
+        # the last layer reached; its moves are not yet explored
+        self.frontier = [seed_point]
 
     def _in_window(self, z: Point) -> bool:
         return all(a <= x <= b for x, a, b in zip(z, self.lo, self.hi))
@@ -231,6 +219,21 @@ class _Flood:
         return tuple(out)
 
 
+def _box_flood(spec: TermSpec, points: Sequence[Point], step_order=None) -> _Flood:
+    """The flood, not yet run, over the bounding box of the seed and the
+    points inflated by 2 (k+1), the one box every flood here searches.  A
+    spec without a seed raises PreconditionError; a point of another arity
+    than the spec is the caller's to reject once the flood is built, so
+    that the seed is always checked first."""
+    if spec.seed is None:
+        raise PreconditionError("propagation requires a seed value")
+    margin = 2 * (spec.arity + 1)
+    coords = list(zip(spec.seed[0], *points))
+    lo = tuple(min(c) - margin for c in coords)
+    hi = tuple(max(c) + margin for c in coords)
+    return _Flood(spec, lo, hi, step_order=step_order)
+
+
 def propagate(
     spec: TermSpec,
     frm: tuple[Sequence[int], Fraction],
@@ -244,9 +247,7 @@ def propagate(
     to = tuple(int(x) for x in to)
     if len(point) != spec.arity or len(to) != spec.arity:
         raise DimensionError("point arity mismatch")
-    working = spec.with_seed(point, value)
-    lo, hi = _window_bounds([point, to], 2 * (spec.arity + 1))
-    flood = _Flood(working, lo, hi, step_order=step_order)
+    flood = _box_flood(spec.with_seed(point, value), [to], step_order=step_order)
     value = flood.get(to)
     if value is None:
         return PropagationResult(None, reason="blocked")
@@ -261,12 +262,9 @@ def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional
     t)``, so each target it reaches gets the same value, and it may reach
     a target those floods do not.  A target of another arity than the spec
     raises DimensionError."""
-    if spec.seed is None:
-        raise PreconditionError("propagation requires a seed value")
+    flood = _box_flood(spec, targets)
     if any(len(t) != spec.arity for t in targets):
         raise DimensionError("point arity mismatch")
-    lo, hi = _window_bounds([spec.seed[0], *targets], 2 * (spec.arity + 1))
-    flood = _Flood(spec, lo, hi)
     return [flood.get(t) for t in targets]
 
 
@@ -290,13 +288,11 @@ def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction
 def _window_flood(spec: TermSpec, window: LatticeBox) -> _Flood:
     """The flood, not yet run, over the window and the seed inflated by
     2 (k+1)."""
-    if spec.seed is None:
-        raise PreconditionError("propagation requires a seed value")
+    corner_hi = tuple(c + window.size for c in window.corner)
+    flood = _box_flood(spec, [window.corner, corner_hi])
     if window.arity != spec.arity:
         raise DimensionError("window arity mismatch")
-    corner_hi = tuple(c + window.size for c in window.corner)
-    lo, hi = _window_bounds([window.corner, corner_hi, spec.seed[0]], 2 * (spec.arity + 1))
-    return _Flood(spec, lo, hi)
+    return flood
 
 
 # ---------------------------------------------------------------------------

@@ -219,10 +219,12 @@ def _solve_family(direction: Point, data: _Exponents) -> tuple[dict[int, int], d
     With G the cumulative unknown (chain prefix sums minus C/D placement),
     each generator imposes o_i(r) = G(r) - G(r - v_i); G is recovered by
     prefix summation along the first axis with v_i != 0, and the residue
-    pass checks the rest.  The chain part is the monotone envelope of G
-    clamped between 0 and its limit M, which keeps the chain multiplicities
-    single-signed (no cancelling root pairs between a_v and b_v); the
-    remainder is pure telescoping and is absorbed into C/D.
+    pass checks the rest.  The chain part phi is the monotone envelope of G
+    clamped between 0 and its limit M: with s the sign of M, s * phi is the
+    running maximum of min(|M|, s * G), which keeps the chain
+    multiplicities single-signed (no cancelling root pairs between a_v and
+    b_v); the remainder is pure telescoping and is absorbed into C/D.
+    Outside the observed range phi is 0 below and M above.
     """
     observed = data.observed
     pivot = next(i for i, vi in enumerate(direction) if vi != 0)
@@ -235,27 +237,13 @@ def _solve_family(direction: Point, data: _Exponents) -> tuple[dict[int, int], d
     for r in range(lo, hi + 1):
         g_table[r] = o_pivot.get(r, 0) + g_table.get(r - v, 0)
 
-    def g_of(r: int) -> int:
-        if r < lo:
-            return 0
-        if r > hi:
-            return m_total
-        return g_table[r]
-
     # split G into a monotone chain part and a finite C/D correction
+    sign = (m_total > 0) - (m_total < 0)
     phi: dict[int, int] = {}
-    if m_total > 0:
-        running = 0
-        for r in range(lo, hi + 1):
-            running = max(running, min(m_total, g_of(r)))
-            phi[r] = running
-    elif m_total < 0:
-        running = 0
-        for r in range(lo, hi + 1):
-            running = min(running, max(m_total, g_of(r)))
-            phi[r] = running
-    else:
-        phi = {r: 0 for r in range(lo, hi + 1)}
+    running = 0
+    for r in range(lo, hi + 1):
+        running = max(running, min(abs(m_total), sign * g_table[r]))
+        phi[r] = sign * running
 
     def phi_of(r: int) -> int:
         if r < lo:
@@ -271,7 +259,7 @@ def _solve_family(direction: Point, data: _Exponents) -> tuple[dict[int, int], d
         if d:
             mu[r] = d
     for r in range(lo, hi + 1):
-        d = phi_of(r) - g_of(r)
+        d = phi[r] - g_table[r]
         if d:
             nu[r] = d
     return mu, nu
@@ -318,7 +306,9 @@ def decompose(spec: TermSpec) -> OreSatoForm:
 
     families: dict[tuple[Point, UniPoly], _Exponents] = {}
     orbits: list[tuple[MultiPoly, _Exponents]] = []  # (representative, exponents)
-    base_route: dict[MultiPoly, tuple] = {}
+    # each base goes to the exponents of its family or orbit, at its offset
+    # there: an integer along a family's direction, a shift for an orbit
+    base_route: dict[MultiPoly, tuple[_Exponents, int | Point]] = {}
 
     for i, fr in enumerate(ratios):
         for base, exp in fr.factors:
@@ -328,25 +318,20 @@ def decompose(spec: TermSpec) -> OreSatoForm:
                 if info is not None:
                     v, profile = info
                     anchor, offset = _anchor_family(profile)
-                    route = ("family", (v, anchor), offset)
+                    route = (families.setdefault((v, anchor), _Exponents(k)), offset)
                 else:
                     for rep, data in orbits:
                         u = shift_between(rep, base)
                         if u is not None:
-                            route = ("orbit", data, u)
+                            route = (data, u)
                             break
                     else:
                         data = _Exponents(k)
                         orbits.append((base, data))
-                        route = ("orbit", data, (0,) * k)
+                        route = (data, (0,) * k)
                 base_route[base] = route
-            kind = route[0]
-            if kind == "family":
-                key, offset = route[1], route[2]
-                families.setdefault(key, _Exponents(k)).add(i, offset, exp)
-            else:
-                data, u = route[1], route[2]
-                data.add(i, u, exp)
+            data, offset = route
+            data.add(i, offset, exp)
 
     c_poly = MultiPoly.constant(k, 1)
     d_poly = MultiPoly.constant(k, 1)

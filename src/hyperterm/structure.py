@@ -18,8 +18,11 @@ The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.
 
-A piece is an arrangement cell eroded by d = deg C + deg D.  The cell is
-convex and each point of the piece carries a size-d box inside it, so for
+A piece is an arrangement cell eroded by d = deg C + deg D.  Whether a
+cell is measure zero is decided once, on the cell: erosion substitutes
+t -> t + d in that decision's system (``geometry.erode``), so a cell that
+holds arbitrarily large boxes erodes into a piece that does too.  The cell
+is convex and each point of the piece carries a size-d box inside it, so for
 d >= 1 the hull lemma (``geometry.hull_points``) joins any two points of
 the piece by unit steps inside the cell; nothing re-checks this.  At d = 0
 a thin cell may hold lattice points that no unit step inside it reaches;
@@ -154,10 +157,12 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     """Construct the piecewise closed form of a term given by a compatible
     spec with a seed value.
 
-    Each piece is a convex arrangement cell eroded by d = deg C + deg D,
-    so for d >= 1 the hull lemma (``geometry.hull_points``) joins any two
-    of its points by unit steps inside the cell and no connectivity check
-    is made.  At d = 0 a thin cell may hold lattice points that no unit
+    Each piece is a convex arrangement cell eroded by d = deg C + deg D.
+    ``is_measure_zero`` runs once per cell, before erosion: erosion is the
+    substitution t -> t + d in its system, so it cannot change the answer
+    and the eroded cell is not tested again.  For d >= 1 the hull lemma
+    (``geometry.hull_points``) joins any two points of a piece by unit
+    steps inside the cell and no connectivity check is made.  At d = 0 a thin cell may hold lattice points that no unit
     step inside it reaches; that case is not proven here, and
     ``grid_compare`` checks it against the oracle.
 
@@ -192,10 +197,6 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
             continue
         shrunk, lost = erode(cell, d)
         excluded.extend(lost.hyperplanes)
-        mz, cover = is_measure_zero(shrunk)
-        if mz:
-            excluded.extend(cover.hyperplanes)
-            continue
         inner = find_box(shrunk, d)
         if inner is None:
             raise IntegrityError(f"no base box in a cell that is not measure zero: {cell}")

@@ -198,7 +198,8 @@ class TermSpec:
         """Each generator is a (numerator, denominator) pair; either side
         may be a MultiPoly, a FactoredRational with positive exponents, or
         a list of (base, exponent) factors.  Factored input is kept
-        factored."""
+        factored.  A seed point, exception plane or zero-divisor witness of
+        another arity than the spec raises DimensionError."""
         if arity < 1:
             raise PreconditionError("arity must be at least 1")
         if len(generators) != arity:
@@ -212,6 +213,10 @@ class TermSpec:
                 raise DimensionError("seed point arity mismatch")
             value = Fraction(value)
             seed = (tuple(int(x) for x in point), value)
+        if any(h.arity != arity for h in exceptions.hyperplanes):
+            raise DimensionError("exception hyperplane arity mismatch")
+        if zero_divisor_witness is not None and zero_divisor_witness.arity != arity:
+            raise DimensionError("zero-divisor witness arity mismatch")
         return TermSpec(
             arity,
             tuple(gens),

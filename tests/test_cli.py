@@ -184,6 +184,14 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
     assert main(["check", path, "--seed", "0=1/0"]) == 2
     assert "bad rational literal '1/0'" in capsys.readouterr().err
+    # an exception plane of arity 1 in a k = 2 spec is rejected on loading
+    flat = spec_to_json(binomial_spec())
+    flat["exceptions"] = [{"v": [1], "n": 0}]
+    flat_path = tmp_path / "flat.json"
+    flat_path.write_text(json.dumps(flat), encoding="utf-8")
+    for command in ["check", "decompose", "structure", "compare"]:
+        assert main([command, str(flat_path)]) == 2
+        assert "exception hyperplane arity mismatch" in capsys.readouterr().err
 
 
 def test_eval_point_arity_is_a_usage_error(tmp_path, capsys):

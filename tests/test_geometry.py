@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,12 +10,18 @@ from hyperterm.geometry import (
     Hyperplane,
     LatticeBox,
     PolyhedralRegion,
+    MeasureZeroSet,
+    _eliminate,
     arrangement,
+    certificate_cover,
     characteristic_certificates,
     erode,
     find_box,
+    fm_feasible,
+    fm_sup,
     hull_points,
     is_measure_zero,
+    region_rows,
     region_sample,
     s_path,
 )
@@ -227,6 +234,31 @@ def test_measure_zero_empty_region():
     assert len(cover) == 0
 
 
+def random_region(rng, k, max_halfspaces=4):
+    hs = []
+    for _ in range(rng.randint(1, max_halfspaces)):
+        v = tuple(rng.randint(-2, 2) for _ in range(k))
+        if any(v):
+            hs.append(HS(v, rng.randint(-4, 4)))
+    return region(k, *hs)
+
+
+def test_erosion_keeps_regions_that_are_not_measure_zero():
+    # erosion by d is t -> t + d in the measure-zero system, so it never
+    # turns a region holding arbitrarily large boxes into a measure-zero one
+    rng = random.Random(31)
+    kept = 0
+    for _ in range(400):
+        k, d = rng.randint(1, 3), rng.randint(1, 3)
+        r = random_region(rng, k)
+        if is_measure_zero(r)[0]:
+            continue
+        shrunk, _ = erode(r, d)
+        assert is_measure_zero(shrunk) == (False, None), (r, d)
+        kept += 1
+    assert kept > 100
+
+
 def test_find_box():
     r = region(2, HS((1, 0), 0), HS((0, 1), 0))
     box = find_box(r, 3)
@@ -389,3 +421,70 @@ def test_certificates_identity_exhaustive():
                 chi_z = 1 if r.contains(z) else 0
                 chi_zp = 1 if r.contains(zp) else 0
                 assert p.evaluate(z) * chi_z == p.evaluate(z) * chi_zp
+
+
+# -- references: the versions these routines replaced ---------------------------
+
+
+def reference_fm_sup(rows, n_vars, objective):
+    """The supremum by its own elimination loop, the objective appended as
+    the last variable; returns (value, attained)."""
+    ext_rows = [(tuple(coeffs) + (Fraction(0),), rhs, strict) for coeffs, rhs, strict in rows]
+    obj = tuple(Fraction(c) for c in objective)
+    ext_rows.append((obj + (Fraction(-1),), Fraction(0), False))
+    ext_rows.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0), False))
+    current = ext_rows
+    for j in range(n_vars):
+        current = _eliminate(current, j)
+        if current is None:
+            raise PreconditionError("fm_sup called on infeasible system")
+    hi, hi_strict = None, False
+    for coeffs, rhs, strict in current:
+        c = coeffs[n_vars]
+        if c < 0:
+            bound = rhs / c
+            if hi is None or bound < hi or (bound == hi and strict):
+                hi, hi_strict = bound, strict
+    return hi, not hi_strict
+
+
+def reference_certificate_cover(r):
+    """The cover from the widest level range per half-space."""
+    planes = []
+    for h in r.halfspaces:
+        pos = max((x for x in h.v if x > 0), default=0)
+        neg = max((-x for x in h.v if x < 0), default=0)
+        for m in range(h.n - pos + 1, h.n + neg + 1):
+            planes.append(Hyperplane.make(h.v, m))
+    return MeasureZeroSet.make(planes)
+
+
+def test_fm_sup_matches_reference():
+    rng = random.Random(37)
+    seen = {"bounded": 0, "unbounded": 0, "infeasible": 0}
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            rows.append((coeffs, Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.random() < 0.3))
+        objective = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        if not fm_feasible(rows, n):
+            with pytest.raises(PreconditionError):
+                fm_sup(rows, n, objective)
+            with pytest.raises(PreconditionError):
+                reference_fm_sup(rows, n, objective)
+            seen["infeasible"] += 1
+            continue
+        value = fm_sup(rows, n, objective)
+        assert value == reference_fm_sup(rows, n, objective)[0], (rows, objective)
+        seen["bounded" if value is not None else "unbounded"] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_certificate_cover_matches_reference():
+    rng = random.Random(43)
+    for _ in range(500):
+        k = rng.randint(1, 3)
+        r = random_region(rng, k)
+        assert certificate_cover(r) == reference_certificate_cover(r), r

@@ -182,6 +182,15 @@ def test_propagate_requires_seed():
     no_seed = TermSpec(bare.arity, bare.generators, bare.exceptions, None)
     with pytest.raises(PreconditionError):
         propagate_window(no_seed, LatticeBox((0, 0), 2))
+    # a missing seed is reported before a point or window of the wrong arity
+    for window in [LatticeBox((0,), 2), LatticeBox((0, 0, 0), 2)]:
+        with pytest.raises(PreconditionError, match="propagation requires a seed value"):
+            propagate_window(no_seed, window)
+        with pytest.raises(PreconditionError, match="grid comparison requires a seed value"):
+            grid_compare(build_structure(spec), no_seed, window)
+    for target in [(1,), (1, 2, 3)]:
+        with pytest.raises(PreconditionError, match="propagation requires a seed value"):
+            propagate_targets(no_seed, [(2, 1), target])
 
 
 # -- integer kernel of the flood ----------------------------------------------

@@ -375,6 +375,39 @@ def test_single_build_flood_never_loses_a_piece():
     assert pieces > 60
 
 
+def test_build_decides_measure_zero_once_per_cell(monkeypatch):
+    # erosion cannot turn a cell that is not measure zero into one that is,
+    # so the eroded cell is never tested again
+    from hyperterm import structure
+
+    cells, calls = [], []
+    arrangement, is_measure_zero = structure.arrangement, structure.is_measure_zero
+
+    def counted_arrangement(planes, arity):
+        out = arrangement(planes, arity)
+        cells.extend(out)
+        return out
+
+    def counted_is_measure_zero(r):
+        out = is_measure_zero(r)
+        calls.append((r, out[0]))
+        return out
+
+    monkeypatch.setattr(structure, "arrangement", counted_arrangement)
+    monkeypatch.setattr(structure, "is_measure_zero", counted_is_measure_zero)
+    # two parallel exception planes two apart leave the line z1 = 1 between
+    # them: cells on it are measure zero
+    walls = MeasureZeroSet.make([Hyperplane.make((1, 0), 0), Hyperplane.make((1, 0), 2)])
+    outcomes = set()
+    for spec in [binomial_spec(), dataclasses.replace(binomial_spec(), exceptions=walls)]:
+        cells.clear()
+        calls.clear()
+        build_structure(spec)
+        assert [r for r, _ in calls] == cells
+        outcomes |= {mz for _, mz in calls}
+    assert outcomes == {True, False}
+
+
 def test_build_runs_one_flood(monkeypatch):
     from hyperterm import oracle
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperterm.errors import CocycleError, PreconditionError
-from hyperterm.geometry import HalfSpace, PolyhedralRegion
+from hyperterm.errors import CocycleError, DimensionError, PreconditionError
+from hyperterm.geometry import HalfSpace, Hyperplane, MeasureZeroSet, PolyhedralRegion
 from hyperterm.parsing import parse_multipoly
 from hyperterm.poly import MultiPoly
 from hyperterm.termratio import (
@@ -137,6 +137,20 @@ def test_generator_sides_reject_negative_exponents():
     merged = [(P("z1 + 3", 1), 2), (P("z1 + 3", 1), -1)]
     spec = TermSpec.make(1, [(merged, plain)], seed=((0,), 1))
     assert spec.generators[0].num.factors == ((P("z1 + 3", 1), 1),)
+
+
+def test_make_rejects_exceptions_and_witness_of_another_arity():
+    gens = [(P("z1 + 1", 2), P("z1 + 1 - z2", 2)), (P("z1 - z2", 2), P("z2 + 1", 2))]
+    for v in [(1,), (1, 0, 0)]:
+        planes = MeasureZeroSet.make([Hyperplane.make((0, 1), 0), Hyperplane.make(v, 0)])
+        with pytest.raises(DimensionError, match="exception hyperplane arity mismatch"):
+            TermSpec.make(2, gens, exceptions=planes)
+    for witness in [P("z1", 1), P("z1", 3)]:
+        with pytest.raises(DimensionError, match="zero-divisor witness arity mismatch"):
+            TermSpec.make(2, gens, zero_divisor_witness=witness)
+    planes = MeasureZeroSet.make([Hyperplane.make((1, -1), 2)])
+    spec = TermSpec.make(2, gens, exceptions=planes, zero_divisor_witness=P("z1", 2))
+    assert spec.exceptions == planes and spec.zero_divisor_witness == P("z1", 2)
 
 
 # -- compatibility ----------------------------------------------------------------
