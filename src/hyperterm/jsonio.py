@@ -40,6 +40,14 @@ def fraction_to_json(x: Fraction) -> str:
     return format_fraction(Fraction(x))
 
 
+def _int_from_json(x: Any, what: str) -> int:
+    """An integer field of a spec: a float counts only when it is integral,
+    and a bool never does."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ParseError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def fraction_from_json(text: str) -> Fraction:
     try:
         return Fraction(str(text).strip())
@@ -74,7 +82,10 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 
 def hyperplane_from_json(obj: dict) -> Hyperplane:
-    return Hyperplane.make(tuple(obj["v"]), int(obj["n"]))
+    return Hyperplane.make(
+        tuple(_int_from_json(x, "exception normal") for x in obj["v"]),
+        _int_from_json(obj["n"], "exception level"),
+    )
 
 
 def halfspace_to_json(h: HalfSpace) -> dict:
@@ -109,7 +120,7 @@ def spec_to_json(spec: TermSpec) -> dict:
 def spec_from_json(obj: dict) -> TermSpec:
     if "k" not in obj or "generators" not in obj:
         raise ParseError("spec JSON needs 'k' and 'generators'")
-    k = int(obj["k"])
+    k = _int_from_json(obj["k"], "k")
     gens = []
     for g in obj["generators"]:
         gens.append(
@@ -124,7 +135,7 @@ def spec_from_json(obj: dict) -> TermSpec:
     seed = None
     if obj.get("seed") is not None:
         seed = (
-            tuple(int(x) for x in obj["seed"]["point"]),
+            tuple(_int_from_json(x, "seed coordinate") for x in obj["seed"]["point"]),
             fraction_from_json(obj["seed"]["value"]),
         )
     witness = None

@@ -59,21 +59,13 @@ from .termratio import FactoredRational, TermSpec, _unit, check_compatibility
 def gp_eval(a: int, b: int, term: Callable[[int], Fraction]) -> Fraction:
     """Product of term(j) over [a, b); reciprocal product over [b, a) when
     b < a.  gp(a, a) = 1.  A zero factor raises ZeroTermError naming j."""
-    if b >= a:
-        value = Fraction(1)
-        for j in range(a, b):
-            t = Fraction(term(j))
-            if t == 0:
-                raise ZeroTermError(f"zero factor at j = {j}", j)
-            value *= t
-        return value
     value = Fraction(1)
-    for j in range(b, a):
+    for j in range(min(a, b), max(a, b)):
         t = Fraction(term(j))
         if t == 0:
             raise ZeroTermError(f"zero factor at j = {j}", j)
         value *= t
-    return 1 / value
+    return value if b >= a else 1 / value
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +281,17 @@ def _solve_orbit(data: _Exponents) -> dict[Point, int]:
     return m
 
 
+def _absorb(num, den, piece, mult: int):
+    """(num * piece^mult, den) when mult > 0, else (num, den * piece^-mult),
+    for univariate chain sides or the C/D pair alike."""
+    for _ in range(abs(mult)):
+        if mult > 0:
+            num = num * piece
+        else:
+            den = den * piece
+    return num, den
+
+
 def decompose(spec: TermSpec) -> OreSatoForm:
     """Compute an Ore-Sato form whose displayed formula reproduces every
     generator exactly.  The construction is heuristic-free for honest
@@ -343,30 +346,14 @@ def decompose(spec: TermSpec) -> OreSatoForm:
         mu, nu = _solve_family(v, data)
         num, den = chain_parts.get(v, (UniPoly.constant(1), UniPoly.constant(1)))
         for s, mult in sorted(mu.items()):
-            piece = anchor.shift_arg(s)
-            for _ in range(abs(mult)):
-                if mult > 0:
-                    num = num * piece
-                else:
-                    den = den * piece
+            num, den = _absorb(num, den, anchor.shift_arg(s), mult)
         chain_parts[v] = (num, den)
         for s, mult in sorted(nu.items()):
-            piece = anchor.shift_arg(s).as_multipoly(v)
-            for _ in range(abs(mult)):
-                if mult > 0:
-                    c_poly = c_poly * piece
-                else:
-                    d_poly = d_poly * piece
+            c_poly, d_poly = _absorb(c_poly, d_poly, anchor.shift_arg(s).as_multipoly(v), mult)
 
     for rep, data in orbits:
-        m = _solve_orbit(data)
-        for w, mult in sorted(m.items()):
-            piece = rep.shift(w)
-            for _ in range(abs(mult)):
-                if mult > 0:
-                    c_poly = c_poly * piece
-                else:
-                    d_poly = d_poly * piece
+        for w, mult in sorted(_solve_orbit(data).items()):
+            c_poly, d_poly = _absorb(c_poly, d_poly, rep.shift(w), mult)
 
     chains = tuple(
         Chain(v, num, den)

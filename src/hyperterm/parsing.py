@@ -1,14 +1,16 @@
 """Text grammar for polynomials.
 
-Grammar accepted by ``parse_multipoly`` (and by ``parse_unipoly`` with the
-single variable ``t``):
+One parser reads every polynomial text.  ``parse_factored`` returns its
+product structure, and ``parse_multipoly`` (and ``parse_unipoly``, with the
+single variable ``t``) multiply that out.  The grammar:
 
-    expr   := term (('+' | '-') term)*
+    expr   := ('+' | '-')? term (('+' | '-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' NAT)?
     atom   := '(' expr ')' | '-' atom | RATIONAL | VAR
 
-Variables are z1..zk, rationals are integer or ``p/q`` literals, and
+A leading unary minus binds to the first term alone, so ``-z1 + 5`` is
+5 - z1.  Variables are z1..zk, rationals are integer or ``p/q`` literals, and
 exponents must be nonnegative integer literals.  Implicit multiplication is
 not allowed; whitespace is insignificant.
 """
@@ -75,67 +77,94 @@ class _Lexer:
         return tok
 
 
+_Factors = list[tuple[MultiPoly, int]]
+
+
+def _expand(factors: _Factors) -> MultiPoly:
+    """The product of a factor list; a lone base with exponent 1 is
+    returned as it is."""
+    product = None
+    for base, exp in factors:
+        if exp != 1:
+            base = base**exp
+        product = base if product is None else product * base
+    return product
+
+
 class _Parser:
+    """Recursive descent over the grammar.  Every production returns a list
+    of (base, exponent) pairs whose product is its value: a sum is one base,
+    a product concatenates its factors' lists, and ``^n`` multiplies their
+    exponents by n."""
+
     def __init__(self, lexer: _Lexer, arity: int):
         self.lex = lexer
         self.arity = arity
 
-    def parse(self) -> MultiPoly:
-        p = self.expr()
+    def parse(self) -> _Factors:
+        factors = self.expr()
         kind, _, pos = self.lex.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
-        return p
+        return factors
 
-    def expr(self) -> MultiPoly:
+    def expr(self) -> _Factors:
         kind, _, _ = self.lex.peek()
-        negate = False
+        sign = 1
         if kind == "-":
             self.lex.next()
-            negate = True
+            sign = -1
         elif kind == "+":
             self.lex.next()
-        p = self.term()
-        if negate:
-            p = -p
+        factors = self.term()
+        if self.lex.peek()[0] not in ("+", "-"):
+            # a leading minus belongs to the first term alone
+            if sign < 0:
+                factors.insert(0, (MultiPoly.constant(self.arity, -1), 1))
+            return factors
+        total: dict = {}
         while True:
-            kind, _, _ = self.lex.peek()
+            for mono, c in _expand(factors).terms:
+                total[mono] = total.get(mono, 0) + sign * c
+            kind = self.lex.peek()[0]
             if kind == "+":
-                self.lex.next()
-                p = p + self.term()
+                sign = 1
             elif kind == "-":
-                self.lex.next()
-                p = p - self.term()
+                sign = -1
             else:
-                return p
+                return [(MultiPoly.from_dict(self.arity, total), 1)]
+            self.lex.next()
+            factors = self.term()
 
-    def term(self) -> MultiPoly:
-        p = self.factor()
+    def term(self) -> _Factors:
+        factors = self.factor()
         while self.lex.peek()[0] == "*":
             self.lex.next()
-            p = p * self.factor()
-        return p
+            factors.extend(self.factor())
+        return factors
 
-    def factor(self) -> MultiPoly:
-        p = self.atom()
+    def factor(self) -> _Factors:
+        factors = self.atom()
         if self.lex.peek()[0] == "^":
             self.lex.next()
             kind, value, pos = self.lex.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
-            p = p ** int(value)
-        return p
+            factors = [(base, exp * int(value)) for base, exp in factors]
+        return factors
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> _Factors:
         kind, value, pos = self.lex.next()
         if kind == "(":
-            p = self.expr()
+            factors = self.expr()
             kind, _, pos = self.lex.next()
             if kind != ")":
                 raise ParseError("expected ')'", pos)
-            return p
+            return factors
         if kind == "-":
-            return -self.atom()
+            factors = self.atom()
+            factors.insert(0, (MultiPoly.constant(self.arity, -1), 1))
+            return factors
         if kind == "num":
             num = int(value)
             if self.lex.peek()[0] == "/":
@@ -145,87 +174,31 @@ class _Parser:
                     raise ParseError("expected integer denominator", pos)
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return MultiPoly.constant(self.arity, Fraction(num, int(den)))
-            return MultiPoly.constant(self.arity, num)
+                return [(MultiPoly.constant(self.arity, Fraction(num, int(den))), 1)]
+            return [(MultiPoly.constant(self.arity, num), 1)]
         if kind == "var":
-            return MultiPoly.variable(self.arity, int(value))
+            return [(MultiPoly.variable(self.arity, int(value)), 1)]
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    # -- factored parsing: same grammar, but top-level products are kept
-    # as factor lists instead of being multiplied out
 
-    def factor_list(self) -> list[tuple[MultiPoly, int]]:
-        if self.lex.peek()[0] == "-":
-            self.lex.next()
-            rest = self.factor_list()
-            return [(MultiPoly.constant(self.arity, -1), 1)] + rest
-        factors = self._power_factors()
-        while self.lex.peek()[0] == "*":
-            self.lex.next()
-            factors.extend(self._power_factors())
-        # anything joined by + or - at this level is a single base after all
-        if self.lex.peek()[0] in ("+", "-"):
-            product = MultiPoly.constant(self.arity, 1)
-            for base, exp in factors:
-                product = product * base**exp
-            p = product
-            while True:
-                kind = self.lex.peek()[0]
-                if kind == "+":
-                    self.lex.next()
-                    p = p + self.term()
-                elif kind == "-":
-                    self.lex.next()
-                    p = p - self.term()
-                else:
-                    break
-            return [(p, 1)]
-        return factors
-
-    def _power_factors(self) -> list[tuple[MultiPoly, int]]:
-        kind, _, _ = self.lex.peek()
-        if kind == "(":
-            self.lex.next()
-            inner = self.factor_list()
-            kind, _, pos = self.lex.next()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            exp = 1
-            if self.lex.peek()[0] == "^":
-                self.lex.next()
-                kind, value, pos = self.lex.next()
-                if kind != "num":
-                    raise ParseError("exponent must be a nonnegative integer literal", pos)
-                exp = int(value)
-            return [(base, e * exp) for base, e in inner]
-        return [(self.factor(), 1)]
-
-
-def parse_multipoly(text: str, arity: int) -> MultiPoly:
-    """Parse polynomial text in variables z1..z<arity>."""
+def parse_factored(text: str, arity: int) -> list[tuple[MultiPoly, int]]:
+    """Parse polynomial text in variables z1..z<arity>, keeping its product
+    structure: ``(z1 + 1)^2 * (z1*z2 + 1)`` yields the two bases with
+    exponents 2 and 1, and a unary minus or a constant is a factor of its
+    own.  A sum is one base, expanded.  Downstream factor refinement relies
+    on input arriving in the finest form the user can supply."""
     variables = {f"z{i + 1}": i for i in range(arity)}
     return _Parser(_Lexer(text, variables), arity).parse()
 
 
-def parse_factored(text: str, arity: int) -> list[tuple[MultiPoly, int]]:
-    """Parse polynomial text, preserving its top-level product structure.
-
-    ``(z1 + 1)^2 * (z1*z2 + 1)`` yields the two bases with exponents 2 and
-    1 instead of one expanded polynomial; sums are never expanded apart.
-    Downstream factor refinement relies on input arriving in the finest
-    form the user can supply."""
-    variables = {f"z{i + 1}": i for i in range(arity)}
-    parser = _Parser(_Lexer(text, variables), arity)
-    factors = parser.factor_list()
-    kind, _, pos = parser.lex.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
-    return factors
+def parse_multipoly(text: str, arity: int) -> MultiPoly:
+    """Parse polynomial text in variables z1..z<arity>."""
+    return _expand(parse_factored(text, arity))
 
 
 def parse_unipoly(text: str) -> UniPoly:
     """Parse univariate polynomial text in the variable t."""
-    p = _Parser(_Lexer(text, {"t": 0}), 1).parse()
+    p = _expand(_Parser(_Lexer(text, {"t": 0}), 1).parse())
     coeffs = [0] * (p.total_degree() + 1)
     for (e,), c in p.terms:
         coeffs[e] = c

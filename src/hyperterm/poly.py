@@ -110,7 +110,8 @@ class MultiPoly:
 
     @staticmethod
     def constant(arity: int, value) -> "MultiPoly":
-        return MultiPoly.from_dict(arity, {(0,) * arity: value})
+        value = _coeff(value)
+        return MultiPoly(arity, (((0,) * arity, value),) if value else ())
 
     @staticmethod
     def variable(arity: int, index: int) -> "MultiPoly":

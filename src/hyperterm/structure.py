@@ -434,11 +434,12 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
         scalar *= form.d_poly.evaluate(z0) / form.c_poly.evaluate(z0)
         for g, z0i in zip(form.gamma, z0):
             scalar *= Fraction(g) ** (-z0i)
-        directions = [c.direction for c in form.chains]
-        for signs in itertools.product((1, -1), repeat=len(directions)):
+        # the level v.z0 of each chain
+        levels = [sum(a * b for a, b in zip(c.direction, z0)) for c in form.chains]
+        for signs in itertools.product((1, -1), repeat=len(levels)):
             halves = []
-            for v, sign in zip(directions, signs):
-                level = sum(a * b for a, b in zip(v, z0))
+            for chain, level, sign in zip(form.chains, levels, signs):
+                v = chain.direction
                 if sign > 0:
                     halves.append(HalfSpace.make(v, level - 1))  # v.z >= v.z0
                 else:
@@ -449,8 +450,7 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
             if not fm_feasible(region_rows(region), k):
                 continue
             chains = []
-            for chain, sign in zip(form.chains, signs):
-                level = sum(a * b for a, b in zip(chain.direction, z0))
+            for chain, level, sign in zip(form.chains, levels, signs):
                 if sign > 0:
                     chains.append(
                         FactorialChain(
@@ -482,20 +482,30 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
     return out
 
 
+def _prefactor(form: FactorialForm | PochhammerForm, z: Point) -> Optional[Fraction]:
+    """scalar * gamma^z * C(z)/D(z) of a factorial or Pochhammer form at a
+    point of its region; None when D vanishes there.  Points outside the
+    region are a caller error."""
+    if not form.region.contains(z):
+        raise PreconditionError(f"{z} is outside the form's region")
+    d = form.d_poly.evaluate(z)
+    if d == 0:
+        return None
+    value = form.scalar
+    for g, zi in zip(form.gamma, z):
+        value *= Fraction(g) ** zi
+    return value * form.c_poly.evaluate(z) / d
+
+
 def factorial_eval(ff: FactorialForm, z: Sequence[int]) -> Optional[Fraction]:
     """Value of a factorial form at a point of its region; None when the
     denominator polynomial vanishes.  Points outside the region are a caller
     error (PreconditionError).  Inside it, negative upper limits and zero
     chain factors violate the form's guarantees and raise IntegrityError."""
     z = tuple(int(x) for x in z)
-    if not ff.region.contains(z):
-        raise PreconditionError(f"{z} is outside the form's region")
-    if ff.d_poly.evaluate(z) == 0:
+    value = _prefactor(ff, z)
+    if value is None:
         return None
-    value = ff.scalar
-    for g, zi in zip(ff.gamma, z):
-        value *= Fraction(g) ** zi
-    value *= ff.c_poly.evaluate(z) / ff.d_poly.evaluate(z)
     for chain in ff.chains:
         upper = sum(a * b for a, b in zip(chain.direction, z)) + chain.offset
         if upper < 0:
@@ -598,14 +608,9 @@ def pochhammer_eval(pf: PochhammerForm, z: Sequence[int]) -> Optional[Fraction]:
     quotient; None when D vanishes at z.  Points outside the region are a
     caller error."""
     z = tuple(int(x) for x in z)
-    if not pf.region.contains(z):
-        raise PreconditionError(f"{z} is outside the form's region")
-    if pf.d_poly.evaluate(z) == 0:
+    value = _prefactor(pf, z)
+    if value is None:
         return None
-    value = pf.scalar
-    for g, zi in zip(pf.gamma, z):
-        value *= Fraction(g) ** zi
-    value *= pf.c_poly.evaluate(z) / pf.d_poly.evaluate(z)
     for entry in pf.numerator:
         length = sum(a * b for a, b in zip(entry.direction, z)) + entry.offset
         value *= rising_factorial(entry.base, length)

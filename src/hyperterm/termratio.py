@@ -19,7 +19,7 @@ exactly when their quotient refines to the constant 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -208,11 +208,7 @@ class TermSpec:
         for num, den in generators:
             gens.append(Generator(_as_factored_poly(num, arity), _as_factored_poly(den, arity)))
         if seed is not None:
-            point, value = seed
-            if len(point) != arity:
-                raise DimensionError("seed point arity mismatch")
-            value = Fraction(value)
-            seed = (tuple(int(x) for x in point), value)
+            seed = _seed(arity, *seed)
         if any(h.arity != arity for h in exceptions.hyperplanes):
             raise DimensionError("exception hyperplane arity mismatch")
         if zero_divisor_witness is not None and zero_divisor_witness.arity != arity:
@@ -245,15 +241,15 @@ class TermSpec:
         return [g.ratio() for g in self.generators]
 
     def with_seed(self, point: Sequence[int], value) -> "TermSpec":
-        if len(point) != self.arity:
-            raise DimensionError("seed point arity mismatch")
-        return TermSpec(
-            self.arity,
-            self.generators,
-            self.exceptions,
-            (tuple(int(x) for x in point), Fraction(value)),
-            self.zero_divisor_witness,
-        )
+        return replace(self, seed=_seed(self.arity, point, value))
+
+
+def _seed(arity: int, point: Sequence[int], value) -> tuple[Point, Fraction]:
+    """A seed in normal form: an int point of the spec's arity and a
+    Fraction value."""
+    if len(point) != arity:
+        raise DimensionError("seed point arity mismatch")
+    return tuple(int(x) for x in point), Fraction(value)
 
 
 def _as_factored_poly(value, arity: int) -> FactoredRational:
@@ -362,10 +358,4 @@ def extend_by_zero(spec: TermSpec, support: PolyhedralRegion) -> TermSpec:
     seed = spec.seed
     if seed is not None and not support.contains(seed[0]):
         seed = None
-    return TermSpec(
-        spec.arity,
-        tuple(gens),
-        exceptions,
-        seed,
-        spec.zero_divisor_witness,
-    )
+    return replace(spec, generators=tuple(gens), exceptions=exceptions, seed=seed)

@@ -192,6 +192,47 @@ def test_usage_errors(tmp_path, capsys):
     for command in ["check", "decompose", "structure", "compare"]:
         assert main([command, str(flat_path)]) == 2
         assert "exception hyperplane arity mismatch" in capsys.readouterr().err
+    # integer fields of a spec take no bools and no floats that are not
+    # integral; an integral float reads as its integer
+    integer_spec = {
+        "k": 1,
+        "generators": [{"num": "z1 + 1", "den": "1"}],
+        "seed": {"point": [0], "value": "1"},
+    }
+    bad_path = tmp_path / "bad_integer.json"
+    for key, value in [
+        ("k", 1.9),
+        ("k", True),
+        ("seed", {"point": [0.9], "value": "1"}),
+        ("seed", {"point": [False], "value": "1"}),
+        ("exceptions", [{"v": [1.5], "n": 0}]),
+        ("exceptions", [{"v": [1], "n": 0.5}]),
+    ]:
+        bad_path.write_text(json.dumps({**integer_spec, key: value}), encoding="utf-8")
+        assert main(["eval", str(bad_path), "--at", "3"]) == 2, (key, value)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer" in captured.err
+    integral = {**integer_spec, "k": 1.0, "seed": {"point": [0.0], "value": "1"}}
+    assert spec_from_json(integral) == spec_from_json(integer_spec)
+
+
+def test_leading_minus_binds_to_the_first_term(tmp_path, capsys):
+    # -z1 + 5 is 5 - z1, not -(z1 + 5): the same chain, and f(2) = 5 * 4
+    outputs = []
+    for num in ["-z1 + 5", "5 - z1"]:
+        obj = {
+            "k": 1,
+            "generators": [{"num": num, "den": "1"}],
+            "seed": {"point": [0], "value": "1"},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["decompose", str(path)]) == 0
+        assert main(["eval", str(path), "--at", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("\n20\n")
 
 
 def test_eval_point_arity_is_a_usage_error(tmp_path, capsys):

@@ -6,10 +6,12 @@ from hyperterm.errors import ParseError
 from hyperterm.parsing import (
     format_multipoly,
     format_unipoly,
+    parse_factored,
     parse_multipoly,
     parse_unipoly,
 )
 from hyperterm.poly import MultiPoly
+from hyperterm.termratio import FactoredRational
 
 
 def test_parse_basic():
@@ -66,3 +68,35 @@ def test_round_trip_unipoly():
     for text in ["2*t + 1", "t^3 - t", "-1/2", "0", "t^2 - 3*t + 2"]:
         q = parse_unipoly(text)
         assert parse_unipoly(format_unipoly(q)) == q
+
+
+# text, arity, the same polynomial written without a leading unary minus
+FACTORED_CASES = [
+    ("-z1 + z2", 2, "z2 - z1"),
+    ("-z1 + 5", 1, "5 - z1"),
+    ("-(z1+1)^2 + z2", 2, "z2 - z1^2 - 2*z1 - 1"),
+    ("(-z1 + z2)*z1", 2, "z1*z2 - z1^2"),
+    ("2*-z1^2", 1, "2*z1^2"),
+]
+
+
+def test_factored_product_is_the_expanded_polynomial():
+    # a unary minus binds to the first term only, in both parsers
+    for text, k, plain in FACTORED_CASES:
+        expected = parse_multipoly(plain, k)
+        assert parse_multipoly(text, k) == expected, text
+        product = MultiPoly.constant(k, 1)
+        for base, exp in parse_factored(text, k):
+            product = product * base**exp
+        assert product == expected, text
+
+
+def test_parenthesized_product_keeps_its_factors():
+    text = "(-z1 + z2) * (z1*(z1 + z2))^2 * 3"
+    fr = FactoredRational.make(2, 1, parse_factored(text, 2))
+    assert fr.scalar == -3
+    assert dict(fr.factors) == {
+        parse_multipoly("z1 - z2", 2): 1,
+        parse_multipoly("z1", 2): 2,
+        parse_multipoly("z1 + z2", 2): 2,
+    }
