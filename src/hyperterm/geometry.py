@@ -5,7 +5,10 @@ Conventions:
 
   * A hyperplane is {z : v . z = n}; a half-space is {z : v . z > n}.
     Only strict inequalities are stored; ``>= n`` is encoded as ``> n - 1``.
-  * A set of measure zero is a set covered by finitely many hyperplanes.
+  * A region keeps one half-space per normal, the tightest: {v . z > n}
+    with the largest n among those it was given.
+  * A set of measure zero is a set covered by finitely many hyperplanes;
+    a measure-zero set holds only planes with lattice points.
   * A box of size n at corner c is {z : c_i <= z_i <= c_i + n}.
 
 All decisions (feasibility, emptiness of interiors, bounds) are made with
@@ -29,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, IntegrityError, PreconditionError
-from .poly import MultiPoly, Point
+from .poly import MultiPoly, Point, _integer
 
 log = logging.getLogger(__name__)
 
@@ -51,17 +54,12 @@ class Hyperplane:
 
     @staticmethod
     def make(v: Sequence[int], n: int) -> "Hyperplane":
-        v = tuple(int(x) for x in v)
+        v = tuple(_integer(x, "hyperplane normal") for x in v)
+        n = _integer(n, "hyperplane level")
         if all(x == 0 for x in v):
             raise PreconditionError("hyperplane normal must be nonzero")
-        g = 0
-        for x in v:
-            g = math.gcd(g, abs(x))
-        sign = 1
-        for x in v:
-            if x != 0:
-                sign = 1 if x > 0 else -1
-                break
+        g = math.gcd(*v)
+        sign = 1 if next(x for x in v if x) > 0 else -1
         v = tuple(sign * x // g for x in v)
         n = sign * n
         if n % g != 0:
@@ -73,9 +71,7 @@ class Hyperplane:
         return len(self.v)
 
     def contains(self, z: Sequence[int]) -> bool:
-        if self.empty:
-            return False
-        return sum(a * b for a, b in zip(self.v, z)) == self.n
+        return not self.empty and sum(a * b for a, b in zip(self.v, z)) == self.n
 
 
 @dataclass(frozen=True, order=True)
@@ -88,13 +84,12 @@ class HalfSpace:
 
     @staticmethod
     def make(v: Sequence[int], n: int) -> "HalfSpace":
-        v = tuple(int(x) for x in v)
+        v = tuple(_integer(x, "half-space normal") for x in v)
+        n = _integer(n, "half-space level")
         if all(x == 0 for x in v):
             raise PreconditionError("half-space normal must be nonzero")
-        g = 0
-        for x in v:
-            g = math.gcd(g, abs(x))
-        return HalfSpace(tuple(x // g for x in v), math.floor(Fraction(n, g)))
+        g = math.gcd(*v)
+        return HalfSpace(tuple(x // g for x in v), n // g)
 
     @property
     def arity(self) -> int:
@@ -107,22 +102,23 @@ class HalfSpace:
 @dataclass(frozen=True)
 class PolyhedralRegion:
     """Intersection of finitely many half-spaces; no constraints means all
-    of Z^k."""
+    of Z^k.  ``make`` keeps one half-space per normal: of {v . z > n} and
+    {v . z > m} with m <= n the second holds wherever the first does, so
+    only the largest n stays and the lattice points are unchanged."""
 
     arity: int
     halfspaces: tuple[HalfSpace, ...]
 
     @staticmethod
     def make(arity: int, halfspaces: Iterable[HalfSpace]) -> "PolyhedralRegion":
-        hs = []
-        seen = set()
+        tightest: dict[Point, HalfSpace] = {}
         for h in halfspaces:
             if h.arity != arity:
                 raise DimensionError("half-space arity mismatch")
-            if h not in seen:
-                seen.add(h)
-                hs.append(h)
-        return PolyhedralRegion(arity, tuple(sorted(hs)))
+            kept = tightest.get(h.v)
+            if kept is None or h.n > kept.n:
+                tightest[h.v] = h
+        return PolyhedralRegion(arity, tuple(sorted(tightest.values())))
 
     @staticmethod
     def whole(arity: int) -> "PolyhedralRegion":
@@ -139,13 +135,14 @@ class PolyhedralRegion:
 
 @dataclass(frozen=True)
 class MeasureZeroSet:
-    """A finite list of hyperplanes, deduplicated under canonical form."""
+    """A finite sorted list of hyperplanes, deduplicated under canonical
+    form; ``make`` drops the planes without lattice points."""
 
     hyperplanes: tuple[Hyperplane, ...]
 
     @staticmethod
     def make(planes: Iterable[Hyperplane]) -> "MeasureZeroSet":
-        return MeasureZeroSet(tuple(sorted(set(planes))))
+        return MeasureZeroSet(tuple(sorted({p for p in planes if not p.empty})))
 
     @staticmethod
     def empty() -> "MeasureZeroSet":
@@ -188,16 +185,18 @@ class LatticeBox:
 # exact linear feasibility (Fourier-Motzkin)
 # ---------------------------------------------------------------------------
 
-# A row is (coeffs, rhs, strict) meaning coeffs . x >= rhs, or > if strict.
-Row = tuple[tuple[Fraction, ...], Fraction, bool]
+# A row is (coeffs, rhs) meaning coeffs . x >= rhs.  Integer constraints
+# are tightened before they become rows (v . z > n is v . z >= n + 1), so
+# no row is strict.
+Row = tuple[tuple[Fraction, ...], Fraction]
 
 
 def _row_canonical(row: Row) -> Row:
-    coeffs, rhs, strict = row
+    coeffs, rhs = row
     scale = next((abs(c) for c in coeffs if c != 0), None)
     if scale is None:
         return row
-    return (tuple(c / scale for c in coeffs), rhs / scale, strict)
+    return (tuple(c / scale for c in coeffs), rhs / scale)
 
 
 def _eliminate(rows: list[Row], var: int) -> Optional[list[Row]]:
@@ -212,30 +211,27 @@ def _eliminate(rows: list[Row], var: int) -> Optional[list[Row]]:
             pos.append(row)
         else:
             neg.append(row)
-    out: dict[tuple, Row] = {}
+    out: dict[tuple[Fraction, ...], Fraction] = {}
 
     def add(row: Row) -> bool:
-        coeffs, rhs, strict = _row_canonical(row)
+        coeffs, rhs = _row_canonical(row)
         if all(c == 0 for c in coeffs):
-            if rhs > 0 or (strict and rhs == 0):
-                return False  # 0 >= positive: infeasible
-            return True  # trivially true, drop
-        key = (coeffs, strict)
-        prev = out.get(key)
-        if prev is None or rhs > prev[1]:
-            out[key] = (coeffs, rhs, strict)
+            return rhs <= 0  # 0 >= positive is infeasible; else drop
+        prev = out.get(coeffs)
+        if prev is None or rhs > prev:
+            out[coeffs] = rhs
         return True
 
     for row in zero:
         if not add(row):
             return None
-    for (pc, pr, ps) in pos:
-        for (nc, nr, ns) in neg:
+    for (pc, pr) in pos:
+        for (nc, nr) in neg:
             a, b = pc[var], -nc[var]
             coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-            if not add((coeffs, b * pr + a * nr, ps or ns)):
+            if not add((coeffs, b * pr + a * nr)):
                 return None
-    return list(out.values())
+    return list(out.items())
 
 
 def _fm_project_all(rows: list[Row], n_vars: int) -> Optional[list[list[Row]]]:
@@ -249,9 +245,8 @@ def _fm_project_all(rows: list[Row], n_vars: int) -> Optional[list[list[Row]]]:
         if current is None:
             return None
         systems[j] = current
-    for coeffs, rhs, strict in systems[0]:
-        if rhs > 0 or (strict and rhs == 0):
-            return None
+    if any(rhs > 0 for _, rhs in systems[0]):
+        return None
     return systems  # type: ignore[return-value]
 
 
@@ -268,7 +263,7 @@ def fm_sample(rows: list[Row], n_vars: int) -> Optional[tuple[Fraction, ...]]:
     for j in range(n_vars):
         lo: Optional[Fraction] = None
         hi: Optional[Fraction] = None
-        for coeffs, rhs, strict in systems[j + 1]:
+        for coeffs, rhs in systems[j + 1]:
             c = coeffs[j]
             if c == 0:
                 continue
@@ -301,18 +296,18 @@ def fm_sup(
     ``_fm_project_all`` projects x away; the supremum is the least upper
     bound the projected system puts on variable 0."""
     obj = tuple(Fraction(c) for c in objective)
-    ext_rows: list[Row] = [((Fraction(0),) + tuple(c), rhs, strict) for c, rhs, strict in rows]
-    ext_rows.append(((Fraction(1),) + tuple(-c for c in obj), Fraction(0), False))
-    ext_rows.append(((Fraction(-1),) + obj, Fraction(0), False))
+    ext_rows: list[Row] = [((Fraction(0),) + tuple(c), rhs) for c, rhs in rows]
+    ext_rows.append(((Fraction(1),) + tuple(-c for c in obj), Fraction(0)))
+    ext_rows.append(((Fraction(-1),) + obj, Fraction(0)))
     systems = _fm_project_all(ext_rows, n_vars + 1)
     if systems is None:
         raise PreconditionError("fm_sup called on infeasible system")
-    return min((rhs / c[0] for c, rhs, _ in systems[1] if c[0] < 0), default=None)
+    return min((rhs / c[0] for c, rhs in systems[1] if c[0] < 0), default=None)
 
 
 def region_rows(r: PolyhedralRegion) -> list[Row]:
     """The region as rational rows in the integer-exact form v . z >= n + 1."""
-    return [(tuple(Fraction(x) for x in h.v), Fraction(h.n + 1), False) for h in r.halfspaces]
+    return [(tuple(Fraction(x) for x in h.v), Fraction(h.n + 1)) for h in r.halfspaces]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +397,7 @@ def is_measure_zero(r: PolyhedralRegion) -> tuple[bool, Optional[MeasureZeroSet]
     for h in r.halfspaces:
         s = sum(max(0, -x) for x in h.v)
         coeffs = tuple(Fraction(x) for x in h.v) + (Fraction(-s),)
-        rows.append((coeffs, Fraction(h.n + 1), False))
+        rows.append((coeffs, Fraction(h.n + 1)))
     objective = (Fraction(0),) * r.arity + (Fraction(1),)
     sup_t = fm_sup(rows, r.arity + 1, objective)
     if sup_t is None:
@@ -424,22 +419,22 @@ def is_measure_zero(r: PolyhedralRegion) -> tuple[bool, Optional[MeasureZeroSet]
 
 
 def find_box(r: PolyhedralRegion, size: int) -> Optional[LatticeBox]:
-    """A box of the requested size inside the region; available on demand
-    whenever the region is not measure zero."""
+    """A box of the requested size inside the region, found whenever the
+    region is not measure zero; None when the rows below are infeasible.
+
+    A half-space {v . z > n} becomes the row v . x >= n + 1 + (size + 1) s
+    with s = sum(max(0, -v_i)), and the corner is c = ceil(x) = x + delta
+    with delta in [0, 1)^k.  A box point p = c + o, o in [0, size]^k, has
+    0 <= delta_i + o_i < size + 1, so v . p >= v . x - (size + 1) s >= n + 1:
+    every point of the box lies in the region."""
     rows: list[Row] = []
     for h in r.halfspaces:
         s = sum(max(0, -x) for x in h.v)
-        rows.append(
-            (tuple(Fraction(x) for x in h.v), Fraction(h.n + 1 + (size + 1) * s), False)
-        )
+        rows.append((tuple(Fraction(x) for x in h.v), Fraction(h.n + 1 + (size + 1) * s)))
     x = fm_sample(rows, r.arity)
     if x is None:
         return None
-    corner = tuple(int(math.ceil(v)) for v in x)
-    box = LatticeBox(corner, size)
-    if not all(r.contains(p) for p in box.points()):
-        raise IntegrityError("computed box escapes the region")
-    return box
+    return LatticeBox(tuple(math.ceil(v) for v in x), size)
 
 
 # ---------------------------------------------------------------------------
@@ -448,32 +443,34 @@ def find_box(r: PolyhedralRegion, size: int) -> Optional[LatticeBox]:
 
 
 def arrangement(planes: Iterable[Hyperplane], arity: int) -> list[PolyhedralRegion]:
-    """The nonempty open cells cut out by the hyperplanes.
+    """The nonempty open cells cut out by the hyperplanes with lattice
+    points.
 
-    Each cell is an intersection of strict sides, one per hyperplane; cells
-    are pairwise disjoint, disjoint from every hyperplane, and together
-    with the hyperplanes cover Z^k.  A cell feasible in integer-tightened
+    Each cell is the intersection of one strict side of every such
+    hyperplane, stored as a region keeps it: one half-space per normal, so
+    a cell beside parallel planes keeps only its tightest side.  Cells are
+    pairwise disjoint, disjoint from every hyperplane, and together with
+    the hyperplanes cover Z^k.  A cell feasible in integer-tightened
     rational rows is returned even with no integer point; it holds no box,
     so ``is_measure_zero`` covers it by hyperplanes.
     """
-    unique = sorted({p for p in planes if not p.empty})
+    unique = MeasureZeroSet.make(planes).hyperplanes
     for p in unique:
         if p.arity != arity:
             raise DimensionError("hyperplane arity mismatch")
     cells: list[PolyhedralRegion] = []
 
-    def recurse(index: int, chosen: list[HalfSpace]) -> None:
-        region = PolyhedralRegion.make(arity, chosen)
+    def recurse(index: int, region: PolyhedralRegion) -> None:
         if not fm_feasible(region_rows(region), arity):
             return
         if index == len(unique):
             cells.append(region)
             return
         h = unique[index]
-        recurse(index + 1, chosen + [HalfSpace.make(h.v, h.n)])
-        recurse(index + 1, chosen + [HalfSpace.make(tuple(-x for x in h.v), -h.n)])
+        recurse(index + 1, region.intersect(HalfSpace.make(h.v, h.n)))
+        recurse(index + 1, region.intersect(HalfSpace.make(tuple(-x for x in h.v), -h.n)))
 
-    recurse(0, [])
+    recurse(0, PolyhedralRegion.whole(arity))
     return cells
 
 

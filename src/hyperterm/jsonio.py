@@ -29,7 +29,7 @@ from .parsing import (
     parse_factored,
     parse_multipoly,
 )
-from .poly import coprime_base
+from .poly import _integer, coprime_base
 from .structure import FactorialForm, PiecewiseStructure, PochhammerForm
 from .termratio import FactoredRational, TermSpec
 
@@ -38,14 +38,6 @@ log = logging.getLogger(__name__)
 
 def fraction_to_json(x: Fraction) -> str:
     return format_fraction(Fraction(x))
-
-
-def _int_from_json(x: Any, what: str) -> int:
-    """An integer field of a spec: a float counts only when it is integral,
-    and a bool never does."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ParseError(f"{what} must be an integer, got {x!r}")
-    return int(x)
 
 
 def fraction_from_json(text: str) -> Fraction:
@@ -82,10 +74,7 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 
 def hyperplane_from_json(obj: dict) -> Hyperplane:
-    return Hyperplane.make(
-        tuple(_int_from_json(x, "exception normal") for x in obj["v"]),
-        _int_from_json(obj["n"], "exception level"),
-    )
+    return Hyperplane.make(obj["v"], obj["n"])
 
 
 def halfspace_to_json(h: HalfSpace) -> dict:
@@ -120,7 +109,7 @@ def spec_to_json(spec: TermSpec) -> dict:
 def spec_from_json(obj: dict) -> TermSpec:
     if "k" not in obj or "generators" not in obj:
         raise ParseError("spec JSON needs 'k' and 'generators'")
-    k = _int_from_json(obj["k"], "k")
+    k = _integer(obj["k"], "k")
     gens = []
     for g in obj["generators"]:
         gens.append(
@@ -134,10 +123,7 @@ def spec_from_json(obj: dict) -> TermSpec:
     )
     seed = None
     if obj.get("seed") is not None:
-        seed = (
-            tuple(_int_from_json(x, "seed coordinate") for x in obj["seed"]["point"]),
-            fraction_from_json(obj["seed"]["value"]),
-        )
+        seed = (obj["seed"]["point"], fraction_from_json(obj["seed"]["value"]))
     witness = None
     if obj.get("zero_divisor_witness") is not None:
         witness = parse_multipoly(obj["zero_divisor_witness"], k)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -51,6 +52,17 @@ def _coeff(c) -> Coeff:
             raise TypeError(f"float {c!r} cannot be an exact coefficient")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _integer(x, what: str) -> int:
+    """The integer rule for coordinates, normals and levels: x as an int
+    when it is an integral real number (an integral float included); a
+    bool or anything else raises TypeError naming ``what``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1:
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _primitive(coeffs: list[Coeff], lead: Coeff) -> tuple[Coeff, Optional[list[int]]]:

@@ -182,12 +182,10 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     form = decompose(spec)
     d = form.c_poly.total_degree() + form.d_poly.total_degree()
     cd = form.c_poly * form.d_poly
-    h2 = _chain_zero_hyperplanes(form, d)
-    h2.extend(spec.exceptions.hyperplanes)
-    h2 = sorted({p for p in h2 if not p.empty})
+    h2 = MeasureZeroSet.make(_chain_zero_hyperplanes(form, d)).union(spec.exceptions)
     log.info("structure: %d hyperplanes in the arrangement", len(h2))
-    cells = arrangement(h2, k)
-    excluded = list(h2)
+    cells = arrangement(h2.hyperplanes, k)
+    excluded = list(h2.hyperplanes)
 
     found: list[tuple[PolyhedralRegion, Point]] = []
     for cell in cells:

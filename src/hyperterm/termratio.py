@@ -30,7 +30,7 @@ from .geometry import (
     certificate_cover,
     characteristic_certificates,
 )
-from .poly import Coeff, MultiPoly, Point, _coeff, coprime_base
+from .poly import Coeff, MultiPoly, Point, _coeff, _integer, coprime_base
 
 # ---------------------------------------------------------------------------
 # factored rational functions
@@ -246,10 +246,11 @@ class TermSpec:
 
 def _seed(arity: int, point: Sequence[int], value) -> tuple[Point, Fraction]:
     """A seed in normal form: an int point of the spec's arity and a
-    Fraction value."""
+    Fraction value; a coordinate that is not an integral number raises
+    TypeError."""
     if len(point) != arity:
         raise DimensionError("seed point arity mismatch")
-    return tuple(int(x) for x in point), Fraction(value)
+    return tuple(_integer(x, "seed coordinate") for x in point), Fraction(value)
 
 
 def _as_factored_poly(value, arity: int) -> FactoredRational:

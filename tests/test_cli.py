@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 
 from hyperterm.bundled import annihilated_spec, binomial_spec, constant_spec, odd_product_spec
 from hyperterm.cli import main
-from hyperterm.geometry import Hyperplane
+from hyperterm.geometry import Hyperplane, MeasureZeroSet
 from hyperterm.jsonio import (
     factored_from_json,
     factored_to_json,
@@ -62,6 +63,17 @@ def test_factored_round_trip():
 def test_geometry_round_trips():
     h = Hyperplane.make((2, -4), 6)
     assert hyperplane_from_json(hyperplane_to_json(h)) == h
+
+
+def test_exception_without_lattice_points_round_trips():
+    # 2 z1 = 1 holds no integer point; written out, it must not read back
+    # as the plane z1 = 1
+    declared = MeasureZeroSet.make([Hyperplane.make((2,), 1), Hyperplane.make((1,), -3)])
+    spec = dataclasses.replace(odd_product_spec(), exceptions=declared)
+    back = spec_from_json(spec_to_json(spec))
+    assert back == spec
+    assert back.exceptions.hyperplanes == (Hyperplane.make((1,), -3),)
+    assert not back.exceptions.covers((1,))
 
 
 # -- commands ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hyperterm.geometry import (
     erode,
     find_box,
     fm_feasible,
+    fm_sample,
     fm_sup,
     hull_points,
     is_measure_zero,
@@ -58,6 +59,28 @@ def test_halfspace_canonical():
     assert HS((2,), 3) == HS((1,), 1)
     for z in range(-5, 6):
         assert HS((2,), 3).contains((z,)) == (2 * z > 3)
+
+
+def test_constructors_take_integral_numbers_only():
+    # a non-integral number or a bool is rejected, not truncated; an
+    # integral float reads as its integer
+    for v, n in [((1.5, 0), 0), ((1, 0), 0.5), ((True, 0), 0), ((1, 0), False)]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            Hyperplane.make(v, n)
+        with pytest.raises(TypeError, match="must be an integer"):
+            HalfSpace.make(v, n)
+    assert Hyperplane.make((2.0, 0), 4.0) == Hyperplane.make((1, 0), 2)
+    assert HS((2.0, 0), Fraction(3)) == HS((1, 0), 1)
+
+
+def test_measure_zero_set_holds_planes_with_lattice_points():
+    # 2 z1 = 1 has no integer point: the set drops it, and so does the
+    # arrangement, which cuts Z along z1 = 0 only
+    empty = Hyperplane.make((2,), 1)
+    assert MeasureZeroSet.make([empty]) == MeasureZeroSet.empty()
+    line = Hyperplane.make((1,), 0)
+    assert MeasureZeroSet.make([empty, line]).hyperplanes == (line,)
+    assert arrangement([empty, line], 1) == arrangement([line], 1)
 
 
 # -- membership -----------------------------------------------------------------
@@ -267,6 +290,54 @@ def test_find_box():
     assert box.size == 3
 
 
+def test_found_boxes_lie_in_the_region():
+    # the corner rounds a solution of the tightened system up, which keeps
+    # every box point inside (see find_box); nothing re-checks it there
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        r = random_region(rng, k)
+        if is_measure_zero(r)[0]:
+            continue
+        size = rng.randint(0, 3)
+        box = find_box(r, size)
+        assert box is not None and box.size == size, (r, size)
+        assert all(r.contains(p) for p in box.points()), (r, size, box)
+        checked += 1
+    assert checked > 100
+
+
+def test_region_keeps_the_tightest_halfspace_per_normal():
+    rng = random.Random(53)
+    reduced_any = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        hs = []
+        for _ in range(rng.randint(1, 3)):
+            v = tuple(rng.randint(-2, 2) for _ in range(k))
+            if not any(v):
+                continue
+            for _ in range(rng.randint(1, 3)):
+                # a multiple of v is the same normal once made primitive
+                scale = rng.choice([1, 1, 2, 3])
+                hs.append(HS(tuple(scale * x for x in v), rng.randint(-8, 8)))
+        if not hs:
+            continue
+        raw = PolyhedralRegion(k, tuple(hs))
+        r = PolyhedralRegion.make(k, hs)
+        normals = [h.v for h in r.halfspaces]
+        assert len(normals) == len(set(normals)), r
+        assert set(r.halfspaces) <= set(hs)
+        reduced_any += len(r.halfspaces) < len(hs)
+        for z in window(k, -4, 4):
+            assert r.contains(z) == raw.contains(z), (hs, z)
+        assert is_measure_zero(r) == is_measure_zero(raw), hs
+        assert find_box(r, 2) == find_box(raw, 2), hs
+        assert fm_sample(region_rows(r), k) == fm_sample(region_rows(raw), k), hs
+    assert reduced_any > 100
+
+
 # -- sampling ---------------------------------------------------------------------
 
 
@@ -428,24 +499,17 @@ def test_certificates_identity_exhaustive():
 
 def reference_fm_sup(rows, n_vars, objective):
     """The supremum by its own elimination loop, the objective appended as
-    the last variable; returns (value, attained)."""
-    ext_rows = [(tuple(coeffs) + (Fraction(0),), rhs, strict) for coeffs, rhs, strict in rows]
+    the last variable."""
+    ext_rows = [(tuple(coeffs) + (Fraction(0),), rhs) for coeffs, rhs in rows]
     obj = tuple(Fraction(c) for c in objective)
-    ext_rows.append((obj + (Fraction(-1),), Fraction(0), False))
-    ext_rows.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0), False))
+    ext_rows.append((obj + (Fraction(-1),), Fraction(0)))
+    ext_rows.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0)))
     current = ext_rows
     for j in range(n_vars):
         current = _eliminate(current, j)
         if current is None:
             raise PreconditionError("fm_sup called on infeasible system")
-    hi, hi_strict = None, False
-    for coeffs, rhs, strict in current:
-        c = coeffs[n_vars]
-        if c < 0:
-            bound = rhs / c
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_strict = bound, strict
-    return hi, not hi_strict
+    return min((rhs / c[n_vars] for c, rhs in current if c[n_vars] < 0), default=None)
 
 
 def reference_certificate_cover(r):
@@ -467,7 +531,7 @@ def test_fm_sup_matches_reference():
         rows = []
         for _ in range(rng.randint(1, 5)):
             coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-            rows.append((coeffs, Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.random() < 0.3))
+            rows.append((coeffs, Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
         objective = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
         if not fm_feasible(rows, n):
             with pytest.raises(PreconditionError):
@@ -477,7 +541,7 @@ def test_fm_sup_matches_reference():
             seen["infeasible"] += 1
             continue
         value = fm_sup(rows, n, objective)
-        assert value == reference_fm_sup(rows, n, objective)[0], (rows, objective)
+        assert value == reference_fm_sup(rows, n, objective), (rows, objective)
         seen["bounded" if value is not None else "unbounded"] += 1
     assert min(seen.values()) > 50, seen
 

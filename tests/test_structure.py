@@ -735,9 +735,10 @@ def test_locator_slabs_and_memo():
         json.loads((repo / "perfbench" / "specs" / "wedge3d.json").read_text(encoding="utf-8"))
     )
     wedge = build_structure(spec)
-    # one normal, z1 + z3, cut at each level of the erosion and chain planes
+    # one normal, z1 + z3, cut once per piece: each piece keeps its
+    # tightest half-space along it
     ((u, thresholds),) = wedge._locator.slabs
-    assert u == (1, 0, 1) and len(thresholds) == 23
+    assert u == (1, 0, 1) and len(thresholds) == 2
     for ps, window in [
         (wedge, LatticeBox((-2, -2, 8), 6)),
         (build_structure(binomial_spec()), LatticeBox((-30, -30), 60)),

@@ -35,6 +35,16 @@ def odd_product_spec():
     return TermSpec.make(1, [(P("2*z1 + 1", 1), P("1", 1))], seed=((0,), Fraction(1)))
 
 
+def test_seed_takes_integral_coordinates_only():
+    spec = binomial_spec()
+    for point in [(0.9, True), (0, 0.5), (False, 0)]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            spec.with_seed(point, 1)
+        with pytest.raises(TypeError, match="must be an integer"):
+            TermSpec.make(2, [(g.num, g.den) for g in spec.generators], seed=(point, 1))
+    assert spec.with_seed((2.0, 1), 3).seed == ((2, 1), Fraction(3))
+
+
 # -- FactoredRational -----------------------------------------------------------
 
 
