@@ -35,7 +35,22 @@ empty, and the next question resumes where the last one stopped.  BFS
 layers do not depend on when the flood stops, so every value and link is
 the one a flood run to exhaustion gives.  A flood runs to exhaustion only
 when a point asked for inside its box is unreachable, which is exactly when
-the answer needs the whole box.
+the answer needs the whole box, and ``propagate_targets`` does not ask for
+a point it can prove unreachable.
+
+That proof is a directional wall (``_walls``): a half-space
+H = {w.z >= m} with every |w_i| <= 1 that holds the seed, such that for
+every axis i with w_i = 1 a linear base of A_i or a declared exception
+plane is the level w.z = m - 1, and for every axis i with w_i = -1 a linear
+base of B_i or a declared exception plane is the level w.z = m.  A step
+along an axis with w_i = 0 keeps w.z, a forward step along w_i = 1 and a
+backward step along w_i = -1 raise it, so a step out of H starts on the
+level w.z = m: either backward along w_i = 1, evaluated at its target on
+the level m - 1, where A_i, its divisor, vanishes or an exception plane
+lies; or forward along w_i = -1, evaluated at its start on the level m,
+where B_i, its divisor, vanishes or an exception plane lies.  The flood
+refuses both, so no flood out of the seed, in any box, reaches a point
+outside H.
 
 ``build_structure`` takes every piece's base value from one flood out of
 the seed over the seed and all base points (``propagate_targets``).  A
@@ -51,8 +66,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError
-from .geometry import LatticeBox
-from .poly import Point
+from .geometry import HalfSpace, Hyperplane, LatticeBox
+from .poly import MultiPoly, Point
 from .termratio import FactoredRational, TermSpec
 
 # ---------------------------------------------------------------------------
@@ -254,6 +269,61 @@ def propagate(
     return PropagationResult(value, path=flood.certificate(to))
 
 
+def _zero_plane(base: MultiPoly) -> Hyperplane:
+    """The plane a.z = -c where the linear base a.z + c vanishes."""
+    k = base.arity
+    a = [base.coefficient(tuple(int(j == i) for j in range(k))) for i in range(k)]
+    return Hyperplane.make(a, -base.coefficient((0,) * k))
+
+
+def _walls(spec: TermSpec) -> tuple[HalfSpace, ...]:
+    """Every directional wall of a seeded spec (see the module docstring):
+    the half-spaces {w.z >= m}, as ``HalfSpace(w, m - 1)``, that hold the
+    seed, have every |w_i| <= 1, and whose boundary steps the recurrences
+    refuse axis by axis.  No flood out of the seed reaches a point outside
+    one of them.  The candidates are the levels w.z = m and m - 1 of every
+    zero plane of a linear generator base and every exception plane, both
+    orientations; each is checked exactly against the planes on which the
+    sides vanish."""
+    exceptions = set(spec.exceptions.hyperplanes)
+    # per axis: the planes where a backward step is refused (A_i vanishes
+    # or an exception plane lies there) and those where a forward step is
+    # refused (the same with B_i)
+    refusing = []
+    for gen in spec.generators:
+        refusing.append(
+            tuple(
+                exceptions
+                | {_zero_plane(b) for b, _ in side.factors if b.total_degree() == 1}
+                for side in (gen.num, gen.den)
+            )
+        )
+    candidates = set()
+    for plane in set().union(*(backward | forward for backward, forward in refusing)):
+        if plane.empty or any(abs(x) > 1 for x in plane.v):
+            continue
+        for sign in (1, -1):
+            w, level = tuple(sign * x for x in plane.v), sign * plane.n
+            candidates.update([(w, level), (w, level + 1)])
+    seed = spec.seed[0]
+    walls = []
+    for w, m in sorted(candidates):
+        if sum(a * b for a, b in zip(w, seed)) < m:
+            continue
+        below, boundary = Hyperplane.make(w, m - 1), Hyperplane.make(w, m)
+        if all(
+            wi == 0 or (below in backward if wi == 1 else boundary in forward)
+            for wi, (backward, forward) in zip(w, refusing)
+        ):
+            walls.append(HalfSpace.make(w, m - 1))
+    return tuple(walls)
+
+
+def _wall_against(walls: Sequence[HalfSpace], z: Point) -> Optional[HalfSpace]:
+    """The first of the walls that z lies outside, or None."""
+    return next((h for h in walls if not h.contains(z)), None)
+
+
 def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional[Fraction]]:
     """Values of the term at each target, from one flood out of the seed
     over the bounding box of the seed and all targets inflated by 2 (k+1),
@@ -261,11 +331,18 @@ def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional
     reach.  That box contains the box of every ``propagate(spec, spec.seed,
     t)``, so each target it reaches gets the same value, and it may reach
     a target those floods do not.  A target of another arity than the spec
-    raises DimensionError."""
+    raises DimensionError.
+
+    A target behind a wall (``_walls``) is answered None without asking
+    the flood, since no flood reaches it; the box still holds it, so every
+    other target gets the answer the flood of the whole box gives.  The
+    flood then stops at the layer holding the last target not walled off,
+    and runs its whole box only when one of those is unreachable."""
     flood = _box_flood(spec, targets)
     if any(len(t) != spec.arity for t in targets):
         raise DimensionError("point arity mismatch")
-    return [flood.get(t) for t in targets]
+    walls = _walls(spec)
+    return [None if _wall_against(walls, t) else flood.get(t) for t in targets]
 
 
 def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction]:

@@ -10,10 +10,12 @@ into polyhedral pieces on which the term is given exactly by
 with a base point z0 in the piece where C and D are both nonzero and the
 base value f(z0) obtained by recurrence propagation from the user seed.
 All base values come from one flood out of the seed over the seed and
-every base point (``oracle.propagate_targets``); a piece is unreachable,
-with an unknown base value, exactly when that flood does not reach z0.  The
-flood stops at the BFS layer holding the last base point, and runs its
-whole box only when some base point is unreachable.
+every base point (``oracle.propagate_targets``); a piece has an unknown
+base value exactly when that flood does not reach z0.  A base point behind
+a directional wall is not asked for: the piece keeps the wall as the proof
+that no flood reaches it.  The flood stops at the BFS layer holding the
+last base point not walled off, and runs its whole box only when one of
+those is not reached.
 The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.
@@ -77,7 +79,7 @@ from .geometry import (
     is_measure_zero,
     region_rows,
 )
-from .oracle import propagate_targets
+from .oracle import _wall_against, _walls, propagate_targets
 from .oresato import Chain, OreSatoForm, decompose
 from .poly import (
     Coeff,
@@ -101,9 +103,15 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Piece:
+    """A region with its base point and base value.  An unknown base value
+    (None) comes with the wall no flood out of the seed crosses
+    (``oracle._walls``) when one is known; without a wall it means only that
+    the build's flood did not reach the base point within its box."""
+
     region: PolyhedralRegion
     base_point: Point
-    base_value: Optional[Fraction]  # None: unreachable from the seed
+    base_value: Optional[Fraction]
+    wall: Optional[HalfSpace] = None
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,10 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     for each piece, so a piece that call reaches gets the same value here,
     and a piece can only go from unknown to known.  Pieces the flood does
     not reach by nonzero-quotient propagation are kept with an unknown
-    base value rather than a guessed one.
+    base value rather than a guessed one.  A base point outside a
+    directional wall (``oracle._walls``) is never asked for, since no
+    flood crosses the wall; the piece keeps the wall.  A piece with an
+    unknown value and no wall was not reached within the flood's box.
     """
     k = spec.arity
     if spec.zero_divisor_witness is not None:
@@ -203,11 +214,22 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
         found.append((shrunk, z0))
 
     base_values = propagate_targets(spec, [z0 for _, z0 in found])
+    walls = _walls(spec)
     pieces: list[Piece] = []
     for (shrunk, z0), base_value in zip(found, base_values):
+        wall = None
         if base_value is None:
-            log.info("piece at %s is unreachable from the seed", z0)
-        pieces.append(Piece(shrunk, z0, base_value))
+            wall = _wall_against(walls, z0)
+            if wall is None:
+                log.info("piece at %s is not reached within the flood's box", z0)
+            else:
+                log.info(
+                    "piece at %s is unreachable from the seed: behind the wall %s >= %d",
+                    z0,
+                    MultiPoly.linear(wall.v),
+                    wall.n + 1,
+                )
+        pieces.append(Piece(shrunk, z0, base_value, wall))
 
     pieces.sort(key=lambda p: (p.region.halfspaces, p.base_point))
     return PiecewiseStructure(form, tuple(pieces), MeasureZeroSet.make(excluded))

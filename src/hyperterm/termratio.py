@@ -198,8 +198,10 @@ class TermSpec:
         """Each generator is a (numerator, denominator) pair; either side
         may be a MultiPoly, a FactoredRational with positive exponents, or
         a list of (base, exponent) factors.  Factored input is kept
-        factored.  A seed point, exception plane or zero-divisor witness of
+        factored.  An arity that is not an integral number raises
+        TypeError; a seed point, exception plane or zero-divisor witness of
         another arity than the spec raises DimensionError."""
+        arity = _integer(arity, "arity")
         if arity < 1:
             raise PreconditionError("arity must be at least 1")
         if len(generators) != arity:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +23,10 @@ from hyperterm.oracle import (
     Mismatch,
     PathStep,
     _Flood,
+    _box_flood,
     _integer_side,
     _side_numerator,
+    _walls,
     grid_compare,
     propagate,
     propagate_targets,
@@ -495,3 +498,100 @@ def test_grid_compare_flood_stops_early(monkeypatch, name, window, checked, exha
     assert flood.get(blocked) is None
     assert not flood.frontier
     assert flood.values.keys() == values.keys()
+
+
+# -- directional walls -----------------------------------------------------------
+
+
+def repository_spec(path):
+    return spec_from_json(json.loads((ROOT / path).read_text()))
+
+
+def wide_flood(spec, pieces):
+    """A flood out of the seed over the build flood's box widened by 10."""
+    box = _box_flood(spec, [p.base_point for p in pieces])
+    return _Flood(spec, tuple(x - 10 for x in box.lo), tuple(x + 10 for x in box.hi))
+
+
+@pytest.mark.parametrize(
+    "path, walls, unknowns",
+    [
+        # A_1 = z1 + 1 vanishes on z1 = -1
+        ("specs/binomial.json", [HalfSpace.make((1, 0), -1)], 3),
+        ("specs/odd.json", [], 0),
+        # A_1 and A_3 carry z1 + z3 + 1, which vanishes on z1 + z3 = -1
+        ("perfbench/specs/wedge3d.json", [HalfSpace.make((1, 0, 1), -1)], 1),
+        ("perfbench/specs/flood3d.json", [HalfSpace.make((1, 0, 0), -1)], 3),
+    ],
+)
+def test_walls_of_the_repository_specs(path, walls, unknowns):
+    spec = repository_spec(path)
+    assert list(_walls(spec)) == walls
+    pieces = build_structure(spec).pieces
+    unknown = [p for p in pieces if p.base_value is None]
+    # every unknown piece lies behind the one wall, and names it
+    assert len(unknown) == unknowns
+    for piece in unknown:
+        assert piece.wall == walls[0] and not piece.wall.contains(piece.base_point)
+    # a flood 10 wider than the build's reaches no walled base point
+    wide = wide_flood(spec, pieces)
+    assert all(wide.get(p.base_point) is None for p in unknown)
+
+
+def test_wall_of_an_exception_plane():
+    # the exception z1 = -3 refuses the backward step into z1 = -3, and no
+    # generator side vanishes anywhere
+    spec = replace(odd_product_spec(), exceptions=MeasureZeroSet.make([Hyperplane.make((1,), -3)]))
+    assert _walls(spec) == (HalfSpace.make((1,), -3),)
+    behind, ahead = build_structure(spec).pieces
+    assert behind.base_point == (-6,) and behind.base_value is None
+    assert behind.wall == HalfSpace.make((1,), -3)
+    assert ahead.base_value == -1 and ahead.wall is None
+    # a seed behind the plane is walled in from the other side
+    spec = spec.with_seed((-5,), 1)
+    assert _walls(spec) == (HalfSpace.make((-1,), 2),)
+    assert propagate_targets(spec, [(-3,), (-4,), (-6,), (-2,)]) == [63, -9, Fraction(-1, 11), None]
+
+
+def test_walls_are_sound_on_random_specs():
+    """No walled base point is reached by a flood 10 wider than the build's,
+    and no reached piece is walled, on random forms with random seeds,
+    half of them with random exception planes.  The forms have k <= 2: at
+    k = 3 one flood over a box 10 wider runs up to seconds, so the k = 3
+    walls are checked on the repository specs above."""
+    from conftest import random_form, spec_from_form
+
+    rng = random.Random(109)
+    walled = unknown = 0
+    for k in [1, 2] * 80:
+        seed_point = tuple(rng.randint(-3, 3) for _ in range(k))
+        spec = spec_from_form(random_form(rng, k), seed=(seed_point, Fraction(rng.choice([1, -2, 3]))))
+        if rng.random() < 0.5:
+            normals = [tuple(rng.randint(-1, 1) for _ in range(k)) for _ in range(rng.randint(1, 2))]
+            planes = [Hyperplane.make(v, rng.randint(-4, 4)) for v in normals if any(v)]
+            spec = replace(spec, exceptions=MeasureZeroSet.make(planes))
+        ps = build_structure(spec)
+        wide = wide_flood(spec, ps.pieces)
+        walls = _walls(spec)
+        for piece in ps.pieces:
+            if piece.wall is not None:
+                walled += 1
+                assert piece.base_value is None and piece.wall in walls
+                assert wide.get(piece.base_point) is None
+            if piece.base_value is None:
+                unknown += 1
+            else:
+                assert piece.wall is None and all(h.contains(piece.base_point) for h in walls)
+                assert wide.get(piece.base_point) == piece.base_value
+    assert walled > 100 and walled > 0.9 * unknown
+
+
+def test_build_flood_stops_at_the_last_reachable_base_point(monkeypatch):
+    spec = repository_spec("perfbench/specs/wedge3d.json")
+    floods = captured_floods(monkeypatch)
+    ps = build_structure(spec)
+    (flood,) = floods
+    # the base point (0, 0, -21) lies behind z1 + z3 >= 0 and is not asked for;
+    # asking it would run the whole box, 6,318 points
+    assert [p.base_point for p in ps.pieces if p.wall is not None] == [(0, 0, -21)]
+    assert len(flood.values) <= 1500 and flood.frontier

@@ -45,6 +45,19 @@ def test_seed_takes_integral_coordinates_only():
     assert spec.with_seed((2.0, 1), 3).seed == ((2, 1), Fraction(3))
 
 
+def test_arity_takes_integral_numbers_only():
+    from hyperterm.jsonio import spec_from_json, spec_to_json
+
+    for arity in [True, 1.5]:
+        with pytest.raises(TypeError, match="arity must be an integer"):
+            TermSpec.make(arity, [(P("z1 + 1", 1), P("1", 1))], seed=((0,), 1))
+    gens = [(g.num, g.den) for g in binomial_spec().generators]
+    spec = TermSpec.make(2.0, gens, seed=((0, 0), 1))
+    assert type(spec.arity) is int and spec == binomial_spec()
+    assert spec_to_json(spec)["k"] == 2
+    assert spec_from_json(spec_to_json(spec)) == spec
+
+
 # -- FactoredRational -----------------------------------------------------------
 
 
