@@ -23,6 +23,13 @@ lexicographic on the exponent tuple).  Normalization of a polynomial means
 scaling by a positive rational so the coefficients are coprime integers and
 the graded-lex leading coefficient is positive; this gives every nonzero
 polynomial a canonical associate.
+
+``gcd`` feeds the factor refinement ``coprime_base``, through which every
+factored rational function is built.  It decides a linear argument by one
+exact division, otherwise evaluates both arguments at integers and rebuilds
+the gcd from an integer gcd (GCDHEU), and only when that finds no candidate
+dividing both runs the pseudo-remainder sequence.  ``exact_div``, the trial
+division of both rules, divides by leading terms in place.
 """
 
 from __future__ import annotations
@@ -89,6 +96,12 @@ def _glex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
+def _term_key(term: tuple[Monomial, Coeff]):
+    """The graded-lex key of a (monomial, coefficient) term."""
+    mono = term[0]
+    return (sum(mono), mono)
+
+
 # ---------------------------------------------------------------------------
 # multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -117,7 +130,7 @@ class MultiPoly:
             c = _coeff(c)
             if c:
                 items.append((tuple(mono), c))
-        items.sort(key=lambda t: _glex_key(t[0]), reverse=True)
+        items.sort(key=_term_key, reverse=True)
         return MultiPoly(arity, tuple(items))
 
     @staticmethod
@@ -352,18 +365,24 @@ def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> Optional[MultiPoly]:
-    """Return p / q when q divides p exactly, else None."""
+    """Return p / q when q divides p exactly, else None.
+
+    Division by leading terms in graded-lex order: the remainder is a dict
+    from which c * x^m * q is subtracted in place, where c * x^m is the
+    remainder's leading term divided by q's.  The division fails as soon as
+    q's leading monomial does not divide the remainder's."""
     if q.is_zero:
         return None
     if p.is_zero:
         return p
     if p.arity != q.arity:
         raise DimensionError("arity mismatch in division")
-    lq_mono, lq_coeff = q.leading()
+    (lq_mono, lq_coeff), q_rest = q.terms[0], q.terms[1:]
     quotient: dict[Monomial, Coeff] = {}
-    rem = p
-    while not rem.is_zero:
-        lr_mono, lr_coeff = rem.leading()
+    rem = dict(p.terms)
+    while rem:
+        lr_mono = max(rem, key=_glex_key)
+        lr_coeff = rem.pop(lr_mono)
         m = _mono_div(lr_mono, lq_mono)
         if m is None:
             return None
@@ -373,8 +392,14 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> Optional[MultiPoly]:
                 c = Fraction(lr_coeff, lq_coeff)
         else:
             c = Fraction(lr_coeff, lq_coeff)
-        quotient[m] = quotient.get(m, 0) + c
-        rem = rem - MultiPoly.from_dict(p.arity, {m: c}) * q
+        quotient[m] = c
+        for mono, k in q_rest:
+            key = tuple(a + b for a, b in zip(m, mono))
+            v = rem.get(key, 0) - c * k
+            if v:
+                rem[key] = v
+            else:
+                del rem[key]
     return MultiPoly.from_dict(p.arity, quotient)
 
 
@@ -417,12 +442,25 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized (coprime integer coefficients,
     positive graded-lex leading coefficient).  gcd(p, 0) is the normalized p.
 
-    Uses content/primitive-part recursion on the variable of lowest degree,
-    with the primitive pseudo-remainder sequence of Collins (J. ACM 14,
-    1967); on integer coefficients every step stays in int arithmetic.
-    Adequate at small scale (arity <= 4, degree <= 6).  The arguments are
-    put in (total degree, terms) order before the cached computation, so
-    gcd(q, p) is a cache hit after gcd(p, q)."""
+    Three rules decide it, the first that applies:
+
+    - **Linear.** A polynomial of total degree 1 is irreducible, so the gcd
+      is that argument, normalized, when ``exact_div`` divides the other
+      argument by it, and 1 otherwise.
+    - **GCDHEU** (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989).  On
+      the primitive integer parts, evaluate one variable at a time at an
+      integer xi >= 2 * min(|p|_inf, |q|_inf) + 2, take the integer gcd at
+      the bottom, and at each level rebuild a polynomial from the symmetric
+      xi-adic digits and take its primitive part.  A candidate is accepted
+      only when ``exact_div`` divides both inputs by it; by the GCDHEU
+      theorem it is then the gcd, so no result rests on the heuristic.
+    - **PRS.** After six values of xi, content/primitive-part recursion on
+      the variable of lowest degree with the primitive pseudo-remainder
+      sequence of Collins (J. ACM 14, 1967); on integer coefficients every
+      step stays in int arithmetic.
+
+    The arguments are put in (total degree, terms) order before the cached
+    computation, so gcd(q, p) is a cache hit after gcd(p, q)."""
     if p.arity != q.arity:
         raise DimensionError("arity mismatch in gcd")
     if (q.total_degree(), q.terms) < (p.total_degree(), p.terms):
@@ -440,6 +478,90 @@ def _gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return p.normalized()[1]
     if p.is_constant or q.is_constant:
         return MultiPoly.constant(p.arity, 1)
+    if p.total_degree() == 1:
+        # gcd passes p as the argument of lower total degree, so a linear
+        # argument is p; it is irreducible
+        p = p.normalized()[1]
+        return p if exact_div(q, p) is not None else MultiPoly.constant(p.arity, 1)
+    g = _gcdheu(p, q)
+    return g if g is not None else _prs_gcd(p, q)
+
+
+_HEU_GCD_MAX = 6
+
+
+def _gcdheu(p: MultiPoly, q: MultiPoly) -> Optional[MultiPoly]:
+    """The normalized gcd of two nonzero polynomials by GCDHEU, or None
+    when no value of xi gave a candidate dividing both."""
+    g = _heu(p.normalized()[1], q.normalized()[1])
+    return None if g is None else g.normalized()[1]
+
+
+def _heu(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
+    """gcd of two nonzero integer polynomials over Z, up to sign, by
+    evaluating the first variable at xi and recursing on the rest."""
+    n = f.arity
+    if n == 0:
+        return MultiPoly.constant(0, math.gcd(f.terms[0][1], g.terms[0][1]))
+    if not any(m[0] for m, _ in f.terms + g.terms):
+        # the first variable is absent: drop it, so that no digit lands on it
+        h = _heu(_drop_first(f), _drop_first(g))
+        return None if h is None else MultiPoly(n, tuple(((0,) + m, c) for m, c in h.terms))
+    content = math.gcd(*(c for _, c in f.terms), *(c for _, c in g.terms))
+    if content != 1:
+        f = MultiPoly(n, tuple((m, c // content) for m, c in f.terms))
+        g = MultiPoly(n, tuple((m, c // content) for m, c in g.terms))
+    xi = 2 * min(max(abs(c) for _, c in f.terms), max(abs(c) for _, c in g.terms)) + 2
+    for _ in range(_HEU_GCD_MAX):
+        ff, gg = _evaluate_first(f, xi), _evaluate_first(g, xi)
+        if not ff.is_zero and not gg.is_zero:
+            h = _heu(ff, gg)
+            if h is not None:
+                cand = _interpolate_first(h, xi)
+                if cand.is_constant or (
+                    exact_div(f, cand) is not None and exact_div(g, cand) is not None
+                ):
+                    return cand.scale(content)
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _drop_first(f: MultiPoly) -> MultiPoly:
+    """f, free of its first variable, with that variable removed."""
+    return MultiPoly(f.arity - 1, tuple((m[1:], c) for m, c in f.terms))
+
+
+def _evaluate_first(f: MultiPoly, xi: int) -> MultiPoly:
+    """f with its first variable set to xi, one variable fewer."""
+    d: dict[Monomial, int] = {}
+    for m, c in f.terms:
+        key = m[1:]
+        d[key] = d.get(key, 0) + c * xi ** m[0]
+    return MultiPoly.from_dict(f.arity - 1, d)
+
+
+def _interpolate_first(h: MultiPoly, xi: int) -> MultiPoly:
+    """The primitive part of the polynomial, one variable more than h, whose
+    coefficient of x^i * m is the i-th symmetric xi-adic digit of h's
+    coefficient of m."""
+    d: dict[Monomial, int] = {}
+    half = xi // 2
+    for m, c in h.terms:
+        i = 0
+        while c:
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            c = (c - digit) // xi
+            if digit:
+                d[(i,) + m] = digit
+            i += 1
+    return MultiPoly.from_dict(h.arity + 1, d).normalized()[1]
+
+
+def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """The normalized gcd of two nonconstant polynomials by content and
+    primitive-part recursion with the primitive PRS."""
     # variable of lowest positive degree in either argument
     best = None
     for i in range(p.arity):

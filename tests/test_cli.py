@@ -299,11 +299,11 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # -- golden outputs ----------------------------------------------------------------
 #
 # tests/golden/ holds the stdout of every command below on specs/*.json and on
-# the bundled specs (written with spec_to_json), the stdout of `structure` on
-# the benchmark specs and of `compare` over their workload windows, and
-# golden/exit_status.json their exit statuses.  A change that alters CLI
-# output must regenerate them (`PYTHONPATH=src python tests/test_cli.py`) and
-# say why.
+# the bundled specs (written with spec_to_json), the stdout of `decompose` and
+# `structure` on the benchmark specs and of `compare` over their workload
+# windows, and golden/exit_status.json their exit statuses.  A change that
+# alters CLI output must regenerate them (`PYTHONPATH=src python
+# tests/test_cli.py`) and say why.
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -344,6 +344,7 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
             results[f"{name}.{command}"] = run_cli([command, path])
     for stem, window in COMPARE_WINDOWS.items():
         path = str(REPO / "perfbench" / "specs" / f"{stem}.json")
+        results[f"perfbench_{stem}.decompose"] = run_cli(["decompose", path])
         results[f"perfbench_{stem}.structure"] = run_cli(["structure", path])
         results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])
     return results

@@ -12,7 +12,7 @@ from hyperterm.poly import MultiPoly, UniPoly, coprime_base, detect_simple, gcd,
 
 sympy = pytest.importorskip("sympy")
 
-GENS = sympy.symbols("z1:4")
+GENS = sympy.symbols("z1:5")
 T = sympy.Symbol("t")
 
 
@@ -46,6 +46,21 @@ def test_gcd_matches_sympy():
         a = _random_poly(rng, k, rng.randint(0, 4 - g.total_degree()))
         b = _random_poly(rng, k, rng.randint(0, 4 - g.total_degree()))
         p, q = a * g, b * g
+        expected = _from_sympy(sympy.gcd(_to_sympy(p), _to_sympy(q)), k)
+        assert gcd(p, q) == expected.normalized()[1], (p, q)
+        assert gcd(q, p) == gcd(p, q)
+    # the scale the gcd docstring states: arity up to 4, total degree up to 6,
+    # with shared factors of up to three random parts
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        g = MultiPoly.constant(k, 1)
+        for _ in range(rng.randint(0, 3)):
+            factor = _random_poly(rng, k, rng.randint(1, 2))
+            if g.total_degree() + factor.total_degree() <= 4:
+                g = g * factor
+        room = 6 - g.total_degree()
+        p = _random_poly(rng, k, rng.randint(0, room)) * g
+        q = _random_poly(rng, k, rng.randint(0, room)) * g
         expected = _from_sympy(sympy.gcd(_to_sympy(p), _to_sympy(q)), k)
         assert gcd(p, q) == expected.normalized()[1], (p, q)
         assert gcd(q, p) == gcd(p, q)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from conftest import random_form, spec_from_form
 from hyperterm.errors import CocycleError, PreconditionError, StructureError, ZeroTermError
+from hyperterm.jsonio import form_to_json
 from hyperterm.oresato import Chain, OreSatoForm, decompose, gp_eval, ratio_from_form
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import UniPoly, gcd
@@ -378,3 +381,19 @@ def test_decompose_shifted_pair_at_sixteen():
 @pytest.mark.parametrize("c", ["z2*z3 + 1", "(z1 + z2)*z3 + 1"])
 def test_decompose_translation_invariant_factor(c):
     _round_trip(OreSatoForm(3, P(c, 3), P("1", 3), (1, 1, 1), ()))
+
+
+def test_decompose_random_forms_digest():
+    # pins the forms decompose returns, byte for byte, on 200 random specs;
+    # a change to factor refinement or to the gcd that alters any of them
+    # must say why and update the digest
+    rng = random.Random(67)
+    forms = []
+    for _ in range(200):
+        spec = spec_from_form(random_form(rng, rng.choice([1, 2, 3])))
+        forms.append(form_to_json(decompose(spec)))
+    text = json.dumps(forms, sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "89154ae41f71f6e13a72328104207dcb0fb1d5ef6db2b0537d7845971ae00ba9"
+    )

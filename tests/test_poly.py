@@ -231,6 +231,114 @@ def test_exact_div_failure():
     assert exact_div(P("z1 + 1", 1), P("z1", 1)) is None
 
 
+def random_gcd_pair(rng):
+    """(p, q) nonconstant, of arity 1..4 and total degree <= 6, sharing a
+    planted factor: a product of random factors, sometimes a repeated
+    one or a monomial; some inputs are scaled by a Fraction."""
+    k = rng.randint(1, 4)
+    shared = MultiPoly.constant(k, 1)
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.random()
+        if kind < 0.2:
+            factor = MultiPoly.variable(k, rng.randrange(k))
+        elif kind < 0.4:
+            factor = random_poly(rng, k, 1, 2) ** 2
+        else:
+            factor = random_poly(rng, k, 2, rng.randint(2, 4))
+        if not factor.is_zero and shared.total_degree() + factor.total_degree() <= 4:
+            shared = shared * factor
+    out = []
+    while len(out) < 2:
+        room = 6 - shared.total_degree()
+        p = random_poly(rng, k, rng.randint(1, room), rng.randint(1, 5)) * shared
+        if p.is_constant:
+            continue
+        if rng.random() < 0.3:
+            p = p.scale(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+        out.append(p)
+    return tuple(out)
+
+
+def test_gcdheu_matches_prs():
+    rng = random.Random(23)
+    answered = 0
+    for _ in range(320):
+        p, q = random_gcd_pair(rng)
+        heuristic = poly._gcdheu(p, q)
+        prs = poly._prs_gcd(p, q)
+        if heuristic is not None:
+            answered += 1
+            assert heuristic == prs, (p, q)
+        assert gcd(p, q) == prs == gcd(q, p), (p, q)
+    # the PRS is the fallback, not the rule
+    assert answered >= 300
+
+
+def test_gcd_prs_fallback(monkeypatch):
+    # with the heuristic answering None everywhere, the PRS alone (its
+    # content gcds included) gives the gcds the heuristic gave
+    rng = random.Random(29)
+    pairs = [random_gcd_pair(rng) for _ in range(60)]
+    pairs.append((P("(z1 - z2)^2 * (z1 + 1)", 2), P("(z1 - z2) * (z1*z2 + 3)", 2)))
+    expected = [gcd(p, q) for p, q in pairs]
+    assert expected[-1] == P("z1 - z2", 2)
+    monkeypatch.setattr(poly, "_gcdheu", lambda p, q: None)
+    poly._gcd.cache_clear()
+    try:
+        assert [gcd(p, q) for p, q in pairs] == expected
+    finally:
+        poly._gcd.cache_clear()
+
+
+def reference_exact_div(p, q):
+    """The division loop exact_div had before its in-place remainder: the
+    remainder is a MultiPoly, reduced by a product of MultiPolys per step."""
+    if q.is_zero:
+        return None
+    if p.is_zero:
+        return p
+    lq_mono, lq_coeff = q.leading()
+    quotient = {}
+    rem = p
+    while not rem.is_zero:
+        lr_mono, lr_coeff = rem.leading()
+        m = poly._mono_div(lr_mono, lq_mono)
+        if m is None:
+            return None
+        if type(lr_coeff) is int and type(lq_coeff) is int:
+            c, r = divmod(lr_coeff, lq_coeff)
+            if r:
+                c = Fraction(lr_coeff, lq_coeff)
+        else:
+            c = Fraction(lr_coeff, lq_coeff)
+        quotient[m] = quotient.get(m, 0) + c
+        rem = rem - MultiPoly.from_dict(p.arity, {m: c}) * q
+    return MultiPoly.from_dict(p.arity, quotient)
+
+
+def test_exact_div_matches_reference():
+    rng = random.Random(31)
+    tested = failed = 0
+    for _ in range(340):
+        k = rng.randint(1, 3)
+        a = random_poly(rng, k, rng.randint(0, 3), rng.randint(1, 4))
+        b = random_poly(rng, k, rng.randint(0, 3), rng.randint(1, 4))
+        if b.is_zero:
+            continue
+        if rng.random() < 0.3:
+            a = a.scale(Fraction(rng.randint(1, 7), rng.randint(2, 7)))
+        if rng.random() < 0.3:
+            b = b.scale(Fraction(rng.randint(1, 7), rng.randint(2, 7)))
+        assert exact_div(a * b, b) == a, (a, b)
+        r = random_poly(rng, k, rng.randint(0, 4), rng.randint(1, 3))
+        expected = reference_exact_div(a * b + r, b)
+        tested += 1
+        failed += expected is None
+        assert exact_div(a * b + r, b) == expected, (a, b, r)
+    # both outcomes are exercised
+    assert tested >= 300 and 50 <= failed <= tested - 50
+
+
 # -- coprime base -------------------------------------------------------------
 
 ATOMS = ["z1", "z1 + 1", "z2 - 1", "z1 + z2", "z1*z2 + 1", "2*z1 - 3"]
