@@ -132,12 +132,13 @@ def spec_from_json(obj: dict) -> TermSpec:
     )
     # quotients are stated on reduced pairs; unreduced input still works
     # (reduction is applied on use) but is worth flagging.  On the joint
-    # coprime base of both sides, a common factor is a base that carries
-    # a numerator and a denominator exponent.
+    # coprime base of both sides, each side's factors one coprime run, a
+    # common factor is a base that carries a numerator and a denominator
+    # exponent.
     for i, g in enumerate(spec.generators):
-        pairs = [(b, (e, 0)) for b, e in g.num.factors]
-        pairs += [(b, (0, e)) for b, e in g.den.factors]
-        if any(all(e) for _, e in coprime_base(pairs)):
+        num = [(b, (e, 0)) for b, e in g.num.factors]
+        den = [(b, (0, e)) for b, e in g.den.factors]
+        if any(all(e) for _, e in coprime_base([num, den])):
             log.warning("generator %d is not reduced; its quotient is reduced on use", i + 1)
     return spec
 

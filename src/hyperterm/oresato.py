@@ -168,7 +168,7 @@ def _joint_refine(ratios: list[FactoredRational]) -> list[FactoredRational]:
         for base, exp in fr.factors:
             for piece, mult in _split_simple_base(base):
                 pool.append((piece, tuple(mult * exp * u for u in _unit(n, i))))
-    refined = coprime_base(pool)
+    refined = coprime_base([pair] for pair in pool)
     return [
         FactoredRational(fr.arity, fr.scalar, tuple((b, e[i]) for b, e in refined if e[i]))
         for i, fr in enumerate(ratios)

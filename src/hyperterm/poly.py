@@ -16,7 +16,10 @@ run in int arithmetic; a division of coefficients goes through ``Fraction``
 explicitly.
 
 Both types are immutable and hashable, so they can be dict keys and shared
-freely between threads.
+freely between threads.  A ``MultiPoly`` computes its hash once and keeps
+it, and ``MultiPoly.shift`` is memoized by value in a bounded
+``lru_cache``, as ``gcd`` is: the pipeline asks for the same few hundred
+shifts thousands of times, from many equal instances.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent tuple).  Normalization of a polynomial means
@@ -25,11 +28,13 @@ the graded-lex leading coefficient is positive; this gives every nonzero
 polynomial a canonical associate.
 
 ``gcd`` feeds the factor refinement ``coprime_base``, through which every
-factored rational function is built.  It decides a linear argument by one
-exact division, otherwise evaluates both arguments at integers and rebuilds
-the gcd from an integer gcd (GCDHEU), and only when that finds no candidate
-dividing both runs the pseudo-remainder sequence.  ``exact_div``, the trial
-division of both rules, divides by leading terms in place.
+factored rational function is built; the refinement takes its input in
+coprime runs and takes no gcd between two polynomials of one run.  ``gcd``
+decides a linear argument by one exact division, otherwise evaluates both
+arguments at integers and rebuilds the gcd from an integer gcd (GCDHEU),
+and only when that finds no candidate dividing both runs the
+pseudo-remainder sequence.  ``exact_div``, the trial division of both
+rules, divides by leading terms in place.
 """
 
 from __future__ import annotations
@@ -113,11 +118,19 @@ class MultiPoly:
     int when integral and a Fraction otherwise.
 
     ``terms`` is sorted by descending graded-lex order and never contains a
-    zero coefficient, so equality and hashing are structural.
+    zero coefficient, so equality and hashing are structural.  The hash is
+    that of (arity, terms), computed once and kept on the polynomial.
     """
 
     arity: int
     terms: tuple[tuple[Monomial, Coeff], ...]
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.arity, self.terms))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- constructors -------------------------------------------------------
 
@@ -288,33 +301,15 @@ class MultiPoly:
         return total
 
     def shift(self, v: Sequence[int]) -> "MultiPoly":
-        """The polynomial z -> p(z + v)."""
+        """The polynomial z -> p(z + v).  v is a lattice vector: its
+        coordinates follow the integer rule of ``_integer``, so equal vectors
+        share one entry of the memo ``_shift``."""
         if len(v) != self.arity:
             raise DimensionError("shift vector has wrong length")
-        if all(x == 0 for x in v):
+        v = tuple(_integer(x, "shift coordinate") for x in v)
+        if not any(v):
             return self
-        # expand each (z_i + v_i)^e with binomial coefficients
-        d: dict[Monomial, Coeff] = {}
-        for mono, coeff in self.terms:
-            partial: dict[Monomial, Coeff] = {(0,) * self.arity: coeff}
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                vi = v[i]
-                nxt: dict[Monomial, Coeff] = {}
-                for m0, c0 in partial.items():
-                    for j in range(e + 1):
-                        c = c0 * math.comb(e, j) * vi ** (e - j)
-                        if c == 0:
-                            continue
-                        m = list(m0)
-                        m[i] += j
-                        key = tuple(m)
-                        nxt[key] = nxt.get(key, 0) + c
-                partial = nxt
-            for m, c in partial.items():
-                d[m] = d.get(m, 0) + c
-        return MultiPoly.from_dict(self.arity, d)
+        return _shift(self, v)
 
     def partial(self, index: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable ``index``."""
@@ -348,6 +343,34 @@ class MultiPoly:
         from .parsing import format_multipoly
 
         return format_multipoly(self)
+
+
+@functools.lru_cache(maxsize=4096)
+def _shift(p: MultiPoly, v: Point) -> MultiPoly:
+    """p(z + v) for a nonzero int vector v of p's arity, by binomial
+    expansion; the memo behind ``MultiPoly.shift``."""
+    # expand each (z_i + v_i)^e with binomial coefficients
+    d: dict[Monomial, Coeff] = {}
+    for mono, coeff in p.terms:
+        partial: dict[Monomial, Coeff] = {(0,) * p.arity: coeff}
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            vi = v[i]
+            nxt: dict[Monomial, Coeff] = {}
+            for m0, c0 in partial.items():
+                for j in range(e + 1):
+                    c = c0 * math.comb(e, j) * vi ** (e - j)
+                    if c == 0:
+                        continue
+                    m = list(m0)
+                    m[i] += j
+                    key = tuple(m)
+                    nxt[key] = nxt.get(key, 0) + c
+            partial = nxt
+        for m, c in partial.items():
+            d[m] = d.get(m, 0) + c
+    return MultiPoly.from_dict(p.arity, d)
 
 
 # ---------------------------------------------------------------------------
@@ -591,44 +614,53 @@ def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 
 def coprime_base(
-    pairs: Iterable[tuple[MultiPoly, Sequence[int]]],
+    runs: Iterable[Iterable[tuple[MultiPoly, Sequence[int]]]],
 ) -> list[tuple[MultiPoly, tuple[int, ...]]]:
     """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 15, 1993):
     the natural coprime base of normalized nonconstant polynomials, each
     carrying an exponent vector.
 
-    An incoming p that shares g = gcd(p, b) with a base element b replaces b
-    by g, b/g and p/g, the exponents of b and p adding up on g; identical
-    bases merge.  The product of base ** exponent is kept in every exponent
-    coordinate, and the result is normalized, nonconstant and pairwise
-    coprime.  The bases depend on the input polynomials alone, and those
-    whose exponents all cancel are dropped only once refinement is done, so
-    the result, sorted by (total degree, terms), does not depend on the
-    input order."""
-    base: dict[MultiPoly, tuple[int, ...]] = {}
-    work = [(p, tuple(e)) for p, e in pairs]
+    The input comes in coprime runs: the polynomials of one run are known to
+    be pairwise coprime, such as the factors of one ``FactoredRational``, so
+    no gcd is taken between two of them.  A run of one polynomial claims
+    nothing.  An incoming p that shares g = gcd(p, b) with a base element b
+    replaces b by g, b/g and p/g, each in a run of its own, the exponents of
+    b and p adding up on g; identical bases merge, whatever their runs.  The
+    product of base ** exponent is kept in every exponent coordinate, and
+    the result is normalized, nonconstant and pairwise coprime.  The bases
+    depend on the input polynomials alone, and those whose exponents all
+    cancel are dropped only once refinement is done, so the result, sorted
+    by (total degree, terms), does not depend on the input order or on how
+    it is cut into runs."""
+    # base element -> (exponents, run, whether it is linear)
+    base: dict[MultiPoly, tuple[tuple[int, ...], int, bool]] = {}
+    work = [(p, tuple(e), r) for r, run in enumerate(runs) for p, e in run]
+    fresh = itertools.count(-1, -1)
     while work:
-        p, e = work.pop()
+        p, e, r = work.pop()
         if p in base:
-            base[p] = tuple(x + y for x, y in zip(base[p], e))
+            f, s, linear = base[p]
+            base[p] = (tuple(x + y for x, y in zip(f, e)), s, linear)
             continue
-        for b in base:
-            # p is not in base, and distinct normalized linear polynomials
-            # are coprime, linear ones being irreducible
-            if p.total_degree() == 1 == b.total_degree():
+        linear = p.total_degree() == 1
+        for b, (f, s, b_linear) in base.items():
+            # p is not in base, so it is coprime to b when both come from one
+            # run, or when both are linear: distinct normalized linear
+            # polynomials are coprime, linear ones being irreducible
+            if s == r or (linear and b_linear):
                 continue
             g = gcd(p, b)
             if not g.is_constant:
-                f = base.pop(b)
-                work.append((g, tuple(x + y for x, y in zip(e, f))))
+                del base[b]
+                work.append((g, tuple(x + y for x, y in zip(e, f)), next(fresh)))
                 for rest, exps in ((exact_div(b, g), f), (exact_div(p, g), e)):
                     if not rest.is_constant:
-                        work.append((rest, exps))
+                        work.append((rest, exps, next(fresh)))
                 break
         else:
-            base[p] = e
+            base[p] = (e, r, linear)
     return sorted(
-        ((b, e) for b, e in base.items() if any(e)),
+        ((b, e) for b, (e, _, _) in base.items() if any(e)),
         key=lambda t: (t[0].total_degree(), t[0].terms),
     )
 

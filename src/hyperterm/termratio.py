@@ -14,6 +14,13 @@ their natural coprime base, which splits a factor only where it shares a
 gcd with another and does not depend on the order of the factors.
 Equality of rational functions is decided on that base: two are equal
 exactly when their quotient refines to the constant 1.
+
+Arithmetic trusts that invariant.  A product refines only across its
+operands: each operand's factors are one coprime run of ``coprime_base``,
+so no gcd is taken between two factors of the same operand, and none is
+normalized again.  Shifts and inverses keep the invariant as they are.  A
+spec computes its quotients once and keeps them, and the compatibility
+check refines each pair of quotients once.
 """
 
 from __future__ import annotations
@@ -41,7 +48,11 @@ from .poly import Coeff, MultiPoly, Point, _coeff, _integer, coprime_base
 class FactoredRational:
     """scalar * prod(base ** exponent) with normalized, pairwise coprime,
     nonconstant bases and nonzero exponents.  The scalar follows the
-    coefficient rule of ``poly``: an int when integral, else a Fraction."""
+    coefficient rule of ``poly``: an int when integral, else a Fraction.
+
+    ``make`` establishes that invariant from any factors.  Products rely on
+    it, refining only across their operands, so a direct construction
+    ``FactoredRational(arity, scalar, factors)`` must keep it."""
 
     arity: int
     scalar: Coeff
@@ -52,7 +63,7 @@ class FactoredRational:
         scalar = _coeff(scalar)
         if scalar == 0:
             raise PreconditionError("rational function scalar must be nonzero")
-        pool: list[tuple[MultiPoly, tuple[int]]] = []
+        pool: list[tuple[MultiPoly, int]] = []
         for base, exp in factors:
             if base.arity != arity:
                 raise DimensionError("factor arity mismatch")
@@ -64,9 +75,8 @@ class FactoredRational:
             if s != 1:
                 scalar *= Fraction(s) ** exp
             if not prim.is_constant:
-                pool.append((prim, (exp,)))
-        refined = tuple((b, e) for b, (e,) in coprime_base(pool))
-        return FactoredRational(arity, _coeff(scalar), refined)
+                pool.append((prim, exp))
+        return FactoredRational(arity, _coeff(scalar), _refine([pair] for pair in pool))
 
     @staticmethod
     def one(arity: int) -> "FactoredRational":
@@ -89,8 +99,10 @@ class FactoredRational:
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         if self.arity != other.arity:
             raise DimensionError("arity mismatch")
-        return FactoredRational.make(
-            self.arity, self.scalar * other.scalar, self.factors + other.factors
+        return FactoredRational(
+            self.arity,
+            _coeff(self.scalar * other.scalar),
+            _refine((self.factors, other.factors)),
         )
 
     def inv(self) -> "FactoredRational":
@@ -156,6 +168,14 @@ class FactoredRational:
         if den.is_constant and den.constant_value() == 1:
             return format_multipoly(num)
         return f"({format_multipoly(num)}) / ({format_multipoly(den)})"
+
+
+def _refine(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[MultiPoly, int], ...]:
+    """The natural coprime base of normalized nonconstant factors given in
+    coprime runs (see ``poly.coprime_base``), as (base, exponent) pairs
+    whose exponent does not cancel."""
+    refined = coprime_base([(b, (e,)) for b, e in run] for run in runs)
+    return tuple((b, e) for b, (e,) in refined)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +259,14 @@ class TermSpec:
             seed=seed,
         )
 
+    @functools.cached_property
+    def _ratios(self) -> tuple[FactoredRational, ...]:
+        return tuple(g.ratio() for g in self.generators)
+
     def ratios(self) -> list[FactoredRational]:
-        return [g.ratio() for g in self.generators]
+        """The reduced quotients R_1..R_k, computed once per spec; the list
+        is the caller's own."""
+        return list(self._ratios)
 
     def with_seed(self, point: Sequence[int], value) -> "TermSpec":
         return replace(self, seed=_seed(self.arity, point, value))
@@ -296,14 +322,24 @@ def _unit(k: int, i: int) -> Point:
 def check_compatibility(spec: TermSpec) -> bool:
     """Whether R_i * (R_j shifted by e_i) = R_j * (R_i shifted by e_j) as
     exact rational functions for every pair i < j.  This is the condition
-    for the quotients to come from a single term."""
+    for the quotients to come from a single term.
+
+    Each pair takes one refinement, of the quotient of the two sides with
+    its four operands as coprime runs.  The scalars cancel, since a shift
+    keeps the scalar, so the sides are equal exactly when every exponent
+    cancels."""
     ratios = spec.ratios()
     k = spec.arity
     for i in range(k):
         for j in range(i + 1, k):
-            lhs = ratios[i] * ratios[j].shift(_unit(k, i))
-            rhs = ratios[j] * ratios[i].shift(_unit(k, j))
-            if not lhs.eq_rational(rhs):
+            ei, ej = _unit(k, i), _unit(k, j)
+            quotient = (
+                ratios[i],
+                ratios[j].shift(ei),
+                ratios[j].inv(),
+                ratios[i].shift(ej).inv(),
+            )
+            if _refine(r.factors for r in quotient):
                 return False
     return True
 

@@ -99,6 +99,23 @@ def test_check_incompatible(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "incompatible"
 
 
+def test_check_incompatible_third_axis(tmp_path, capsys):
+    # R_1 and R_2 agree with each other, but R_3 = (z1 + z2)/(z3 + 1)
+    # agrees with neither: shifting it by e_1 or e_2 moves z1 + z2
+    obj = {
+        "k": 3,
+        "generators": [
+            {"num": "1", "den": "1"},
+            {"num": "1", "den": "1"},
+            {"num": "z1 + z2", "den": "z3 + 1"},
+        ],
+    }
+    path = tmp_path / "bad3.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.strip() == "incompatible"
+
+
 def test_incompatible_spec_is_an_error_for_decompose_and_structure(tmp_path, capsys):
     # the spec of test_check_incompatible with a seed, which structure needs
     # before it decomposes; decompose names incompatibility only after its
@@ -299,9 +316,9 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # -- golden outputs ----------------------------------------------------------------
 #
 # tests/golden/ holds the stdout of every command below on specs/*.json and on
-# the bundled specs (written with spec_to_json), the stdout of `decompose` and
-# `structure` on the benchmark specs and of `compare` over their workload
-# windows, and golden/exit_status.json their exit statuses.  A change that
+# the bundled specs (written with spec_to_json), the stdout of `check`,
+# `decompose` and `structure` on the benchmark specs and of `compare` over
+# their workload windows, and golden/exit_status.json their exit statuses.  A change that
 # alters CLI output must regenerate them (`PYTHONPATH=src python
 # tests/test_cli.py`) and say why.
 
@@ -344,6 +361,7 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
             results[f"{name}.{command}"] = run_cli([command, path])
     for stem, window in COMPARE_WINDOWS.items():
         path = str(REPO / "perfbench" / "specs" / f"{stem}.json")
+        results[f"perfbench_{stem}.check"] = run_cli(["check", path])
         results[f"perfbench_{stem}.decompose"] = run_cli(["decompose", path])
         results[f"perfbench_{stem}.structure"] = run_cli(["structure", path])
         results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])

@@ -87,7 +87,7 @@ def test_coprime_base_matches_sympy():
             for atom in rng.sample(atoms, rng.randint(1, 2)):
                 p = p * atom
             pool.append((p.normalized()[1], (rng.randint(-2, 2), rng.randint(-2, 2))))
-        base = coprime_base(pool)
+        base = coprime_base([pair] for pair in pool)
         for b, _ in base:
             assert not b.is_constant and b.normalized() == (1, b)
         for (b1, _), (b2, _) in itertools.combinations(base, 2):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -74,6 +75,79 @@ def test_shift_composes():
         z = tuple(rng.randint(-4, 4) for _ in range(k))
         zu = tuple(a + b for a, b in zip(z, u))
         assert p.shift(u).evaluate(z) == p.evaluate(zu)
+
+
+def reference_shift(p, v):
+    """p(z + v) by substituting z_i + v_i into every monomial and
+    multiplying out with polynomial arithmetic."""
+    k = p.arity
+    out = MultiPoly.constant(k, 0)
+    for mono, c in p.terms:
+        term = MultiPoly.constant(k, c)
+        for i, e in enumerate(mono):
+            term = term * (MultiPoly.variable(k, i) + MultiPoly.constant(k, v[i])) ** e
+        out = out + term
+    return out
+
+
+def test_shift_matches_substitution():
+    rng = random.Random(23)
+    for _ in range(100):
+        k = rng.randint(1, 3)
+        p = random_poly(rng, k, 4)
+        v = tuple(rng.randint(-4, 4) for _ in range(k))
+        assert p.shift(v) == reference_shift(p, v)
+        if any(v):
+            # memoized by value: an equal polynomial and an equal vector,
+            # given as a list, get the same instance back
+            assert MultiPoly(k, p.terms).shift(list(v)) is p.shift(v)
+
+
+def test_shift_by_zero_is_the_polynomial_itself():
+    rng = random.Random(29)
+    for k in (1, 2, 3):
+        p = random_poly(rng, k, 3)
+        assert p.shift((0,) * k) is p
+
+
+def test_shift_vector_follows_the_integer_rule():
+    p = P("z1^2 + z2", 2)
+    assert p.shift((2.0, Fraction(-2, 2))) == p.shift((2, -1)) == P("z1^2 + 4*z1 + z2 + 3", 2)
+    for bad in [(1.5, 0), (True, 0), (Fraction(1, 2), 0), ("1", 0)]:
+        with pytest.raises(TypeError):
+            p.shift(bad)
+
+
+# -- hashing -------------------------------------------------------------------
+
+
+def test_equal_polynomials_hash_equal_whatever_their_route():
+    text = "z1^2 + 2*z1*z2 + z2^2 - 1"
+    first = P(text, 2)
+    routes = [
+        first,
+        P("z1 + z2 + 1", 2) * P("z1 + z2 - 1", 2),
+        MultiPoly.from_dict(2, {(0, 2): 1, (1, 1): 2, (2, 0): 1, (0, 0): Fraction(-2, 2)}),
+        P(text, 2).shift((3, -2)).shift((-3, 2)),
+        MultiPoly(2, first.terms),
+    ]
+    for p in routes:
+        assert p == first
+        # the hash and repr of the dataclass fields, as before it was kept
+        assert hash(p) == hash(first) == hash((2, first.terms))
+        assert repr(p) == f"MultiPoly(arity=2, terms={first.terms!r})"
+    assert len(set(routes)) == 1
+    assert first != P("z1^2 + 2*z1*z2 + z2^2 + 1", 2)
+    assert first != P(text, 3)
+
+
+def test_fields_stay_frozen_after_hashing():
+    p = P("z1 + 1", 1)
+    hash(p)
+    for name, value in [("arity", 2), ("terms", ()), ("_hash", 0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    assert p == P("z1 + 1", 1) and hash(p) == hash((1, p.terms))
 
 
 # -- integer evaluation -------------------------------------------------------
@@ -372,7 +446,7 @@ def test_coprime_base_random_pools():
     for _ in range(150):
         width = rng.randint(1, 3)
         pool = random_pool(rng, width)
-        base = coprime_base(pool)
+        base = coprime_base([pair] for pair in pool)
         for b, exps in base:
             assert not b.is_constant and b.normalized()[1] == b and any(exps)
         for (b1, _), (b2, _) in itertools.combinations(base, 2):
@@ -382,7 +456,7 @@ def test_coprime_base_random_pools():
             num_out, den_out = power_product(base, coord)
             assert num_in * den_out == num_out * den_in
         for perm in itertools.permutations(pool):
-            assert coprime_base(perm) == base
+            assert coprime_base([pair] for pair in perm) == base
 
 
 def test_coprime_base_splits_before_dropping():
@@ -392,7 +466,64 @@ def test_coprime_base_splits_before_dropping():
         (P("z1*z2 - z1", 2), (1,)),
         (P("z1^2 + z1", 2), (-1,)),
     ]
-    assert coprime_base(pool) == [(P("z2 - 1", 2), (1,)), (P("z1", 2), (1,))]
+    assert coprime_base([pair] for pair in pool) == [(P("z2 - 1", 2), (1,)), (P("z1", 2), (1,))]
+
+
+def all_pairs_coprime_base(pairs):
+    """Factor refinement that takes a gcd between every incoming polynomial
+    and every base element, with no shortcut and no runs: the reference for
+    ``coprime_base``."""
+    base = {}
+    work = [(p, tuple(e)) for p, e in pairs]
+    while work:
+        p, e = work.pop()
+        if p in base:
+            base[p] = tuple(x + y for x, y in zip(base[p], e))
+            continue
+        for b in base:
+            g = gcd(p, b)
+            if not g.is_constant:
+                f = base.pop(b)
+                work.append((g, tuple(x + y for x, y in zip(e, f))))
+                for rest, exps in ((exact_div(b, g), f), (exact_div(p, g), e)):
+                    if not rest.is_constant:
+                        work.append((rest, exps))
+                break
+        else:
+            base[p] = e
+    return sorted(
+        ((b, e) for b, e in base.items() if any(e)),
+        key=lambda t: (t[0].total_degree(), t[0].terms),
+    )
+
+
+def random_run(rng, width):
+    """A coprime run: the coprime base of a random pool, each base with a
+    random exponent vector.  Its bases are products of atoms, so a base of
+    another run may equal one of them, or share a factor with it and split."""
+    refined = all_pairs_coprime_base((p, (1,)) for p, _ in random_pool(rng, 1))
+    return [(b, tuple(rng.randint(-2, 2) for _ in range(width))) for b, _ in refined]
+
+
+def test_coprime_base_runs_match_all_pairs():
+    rng = random.Random(17)
+    shared = split = 0
+    for _ in range(300):
+        width = rng.randint(1, 3)
+        runs = [random_run(rng, width) for _ in range(rng.randint(2, 4))]
+        flat = [pair for run in runs for pair in run]
+        expected = all_pairs_coprime_base(flat)
+        assert coprime_base(runs) == expected, runs
+        assert coprime_base([pair] for pair in flat) == expected, runs
+        pairs = [
+            (b1, b2)
+            for run1, run2 in itertools.combinations(runs, 2)
+            for (b1, _), (b2, _) in itertools.product(run1, run2)
+        ]
+        shared += any(b1 == b2 for b1, b2 in pairs)
+        split += any(b1 != b2 and not gcd(b1, b2).is_constant for b1, b2 in pairs)
+    # runs that share a base, and runs whose bases split against each other
+    assert shared >= 100 and split >= 100
 
 
 # -- detect_simple -------------------------------------------------------------

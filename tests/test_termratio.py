@@ -128,6 +128,47 @@ def test_factored_make_ignores_factor_order():
         assert fr.scalar == 1 and fr.factors == expected
 
 
+# atoms of the random factored rationals: products of them make bases that
+# two operands share, or that split against each other
+FACTOR_ATOMS = {
+    1: ["z1", "z1 + 1", "z1 + 2", "2*z1 - 3", "z1^2 + 1"],
+    2: ["z1", "z1 + 1", "z2 - 1", "z1 + z2", "z1*z2 + 1", "2*z1 - 3"],
+    3: ["z1 + z2", "z3 - 1", "z1*z2 + z3", "z1 + z2 + z3", "z2*z3 + 1"],
+}
+
+
+def random_factored(rng, k):
+    """make on zero to three random products of one or two atoms, each
+    scaled and raised to a random exponent, with a random scalar."""
+    factors = []
+    for _ in range(rng.randint(0, 3)):
+        p = P("1", k)
+        for _ in range(rng.randint(1, 2)):
+            p = p * P(rng.choice(FACTOR_ATOMS[k]), k)
+        scale = rng.choice([1, -1, 2, Fraction(1, 3)])
+        factors.append((p.scale(scale), rng.choice([-2, -1, 1, 2])))
+    scalar = Fraction(rng.choice([-4, -1, 1, 2, 3]), rng.randint(1, 3))
+    return FactoredRational.make(k, scalar, factors)
+
+
+def test_product_equals_make_on_both_factor_lists():
+    # a * b refines across its operands only; make re-normalizes and
+    # refines every pair of the concatenated factors
+    rng = random.Random(31)
+    for trial in range(300):
+        k = 1 + trial % 3
+        a = random_factored(rng, k)
+        b = random_factored(rng, k)
+        if trial % 4 == 2:
+            b = a.inv()
+        elif trial % 4 == 3:
+            b = a.shift(tuple(rng.randint(-1, 1) for _ in range(k))).inv()
+        product = a * b
+        expected = FactoredRational.make(k, a.scalar * b.scalar, a.factors + b.factors)
+        assert product == expected, (a, b)
+        assert type(product.scalar) is type(expected.scalar)
+
+
 def test_factored_constant_folding():
     fr = FactoredRational.make(1, 1, [(P("-2*z1 + 4", 1), 2)])
     assert fr.scalar == 4
@@ -191,6 +232,67 @@ def test_separated_variables_compatible():
 def test_incompatible_pair():
     spec = TermSpec.make(2, [(P("z2", 2), P("1", 2)), (P("1", 2), P("1", 2))])
     assert not check_compatibility(spec)
+
+
+def compatible_by_three_products(spec):
+    """The compatibility condition as it reads: both sides of every pair as
+    products, then their equality; three refinements per pair."""
+    ratios = spec.ratios()
+    k = spec.arity
+    for i, j in itertools.combinations(range(k), 2):
+        ei = tuple(int(x == i) for x in range(k))
+        ej = tuple(int(x == j) for x in range(k))
+        lhs = ratios[i] * ratios[j].shift(ei)
+        rhs = ratios[j] * ratios[i].shift(ej)
+        if not lhs.eq_rational(rhs):
+            return False
+    return True
+
+
+def test_check_compatibility_matches_three_products():
+    from conftest import random_form, spec_from_form
+
+    rng = random.Random(37)
+    verdicts = {}
+    for trial in range(240):
+        k = 1 + trial % 3
+        if trial % 2:
+            spec = spec_from_form(random_form(rng, k))
+        else:
+            # C(z + e_i) / C(z) with C one composite factor: such bases stay
+            # composite in R_i, and split against the bases of other quotients
+            c = P(rng.choice(FACTOR_ATOMS[k]), k) * P(rng.choice(FACTOR_ATOMS[k]), k)
+            units = [tuple(int(x == i) for x in range(k)) for i in range(k)]
+            ratios = [FactoredRational.make(k, 2, [(c.shift(e), 1), (c, -1)]) for e in units]
+            spec = TermSpec.from_ratios(k, ratios)
+        if k > 1 and rng.random() < 0.6:
+            # a factor in one quotient that, as a rule, no other balances
+            ratios = spec.ratios()
+            i = rng.randrange(k)
+            extra = P(rng.choice(FACTOR_ATOMS[k]), k)
+            ratios[i] = ratios[i] * FactoredRational.make(k, 1, [(extra, rng.choice([-1, 1]))])
+            spec = TermSpec.from_ratios(k, ratios)
+        verdict = check_compatibility(spec)
+        assert verdict == compatible_by_three_products(spec), spec
+        verdicts[k, verdict] = verdicts.get((k, verdict), 0) + 1
+    assert sum(n for (_, v), n in verdicts.items() if v) >= 50
+    assert sum(n for (_, v), n in verdicts.items() if not v) >= 50
+    assert verdicts[3, False] >= 20
+
+
+def test_ratios_are_kept_and_returned_as_a_fresh_list():
+    spec = binomial_spec()
+    expected = [g.ratio() for g in spec.generators]
+    got = spec.ratios()
+    assert got == expected
+    got.reverse()
+    got[0] = FactoredRational.one(2)
+    got.append(FactoredRational.one(2))
+    assert spec.ratios() == expected
+    assert spec.ratios() is not spec.ratios()
+    assert all(a is b for a, b in zip(spec.ratios(), spec.ratios()))
+    # the kept ratios are no field: equality and hash see the generators
+    assert spec == binomial_spec() and hash(spec) == hash(binomial_spec())
 
 
 # -- composition --------------------------------------------------------------------
