@@ -64,9 +64,12 @@ def _parse_window(text: Optional[str], arity: int) -> LatticeBox:
     ranges = []
     for part in text.split(","):
         lo_text, _, hi_text = part.partition(":")
-        if not hi_text:
-            raise ParseError("--window expects 'lo:hi' per axis")
-        lo, hi = int(lo_text), int(hi_text)
+        try:
+            lo, hi = int(lo_text), int(hi_text)
+        except ValueError:
+            raise ParseError(
+                f"bad window range {part!r}: --window expects 'lo:hi' per axis"
+            ) from None
         if lo > hi:
             raise ParseError(f"empty window range {part!r}")
         ranges.append((lo, hi))

@@ -18,8 +18,8 @@ value's numerator and denominator by the two side numerators and reduces
 once, in a single ``Fraction``.  A move is dropped when its target is
 outside the window or already visited before the exception planes are
 consulted (not at all when the spec declares none) or anything is
-evaluated, so only steps that can be taken cost an evaluation; the BFS
-order, the values and the certificates are those of evaluating every move.
+evaluated, so only steps that can be taken cost an evaluation; the order,
+the values and the certificates are those of evaluating every move.
 The values of A_i and B_i at a point are not memoised: each is needed by at
 most one step taken, and a per-point memo costs memory without saving time.
 
@@ -29,14 +29,25 @@ so a link allocates no object.  ``propagate`` rebuilds the certificate of
 its target from the links on demand, re-evaluating the multiplier of each
 step on the path.
 
-The flood is demand driven.  Building one only seeds it; each point asked
-for runs whole BFS layers until that point is reached or the frontier is
-empty, and the next question resumes where the last one stopped.  BFS
-layers do not depend on when the flood stops, so every value and link is
-the one a flood run to exhaustion gives.  A flood runs to exhaustion only
-when a point asked for inside its box is unreachable, which is exactly when
-the answer needs the whole box, and ``propagate_targets`` does not ask for
-a point it can prove unreachable.
+The flood is demand driven and goal directed.  Building one only seeds
+it.  The points found wait in a bucket queue keyed by their L1 distance to
+a goal box, the bounding box of the points the caller will ask for, and the
+flood expands the first point found of the nearest bucket.  A step moves
+one coordinate by one, so it changes the distance by at most one, computed
+from the moved axis alone.  Each point asked for expands points until that
+point is found or the queue is empty, and the next question resumes where
+the last one stopped.  The goal defaults to the flood's own box: every
+distance is then 0, the queue is one FIFO list and the order is breadth
+first, which is the order of ``propagate``'s certificates.
+
+Which points a flood reaches does not depend on the order, since a step is
+taken or refused by its two end points alone, and neither does a value,
+since values are path independent.  So every value is the one a flood run
+to exhaustion gives, whatever the goal and wherever the flood stopped; only
+the links, and so the certificates, follow the order.  A flood runs to
+exhaustion only when a point asked for inside its box is unreachable,
+which is exactly when the answer needs the whole box, and
+``propagate_targets`` does not ask for a point it can prove unreachable.
 
 That proof is a directional wall (``_walls``): a half-space
 H = {w.z >= m} with every |w_i| <= 1 that holds the seed, such that for
@@ -53,10 +64,11 @@ refuses both, so no flood out of the seed, in any box, reaches a point
 outside H.
 
 ``build_structure`` takes every piece's base value from one flood out of
-the seed over the seed and all base points (``propagate_targets``).  A
-flood of the same kind, over a comparison window and the seed, supplies
-the oracle for piecewise closed forms: ``grid_compare`` asks it only at the
-points where the closed form has a value.
+the seed over the seed and all base points (``propagate_targets``), in
+breadth-first order.  A flood over a comparison window and the seed, aimed
+at the window, supplies the oracle for piecewise closed forms:
+``grid_compare`` asks it only at the points where the closed form has a
+value.
 """
 
 from __future__ import annotations
@@ -117,21 +129,25 @@ def _side_numerator(scale: int, factors: tuple, z: Point) -> int:
 
 
 class _Flood:
-    """Deterministic BFS flood of propagated values from the seed of a
-    seeded spec, inside the box [lo, hi], which holds the seed.
+    """Deterministic flood of propagated values from the seed of a seeded
+    spec, inside the box [lo, hi], which holds the seed, aimed at the goal
+    box (glo, ghi), by default [lo, hi] itself.
 
-    Steps are explored in lexicographic order of the step vector, so the
-    discovered path to each point (and therefore its certificate) is
-    deterministic; the value itself is path independent for compatible
-    specs wherever it is defined at all.  The constructor only seeds the
-    flood; ``get`` runs it layer by layer as far as the points asked for
-    need.  ``values`` and ``steps`` hold the points reached so far.
+    Points are expanded nearest to the goal first (L1 distance) and, at one
+    distance, in the order found; the steps out of a point are explored in
+    lexicographic order of the step vector.  So the discovered path to each
+    point (and therefore its certificate) is deterministic for a given goal,
+    and breadth first for the default one; the value itself is path
+    independent for compatible specs wherever it is defined at all.  The
+    constructor only seeds the flood; ``get`` runs it as far as the points
+    asked for need.  ``values`` and ``steps`` hold the points reached so far.
     """
 
-    def __init__(self, spec: TermSpec, lo: Point, hi: Point, step_order=None):
+    def __init__(self, spec: TermSpec, lo: Point, hi: Point, step_order=None, goal=None):
         self.spec = spec
         self.lo = lo
         self.hi = hi
+        self.glo, self.ghi = (lo, hi) if goal is None else goal
         k = spec.arity
         moves = []
         for i in range(k):
@@ -154,8 +170,17 @@ class _Flood:
         seed_point, seed_value = spec.seed
         self.values[seed_point] = Fraction(seed_value)
         self.steps[seed_point] = None
-        # the last layer reached; its moves are not yet explored
-        self.frontier = [seed_point]
+        # buckets[d]: the points found at distance d from the goal, in the
+        # order found; the first heads[d] of them are expanded, and every
+        # point of the buckets below ``nearest`` is
+        glo, ghi = self.glo, self.ghi
+        far = sum(max(g - a, b - h, 0) for a, b, g, h in zip(lo, hi, glo, ghi))
+        self.buckets: list[list[Point]] = [[] for _ in range(far + 1)]
+        self.heads = [0] * (far + 1)
+        self.nearest = sum(
+            g - x if x < g else x - h if x > h else 0 for x, g, h in zip(seed_point, glo, ghi)
+        )
+        self.buckets[self.nearest].append(seed_point)
 
     def _in_window(self, z: Point) -> bool:
         return all(a <= x <= b for x, a, b in zip(z, self.lo, self.hi))
@@ -173,29 +198,40 @@ class _Flood:
 
     def get(self, z: Point) -> Optional[Fraction]:
         """The propagated value at z, or None when the flood cannot reach it
-        inside the box.  Runs whole BFS layers until z is reached or the
-        frontier is empty, so a point of the box behind a wall costs the
-        whole flood and any other point only the layers up to its own; a
-        point outside the box costs nothing."""
+        inside the box.  Expands points until z is found or the queue is
+        empty, so a point of the box behind a wall costs the whole flood and
+        any other point only the points expanded before it is found; a point
+        outside the box costs nothing."""
         values = self.values
         if z in values:
             return values[z]
         if not self._in_window(z):
             return None
-        while self.frontier and z not in values:
-            self._layer()
+        self._run(z)
         return values.get(z)
 
-    def _layer(self) -> None:
-        """Explore every move out of the frontier; the points reached become
-        the next frontier."""
-        values, steps, lo, hi = self.values, self.steps, self.lo, self.hi
+    def _run(self, z: Point) -> None:
+        """Expand points in queue order until z is reached or the queue is
+        empty.  A point found one step from a point at distance d is at
+        d - 1, d or d + 1: only the moved axis's term of the distance
+        changes."""
+        values, steps, moves = self.values, self.steps, self.moves
+        lo, hi, glo, ghi = self.lo, self.hi, self.glo, self.ghi
+        buckets, heads = self.buckets, self.heads
         multiplier = self._multiplier
         covers = self.spec.exceptions.covers if self.spec.exceptions.hyperplanes else None
-        nxt = []
-        for node in self.frontier:
+        d, last = self.nearest, len(buckets) - 1
+        while z not in values:
+            bucket, head = buckets[d], heads[d]
+            if head == len(bucket):
+                if d == last:
+                    break  # the queue is empty
+                d += 1
+                continue
+            node = bucket[head]
+            heads[d] = head + 1
             value = values[node]
-            for axis, delta in self.moves:
+            for axis, delta in moves:
                 # a unit step leaves the window only along its own axis
                 x = node[axis] + delta
                 if not lo[axis] <= x <= hi[axis]:
@@ -213,8 +249,14 @@ class _Flood:
                 num, den = mult
                 values[target] = Fraction(value.numerator * num, value.denominator * den)
                 steps[target] = axis if forward else ~axis
-                nxt.append(target)
-        self.frontier = nxt
+                if forward:
+                    e = d + 1 if x > ghi[axis] else d - 1 if x <= glo[axis] else d
+                else:
+                    e = d + 1 if x < glo[axis] else d - 1 if x >= ghi[axis] else d
+                buckets[e].append(target)
+            if d and heads[d - 1] < len(buckets[d - 1]):
+                d -= 1
+        self.nearest = d
 
     def certificate(self, z: Point) -> tuple[PathStep, ...]:
         """The steps from the seed to z, rebuilt from the links with each
@@ -234,19 +276,23 @@ class _Flood:
         return tuple(out)
 
 
-def _box_flood(spec: TermSpec, points: Sequence[Point], step_order=None) -> _Flood:
+def _box_flood(
+    spec: TermSpec, points: Sequence[Point], what: str = "point", goal=None, step_order=None
+) -> _Flood:
     """The flood, not yet run, over the bounding box of the seed and the
     points inflated by 2 (k+1), the one box every flood here searches.  A
-    spec without a seed raises PreconditionError; a point of another arity
-    than the spec is the caller's to reject once the flood is built, so
-    that the seed is always checked first."""
+    spec without a seed raises PreconditionError; then points of another
+    arity than the spec raise DimensionError, named ``what`` (a point or a
+    window), before any distance to the goal is computed."""
     if spec.seed is None:
         raise PreconditionError("propagation requires a seed value")
+    if any(len(p) != spec.arity for p in points):
+        raise DimensionError(f"{what} arity mismatch")
     margin = 2 * (spec.arity + 1)
     coords = list(zip(spec.seed[0], *points))
     lo = tuple(min(c) - margin for c in coords)
     hi = tuple(max(c) + margin for c in coords)
-    return _Flood(spec, lo, hi, step_order=step_order)
+    return _Flood(spec, lo, hi, step_order=step_order, goal=goal)
 
 
 def propagate(
@@ -256,11 +302,12 @@ def propagate(
     step_order=None,
 ) -> PropagationResult:
     """Value of the term at ``to`` propagated from the given point/value
-    pair, searching within the bounding box of the two points inflated by
-    2 (k+1), the margin ``propagate_window`` uses too."""
+    pair, searching breadth first within the bounding box of the two points
+    inflated by 2 (k+1), the margin ``propagate_window`` uses too; the
+    certificate is the first path found."""
     point, value = (tuple(int(x) for x in frm[0]), Fraction(frm[1]))
     to = tuple(int(x) for x in to)
-    if len(point) != spec.arity or len(to) != spec.arity:
+    if len(point) != spec.arity:
         raise DimensionError("point arity mismatch")
     flood = _box_flood(spec.with_seed(point, value), [to], step_order=step_order)
     value = flood.get(to)
@@ -336,11 +383,10 @@ def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional
     A target behind a wall (``_walls``) is answered None without asking
     the flood, since no flood reaches it; the box still holds it, so every
     other target gets the answer the flood of the whole box gives.  The
-    flood then stops at the layer holding the last target not walled off,
-    and runs its whole box only when one of those is unreachable."""
+    flood runs breadth first and stops as soon as it finds the last target
+    not walled off, and runs its whole box only when one of those is
+    unreachable."""
     flood = _box_flood(spec, targets)
-    if any(len(t) != spec.arity for t in targets):
-        raise DimensionError("point arity mismatch")
     walls = _walls(spec)
     return [None if _wall_against(walls, t) else flood.get(t) for t in targets]
 
@@ -348,11 +394,11 @@ def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional
 def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction]:
     """All propagated values inside the window, from one flood over the
     window and the seed inflated by 2 (k+1), so paths may route around zero
-    walls near the boundary.  The flood is asked for every window point, so
-    it stops at the layer holding the last of them, or runs the whole box
-    when one of them is unreachable.  The result lists the points reached
-    in window order (``LatticeBox.points``); a window of another arity than
-    the spec raises DimensionError."""
+    walls near the boundary.  The flood is aimed at the window and asked
+    for every window point, so it stops as soon as it finds the last of
+    them, or runs the whole box when one of them is unreachable.  The
+    result lists the points reached in window order (``LatticeBox.points``);
+    a window of another arity than the spec raises DimensionError."""
     flood = _window_flood(spec, window)
     table = {}
     for z in window.points():
@@ -364,12 +410,11 @@ def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction
 
 def _window_flood(spec: TermSpec, window: LatticeBox) -> _Flood:
     """The flood, not yet run, over the window and the seed inflated by
-    2 (k+1)."""
+    2 (k+1), aimed at the window: the points nearest the window are
+    expanded first, so the flood walks from the seed toward the window
+    rather than through a ball around the seed."""
     corner_hi = tuple(c + window.size for c in window.corner)
-    flood = _box_flood(spec, [window.corner, corner_hi])
-    if window.arity != spec.arity:
-        raise DimensionError("window arity mismatch")
-    return flood
+    return _box_flood(spec, [window.corner, corner_hi], "window", goal=(window.corner, corner_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +448,14 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     """Compare the piecewise closed form against propagated values at every
     point of the window; exact equality where both are defined.
 
-    The oracle is a flood over the box ``propagate_window`` floods, asked
-    only at the points where the closed form has a value, so it stops at the
-    layer holding the last of them, or runs the whole box when one of them
-    is unreachable.  ``blocked`` counts those unreachable points; points on
-    an excluded hyperplane, where D vanishes or in a piece of unknown base
-    value are counted apart and never asked.  A window of another arity than the
-    spec raises DimensionError before any point is evaluated."""
+    The oracle is the flood ``propagate_window`` runs, aimed at the window
+    and asked only at the points where the closed form has a value, so it
+    stops as soon as it finds the last of them, or runs the whole box when
+    one of them is unreachable.  ``blocked`` counts those unreachable
+    points; points on an excluded hyperplane, where D vanishes or in a piece
+    of unknown base value are counted apart and never asked.  A window of
+    another arity than the spec raises DimensionError before any point is
+    evaluated."""
     from .structure import closed_form_eval
 
     if spec.seed is None:

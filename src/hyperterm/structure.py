@@ -13,9 +13,9 @@ All base values come from one flood out of the seed over the seed and
 every base point (``oracle.propagate_targets``); a piece has an unknown
 base value exactly when that flood does not reach z0.  A base point behind
 a directional wall is not asked for: the piece keeps the wall as the proof
-that no flood reaches it.  The flood stops at the BFS layer holding the
-last base point not walled off, and runs its whole box only when one of
-those is not reached.
+that no flood reaches it.  The flood runs breadth first, stops as soon as
+it finds the last base point not walled off, and runs its whole box only
+when one of those is not reached.
 The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.

@@ -246,6 +246,16 @@ def test_usage_errors(tmp_path, capsys):
     assert spec_from_json(integral) == spec_from_json(integer_spec)
 
 
+def test_malformed_window_range_is_named(tmp_path, capsys):
+    path = write_spec(tmp_path, binomial_spec())
+    cases = [("1:2:3,0:1", "'1:2:3'"), ("0:2,1", "'1'"), ("0:x,0:2", "'0:x'"), ("0:2,", "''")]
+    for window, bad in cases:
+        assert main(["compare", path, "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad window range {bad}: --window expects 'lo:hi' per axis\n"
+
+
 def test_leading_minus_binds_to_the_first_term(tmp_path, capsys):
     # -z1 + 5 is 5 - z1, not -(z1 + 5): the same chain, and f(2) = 5 * 4
     outputs = []

@@ -236,24 +236,33 @@ def test_flood_with_exceptions_and_scalars():
             continue
         reached += 1
         assert single.value == scaled_binomial_value(z)
-        # replay the certificate with the Fraction evaluation of each side
-        position, value = spec.seed
-        for step in single.path:
-            assert not spec.exceptions.covers(step.at)
-            gen = spec.generators[step.axis]
-            a_val, b_val = gen.num.evaluate(step.at), gen.den.evaluate(step.at)
-            unit = tuple(int(i == step.axis) for i in range(spec.arity))
-            if step.forward:
-                assert step.at == position
-                assert step.multiplier == a_val / b_val
-                position = tuple(x + u for x, u in zip(position, unit))
-            else:
-                position = tuple(x - u for x, u in zip(position, unit))
-                assert step.at == position
-                assert step.multiplier == b_val / a_val
-            value *= step.multiplier
-        assert position == z and value == single.value
+        assert_replays(spec, single.path, z, single.value)
     assert reached > 20 and beyond > 10
+
+
+def assert_replays(spec, path, z, expected, box=None):
+    """Replay a certificate with the Fraction evaluation of each side: it
+    walks by unit steps from the seed to z, inside the box when one is
+    given, never evaluates on an exception plane, and multiplies the seed
+    value to the expected value."""
+    position, value = spec.seed
+    for step in path:
+        assert not spec.exceptions.covers(step.at)
+        gen = spec.generators[step.axis]
+        a_val, b_val = gen.num.evaluate(step.at), gen.den.evaluate(step.at)
+        unit = tuple(int(i == step.axis) for i in range(spec.arity))
+        if step.forward:
+            assert step.at == position
+            assert step.multiplier == a_val / b_val
+            position = tuple(x + u for x, u in zip(position, unit))
+        else:
+            position = tuple(x - u for x, u in zip(position, unit))
+            assert step.at == position
+            assert step.multiplier == b_val / a_val
+        if box is not None:
+            assert all(a <= x <= b for x, a, b in zip(position, *box))
+        value *= step.multiplier
+    assert position == z and value == expected
 
 
 # -- differential check of the flood against a plain BFS -----------------------
@@ -409,6 +418,77 @@ def test_flood_get_matches_reference():
     assert asked["reached"] > 60 and asked["blocked"] > 10 and asked["outside"] > 30
 
 
+def goal_distance(z, glo, ghi):
+    return sum(max(g - x, x - h, 0) for x, g, h in zip(z, glo, ghi))
+
+
+def queued(flood):
+    """The points a flood has found but not expanded yet."""
+    return sum(len(bucket) - head for bucket, head in zip(flood.buckets, flood.heads))
+
+
+def test_goal_flood_matches_reference():
+    """A flood aimed at a goal box reaches the points and values of the
+    breadth-first reference, whatever the goal: inside the box, straddling
+    its boundary, or around a point the flood cannot reach.  Its
+    certificates may take other paths, but each replays to the value."""
+    rng = random.Random(113)
+    specs = random_extended_specs(rng, 12) + list(bundled_specs().values())
+    asked = {"reached": 0, "blocked": 0, "outside": 0}
+    walled_goals = 0
+    for spec in specs:
+        k = spec.arity
+        seed_point = spec.seed[0]
+        lo = tuple(x - rng.randint(2, 5) for x in seed_point)
+        hi = tuple(x + rng.randint(2, 5) for x in seed_point)
+        values, _ = reference_flood(spec, lo, hi)
+        reached = [z for z in box_points(lo, hi) if z in values]
+        blocked = [z for z in box_points(lo, hi) if z not in values]
+        goals = []
+        # inside the box, its corner offset from the seed
+        corner = tuple(rng.randint(a, b) for a, b in zip(lo, hi))
+        goals.append((corner, tuple(min(c + rng.randint(0, 2), b) for c, b in zip(corner, hi))))
+        # straddling the box's boundary on every axis
+        goals.append(
+            (
+                tuple(b - rng.randint(0, 2) for b in hi),
+                tuple(b + rng.randint(1, 3) for b in hi),
+            )
+        )
+        # around a point no flood in the box reaches
+        if blocked:
+            walled_goals += 1
+            z = rng.choice(blocked)
+            goals.append((tuple(x - 1 for x in z), tuple(x + 1 for x in z)))
+        for glo, ghi in goals:
+            outside = []
+            for _ in range(2):
+                axis = rng.randrange(k)
+                z = list(rng.choice(reached))
+                z[axis] = lo[axis] - rng.randint(1, 3) if rng.random() < 0.5 else hi[axis] + rng.randint(1, 3)
+                outside.append(tuple(z))
+            points = rng.sample(reached, min(6, len(reached)))
+            points += rng.sample(blocked, min(2, len(blocked))) + outside
+            rng.shuffle(points)
+            flood = _Flood(spec, lo, hi, goal=(glo, ghi))
+            for z in points:
+                value = flood.get(z)
+                assert value == values.get(z)
+                if value is not None:
+                    assert_replays(spec, flood.certificate(z), z, value, box=(lo, hi))
+                asked["reached" if value is not None else "blocked" if z in blocked else "outside"] += 1
+            # every point found waits in the bucket of its distance to the goal
+            for d, bucket in enumerate(flood.buckets):
+                assert all(goal_distance(y, glo, ghi) == d for y in bucket)
+            # whatever the flood holds is reached by the reference, with its value
+            for z, value in flood.values.items():
+                assert value == values[z]
+            if blocked:
+                assert flood.values.keys() == values.keys() and not queued(flood)
+    assert asked["reached"] > 150 and asked["blocked"] > 40 and asked["outside"] > 60
+    assert walled_goals > 10
+
+
 def reference_grid_report(ps, spec, window):
     """``grid_compare`` over a table from ``reference_flood``, every window
     point evaluated and looked up."""
@@ -445,8 +525,13 @@ def test_grid_compare_matches_reference():
     cases = []
     for spec in random_extended_specs(rng, 8) + list(bundled_specs().values()):
         k = spec.arity
-        window = LatticeBox(tuple(x - 2 for x in spec.seed[0]), 4 if k < 3 else 3)
-        cases.append((build_structure(spec), spec, window))
+        ps = build_structure(spec)
+        size = 4 if k < 3 else 3
+        cases.append((ps, spec, LatticeBox(tuple(x - 2 for x in spec.seed[0]), size)))
+        # a window whose corner lies away from the seed, so the flood aimed
+        # at it leaves the seed on one side
+        offset = tuple(x + rng.choice([-8, -6, -5, 3, 4, 6]) for x in spec.seed[0])
+        cases.append((ps, spec, LatticeBox(offset, size)))
     # a structure checked against a flood that may not cross z1 + z2 = 5:
     # closed-form points beyond the line are blocked
     open_spec = scaled_binomial_spec()
@@ -475,9 +560,14 @@ def captured_floods(monkeypatch):
     return floods
 
 
+# the most points the window flood, aimed at the window, may reach
+WINDOW_FLOOD_REACH = {"wedge3d": 1000, "flood3d": 700}
+
+
 @pytest.mark.parametrize(
     "name, window, checked, exhaustive",
     [
+        # the window lies 7 levels of z3 above the seed (1, 1, 1)
         ("wedge3d", LatticeBox((-2, -2, 8), 6), 301, 12351),
         # flood3d's window holds points of unreachable pieces, never asked
         ("flood3d", LatticeBox((-4, -4, -4), 8), 189, 8125),
@@ -492,11 +582,11 @@ def test_grid_compare_flood_stops_early(monkeypatch, name, window, checked, exha
     (flood,) = floods
     values, _ = reference_flood(spec, flood.lo, flood.hi)
     assert len(values) == exhaustive
-    assert len(flood.values) <= len(values) // 2
+    assert len(flood.values) <= WINDOW_FLOOD_REACH[name]
     # one unreachable point asked for runs the flood over the whole box
     blocked = next(z for z in box_points(flood.lo, flood.hi) if z not in values)
     assert flood.get(blocked) is None
-    assert not flood.frontier
+    assert not queued(flood)
     assert flood.values.keys() == values.keys()
 
 
@@ -594,4 +684,4 @@ def test_build_flood_stops_at_the_last_reachable_base_point(monkeypatch):
     # the base point (0, 0, -21) lies behind z1 + z3 >= 0 and is not asked for;
     # asking it would run the whole box, 6,318 points
     assert [p.base_point for p in ps.pieces if p.wall is not None] == [(0, 0, -21)]
-    assert len(flood.values) <= 1500 and flood.frontier
+    assert len(flood.values) <= 1500 and queued(flood)
