@@ -53,7 +53,12 @@ def _load_spec(path: str, seed_override: Optional[str]) -> TermSpec:
         point_text, _, value_text = seed_override.partition("=")
         if not value_text:
             raise ParseError("--seed expects 'z1,...,zk=p/q'")
-        point = tuple(int(x) for x in point_text.split(","))
+        try:
+            point = tuple(int(x) for x in point_text.split(","))
+        except ValueError:
+            raise ParseError(
+                f"bad seed point {point_text!r}: --seed expects 'z1,...,zk=p/q'"
+            ) from None
         spec = spec.with_seed(point, fraction_from_json(value_text))
     return spec
 
@@ -125,7 +130,10 @@ def _cmd_pochhammer(spec: TermSpec, args) -> int:
 def _cmd_eval(spec: TermSpec, args) -> int:
     if args.at is None:
         raise ParseError("eval requires --at z1,...,zk")
-    point = tuple(int(x) for x in args.at.split(","))
+    try:
+        point = tuple(int(x) for x in args.at.split(","))
+    except ValueError:
+        raise ParseError(f"bad point {args.at!r}: --at expects integers 'z1,...,zk'") from None
     if len(point) != spec.arity:
         raise ParseError(f"expected {spec.arity} coordinates in --at, got {len(point)}")
     ps = build_structure(spec)

@@ -296,10 +296,7 @@ def _box_flood(
 
 
 def propagate(
-    spec: TermSpec,
-    frm: tuple[Sequence[int], Fraction],
-    to: Sequence[int],
-    step_order=None,
+    spec: TermSpec, frm: tuple[Sequence[int], Fraction], to: Sequence[int]
 ) -> PropagationResult:
     """Value of the term at ``to`` propagated from the given point/value
     pair, searching breadth first within the bounding box of the two points
@@ -309,7 +306,7 @@ def propagate(
     to = tuple(int(x) for x in to)
     if len(point) != spec.arity:
         raise DimensionError("point arity mismatch")
-    flood = _box_flood(spec.with_seed(point, value), [to], step_order=step_order)
+    flood = _box_flood(spec.with_seed(point, value), [to])
     value = flood.get(to)
     if value is None:
         return PropagationResult(None, reason="blocked")

@@ -15,16 +15,20 @@ unconditionally.
 simple factors (univariate polynomials of an integer linear form) are
 sorted into per-direction shift families and balanced into telescoping
 chains, while non-simple factors are grouped into shift orbits whose signed
-multiplicity pattern gives the C/D pair.  Each family and orbit is solved
-from one generator's exponents; the residue pass checks the rest: each
-generator divided by the form's ratio in its direction must refine to a
-constant, its gamma.  That one pass is the verification.  When it fails,
+multiplicity pattern gives the C/D pair.  Every factor is routed by one
+dict lookup of a canonical anchor: a simple one by its direction and the
+anchor of its univariate profile (``_anchor_family``), a non-simple one by
+the exact anchor of its orbit (``poly.orbit_anchor``).  Each family and
+orbit is solved from one generator's exponents; the residue pass checks the
+rest: each generator divided by the form's ratio in its direction must
+refine to a constant, its gamma.  That one pass is the verification.  When it fails,
 incompatible generators raise CocycleError and input that does not
 telescope raises StructureError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,8 +50,8 @@ from .poly import (
     coprime_base,
     detect_simple,
     gcd,
+    orbit_anchor,
     rational_roots,
-    shift_between,
 )
 from .termratio import FactoredRational, TermSpec, _unit, check_compatibility
 
@@ -175,10 +179,12 @@ def _joint_refine(ratios: list[FactoredRational]) -> list[FactoredRational]:
     ]
 
 
+@functools.lru_cache(maxsize=4096)
 def _anchor_family(profile: UniPoly) -> tuple[UniPoly, int]:
     """Canonical representative of the integer-shift family of a univariate
     polynomial: translate so the root centroid lies in [0, 1).  Returns
-    (anchor, offset) with profile(t) = anchor(t + offset) up to a scalar."""
+    (anchor, offset) with profile(t) = anchor(t + offset) up to a scalar.
+    Memoized by value."""
     _, prim = profile.normalized()
     d = prim.degree()
     if d == 0:
@@ -257,27 +263,32 @@ def _solve_family(direction: Point, data: _Exponents) -> tuple[dict[int, int], d
     return mu, nu
 
 
-def _solve_orbit(data: _Exponents) -> dict[Point, int]:
+def _solve_orbit(data: _Exponents, axis: int) -> dict[Point, int]:
     """Recover the signed C/D multiplicity pattern m of a non-simple shift
     orbit from the k difference equations
 
         observed_i(w) = m(w - e_i) - m(w),
 
-    by summation along the first axis; the residue pass checks the others."""
+    by summation along ``axis``; the residue pass checks the others.  The
+    axis is the first the orbit's polynomials depend on: no translation that
+    fixes them has its last nonzero coordinate there, so it is no pivot of
+    the canonical offsets (``poly.orbit_anchor``), and stepping along it
+    keeps an offset canonical."""
     observed = data.observed
     lines: dict[tuple[int, ...], list[int]] = {}
     for w in set().union(*[set(d) for d in observed]):
-        lines.setdefault(w[1:], []).append(w[0])
+        lines.setdefault(w[:axis] + w[axis + 1 :], []).append(w[axis])
     m: dict[Point, int] = {}
-    o1 = observed[0]
-    for rest, firsts in lines.items():
-        hi, lo = max(firsts), min(firsts)
-        # m(w) is the sum of the axis-1 observations strictly above w
+    o = observed[axis]
+    for rest, coords in lines.items():
+        hi, lo = max(coords), min(coords)
+        # m(w) is the sum of the observations along the axis strictly above w
         acc = 0
         for x in range(hi, lo - 1, -1):
+            w = rest[:axis] + (x,) + rest[axis:]
             if acc != 0:
-                m[(x,) + rest] = acc
-            acc += o1.get((x,) + rest, 0)
+                m[w] = acc
+            acc += o.get(w, 0)
     return m
 
 
@@ -295,12 +306,16 @@ def _absorb(num, den, piece, mult: int):
 def decompose(spec: TermSpec) -> OreSatoForm:
     """Compute an Ore-Sato form whose displayed formula reproduces every
     generator exactly.  The construction is heuristic-free for honest
-    compatible input presented in factored form.  The closing residue pass
-    is the only verification: R_i over the gamma-free ratio in direction
-    e_i must refine to a constant, which becomes gamma_i.  A form that
-    passes it proves the generators compatible, since the ratios of one
-    term satisfy the cocycle identity; so compatibility is only consulted
-    to name the error when a residue is not constant."""
+    compatible input presented in factored form: each factor is routed to
+    its family or orbit by one lookup of its canonical anchor, a simple one
+    by its direction and ``_anchor_family``, a non-simple one by
+    ``orbit_anchor``, whose offsets are exact and canonical, with no search
+    over shifts.  The closing residue pass is the only verification: R_i
+    over the gamma-free ratio in direction e_i must refine to a constant,
+    which becomes gamma_i.  A form that passes it proves the generators
+    compatible, since the ratios of one term satisfy the cocycle identity;
+    so compatibility is only consulted to name the error when a residue is
+    not constant."""
     if spec.zero_divisor_witness is not None:
         raise PreconditionError("zero-divisor specs have no reduced decomposition")
     k = spec.arity
@@ -308,7 +323,7 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     ratios = _joint_refine(original)
 
     families: dict[tuple[Point, UniPoly], _Exponents] = {}
-    orbits: list[tuple[MultiPoly, _Exponents]] = []  # (representative, exponents)
+    orbits: dict[MultiPoly, _Exponents] = {}  # by orbit anchor
     # each base goes to the exponents of its family or orbit, at its offset
     # there: an integer along a family's direction, a shift for an orbit
     base_route: dict[MultiPoly, tuple[_Exponents, int | Point]] = {}
@@ -323,15 +338,8 @@ def decompose(spec: TermSpec) -> OreSatoForm:
                     anchor, offset = _anchor_family(profile)
                     route = (families.setdefault((v, anchor), _Exponents(k)), offset)
                 else:
-                    for rep, data in orbits:
-                        u = shift_between(rep, base)
-                        if u is not None:
-                            route = (data, u)
-                            break
-                    else:
-                        data = _Exponents(k)
-                        orbits.append((base, data))
-                        route = (data, (0,) * k)
+                    anchor, offset = orbit_anchor(base)
+                    route = (orbits.setdefault(anchor, _Exponents(k)), offset)
                 base_route[base] = route
             data, offset = route
             data.add(i, offset, exp)
@@ -351,9 +359,10 @@ def decompose(spec: TermSpec) -> OreSatoForm:
         for s, mult in sorted(nu.items()):
             c_poly, d_poly = _absorb(c_poly, d_poly, anchor.shift_arg(s).as_multipoly(v), mult)
 
-    for rep, data in orbits:
-        for w, mult in sorted(_solve_orbit(data).items()):
-            c_poly, d_poly = _absorb(c_poly, d_poly, rep.shift(w), mult)
+    for anchor, data in orbits.items():
+        axis = next(i for i in range(k) if anchor.degree_in(i))
+        for w, mult in sorted(_solve_orbit(data, axis).items()):
+            c_poly, d_poly = _absorb(c_poly, d_poly, anchor.shift(w), mult)
 
     chains = tuple(
         Chain(v, num, den)

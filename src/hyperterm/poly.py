@@ -17,9 +17,18 @@ explicitly.
 
 Both types are immutable and hashable, so they can be dict keys and shared
 freely between threads.  A ``MultiPoly`` computes its hash once and keeps
-it, and ``MultiPoly.shift`` is memoized by value in a bounded
-``lru_cache``, as ``gcd`` is: the pipeline asks for the same few hundred
-shifts thousands of times, from many equal instances.
+it.  Five functions are memoized by value in bounded ``lru_cache``s:
+``MultiPoly.shift``, ``UniPoly.as_multipoly``, ``gcd``, ``detect_simple``
+and ``orbit_anchor``.  The pipeline asks for the same few hundred shifts and
+substitutions thousands of times, from many equal instances; a shift vector
+or substitution direction follows the integer rule of ``_integer``, so
+equal arguments share one entry.
+
+Shift equivalence is exact: ``orbit_anchor`` gives every polynomial the
+canonical anchor of its orbit under integer shifts, and its offset there,
+by linear algebra over Q and a Hermite normal form, with no search; two
+polynomials are shifts of each other exactly when their anchors are equal
+(``shift_between``).
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent tuple).  Normalization of a polynomial means
@@ -347,8 +356,9 @@ class MultiPoly:
 
 @functools.lru_cache(maxsize=4096)
 def _shift(p: MultiPoly, v: Point) -> MultiPoly:
-    """p(z + v) for a nonzero int vector v of p's arity, by binomial
-    expansion; the memo behind ``MultiPoly.shift``."""
+    """p(z + v) for a nonzero vector v of p's arity, by binomial
+    expansion; the memo behind ``MultiPoly.shift``, which passes int
+    vectors.  ``_orbit`` calls the function unmemoized with rational ones."""
     # expand each (z_i + v_i)^e with binomial coefficients
     d: dict[Monomial, Coeff] = {}
     for mono, coeff in p.terms:
@@ -791,18 +801,28 @@ class UniPoly:
         return scalar, UniPoly(tuple(prim))
 
     def as_multipoly(self, direction: Sequence[int], offset: int = 0) -> MultiPoly:
-        """Substitute t = direction . z + offset, producing a MultiPoly."""
-        arity = len(direction)
-        linear = MultiPoly.linear(direction, offset)
-        result = MultiPoly(arity, ())
-        for coeff in reversed(self.coeffs):
-            result = result * linear + MultiPoly.constant(arity, coeff)
-        return result
+        """Substitute t = direction . z + offset, producing a MultiPoly.  The
+        direction and the offset follow the integer rule of ``_integer``, so
+        equal arguments share one entry of the memo ``_substitute``."""
+        direction = tuple(_integer(x, "direction coordinate") for x in direction)
+        return _substitute(self, direction, _integer(offset, "offset"))
 
     def __str__(self) -> str:
         from .parsing import format_unipoly
 
         return format_unipoly(self)
+
+
+@functools.lru_cache(maxsize=4096)
+def _substitute(p: UniPoly, direction: Point, offset: int) -> MultiPoly:
+    """p(direction . z + offset) by Horner's rule; the memo behind
+    ``UniPoly.as_multipoly``."""
+    arity = len(direction)
+    linear = MultiPoly.linear(direction, offset)
+    result = MultiPoly(arity, ())
+    for coeff in reversed(p.coeffs):
+        result = result * linear + MultiPoly.constant(arity, coeff)
+    return result
 
 
 def _divisors(n: int) -> list[int]:
@@ -998,53 +1018,170 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
     return particular, basis
 
 
-_SHIFT_SEARCH_WINDOW = 16
+def _independent_rows(rows: list[list[Coeff]]) -> list[int]:
+    """The indices of the rows that are not in the span of the rows before
+    them: the first basis of the row space met in row order."""
+    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot column, row scaled to 1 there)
+    keep = []
+    for index, row in enumerate(rows):
+        for col, e in echelon:
+            if row[col]:
+                f = row[col]
+                row = [x - f * y for x, y in zip(row, e)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            echelon.append((col, [Fraction(x) / row[col] for x in row]))
+            keep.append(index)
+    return keep
+
+
+def _hnf(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form of an integer matrix A by unimodular row
+    operations: (H, T) with T * A = H.  The nonzero rows of H come first, in
+    echelon form, each pivot positive and the entries above it reduced into
+    [0, pivot); the rows of T beside the zero rows of H are a basis of the
+    integer left kernel of A.  H's nonzero rows depend only on the lattice
+    the rows of A span."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    t = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        while True:
+            # Euclid on column c: the smallest nonzero entry divides the rest
+            live = [i for i in range(r, m) if a[i][c]]
+            if not live:
+                break
+            low = min(live, key=lambda i: abs(a[i][c]))
+            a[r], a[low], t[r], t[low] = a[low], a[r], t[low], t[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    q = a[i][c] // a[r][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
+                    done = done and not a[i][c]
+            if done:
+                break
+        if not a[r][c]:
+            continue
+        if a[r][c] < 0:
+            a[r], t[r] = [-x for x in a[r]], [-x for x in t[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                t[i] = [x - q * y for x, y in zip(t[i], t[r])]
+        r += 1
+    return a, t
+
+
+def _reduce(u: Sequence[int], lattice: tuple[Point, ...]) -> Point:
+    """The canonical representative of u modulo the lattice spanned by
+    ``lattice``, rows in the form ``_orbit`` gives them: each row's last
+    nonzero entry is its positive pivot, pivots strictly decrease, so the
+    representative has its pivot coordinates in [0, pivot)."""
+    u = list(u)
+    for row in lattice:
+        c = max(i for i, x in enumerate(row) if x)
+        q = u[c] // row[c]
+        if q:
+            u = [x - q * y for x, y in zip(u, row)]
+    return tuple(u)
+
+
+@functools.lru_cache(maxsize=4096)
+def _orbit(p: MultiPoly) -> tuple[MultiPoly, Point, tuple[Point, ...]]:
+    """(anchor, offset, lattice) for ``orbit_anchor``; lattice is a basis of
+    the integer translations that fix p, V ∩ Z^k with
+    V = {u : sum_i u_i dp/dz_i = 0}, as ``_reduce`` takes it."""
+    k = p.arity
+    # the rational centre c, canonical modulo the still-free directions:
+    # from degree d - 1 down, the coefficients of p(z + c + w) of that degree
+    # are affine in w over the free directions (the higher ones no longer
+    # move), and c is moved to zero the pivot monomials among them
+    centre = [Fraction(0)] * k
+    free = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    q = p
+    for deg in range(p.total_degree(), 0, -1):
+        if not free:
+            break
+        grads = [dict() for _ in free]  # (w . grad) of q's degree-deg part
+        for mono, c in q.terms:
+            if sum(mono) != deg:
+                continue
+            for g, w in zip(grads, free):
+                for i, e in enumerate(mono):
+                    if e and w[i]:
+                        m = mono[:i] + (e - 1,) + mono[i + 1 :]
+                        g[m] = g.get(m, 0) + c * e * w[i]
+        monos = sorted({m for g in grads for m, c in g.items() if c}, key=_glex_key, reverse=True)
+        rows = [[g.get(m, 0) for g in grads] for m in monos]
+        pivots = _independent_rows(rows)
+        if not pivots:
+            continue
+        lower = dict(q.terms)
+        # the pivot rows are independent, so the system is consistent
+        lam, null = _solve_linear(
+            [rows[i] for i in pivots], [-lower.get(monos[i], 0) for i in pivots]
+        )
+        step = [sum(x * w[j] for x, w in zip(lam, free)) for j in range(k)]
+        if any(step):
+            centre = [a + b for a, b in zip(centre, step)]
+            q = _shift.__wrapped__(q, tuple(step))  # a rational shift, not memoized
+        free = [[sum(x * w[j] for x, w in zip(n, free)) for j in range(k)] for n in null]
+    if not free:
+        s = [math.floor(x) for x in centre]
+        lattice: tuple[Point, ...] = ()
+    else:
+        # P (n x k, integer, kernel V) maps the orbit onto the quotient by V,
+        # where the integer shifts form the lattice of the HNF rows of P^T;
+        # s is the shift that brings P c into that lattice's fundamental box
+        _, perp = _solve_linear(free, [0] * len(free))
+        proj = [primitive_vector(v) for v in perp]
+        n = len(proj)
+        h, t = _hnf([[row[i] for row in proj] for i in range(k)], n)
+        x = [sum(a * b for a, b in zip(row, centre)) for row in proj]
+        s = [0] * k
+        for i in range(n):
+            a = math.floor(x[i] / h[i][i])
+            x = [xj - a * hj for xj, hj in zip(x, h[i])]
+            s = [sj + a * tj for sj, tj in zip(s, t[i])]
+        # the last nonzero entry of each row is its pivot
+        flipped, _ = _hnf([row[::-1] for row in t[n:]], k)
+        lattice = tuple(tuple(row[::-1]) for row in flipped)
+    return p.shift(s), _reduce([-x for x in s], lattice), lattice
+
+
+def orbit_anchor(p: MultiPoly) -> tuple[MultiPoly, Point]:
+    """The canonical anchor of p's orbit under integer shifts, and p's
+    offset in it: (anchor, u) with p(z) = anchor(z + u), the anchor equal
+    for every p(z + t) with t integral, and u + t the offset of p(z + t)
+    modulo the translations that fix p.
+
+    Exact, with no search (Grigoriev, TCS 180, 1997).  The rational shifts
+    c with p(z + c) equal to one canonical polynomial form an affine space
+    c0 + V, V = {u : sum_i u_i dp/dz_i = 0}: degree by degree from d - 1
+    down, the coefficients of p(z + c) are affine in the directions still
+    free, and c zeroes the pivot monomials among them (``_solve_linear``).
+    The integer shift of the anchor brings c into a fundamental box of the
+    image of Z^k modulo V, a Hermite normal form; offsets are canonical
+    modulo V ∩ Z^k, whose Hermite basis fixes their pivot coordinates.
+    Memoized by value, as ``MultiPoly.shift`` is."""
+    anchor, offset, _ = _orbit(p)
+    return anchor, offset
 
 
 def shift_between(p: MultiPoly, q: MultiPoly) -> Optional[Point]:
-    """An integer vector u with p(z + u) = q(z), or None.
-
-    Both arguments must be normalized (coprime integer coefficients, positive
-    leading coefficient); shifting preserves that normal form, so equal top
-    homogeneous parts are a cheap necessary filter.  The candidate u comes
-    from the degree (d-1) coefficients, which depend linearly on u; if the
-    top form is degenerate the system is underdetermined and the affine
-    solution family is enumerated over a bounded window.
-    """
+    """An integer vector u with p(z + u) = q(z), or None: the difference of
+    the offsets of q and p when their orbit anchors are equal, canonical
+    modulo the translations that fix p."""
     if p.arity != q.arity:
         raise DimensionError("arity mismatch")
-    if p == q:
-        return (0,) * p.arity
-    d = p.total_degree()
-    if d != q.total_degree() or d == 0:
+    anchor, offset_p, lattice = _orbit(p)
+    other, offset_q, _ = _orbit(q)
+    if anchor != other:
         return None
-    if p.homogeneous_part(d) != q.homogeneous_part(d):
-        return None
-    grads = [p.partial(i).homogeneous_part(d - 1) for i in range(p.arity)]
-    target = q.homogeneous_part(d - 1) - p.homogeneous_part(d - 1)
-    monos = sorted(
-        {m for g in grads for m, _ in g.terms} | {m for m, _ in target.terms}
-    )
-    rows = [[g.coefficient(m) for g in grads] for m in monos]
-    rhs = [target.coefficient(m) for m in monos]
-    solved = _solve_linear(rows, rhs)
-    if solved is None:
-        return None
-    particular, basis = solved
-    if not basis:
-        if any(x.denominator != 1 for x in particular):
-            return None
-        u = tuple(int(x) for x in particular)
-        return u if p.shift(u) == q else None
-    w = _SHIFT_SEARCH_WINDOW
-    free_axes = len(basis)
-    for coeffs in itertools.product(range(-w, w + 1), repeat=free_axes):
-        cand = list(particular)
-        for c, vec in zip(coeffs, basis):
-            cand = [x + c * y for x, y in zip(cand, vec)]
-        if any(x.denominator != 1 for x in cand):
-            continue
-        u = tuple(int(x) for x in cand)
-        if max(abs(x) for x in u) <= w and p.shift(u) == q:
-            return u
-    return None
+    return _reduce([b - a for a, b in zip(offset_p, offset_q)], lattice)

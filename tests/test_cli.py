@@ -11,11 +11,14 @@ from hyperterm.geometry import Hyperplane, MeasureZeroSet
 from hyperterm.jsonio import (
     factored_from_json,
     factored_to_json,
+    fraction_from_json,
     hyperplane_from_json,
     hyperplane_to_json,
     spec_from_json,
     spec_to_json,
 )
+from hyperterm.oresato import Chain, OreSatoForm, ratio_from_form
+from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.termratio import FactoredRational
 
 
@@ -283,6 +286,24 @@ def test_eval_point_arity_is_a_usage_error(tmp_path, capsys):
         assert f"expected 2 coordinates in --at, got {len(at.split(','))}" in captured.err
 
 
+def test_malformed_eval_point_is_named(tmp_path, capsys):
+    path = write_spec(tmp_path, binomial_spec())
+    for at in ["1,x", "1.5,2", "1,,2"]:
+        assert main(["eval", path, "--at", at]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad point {at!r}: --at expects integers 'z1,...,zk'\n"
+
+
+def test_malformed_seed_point_is_named(tmp_path, capsys):
+    path = write_spec(tmp_path, binomial_spec())
+    for seed, point in [("0,y=1", "0,y"), ("=1", ""), ("0;0=1", "0;0")]:
+        assert main(["eval", path, "--at", "1,1", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad seed point {point!r}: --seed expects 'z1,...,zk=p/q'\n"
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "hyperterm" in capsys.readouterr().out
@@ -328,12 +349,16 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # tests/golden/ holds the stdout of every command below on specs/*.json and on
 # the bundled specs (written with spec_to_json), the stdout of `check`,
 # `decompose` and `structure` on the benchmark specs and of `compare` over
-# their workload windows, and golden/exit_status.json their exit statuses.  A change that
+# their workload windows, the stdout of `decompose` on tests/data/shift16.json,
+# and golden/exit_status.json their exit statuses.  A change that
 # alters CLI output must regenerate them (`PYTHONPATH=src python
 # tests/test_cli.py`) and say why.
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
+# C = p, D = p(z + (16, -16)) with p = (z1 + z2)^2 + z1: the two factors lie
+# 16 steps apart on the orbit of a degenerate top form (z1 + z2)^2
+SHIFT16 = REPO / "tests" / "data" / "shift16.json"
 GOLDEN_COMMANDS = ["check", "decompose", "structure", "factorial", "pochhammer", "compare"]
 BUNDLED = {
     "constant": constant_spec,
@@ -375,6 +400,7 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
         results[f"perfbench_{stem}.decompose"] = run_cli(["decompose", path])
         results[f"perfbench_{stem}.structure"] = run_cli(["structure", path])
         results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])
+    results["shift16.decompose"] = run_cli(["decompose", str(SHIFT16)])
     return results
 
 
@@ -385,6 +411,26 @@ def test_cli_output_matches_goldens(tmp_path):
     for key, (status, out) in results.items():
         assert status == statuses[key], key
         assert out.encode("utf-8") == (GOLDEN / f"{key}.out").read_bytes(), key
+
+
+def test_shift16_golden_form_round_trips():
+    # the golden form reproduces every generator of the spec it came from
+    spec = spec_from_json(json.loads(SHIFT16.read_text(encoding="utf-8")))
+    obj = json.loads((GOLDEN / "shift16.decompose.out").read_text(encoding="utf-8"))
+    k = spec.arity
+    form = OreSatoForm(
+        k,
+        parse_multipoly(obj["C"], k),
+        parse_multipoly(obj["D"], k),
+        tuple(fraction_from_json(g) for g in obj["gamma"]),
+        tuple(
+            Chain(tuple(c["v"]), parse_unipoly(c["a"]), parse_unipoly(c["b"]))
+            for c in obj["chains"]
+        ),
+    )
+    for i, r in enumerate(spec.ratios()):
+        e = tuple(int(j == i) for j in range(k))
+        assert ratio_from_form(form, e).eq_rational(r)
 
 
 if __name__ == "__main__":

@@ -348,10 +348,10 @@ def test_random_forms_round_trip():
         done += 1
 
 
-# -- known shift_between defects ----------------------------------------------
-# shift_between searches a bounded window of offsets and returns an arbitrary
-# point of a degenerate solution set; these forms are valid and must
-# decompose once it decides exactly.
+# -- exact shift equivalence -----------------------------------------------------
+# orbits are routed by an exact anchor and the offsets of a
+# translation-invariant factor are canonical, so these forms decompose
+# however far apart their factors lie
 
 
 def _round_trip(form):
@@ -367,18 +367,21 @@ def _shifted_pair_form(s):
     return OreSatoForm(2, p, p.shift((s, -s)), (1, 1), ())
 
 
-@pytest.mark.parametrize("s", [10, 17])
+@pytest.mark.parametrize("s", [10, 16, 17, 1000])
 def test_decompose_shifted_pair(s):
     _round_trip(_shifted_pair_form(s))
 
 
-@pytest.mark.xfail(strict=True, raises=StructureError, reason="shift_between misses part of the orbit")
-def test_decompose_shifted_pair_at_sixteen():
-    _round_trip(_shifted_pair_form(16))
-
-
-@pytest.mark.xfail(strict=True, raises=StructureError, reason="shift_between offsets are not canonical")
-@pytest.mark.parametrize("c", ["z2*z3 + 1", "(z1 + z2)*z3 + 1"])
+@pytest.mark.parametrize(
+    "c",
+    [
+        "z2*z3 + 1",
+        "(z1 + z2)*z3 + 1",
+        "(2*z1 + 3*z2)*z3 + 1",
+        "(z1 - 2*z2)*(z2 - z3) + 1",
+        "z1*(z2 - z3)^2 + z2",
+    ],
+)
 def test_decompose_translation_invariant_factor(c):
     _round_trip(OreSatoForm(3, P(c, 3), P("1", 3), (1, 1, 1), ()))
 

@@ -705,6 +705,102 @@ def test_shift_between_none():
     assert shift_between(P("z1*z2 + 1", 2), P("z1*z2 + z1", 2)) is None
 
 
+# degenerate top forms: the degree d - 1 coefficients leave a shift direction
+# free; the last two are also fixed by a line of translations (e1, e1 - e2)
+DEGENERATE = [
+    ("z1^2 + z2", 2),
+    ("(z1 + z2)^2 + z1", 2),
+    ("z1*z2 + z3", 3),
+    ("z2*z3 + 1", 3),
+    ("(z1 + z2)*z3 + 1", 3),
+]
+
+
+# fixed by the lines through (2,1,1) and (-3,2,0): the first gives a Hermite
+# form with a diagonal entry 2 on the quotient, the second offsets whose
+# second coordinate is 0 or 1
+INVARIANT = [("(z1 - 2*z2)*(z2 - z3) + 1", 3), ("(2*z1 + 3*z2)*z3 + 1", 3)]
+
+
+@pytest.mark.parametrize(
+    "text,k", DEGENERATE + INVARIANT + [("z1*(z2 - z3)^2 + z2", 3), ("7", 2)]
+)
+def test_orbit_anchor_is_shift_invariant(text, k):
+    rng = random.Random(text)
+    p = P(text, k)
+    anchor, offset = poly.orbit_anchor(p)
+    assert anchor.shift(offset) == p
+    assert poly.orbit_anchor(anchor) == (anchor, (0,) * k)
+    for _ in range(25):
+        t = tuple(rng.randint(-50, 50) for _ in range(k))
+        q = p.shift(t)
+        other, shifted = poly.orbit_anchor(q)
+        assert other == anchor
+        assert anchor.shift(shifted) == q
+
+
+def test_shift_between_offsets_are_canonical():
+    # a translation-invariant factor has one offset per shift, not a line
+    p = P("z2*z3 + 1", 3)
+    assert shift_between(p, p.shift((5, 1, 0))) == (0, 1, 0)
+    assert shift_between(p, p.shift((-16, 0, 1))) == (0, 0, 1)
+    p = P("(z1 + z2)*z3 + 1", 3)
+    assert shift_between(p, p.shift((3, -2, 4))) == (1, 0, 4)
+    assert shift_between(p, p.shift((-7, 7, 0))) == (0, 0, 0)
+    p = P("(2*z1 + 3*z2)*z3 + 1", 3)
+    assert shift_between(p, p.shift((7, -5, 0))) == (-2, 1, 0)
+    rng = random.Random(73)
+    for _ in range(20):
+        a, b = (p.shift(tuple(rng.randint(-9, 9) for _ in range(3))) for _ in range(2))
+        u = shift_between(a, b)
+        assert u[1] in (0, 1) and a.shift(u) == b
+
+
+@pytest.mark.parametrize("text,k,t", [
+    ("(z1 + z2)^2 + z1", 2, (10**6, -10**6)),
+    ("(z1 + z2)^2 + z1", 2, (-(10**6) + 3, 10**6)),
+    ("z1*z2 + z3", 3, (0, 0, 10**6)),
+    ("z1^2 + z2", 2, (7, -(10**6))),
+    ("(z1 + z2)*z3 + 1", 3, (10**6, 0, -(10**6))),
+])
+def test_shift_between_far_along_degenerate_directions(text, k, t):
+    # t is the canonical offset: the translations that fix the last form
+    # move only the first two coordinates, and t[1] is 0
+    assert shift_between(P(text, k), P(text, k).shift(t)) == t
+
+
+def test_shift_between_matches_brute_force():
+    rng = random.Random(71)
+    w = 5
+    for _ in range(30):
+        text, k = rng.choice(DEGENERATE)
+        p = P(text, k)
+        q = p.shift(tuple(rng.randint(-2, 2) for _ in range(k)))
+        # perturbed, q may be another shift of p or none at all
+        q = q + MultiPoly.constant(k, rng.choice([0, 0, 1, -2])) + MultiPoly.variable(
+            k, rng.randrange(k)
+        ).scale(rng.choice([0, 0, 0, 1]))
+        found = {
+            u for u in itertools.product(range(-w, w + 1), repeat=k) if p.shift(u) == q
+        }
+        u = shift_between(p, q)
+        if u is None:
+            assert not found
+        else:
+            assert found and p.shift(u) == q
+
+
+def test_as_multipoly_memo_and_integer_rule():
+    q = UniPoly.make([1, 2, 3])
+    first = q.as_multipoly((1, -2), 3)
+    assert UniPoly.make([1, 2, 3]).as_multipoly([1, -2], 3) is first
+    assert q.as_multipoly([1.0, -2], Fraction(3)) is first
+    bad = [((1.5, 2), 0), ((Fraction(1, 2), 1), 0), ((True, 1), 0), ((1, 2), 0.5)]
+    for direction, offset in bad:
+        with pytest.raises(TypeError):
+            q.as_multipoly(direction, offset)
+
+
 # -- misc -------------------------------------------------------------------------
 
 
