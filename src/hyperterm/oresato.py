@@ -20,9 +20,12 @@ dict lookup of a canonical anchor: a simple one by its direction and the
 anchor of its univariate profile (``_anchor_family``), a non-simple one by
 the exact anchor of its orbit (``poly.orbit_anchor``).  Each family and
 orbit is solved from one generator's exponents; the residue pass checks the
-rest: each generator divided by the form's ratio in its direction must
-refine to a constant, its gamma.  That one pass is the verification.  When it fails,
-incompatible generators raise CocycleError and input that does not
+rest: each generator divided by the form's ratio in its direction must be a
+constant, its gamma.  The formula's factors are listed as written, each
+normalized once, and cancelled against the generator's jointly refined
+factors by equal bases; only what does not cancel is refined
+(``termratio._cancel``).  That one pass is the verification.  When it
+fails, incompatible generators raise CocycleError and input that does not
 telescope raises StructureError.
 """
 
@@ -47,13 +50,21 @@ from .poly import (
     MultiPoly,
     Point,
     UniPoly,
+    _coeff,
     coprime_base,
     detect_simple,
     gcd,
     orbit_anchor,
     rational_roots,
 )
-from .termratio import FactoredRational, TermSpec, _unit, check_compatibility
+from .termratio import (
+    FactoredRational,
+    TermSpec,
+    _cancel,
+    _refine,
+    _unit,
+    check_compatibility,
+)
 
 # ---------------------------------------------------------------------------
 # generalized products
@@ -100,6 +111,18 @@ class OreSatoForm:
 def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
     """Evaluate the decomposition's displayed formula symbolically: the
     reduced term ratio in direction w."""
+    scalar, factors = _form_factors(form, w)
+    if scalar == 0:
+        raise PreconditionError("rational function scalar must be nonzero")
+    return FactoredRational(form.arity, _coeff(scalar), _refine([pair] for pair in factors))
+
+
+def _form_factors(
+    form: OreSatoForm, w: Sequence[int]
+) -> tuple[Fraction, list[tuple[MultiPoly, int]]]:
+    """The factors of the displayed formula in direction w as written, each
+    normalized once and none refined, and the scalar they leave: gamma^w
+    times the constant chain sides and the normalization scalars."""
     k = form.arity
     if len(w) != k:
         raise DimensionError("direction arity mismatch")
@@ -108,12 +131,20 @@ def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
     for g, wi in zip(form.gamma, w):
         scalar *= Fraction(g) ** wi
     factors: list[tuple[MultiPoly, int]] = []
+
+    def put(p: MultiPoly, exp: int) -> None:
+        nonlocal scalar
+        s, prim = p.normalized()
+        if s != 1:
+            scalar *= Fraction(s) ** exp
+        factors.append((prim, exp))
+
     if not form.c_poly.is_constant:
-        factors.append((form.c_poly.shift(w), 1))
-        factors.append((form.c_poly, -1))
+        put(form.c_poly.shift(w), 1)
+        put(form.c_poly, -1)
     if not form.d_poly.is_constant:
-        factors.append((form.d_poly, 1))
-        factors.append((form.d_poly.shift(w), -1))
+        put(form.d_poly, 1)
+        put(form.d_poly.shift(w), -1)
     for chain in form.chains:
         n = sum(a * b for a, b in zip(chain.direction, w))
         if n == 0:
@@ -125,12 +156,12 @@ def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
             if num.is_constant:
                 scalar *= num.coeffs[0]
             else:
-                factors.append((num.as_multipoly(chain.direction, j), 1))
+                put(num.as_multipoly(chain.direction, j), 1)
             if den.is_constant:
                 scalar /= den.coeffs[0]
             else:
-                factors.append((den.as_multipoly(chain.direction, j), -1))
-    return FactoredRational.make(k, scalar, factors)
+                put(den.as_multipoly(chain.direction, j), -1)
+    return scalar, factors
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +342,17 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     by its direction and ``_anchor_family``, a non-simple one by
     ``orbit_anchor``, whose offsets are exact and canonical, with no search
     over shifts.  The closing residue pass is the only verification: R_i
-    over the gamma-free ratio in direction e_i must refine to a constant,
-    which becomes gamma_i.  A form that passes it proves the generators
-    compatible, since the ratios of one term satisfy the cocycle identity;
-    so compatibility is only consulted to name the error when a residue is
-    not constant."""
+    over the gamma-free ratio in direction e_i must be a constant, which
+    becomes gamma_i.  It cancels the formula's factors, as written, against
+    R_i's by equal bases and refines only the remainder, so a
+    StructureError names a factor of that remainder.  A form that passes it
+    proves the generators compatible, since the ratios of one term satisfy
+    the cocycle identity; so compatibility is only consulted to name the
+    error when a residue is not constant."""
     if spec.zero_divisor_witness is not None:
         raise PreconditionError("zero-divisor specs have no reduced decomposition")
     k = spec.arity
-    original = spec.ratios()
-    ratios = _joint_refine(original)
+    ratios = _joint_refine(spec.ratios())
 
     families: dict[tuple[Point, UniPoly], _Exponents] = {}
     orbits: dict[MultiPoly, _Exponents] = {}  # by orbit anchor
@@ -375,16 +407,16 @@ def decompose(spec: TermSpec) -> OreSatoForm:
 
     gamma = []
     for i in range(k):
-        recon = ratio_from_form(form, _unit(k, i))
-        residue = original[i] * recon.inv()
-        if residue.factors:
+        scalar, factors = _form_factors(form, _unit(k, i))
+        rest = _cancel((ratios[i].factors, ((b, -e) for b, e in factors)))
+        if rest:
             if not check_compatibility(spec):
                 raise CocycleError("generators are not compatible")
             raise StructureError(
                 f"generator {i + 1} is not reproduced by the decomposition",
-                factor=residue.factors[0][0],
+                factor=rest[0][0],
             )
-        gamma.append(residue.scalar)
+        gamma.append(_coeff(ratios[i].scalar / scalar))
     if not gcd(form.c_poly, form.d_poly).is_constant:
         raise IntegrityError("decomposition produced non-coprime C and D")
     return replace(form, gamma=tuple(gamma))

@@ -332,11 +332,6 @@ class MultiPoly:
             d[tuple(m)] = coeff * e
         return MultiPoly.from_dict(self.arity, d)
 
-    def homogeneous_part(self, degree: int) -> "MultiPoly":
-        return MultiPoly(
-            self.arity, tuple((m, c) for m, c in self.terms if sum(m) == degree)
-        )
-
     def normalized(self) -> tuple[Coeff, "MultiPoly"]:
         """Split p = scalar * q with q having coprime integer coefficients
         and positive graded-lex leading coefficient.  The zero polynomial

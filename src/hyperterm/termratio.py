@@ -12,15 +12,21 @@ nonconstant, and pairwise coprime.  Input factors are trusted as the
 finest available decomposition; ``poly.coprime_base`` refines them into
 their natural coprime base, which splits a factor only where it shares a
 gcd with another and does not depend on the order of the factors.
-Equality of rational functions is decided on that base: two are equal
-exactly when their quotient refines to the constant 1.
 
 Arithmetic trusts that invariant.  A product refines only across its
 operands: each operand's factors are one coprime run of ``coprime_base``,
 so no gcd is taken between two factors of the same operand, and none is
 normalized again.  Shifts and inverses keep the invariant as they are.  A
-spec computes its quotients once and keeps them, and the compatibility
-check refines each pair of quotients once.
+spec computes its quotients once and keeps them.
+
+Whether a product of factors is constant is decided by cancellation
+(``_cancel``): exponents are summed per normalized base over the operands,
+the bases whose exponents cancel are dropped, and only the remainder is
+refined.  Merging equal bases leaves the product unchanged and refining the
+remainder decides it, so the answer is exact both ways; when all factors
+cancel, as they do on compatible input, no gcd is taken.  Equality of two
+rational functions, and the compatibility check of each pair of quotients,
+ask that question.
 """
 
 from __future__ import annotations
@@ -142,10 +148,17 @@ class FactoredRational:
         return den
 
     def eq_rational(self, other: "FactoredRational") -> bool:
-        """Equality as rational functions at any factor granularity: the
-        quotient, refined onto one coprime base, is a constant only when
-        every exponent cancels (unique factorization)."""
-        return (self * other.inv()).is_one
+        """Equality as rational functions at any factor granularity.  The
+        bases are normalized, so a constant quotient of the factors is 1 and
+        the scalars must agree; the factors of the quotient are then merged
+        by equal bases, and only what does not cancel is refined
+        (``_cancel``): it is constant only when nothing survives (unique
+        factorization)."""
+        if self.arity != other.arity:
+            raise DimensionError("arity mismatch")
+        return self.scalar == other.scalar and not _cancel(
+            (self.factors, ((b, -e) for b, e in other.factors))
+        )
 
     def evaluate(self, z: Sequence[int]) -> Optional[Fraction]:
         """Value at an integer point; None when a denominator factor
@@ -176,6 +189,19 @@ def _refine(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[Mult
     whose exponent does not cancel."""
     refined = coprime_base([(b, (e,)) for b, e in run] for run in runs)
     return tuple((b, e) for b, (e,) in refined)
+
+
+def _cancel(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[MultiPoly, int], ...]:
+    """The refined remainder of a product of normalized nonconstant factors:
+    exponents summed per base over all runs, zero sums dropped, and only
+    what is left refined, each factor a run of its own.  The product times a
+    scalar is constant exactly when the result is empty, and otherwise the
+    result is its nonconstant part."""
+    total: dict[MultiPoly, int] = {}
+    for run in runs:
+        for base, exp in run:
+            total[base] = total.get(base, 0) + exp
+    return _refine([pair] for pair in total.items() if pair[1])
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +350,10 @@ def check_compatibility(spec: TermSpec) -> bool:
     exact rational functions for every pair i < j.  This is the condition
     for the quotients to come from a single term.
 
-    Each pair takes one refinement, of the quotient of the two sides with
-    its four operands as coprime runs.  The scalars cancel, since a shift
-    keeps the scalar, so the sides are equal exactly when every exponent
-    cancels."""
+    Each pair cancels the quotient of the two sides, its four operands'
+    factors merged by equal bases, and refines only what is left
+    (``_cancel``).  The scalars cancel, since a shift keeps the scalar, so
+    the sides are equal exactly when nothing is left."""
     ratios = spec.ratios()
     k = spec.arity
     for i in range(k):
@@ -339,7 +365,7 @@ def check_compatibility(spec: TermSpec) -> bool:
                 ratios[j].inv(),
                 ratios[i].shift(ej).inv(),
             )
-            if _refine(r.factors for r in quotient):
+            if _cancel(r.factors for r in quotient):
                 return False
     return True
 

@@ -350,7 +350,8 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # the bundled specs (written with spec_to_json), the stdout of `check`,
 # `decompose` and `structure` on the benchmark specs and of `compare` over
 # their workload windows, the stdout of `decompose` on tests/data/shift16.json,
-# and golden/exit_status.json their exit statuses.  A change that
+# the stdout of `check` and `decompose` on tests/data/incompatible.json, which
+# both exit 1, and golden/exit_status.json their exit statuses.  A change that
 # alters CLI output must regenerate them (`PYTHONPATH=src python
 # tests/test_cli.py`) and say why.
 
@@ -359,6 +360,8 @@ GOLDEN = REPO / "tests" / "golden"
 # C = p, D = p(z + (16, -16)) with p = (z1 + z2)^2 + z1: the two factors lie
 # 16 steps apart on the orbit of a degenerate top form (z1 + z2)^2
 SHIFT16 = REPO / "tests" / "data" / "shift16.json"
+# R_1 of specs/binomial.json times z2 + 1, which no second generator balances
+INCOMPATIBLE = REPO / "tests" / "data" / "incompatible.json"
 GOLDEN_COMMANDS = ["check", "decompose", "structure", "factorial", "pochhammer", "compare"]
 BUNDLED = {
     "constant": constant_spec,
@@ -401,6 +404,8 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
         results[f"perfbench_{stem}.structure"] = run_cli(["structure", path])
         results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])
     results["shift16.decompose"] = run_cli(["decompose", str(SHIFT16)])
+    for command in ("check", "decompose"):
+        results[f"incompatible.{command}"] = run_cli([command, str(INCOMPATIBLE)])
     return results
 
 

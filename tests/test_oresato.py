@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,12 @@ from hyperterm.jsonio import form_to_json
 from hyperterm.oresato import Chain, OreSatoForm, decompose, gp_eval, ratio_from_form
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import UniPoly, gcd
-from hyperterm.termratio import FactoredRational, TermSpec, compose_direction
+from hyperterm.termratio import (
+    FactoredRational,
+    TermSpec,
+    check_compatibility,
+    compose_direction,
+)
 
 
 def P(text, k):
@@ -276,6 +282,108 @@ def test_decompose_coprime_cd():
     assert gcd(form.c_poly, form.d_poly).is_constant
     assert form.c_poly == c or form.c_poly == c.normalized()[1]
     assert form.d_poly == d
+
+
+# -- the checks can say no -----------------------------------------------------------
+# the compatibility check, the residue pass and eq_rational decide whether a
+# product of factors is constant by cancellation; each must reject input that
+# is wrong in one place
+
+
+def _units(k):
+    return [tuple(int(j == i) for j in range(k)) for i in range(k)]
+
+
+def test_unbalanced_factor_is_rejected():
+    # R_i times a factor that depends on some z_j with j != i: the cocycle
+    # identity of the pair (i, j) would need it to be invariant under e_j
+    rng = random.Random(79)
+    pool = {2: ["z2 + 3", "z1*z2 + 1", "z1 + z2"], 3: ["z3 - 1", "z1*z2 + z3", "z2 + z3"]}
+    specs = [binomial_spec()]
+    specs += [spec_from_form(random_form(rng, rng.choice([2, 3]))) for _ in range(30)]
+    for spec in specs:
+        k = spec.arity
+        ratios = spec.ratios()
+        i = rng.randrange(k)
+        polys = [P(text, k) for text in pool[k]]
+        extra = rng.choice([p for p in polys if any(p.degree_in(j) for j in range(k) if j != i)])
+        ratios[i] = ratios[i] * FactoredRational.make(k, 1, [(extra, rng.choice([-1, 1]))])
+        bad = TermSpec.from_ratios(k, ratios)
+        assert not check_compatibility(bad), (spec, i, extra)
+        with pytest.raises(CocycleError):
+            decompose(bad)
+
+
+def _mutants(form):
+    """(name, mutated form, directions whose ratio the mutation changes)."""
+    k = form.arity
+    units = _units(k)
+    for i in range(k):
+        gamma = list(form.gamma)
+        gamma[i] *= 2
+        yield "gamma", replace(form, gamma=tuple(gamma)), [units[i]]
+    for n, chain in enumerate(form.chains):
+        if chain.num.is_constant:
+            continue
+        chains = list(form.chains)
+        chains[n] = replace(chain, num=chain.num.shift_arg(1))
+        moved = [e for e, vi in zip(units, chain.direction) if vi]
+        yield "chain", replace(form, chains=tuple(chains)), moved
+    if not form.c_poly.is_constant:
+        for i in range(k):
+            # C(z + e_i) over C(z) changes under z -> z + e_i unless C is
+            # invariant along e_i
+            e = units[i]
+            if form.c_poly.shift(e) != form.c_poly:
+                yield "C", replace(form, c_poly=form.c_poly.shift(e)), [e]
+
+
+def test_mutated_form_is_not_equal():
+    # a decomposition with one field changed no longer reproduces the
+    # generators: its ratio in a direction the field enters differs from R_i
+    rng = random.Random(83)
+    specs = [binomial_spec(), odd_product_spec()]
+    specs += [spec_from_form(random_form(rng, rng.choice([1, 2, 3]))) for _ in range(40)]
+    seen = {}
+    for spec in specs:
+        form = decompose(spec)
+        ratios = spec.ratios()
+        for name, mutant, moved in _mutants(form):
+            for e in moved:
+                assert not ratio_from_form(mutant, e).eq_rational(ratios[e.index(1)]), (
+                    name,
+                    form,
+                    e,
+                )
+            seen[name] = seen.get(name, 0) + 1
+    assert seen["gamma"] >= 40 and seen["chain"] >= 15 and seen["C"] >= 10, seen
+
+
+def test_gamma_with_normalization_scalars():
+    # chain sides along (2, 1) as a user may write them: a = 2*t + 2 and
+    # b = -3*t + 1 give a(t) = 2*(2*z1 + z2 + 1) and b(t) = -(6*z1 + 3*z2 - 1),
+    # so each factor carries a scalar that ratio_from_form must keep
+    a0, a1 = P("2*z1 + z2 + 1", 2), P("2*z1 + z2 + 2", 2)
+    b0, b1 = P("6*z1 + 3*z2 - 1", 2), P("6*z1 + 3*z2 + 2", 2)
+    chain = Chain((2, 1), U("2*t + 2"), U("-3*t + 1"))
+    form = OreSatoForm(2, P("1", 2), P("1", 2), (5, Fraction(1, 2)), (chain,))
+    r1 = ratio_from_form(form, (1, 0))
+    r2 = ratio_from_form(form, (0, 1))
+    # R_1 = 5 * a(t) a(t + 1) / (b(t) b(t + 1)) and R_2 = 1/2 * a(t) / b(t)
+    assert r1 == FactoredRational(2, 20, ((a0, 1), (a1, 1), (b0, -1), (b1, -1)))
+    assert r2 == FactoredRational(2, -1, ((a0, 1), (b0, -1)))
+    # decompose writes the chain sides normalized, so gamma takes the scalars
+    assert decompose(TermSpec.from_ratios(2, [r1, r2])).gamma == (20, -1)
+    # chain sides 2*t + 1 and 3*t - 1 along (2, 1), gamma = (3, -2)
+    a0, a1 = P("4*z1 + 2*z2 + 1", 2), P("4*z1 + 2*z2 + 3", 2)
+    spec = TermSpec.from_ratios(
+        2,
+        [
+            FactoredRational.make(2, 3, [(a0, 1), (a1, 1), (b0, -1), (b1, -1)]),
+            FactoredRational.make(2, -2, [(a0, 1), (b0, -1)]),
+        ],
+    )
+    assert decompose(spec).gamma == (3, -2)
 
 
 # -- ratio_from_form -----------------------------------------------------------------

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -11,6 +13,8 @@ from hyperterm.poly import MultiPoly
 from hyperterm.termratio import (
     FactoredRational,
     TermSpec,
+    _cancel,
+    _refine,
     check_compatibility,
     compose_direction,
     extend_by_zero,
@@ -167,6 +171,94 @@ def test_product_equals_make_on_both_factor_lists():
         expected = FactoredRational.make(k, a.scalar * b.scalar, a.factors + b.factors)
         assert product == expected, (a, b)
         assert type(product.scalar) is type(expected.scalar)
+
+
+def random_operands(rng, k):
+    """Factor lists of a product whose constancy is in question: random
+    factored rationals with shifts and inverses of each other (repeated
+    bases across operands), raw products of atoms as runs of one (bases that
+    share factors), and the compatibility quotient of a random spec,
+    sometimes perturbed by a factor no other operand balances."""
+    from conftest import random_form, spec_from_form
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        a = random_factored(rng, k)
+        ops = [a, random_factored(rng, k), a.shift(tuple(rng.randint(-1, 1) for _ in range(k)))]
+        ops += [rng.choice(ops).inv() for _ in range(rng.randint(1, 3))]
+        runs = [op.factors for op in ops]
+    elif kind == 1:
+        runs = []
+        for _ in range(rng.randint(1, 4)):
+            atoms = [P(rng.choice(FACTOR_ATOMS[k]), k) for _ in range(rng.randint(1, 3))]
+            p = functools.reduce(operator.mul, atoms)
+            e = rng.choice([-2, -1, 1, 2])
+            runs.append([(p.normalized()[1], e)])
+            choice = rng.random()
+            if choice < 0.3:
+                # the same base again, or its inverse, in another run
+                runs.append([(p.normalized()[1], rng.choice([-1, 1]) * e)])
+            elif choice < 0.6:
+                # its atoms, each a run, inverse: nothing merges, all cancels
+                runs += [[(atom.normalized()[1], -e)] for atom in atoms]
+    else:
+        k = max(k, 2)
+        ratios = spec_from_form(random_form(rng, k)).ratios()
+        i, j = rng.sample(range(k), 2)
+        ei, ej = tuple(int(x == i) for x in range(k)), tuple(int(x == j) for x in range(k))
+        if rng.random() < 0.5:
+            extra = P(rng.choice(FACTOR_ATOMS[k]), k)
+            ratios[i] = ratios[i] * FactoredRational.make(k, 1, [(extra, rng.choice([-1, 1]))])
+        ops = [ratios[i], ratios[j].shift(ei), ratios[j].inv(), ratios[i].shift(ej).inv()]
+        runs = [op.factors for op in ops]
+    return k, runs
+
+
+def _product(k, factors):
+    return FactoredRational(k, 1, tuple(factors))
+
+
+def test_cancel_agrees_with_full_refinement():
+    # merging equal bases before refining changes neither the verdict nor
+    # the product: _cancel is empty exactly when the full refinement is, and
+    # otherwise both are the same rational function
+    rng = random.Random(71)
+    empty = nonempty = 0
+    for trial in range(300):
+        k, runs = random_operands(rng, 1 + trial % 3)
+        full = _refine(runs)
+        rest = _cancel(runs)
+        assert (not rest) == (not full), runs
+        if rest:
+            assert _cross_multiplied_eq(_product(k, rest), _product(k, full)), runs
+            nonempty += 1
+        else:
+            empty += 1
+    assert empty >= 40 and nonempty >= 40
+
+
+def test_eq_rational_agrees_with_unit_quotient():
+    # cancellation decides equality as the refined quotient did, also on
+    # pairs that differ in the scalar only
+    rng = random.Random(73)
+    verdicts = {True: 0, False: 0}
+    for trial in range(300):
+        k = 1 + trial % 3
+        a = random_factored(rng, k)
+        num, den = a.numerator(), a.denominator()
+        candidates = [
+            a,
+            random_factored(rng, k),
+            FactoredRational.make(k, 1, [(num, 1), (den, -1)]),
+            FactoredRational.make(k, a.scalar * rng.choice([-1, 2, Fraction(1, 3)]), a.factors),
+            a * random_factored(rng, k),
+            a.shift(tuple(rng.randint(-1, 1) for _ in range(k))),
+        ]
+        for b in candidates:
+            verdict = a.eq_rational(b)
+            assert verdict == (a * b.inv()).is_one == b.eq_rational(a), (a, b)
+            verdicts[verdict] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 300
 
 
 def test_factored_constant_folding():
