@@ -79,7 +79,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError
 from .geometry import HalfSpace, Hyperplane, LatticeBox
-from .poly import MultiPoly, Point
+from .poly import MultiPoly, Point, _integer
 from .termratio import FactoredRational, TermSpec
 
 # ---------------------------------------------------------------------------
@@ -301,9 +301,13 @@ def propagate(
     """Value of the term at ``to`` propagated from the given point/value
     pair, searching breadth first within the bounding box of the two points
     inflated by 2 (k+1), the margin ``propagate_window`` uses too; the
-    certificate is the first path found."""
-    point, value = (tuple(int(x) for x in frm[0]), Fraction(frm[1]))
-    to = tuple(int(x) for x in to)
+    certificate is the first path found.  The coordinates of both points
+    follow the integer rule of ``poly._integer``: a fractional one or a
+    bool raises TypeError naming its point."""
+    point, value = tuple(frm[0]), Fraction(frm[1])
+    point = tuple(_integer(x, f"coordinate of the point {point!r}") for x in point)
+    to = tuple(to)
+    to = tuple(_integer(x, f"coordinate of the point {to!r}") for x in to)
     if len(point) != spec.arity:
         raise DimensionError("point arity mismatch")
     flood = _box_flood(spec.with_seed(point, value), [to])
@@ -445,30 +449,33 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     """Compare the piecewise closed form against propagated values at every
     point of the window; exact equality where both are defined.
 
-    The oracle is the flood ``propagate_window`` runs, aimed at the window
-    and asked only at the points where the closed form has a value, so it
-    stops as soon as it finds the last of them, or runs the whole box when
-    one of them is unreachable.  ``blocked`` counts those unreachable
-    points; points on an excluded hyperplane, where D vanishes or in a piece
-    of unknown base value are counted apart and never asked.  A window of
-    another arity than the spec raises DimensionError before any point is
-    evaluated."""
-    from .structure import closed_form_eval
+    The closed form comes from ``structure._window_values``, which walks the
+    window a row at a time and meets each piece in one integer interval per
+    row; its value num/den is compared with the oracle's p/q as
+    num * q == den * p, and a Fraction is built only for a mismatch.  The
+    oracle is the flood ``propagate_window`` runs, aimed at the window and
+    asked, in window order, only at the points where the closed form has a
+    value, so it stops as soon as it finds the last of them, or runs the
+    whole box when one of them is unreachable.  ``blocked`` counts those
+    unreachable points; points on an excluded hyperplane, where D vanishes
+    or in a piece of unknown base value are counted apart and never asked.
+    A window of another arity than the spec raises DimensionError before
+    any point is evaluated."""
+    from .structure import _window_values
 
     if spec.seed is None:
         raise PreconditionError("grid comparison requires a seed value")
     flood = _window_flood(spec, window)
     checked = equal = on_h = d_zero = blocked = value_unknown = 0
     mismatches = []
-    for z in window.points():
-        outcome = closed_form_eval(ps, z)
-        if outcome.status == "no-piece":
+    for z, status, num, den in _window_values(ps, window):
+        if status == "no-piece":
             on_h += 1
             continue
-        if outcome.status == "d-zero":
+        if status == "d-zero":
             d_zero += 1
             continue
-        if outcome.status == "value-unknown":
+        if status == "value-unknown":
             value_unknown += 1
             continue
         oracle_value = flood.get(z)
@@ -476,10 +483,10 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
             blocked += 1
             continue
         checked += 1
-        if outcome.value == oracle_value:
+        if num * oracle_value.denominator == den * oracle_value.numerator:
             equal += 1
         else:
-            mismatches.append(Mismatch(z, outcome.value, oracle_value))
+            mismatches.append(Mismatch(z, Fraction(num, den), oracle_value))
     return GridReport(
         checked, equal, on_h, d_zero, blocked, value_unknown, tuple(mismatches)
     )

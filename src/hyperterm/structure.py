@@ -30,17 +30,16 @@ the piece by unit steps inside the cell; nothing re-checks this.  At d = 0
 a thin cell may hold lattice points that no unit step inside it reaches;
 that case is not proven, and ``grid_compare`` checks it against the oracle.
 
-``closed_form_eval`` evaluates this formula in integers, with one Fraction
-per point.  Each piece keeps, per chain, a prefix table of gp(v.z0, t) over
-the range of t evaluated so far, extended on demand; the tables live on the
-structure, so evaluating a window costs a table read per chain and point
-rather than a product rebuilt from the base point.  The piece holding a
-point is found by a slab index, also kept on the structure: the distinct
-half-space normals up to sign, each with its sorted thresholds, give every
-point a key (per normal u, the number of thresholds <= u.z) that fixes the
-truth value of every half-space, and a memo maps each key met to its piece.
-So a point costs one dot product and one bisection per normal, and only
-the first point of each slab cell scans the pieces.
+``closed_form_eval`` and ``grid_compare`` evaluate this formula in
+integers through one kernel, ``_window_values``, which walks a window a row
+at a time along the last axis.  A piece is convex, so a row meets it in one
+integer interval, found from each half-space by one floor division; the
+piece of a point is the first of the pieces whose interval holds it, as an
+ordered scan gives, and a single point is the one-point window.  Each piece
+keeps, per chain, a prefix table of gp(v.z0, t) over the range of t
+evaluated so far, extended on demand; the tables live on the structure, so
+evaluating a window costs a table read per chain and point, at the affine
+index v.z, rather than a product rebuilt from the base point.
 
 ``split_factorial`` intersects each piece with the sign conditions of
 v.(z - z0) and rewrites the generalized products as plain products
@@ -56,10 +55,9 @@ import itertools
 import logging
 import operator
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DimensionError,
@@ -70,6 +68,7 @@ from .errors import (
 from .geometry import (
     HalfSpace,
     Hyperplane,
+    LatticeBox,
     MeasureZeroSet,
     PolyhedralRegion,
     arrangement,
@@ -87,6 +86,7 @@ from .poly import (
     Point,
     UniPoly,
     _coeff,
+    _integer,
     find_nonzero_in_box,
     integer_roots,
     rational_roots,
@@ -122,17 +122,10 @@ class PiecewiseStructure:
 
     @functools.cached_property
     def _tables(self) -> tuple["_PieceTable", ...]:
-        """Per-piece evaluation tables for ``closed_form_eval``, built on
+        """Per-piece evaluation tables for ``_window_values``, built on
         first use and kept on the structure; their chain tables grow with
         the points evaluated."""
         return tuple(_PieceTable(self.form, p) for p in self.pieces)
-
-    @functools.cached_property
-    def _locator(self) -> "_PieceLocator":
-        """The slab index ``closed_form_eval`` finds a point's piece with,
-        built on first use and kept on the structure; its memo grows with
-        the slab cells met."""
-        return _PieceLocator(self._tables)
 
 
 @dataclass(frozen=True)
@@ -318,61 +311,133 @@ class _PieceTable:
         self.chains = tuple(
             _ChainTable(c, sum(x * y for x, y in zip(c.direction, z0))) for c in form.chains
         )
+        # each half-space v.z > n as (v[:-1], v[-1], n), read along a row
+        self.halves = tuple((h.v[:-1], h.v[-1], h.n) for h in piece.region.halfspaces)
+        c0, d0 = form.c_poly.evaluate_cleared(z0), form.d_poly.evaluate_cleared(z0)
+        if c0 == 0 or d0 == 0:
+            # the build picks z0 off C D = 0; a value's denominator must not vanish
+            raise IntegrityError(f"C or D vanishes at the base point {z0}")
         base = piece.base_value
-        self.scale = None if base is None else (
-            base.numerator * form.d_poly.evaluate_cleared(z0),
-            base.denominator * form.c_poly.evaluate_cleared(z0),
-        )
+        self.scale = None if base is None else (base.numerator * d0, base.denominator * c0)
 
 
-class _PieceLocator:
-    """Exact point location over the pieces' half-spaces.
+def _row_runs(
+    tables: Sequence[_PieceTable], rest: Point, lo: int, hi: int
+) -> list[tuple[int, int, Optional[_PieceTable]]]:
+    """The row {rest + (t,) : lo <= t <= hi} cut into maximal runs
+    (start, stop, table), stop exclusive, of the points whose first holding
+    piece in ``tables`` order is ``table`` (None: no piece), in order of t.
 
-    Every half-space v.z > n of every piece is read along the normal
-    u = +-v whose first nonzero entry is positive: as u.z >= n + 1 when
-    u = v, as u.z < -n when u = -v.  Per distinct u the thresholds
-    (n + 1, respectively -n) are kept sorted, and the key of a point is
-    the number of thresholds <= u.z for each u.  The key fixes the truth
-    value of every half-space, hence the piece, so a memo from key to
-    piece table (None: no piece) answers every point of a slab cell once
-    one point of it has been located by the ordered scan; the answer is
-    the first piece in ``tables`` order that contains z, as the scan
-    gives.  The memo holds at most one entry per slab cell met; a racing
-    duplicate insert stores the same value, so no lock is needed."""
+    On the row a half-space v.z > n reads c t > m with c = v[-1] and
+    m = n - v[:-1].rest: t >= m // c + 1 for c > 0, t <= (-m - 1) // -c for
+    c < 0, every t for c = 0 and m < 0, no t for c = 0 and m >= 0.  So each
+    piece, convex, meets the row in one integer interval.  Between two
+    consecutive interval ends every piece holds all points or none, so the
+    first piece holding the run's first point holds the whole run; that is
+    the piece the ordered scan over ``tables`` gives at each point."""
+    spans = []
+    for table in tables:
+        a, b = lo, hi
+        for head, c, n in table.halves:
+            m = n - sum(map(operator.mul, head, rest))
+            if c > 0:
+                a = max(a, m // c + 1)
+            elif c < 0:
+                b = min(b, (-m - 1) // -c)
+            elif m >= 0:
+                b = a - 1
+                break
+        if a <= b:
+            spans.append((a, b + 1, table))
+    cuts = sorted({lo, hi + 1}.union(*((a, b) for a, b, _ in spans)))
+    runs: list[tuple[int, int, Optional[_PieceTable]]] = []
+    for start, stop in zip(cuts, cuts[1:]):
+        table = next((t for a, b, t in spans if a <= start < b), None)
+        if runs and runs[-1][2] is table:
+            runs[-1] = (runs[-1][0], stop, table)
+        else:
+            runs.append((start, stop, table))
+    return runs
 
-    _MISS = object()
 
-    def __init__(self, tables: Sequence["_PieceTable"]):
-        self.tables = tables
-        thresholds: dict[Point, set[int]] = {}
-        for table in tables:
-            for h in table.piece.region.halfspaces:
-                if next(x for x in h.v if x) > 0:
-                    thresholds.setdefault(h.v, set()).add(h.n + 1)
+def _window_values(
+    ps: PiecewiseStructure, window: LatticeBox
+) -> Iterator[tuple[Point, str, Optional[int], Optional[int]]]:
+    """(z, status, num, den) for every point of the window, in
+    ``LatticeBox.points`` order: status as in ``EvalOutcome``, and with
+    status ok the closed form's value num/den in unreduced integers, den
+    nonzero; num and den are None otherwise.
+
+    The window is walked a row at a time along the last axis, each row cut
+    into runs of one piece by ``_row_runs``.  Inside a run the value is
+    scale * gamma^(z - z0) * C(z)/D(z) * the chain ratios, with C and D
+    cleared of denominators: the powers of gamma along the other axes are
+    taken once per run, and each chain ratio gp(v.z0, v.z) is read from the
+    piece's prefix table at the affine index v[:-1].rest + v[-1] t.  The
+    points are evaluated lazily in window order, so a zero chain factor
+    raises IntegrityError at the same point, and naming the same j, as
+    evaluating the points one by one in that order."""
+    form = ps.form
+    c_eval, d_eval = form.c_poly.evaluate_cleared, form.d_poly.evaluate_cleared
+    tables = ps._tables
+    lo = window.corner[-1]
+    hi = lo + window.size
+    axes = [range(c, c + window.size + 1) for c in window.corner[:-1]]
+    for rest in itertools.product(*axes):
+        for start, stop, table in _row_runs(tables, rest, lo, hi):
+            if table is None:
+                for t in range(start, stop):
+                    yield rest + (t,), "no-piece", None, None
+                continue
+            if table.scale is None:
+                for t in range(start, stop):
+                    z = rest + (t,)
+                    yield z, "value-unknown" if d_eval(z) else "d-zero", None, None
+                continue
+            z0 = table.piece.base_point
+            num0, den0 = table.scale
+            for (gn, gd), zi, z0i in zip(table.gamma, rest, z0):
+                e = zi - z0i
+                if e >= 0:
+                    num0, den0 = num0 * gn**e, den0 * gd**e
                 else:
-                    thresholds.setdefault(tuple(-x for x in h.v), set()).add(-h.n)
-        self.slabs = tuple((u, sorted(ts)) for u, ts in sorted(thresholds.items()))
-        self.memo: dict[tuple[int, ...], Optional[_PieceTable]] = {}
-
-    def locate(self, z: Point) -> Optional["_PieceTable"]:
-        key = tuple(bisect_right(ts, sum(map(operator.mul, u, z))) for u, ts in self.slabs)
-        table = self.memo.get(key, self._MISS)
-        if table is self._MISS:
-            table = next((t for t in self.tables if t.piece.region.contains(z)), None)
-            self.memo[key] = table
-        return table
+                    num0, den0 = num0 * gd**-e, den0 * gn**-e
+            gn, gd = table.gamma[-1]
+            # per chain: its table and v.z = offset + c t along the row
+            chains = [
+                (ch.ratio, sum(map(operator.mul, ch.chain.direction, rest)), ch.chain.direction[-1])
+                for ch in table.chains
+            ]
+            for t in range(start, stop):
+                z = rest + (t,)
+                d_z = d_eval(z)
+                if d_z == 0:
+                    yield z, "d-zero", None, None
+                    continue
+                num, den = num0 * c_eval(z), den0 * d_z
+                e = t - z0[-1]
+                if e >= 0:
+                    num, den = num * gn**e, den * gd**e
+                else:
+                    num, den = num * gd**-e, den * gn**-e
+                for ratio, offset, c in chains:
+                    cn, cd = ratio(offset + c * t)
+                    num, den = num * cn, den * cd
+                yield z, "ok", num, den
 
 
 def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     """Value of the closed form at a lattice point, or the reason it is
     undefined there.
 
-    The piece is the first of ``ps.pieces`` that contains z, found through
-    the structure's slab index: z's key (per distinct half-space normal u,
-    the number of the normal's thresholds <= u.z) is looked up in a memo
-    kept on ``ps``, and only a key not met before scans the pieces in order
-    and records the answer.  A point of another arity than the structure
-    raises DimensionError.
+    The coordinates follow the integer rule of ``poly._integer``: an
+    integral float is accepted, a fractional one or a bool raises
+    TypeError naming the point.  A point of another arity than the
+    structure raises DimensionError.  The point is evaluated as the
+    one-point window ``LatticeBox(z, 0)`` of ``_window_values``, the kernel
+    ``grid_compare`` runs over a whole window: its piece is the first of
+    ``ps.pieces`` that contains z, found from the one integer interval in
+    which each piece meets the row of z.
 
     Arithmetic is in integers with one Fraction per point: C and D are
     evaluated cleared of denominators, and each chain product
@@ -381,31 +446,12 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     is evaluated once per structure.  A zero chain factor inside the
     touched product range violates the construction guarantees and raises
     IntegrityError naming j, at the same points as a fresh product would."""
-    z = tuple(int(x) for x in z)
-    form = ps.form
-    if len(z) != form.arity:
+    z = tuple(z)
+    z = tuple(_integer(x, f"coordinate of the point {z!r}") for x in z)
+    if len(z) != ps.form.arity:
         raise DimensionError("point arity mismatch")
-    table = ps._locator.locate(z)
-    if table is None:
-        return EvalOutcome("no-piece")
-    d_z = form.d_poly.evaluate_cleared(z)
-    if d_z == 0:
-        return EvalOutcome("d-zero")
-    if table.scale is None:
-        return EvalOutcome("value-unknown")
-    num, den = table.scale
-    num *= form.c_poly.evaluate_cleared(z)
-    den *= d_z
-    for (gn, gd), zi, z0i in zip(table.gamma, z, table.piece.base_point):
-        e = zi - z0i
-        if e >= 0:
-            num, den = num * gn**e, den * gd**e
-        else:
-            num, den = num * gd**-e, den * gn**-e
-    for chain in table.chains:
-        cn, cd = chain.ratio(sum(x * y for x, y in zip(chain.chain.direction, z)))
-        num, den = num * cn, den * cd
-    return EvalOutcome("ok", Fraction(num, den))
+    ((_, status, num, den),) = _window_values(ps, LatticeBox(z, 0))
+    return EvalOutcome(status, None if num is None else Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------

@@ -349,9 +349,11 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # tests/golden/ holds the stdout of every command below on specs/*.json and on
 # the bundled specs (written with spec_to_json), the stdout of `check`,
 # `decompose` and `structure` on the benchmark specs and of `compare` over
-# their workload windows, the stdout of `decompose` on tests/data/shift16.json,
-# the stdout of `check` and `decompose` on tests/data/incompatible.json, which
-# both exit 1, and golden/exit_status.json their exit statuses.  A change that
+# their workload windows, the stdout of `compare` on specs/*.json over the
+# grid2d workload's windows (keys `specs_<stem>.compare_window`), the stdout
+# of `decompose` on tests/data/shift16.json, the stdout of `check` and
+# `decompose` on tests/data/incompatible.json, which both exit 1, and
+# golden/exit_status.json their exit statuses.  A change that
 # alters CLI output must regenerate them (`PYTHONPATH=src python
 # tests/test_cli.py`) and say why.
 
@@ -373,6 +375,11 @@ BUNDLED = {
 COMPARE_WINDOWS = {
     "wedge3d": "-2:4,-2:4,8:14",
     "flood3d": "-4:4,-4:4,-4:4",
+}
+# specs/<stem>.json -> the --window of the grid2d workload
+SPEC_COMPARE_WINDOWS = {
+    "binomial": "-30:30,-30:30",
+    "odd": "-30:30",
 }
 
 
@@ -403,6 +410,9 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
         results[f"perfbench_{stem}.decompose"] = run_cli(["decompose", path])
         results[f"perfbench_{stem}.structure"] = run_cli(["structure", path])
         results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])
+    for stem, window in SPEC_COMPARE_WINDOWS.items():
+        path = str(REPO / "specs" / f"{stem}.json")
+        results[f"specs_{stem}.compare_window"] = run_cli(["compare", path, "--window", window])
     results["shift16.decompose"] = run_cli(["decompose", str(SHIFT16)])
     for command in ("check", "decompose"):
         results[f"incompatible.{command}"] = run_cli([command, str(INCOMPATIBLE)])

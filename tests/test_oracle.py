@@ -15,7 +15,7 @@ from hyperterm.bundled import (
     constant_spec,
     odd_product_spec,
 )
-from hyperterm.errors import DimensionError, PreconditionError
+from hyperterm.errors import DimensionError, IntegrityError, PreconditionError
 from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet, PolyhedralRegion
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import (
@@ -27,6 +27,7 @@ from hyperterm.oracle import (
     _integer_side,
     _side_numerator,
     _walls,
+    _window_flood,
     grid_compare,
     propagate,
     propagate_targets,
@@ -96,6 +97,22 @@ def test_propagate_certificate_replays():
     for step in result.path:
         value *= step.multiplier
     assert value == 10
+
+
+def test_propagate_integer_rule():
+    # coordinates follow poly._integer: 5.9 is not rounded to 5, nor True
+    # read as 1, in either point; an integral float is accepted
+    spec = spec_from_json(json.loads((ROOT / "specs" / "binomial.json").read_text()))
+    for frm, to, named in [
+        ((0, 0), (5.9, 2.1), r"\(5\.9, 2\.1\)"),
+        ((0, 0), (True, 0), r"\(True, 0\)"),
+        ((0.5, 0), (5, 2), r"\(0\.5, 0\)"),
+        ((0, False), (5, 2), r"\(0, False\)"),
+    ]:
+        with pytest.raises(TypeError, match=f"coordinate of the point {named} must be an integer"):
+            propagate(spec, (frm, 1), to)
+    assert propagate(spec, ((0.0, 0), 1), (5.0, 2.0)).value == 10
+    assert propagate(spec, ((0, 0), 1), [5, 2]).value == 10
 
 
 def test_propagate_negative_direction():
@@ -541,6 +558,109 @@ def test_grid_compare_matches_reference():
         assert report == reference_grid_report(ps, spec, window)
         blocked += report.blocked
     assert blocked > 10
+
+
+def structure_mutants(ps):
+    """(kind, structure with one field changed): each gamma_i doubled, each
+    nonzero base value doubled, each nonconstant chain numerator a(t)
+    shifted to a(t + 1), and C shifted by each e_i that moves it."""
+    form = ps.form
+    k = form.arity
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    for i in range(k):
+        gamma = list(form.gamma)
+        gamma[i] *= 2
+        yield "gamma", replace(ps, form=replace(form, gamma=tuple(gamma)))
+    for n, piece in enumerate(ps.pieces):
+        if piece.base_value:
+            pieces = list(ps.pieces)
+            pieces[n] = replace(piece, base_value=2 * piece.base_value)
+            yield "base value", replace(ps, pieces=tuple(pieces))
+    for n, chain in enumerate(form.chains):
+        if not chain.num.is_constant:
+            chains = list(form.chains)
+            chains[n] = replace(chain, num=chain.num.shift_arg(1))
+            yield "chain", replace(ps, form=replace(form, chains=tuple(chains)))
+    for e in units:
+        if form.c_poly.shift(e) != form.c_poly:
+            yield "C", replace(ps, form=replace(form, c_poly=form.c_poly.shift(e)))
+
+
+def mutation_cases():
+    """(name, spec, window): the repository specs over their workload
+    windows and seeded random forms around their seeds."""
+    from conftest import random_form, spec_from_form
+
+    def load(path):
+        return spec_from_json(json.loads(path.read_text(encoding="utf-8")))
+
+    cases = [
+        ("binomial", load(SPECS_DIR / "binomial.json"), LatticeBox((-8, -8), 16)),
+        ("odd", load(SPECS_DIR / "odd.json"), LatticeBox((-30,), 60)),
+        ("wedge3d", load(ROOT / "perfbench/specs/wedge3d.json"), LatticeBox((-2, -2, 8), 6)),
+        ("flood3d", load(ROOT / "perfbench/specs/flood3d.json"), LatticeBox((-4, -4, -4), 8)),
+    ]
+    rng = random.Random(11)
+    for k in (1, 1, 2, 2, 2, 2, 3, 3):
+        spec = spec_from_form(random_form(rng, k), seed=((0,) * k, Fraction(rng.choice([1, -2, 3]))))
+        window = LatticeBox((-6,) * k, 12) if k < 3 else LatticeBox((-3,) * k, 6)
+        cases.append((f"random k={k}", spec, window))
+    return cases
+
+
+def test_grid_compare_catches_mutants():
+    # a structure with one field changed is reported exactly where its value
+    # changes at a checked point, with the mutant's own closed-form value;
+    # a mutant that breaks a construction guarantee raises IntegrityError in
+    # grid_compare as it does point by point
+    caught = {}
+    for name, spec, window in mutation_cases():
+        ps = build_structure(spec)
+        report = grid_compare(ps, spec, window)
+        assert report.clean and report.checked, name
+        flood = _window_flood(spec, window)
+        checked = {}
+        for z in window.points():
+            outcome = closed_form_eval(ps, z)
+            if outcome.status == "ok" and flood.get(z) is not None:
+                checked[z] = outcome.value
+        for kind, mutant in structure_mutants(ps):
+            try:
+                values = {z: closed_form_eval(replace(mutant), z) for z in window.points()}
+            except IntegrityError:
+                with pytest.raises(IntegrityError):
+                    grid_compare(replace(mutant), spec, window)
+                caught[kind] = caught.get(kind, 0) + 1
+                continue
+            changed = [z for z, value in checked.items() if values[z].value != value]
+            report = grid_compare(replace(mutant), spec, window)
+            assert report.checked == len(checked), (name, kind)
+            assert [m.z for m in report.mismatches] == changed, (name, kind)
+            for m in report.mismatches:
+                assert m.closed == values[m.z].value and m.oracle == checked[m.z]
+            if changed:
+                caught[kind] = caught.get(kind, 0) + 1
+    assert caught.get("gamma", 0) >= 10 and caught.get("base value", 0) >= 8, caught
+    assert caught.get("chain", 0) >= 4 and caught.get("C", 0) >= 4, caught
+
+
+def test_compare_exits_1_on_a_mutated_structure(monkeypatch, capsys):
+    # gamma_1 doubled halves the binomial off the base point (4, 2) of the
+    # piece 0 < z2 < z1 at every step toward z1 = 2
+    from hyperterm import cli
+
+    built = build_structure(spec_from_json(json.loads((SPECS_DIR / "binomial.json").read_text())))
+    gamma = (2 * built.form.gamma[0],) + built.form.gamma[1:]
+    mutant = replace(built, form=replace(built.form, gamma=gamma))
+    monkeypatch.setattr(cli, "build_structure", lambda spec: mutant)
+    assert cli.main(["compare", str(SPECS_DIR / "binomial.json"), "--window", "0:4,0:4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checked"] == 9 and report["equal"] == 6
+    assert [(m["z"], m["closed"], m["oracle"]) for m in report["mismatches"]] == [
+        ([2, 1], "1/2", "2"),
+        ([3, 1], "3/2", "3"),
+        ([3, 2], "3/2", "3"),
+    ]
 
 
 def captured_floods(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 import threading
@@ -36,7 +37,7 @@ from hyperterm.geometry import (
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import grid_compare, propagate
 from hyperterm.oresato import Chain, OreSatoForm, gp_eval
-from hyperterm.parsing import parse_unipoly
+from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import MultiPoly, UniPoly, integer_roots
 from hyperterm.structure import (
     EvalOutcome,
@@ -45,6 +46,8 @@ from hyperterm.structure import (
     Piece,
     PiecewiseStructure,
     _chain_zero_hyperplanes,
+    _row_runs,
+    _window_values,
     build_structure,
     closed_form_eval,
     factorial_eval,
@@ -604,8 +607,19 @@ def assert_matches_reference(ps, points, seed):
             assert outcome_or_error(closed_form_eval, fresh, z) == expected[z], z
 
 
+def rational_gamma_binomial_spec():
+    """choose(z1, z2) (2/3)^z1 (5/7)^z2: gamma = (2/3, 5/7) has a numerator
+    and a denominator both along a row and across rows."""
+    sides = [("2*z1 + 2", "3*z1 - 3*z2 + 3"), ("5*z1 - 5*z2", "7*z2 + 7")]
+    return TermSpec.make(
+        2,
+        [(parse_multipoly(a, 2), parse_multipoly(b, 2)) for a, b in sides],
+        seed=((0, 0), Fraction(1)),
+    )
+
+
 def test_closed_form_eval_matches_reference_on_specs():
-    specs = list(bundled_specs().values()) + [annihilated_spec()]
+    specs = list(bundled_specs().values()) + [annihilated_spec(), rational_gamma_binomial_spec()]
     for path in sorted((Path(__file__).parent.parent / "specs").glob("*.json")):
         specs.append(spec_from_json(json.loads(path.read_text(encoding="utf-8"))))
     for n, spec in enumerate(specs):
@@ -665,7 +679,7 @@ def test_closed_form_eval_from_threads(odd_structure):
         sys.setswitchinterval(interval)
 
 
-def locator_structures():
+def interval_structures():
     """(name, structure, windows): the bundled specs, the zero-divisor
     structure, specs/*.json, the benchmark specs (with their workload
     windows) and random forms for k = 1..3."""
@@ -700,96 +714,144 @@ def scan(ps, z):
     return next((t for t in ps._tables if t.piece.region.contains(z)), None)
 
 
-def test_locator_matches_linear_scan():
+def window_rows(window):
+    """The points of the window without their last coordinate, in order."""
+    return itertools.product(*(range(c, c + window.size + 1) for c in window.corner[:-1]))
+
+
+def row_pieces(ps, window):
+    """The piece table ``_row_runs`` assigns to each window point, after
+    checking that each row's runs cover it in order and are maximal."""
+    lo, hi = window.corner[-1], window.corner[-1] + window.size
+    assigned = {}
+    for rest in window_rows(window):
+        runs = _row_runs(ps._tables, rest, lo, hi)
+        assert [r[0] for r in runs] == [lo] + [r[1] for r in runs[:-1]]
+        assert runs[-1][1] == hi + 1 and all(a < b for a, b, _ in runs)
+        assert all(x[2] is not y[2] for x, y in zip(runs, runs[1:]))
+        for start, stop, table in runs:
+            for t in range(start, stop):
+                assigned[rest + (t,)] = table
+    return assigned
+
+
+def assert_rows_match_scan(name, ps, windows):
+    for window in windows:
+        assigned = row_pieces(ps, window)
+        assert list(assigned) == sorted(window.points()), name
+        for z, table in assigned.items():
+            assert table is scan(ps, z), (name, z)
+
+
+def test_row_intervals_match_linear_scan():
     normals = set()
-    for name, built, windows in locator_structures():
-        k = built.form.arity
+    for name, ps, windows in interval_structures():
+        k = ps.form.arity
         on_planes = [
             z
             for window in windows
-            for h in built.excluded.hyperplanes
+            for h in ps.excluded.hyperplanes
             for z in window.points()
             if h.contains(z)
         ]
+        if ps.excluded.hyperplanes:
+            assert on_planes, name
+        # far points as one-point windows, and the boxes of side 3 at them
         far = [
-            tuple(a + b for a, b in zip(corner, offset))
+            LatticeBox(tuple(a + b for a, b in zip(corner, offset)), size)
             for corner in itertools.product((-10**6, 0, 10**6), repeat=k)
             for offset in itertools.product((-1, 0, 1), repeat=k)
+            for size in (0, 2)
         ]
-        windowed = [z for window in windows for z in window.points()]
-        # each kind of point first on a fresh structure, so that each kind
-        # fills the memo for the others
-        for first in (windowed, on_planes, far):
-            ps = dataclasses.replace(built)
-            for z in first + windowed + on_planes + far:
-                assert ps._locator.locate(z) is scan(ps, z), (name, z)
-        normals.update(u for u, _ in ps._locator.slabs)
-        if built.excluded.hyperplanes:
-            assert on_planes, name
+        assert_rows_match_scan(name, ps, windows + [LatticeBox(z, 0) for z in on_planes] + far)
+        # the whole kernel, a row at a time, agrees with one point at a time
+        for window in windows:
+            row_wise = [
+                (z, EvalOutcome(status, None if num is None else Fraction(num, den)))
+                for z, status, num, den in _window_values(ps, window)
+            ]
+            assert row_wise == [(z, closed_form_eval(ps, z)) for z in window.points()], name
+        normals.update(h.v for t in ps._tables for h in t.piece.region.halfspaces)
     assert len(normals) > 5
 
 
-def test_locator_slabs_and_memo():
-    repo = Path(__file__).parent.parent
-    spec = spec_from_json(
-        json.loads((repo / "perfbench" / "specs" / "wedge3d.json").read_text(encoding="utf-8"))
+def hand_built_structure(k, regions):
+    """Pieces over the given half-space tuples, in that order, with the
+    form C = D = 1 and no chains; a half-space is built as given, so its
+    normal need not be primitive."""
+    form = OreSatoForm(k, MultiPoly.constant(k, 1), MultiPoly.constant(k, 1), (1,) * k, ())
+    pieces = tuple(
+        Piece(PolyhedralRegion(k, tuple(halves)), (0,) * k, Fraction(1)) for halves in regions
     )
-    wedge = build_structure(spec)
-    # one normal, z1 + z3, cut once per piece: each piece keeps its
-    # tightest half-space along it
-    ((u, thresholds),) = wedge._locator.slabs
-    assert u == (1, 0, 1) and len(thresholds) == 2
-    for ps, window in [
-        (wedge, LatticeBox((-2, -2, 8), 6)),
-        (build_structure(binomial_spec()), LatticeBox((-30, -30), 60)),
-    ]:
-        first = [closed_form_eval(ps, z) for z in window.points()]
-        memo = dict(ps._locator.memo)
-        assert 0 < len(memo) < len(first)
-        assert [closed_form_eval(ps, z) for z in window.points()] == first
-        assert ps._locator.memo == memo
+    return PiecewiseStructure(form, pieces, MeasureZeroSet.empty())
 
 
-def test_locator_from_threads(binomial_structure):
-    # fresh structures whose memo more threads than cores fill together, each
-    # in its own order; a racing insert must store the scan's answer
-    points = list(LatticeBox((-10, -10), 20).points())
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            ps = dataclasses.replace(binomial_structure)
-            results = [{} for _ in range(4)]
-            start = threading.Barrier(len(results))
+def test_row_intervals_on_hand_built_pieces():
+    # last-axis coefficients 0, +-1, +-2 and +-3, levels mostly below the
+    # window so that m = n - v[:-1].rest is negative on most rows: the
+    # floor divisions of c t > m must round toward the right side for
+    # either sign of c and of m
+    rng = random.Random(97)
+    met = set()
+    for k in (1, 2, 3):
+        window = LatticeBox((-6,) * k, 12) if k < 3 else LatticeBox((-4,) * k, 8)
+        lasts = [c for c in (0, 1, -1, 2, -2, 3, -3) if c or k > 1]
+        for _ in range(30):
+            regions = []
+            for _ in range(rng.randint(1, 4)):
+                halves = []
+                for _ in range(rng.randint(1, 3)):
+                    head = tuple(rng.randint(-3, 3) for _ in range(k - 1))
+                    halves.append(HalfSpace(head + (rng.choice(lasts),), rng.randint(-14, 4)))
+                regions.append(halves)
+            ps = hand_built_structure(k, regions)
+            assert_rows_match_scan(f"k={k}", ps, [window])
+            for h in itertools.chain(*regions):
+                for rest in window_rows(window):
+                    met.add((k, h.v[-1], h.n - sum(map(operator.mul, h.v, rest)) < 0))
+    for k in (1, 2, 3):
+        for c in (0, 1, -1, 2, -2, 3, -3):
+            if c or k > 1:
+                assert (k, c, True) in met and (k, c, False) in met, (k, c)
 
-            def work(result, order):
-                start.wait(timeout=60)
-                for z in order:
-                    result[z] = ps._locator.locate(z)
 
-            orders = [points, points[::-1], points[1::2] + points[::2], points[::-2] + points]
-            threads = [threading.Thread(target=work, args=a) for a in zip(results, orders)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            expected = {z: scan(ps, z) for z in points}
-            for result in results:
-                assert result.keys() == expected.keys()
-                assert all(result[z] is expected[z] for z in points)
-            assert all(ps._locator.locate(z) is expected[z] for z in points)
-    finally:
-        sys.setswitchinterval(interval)
+def test_base_point_on_c_or_d_zero_is_an_integrity_error():
+    # the build picks each base point off C D = 0; a structure that breaks
+    # this would give every value of the piece a zero denominator, so the
+    # first evaluation refuses it rather than divide by zero or compare
+    # num * q == 0 * p
+    k = 2
+    piece = Piece(PolyhedralRegion.whole(k), (1, -1), Fraction(3))
+    for c, d in [("z1 + z2", "1"), ("1", "z1 + z2"), ("z1*z2 + 1", "z1 - 1")]:
+        form = OreSatoForm(k, parse_multipoly(c, k), parse_multipoly(d, k), (1, 1), ())
+        ps = PiecewiseStructure(form, (piece,), MeasureZeroSet.empty())
+        with pytest.raises(IntegrityError, match=r"C or D vanishes at the base point \(1, -1\)"):
+            closed_form_eval(ps, (2, 3))
+        spec = TermSpec.make(k, [(parse_multipoly("1", k),) * 2] * k, seed=((0, 0), Fraction(1)))
+        with pytest.raises(IntegrityError):
+            grid_compare(dataclasses.replace(ps), spec, LatticeBox((0, 0), 2))
 
 
 def test_closed_form_eval_point_arity(binomial_structure):
-    # the locator zips a point against each normal, which would drop the
-    # extra coordinates of a long point; the arity is checked first
+    # a row's half-spaces zip the point's other coordinates against each
+    # normal, which would drop the extra coordinates of a long point; the
+    # arity is checked first
     ps = build_structure(annihilated_spec())
     for built, z in [(binomial_structure, (1, 2, 3)), (binomial_structure, (1,)), (ps, (1, 2))]:
         with pytest.raises(DimensionError, match="point arity mismatch"):
             closed_form_eval(built, z)
+
+
+def test_closed_form_eval_integer_rule():
+    # coordinates follow poly._integer: (5.7, 2.2) is not read as (5, 2),
+    # where the value is 10, nor (True, 0) as (1, 0); 5.0 is accepted
+    repo = Path(__file__).parent.parent
+    spec = spec_from_json(json.loads((repo / "specs" / "binomial.json").read_text(encoding="utf-8")))
+    ps = build_structure(spec)
+    for z, named in [((5.7, 2.2), r"\(5\.7, 2\.2\)"), ((True, 0), r"\(True, 0\)")]:
+        with pytest.raises(TypeError, match=f"coordinate of the point {named} must be an integer"):
+            closed_form_eval(ps, z)
+    assert closed_form_eval(ps, (5.0, 2.0)) == closed_form_eval(ps, [5, 2]) == EvalOutcome("ok", 10)
 
 
 def chain_root_structure():
