@@ -9,19 +9,23 @@ hyperplane.  Zero values propagate (a vanishing numerator produces an
 honest zero); a step whose divisor vanishes is simply not taken, so a
 point is ``blocked`` only when every path inside the window is.
 
-The flood does integer arithmetic and builds one Fraction per step taken.
+The flood does integer arithmetic only and builds no Fraction per step.
 Each generator side, scalar * prod(base ** exp), becomes one integer
 numerator over one constant integer denominator: the bases are evaluated
 with ``MultiPoly.evaluate_cleared``, whose cleared form is built once and
-kept on the polynomial, so repeated floods share it.  A step multiplies the
-value's numerator and denominator by the two side numerators and reduces
-once, in a single ``Fraction``.  A move is dropped when its target is
-outside the window or already visited before the exception planes are
-consulted (not at all when the spec declares none) or anything is
-evaluated, so only steps that can be taken cost an evaluation; the order,
-the values and the certificates are those of evaluating every move.
-The values of A_i and B_i at a point are not memoised: each is needed by at
-most one step taken, and a per-point memo costs memory without saving time.
+kept on the polynomial, so repeated floods share it.  A step reads its
+multiplier, A_i/B_i forward or B_i/A_i backward, from one oriented table
+and evaluates the divisor first.  A value is kept as its reduced pair
+(p, q), q > 0.  A step reduces its multiplier num/den by their gcd,
+cross-cancels it with the value by gcd(p, den) and gcd(q, num) (Knuth's
+rule, as ``Fraction`` multiplication does) and moves the sign into the
+numerator, so no gcd of the grown products is taken.  A move is dropped
+when its target is outside the window or already visited, tested on its
+row-major index in the box, before its tuple is built, the exception
+planes are consulted (not at all when the spec declares none) or anything
+is evaluated; the order, the values and the certificates are those of
+evaluating every move.  The values of A_i and B_i at a point are not
+memoised: each is needed by at most one step taken.
 
 The flood keeps, per point reached, only the step that reached it, as one
 small integer: i for a forward step along axis i, ~i for a backward one,
@@ -75,11 +79,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError
 from .geometry import HalfSpace, Hyperplane, LatticeBox
-from .poly import MultiPoly, Point, _integer
+from .poly import MultiPoly, Point, _integer_point
 from .termratio import FactoredRational, TermSpec
 
 # ---------------------------------------------------------------------------
@@ -140,7 +145,13 @@ class _Flood:
     and breadth first for the default one; the value itself is path
     independent for compatible specs wherever it is defined at all.  The
     constructor only seeds the flood; ``get`` runs it as far as the points
-    asked for need.  ``values`` and ``steps`` hold the points reached so far.
+    asked for need.
+
+    ``values`` holds each point reached so far as the numerator and
+    denominator of its value, ``steps`` the step that reached it and
+    ``seen`` its row-major index in the box.  ``sides[axis][forward]`` is a
+    step's multiplier num_scale * prod(f ** e) / (den_scale * prod(f ** e))
+    as (num_scale, num_factors, den_scale, den_factors).
     """
 
     def __init__(self, spec: TermSpec, lo: Point, hi: Point, step_order=None, goal=None):
@@ -149,38 +160,50 @@ class _Flood:
         self.hi = hi
         self.glo, self.ghi = (lo, hi) if goal is None else goal
         k = spec.arity
-        moves = []
-        for i in range(k):
-            for delta in (1, -1):
-                moves.append((tuple(delta if j == i else 0 for j in range(k)), i, delta))
-        moves.sort(key=lambda m: m[0] if step_order is None else step_order(m[0]))
-        self.moves = [(i, delta) for _, i, delta in moves]
+        # row-major strides of the box: a point's index moves by
+        # +-strides[i] with a step along axis i
+        strides = [1] * k
+        for i in range(k - 1, 0, -1):
+            strides[i - 1] = strides[i] * (hi[i] - lo[i] + 1)
         # per axis: A = a_scale * prod(a_factors) / a_den and likewise B,
         # so A / B = (a_scale * b_den) * prod(a_factors)
-        #          / ((b_scale * a_den) * prod(b_factors))
+        #          / ((b_scale * a_den) * prod(b_factors)) forward, and
+        # B / A backward
         self.sides = []
         for gen in spec.generators:
             a_scale, a_factors, a_den = _integer_side(gen.num)
             b_scale, b_factors, b_den = _integer_side(gen.den)
-            self.sides.append((a_scale * b_den, a_factors, b_scale * a_den, b_factors))
-        self.values: dict[Point, Fraction] = {}
+            forward = (a_scale * b_den, a_factors, b_scale * a_den, b_factors)
+            backward = (b_scale * a_den, b_factors, a_scale * b_den, a_factors)
+            self.sides.append((backward, forward))
+        moves = []
+        for i in range(k):
+            for delta in (1, -1):
+                step = tuple(delta if j == i else 0 for j in range(k))
+                moves.append((step, (i, delta, delta * strides[i]) + self.sides[i][delta > 0]))
+        moves.sort(key=lambda m: m[0] if step_order is None else step_order(m[0]))
+        self.moves = [move for _, move in moves]
+        seed_point, seed_value = spec.seed
+        seed_value = Fraction(seed_value)
+        self.values: dict[Point, tuple[int, int]] = {
+            seed_point: (seed_value.numerator, seed_value.denominator)
+        }
         # per point reached: the step that reached it, axis i forward or ~i
         # backward; None at the seed
-        self.steps: dict[Point, Optional[int]] = {}
-        seed_point, seed_value = spec.seed
-        self.values[seed_point] = Fraction(seed_value)
-        self.steps[seed_point] = None
-        # buckets[d]: the points found at distance d from the goal, in the
-        # order found; the first heads[d] of them are expanded, and every
-        # point of the buckets below ``nearest`` is
+        self.steps: dict[Point, Optional[int]] = {seed_point: None}
+        seed_index = sum((x - a) * s for x, a, s in zip(seed_point, lo, strides))
+        self.seen = {seed_index}
+        # buckets[d]: (index, point) of the points found at distance d from
+        # the goal, in the order found; the first heads[d] of them are
+        # expanded, and every point of the buckets below ``nearest`` is
         glo, ghi = self.glo, self.ghi
         far = sum(max(g - a, b - h, 0) for a, b, g, h in zip(lo, hi, glo, ghi))
-        self.buckets: list[list[Point]] = [[] for _ in range(far + 1)]
+        self.buckets: list[list[tuple[int, Point]]] = [[] for _ in range(far + 1)]
         self.heads = [0] * (far + 1)
         self.nearest = sum(
             g - x if x < g else x - h if x > h else 0 for x, g, h in zip(seed_point, glo, ghi)
         )
-        self.buckets[self.nearest].append(seed_point)
+        self.buckets[self.nearest].append((seed_index, seed_point))
 
     def _in_window(self, z: Point) -> bool:
         return all(a <= x <= b for x, a, b in zip(z, self.lo, self.hi))
@@ -188,20 +211,18 @@ class _Flood:
     def _multiplier(self, axis: int, forward: bool, at: Point) -> Optional[tuple[int, int]]:
         """A_i(at) / B_i(at) forward or B_i(at) / A_i(at) backward, as an
         integer (numerator, denominator); None when the divisor vanishes."""
-        a_scale, a_factors, b_scale, b_factors = self.sides[axis]
-        if not forward:
-            a_scale, a_factors, b_scale, b_factors = b_scale, b_factors, a_scale, a_factors
-        den = _side_numerator(b_scale, b_factors, at)
+        num_scale, num_factors, den_scale, den_factors = self.sides[axis][forward]
+        den = _side_numerator(den_scale, den_factors, at)
         if den == 0:
             return None
-        return _side_numerator(a_scale, a_factors, at), den
+        return _side_numerator(num_scale, num_factors, at), den
 
-    def get(self, z: Point) -> Optional[Fraction]:
-        """The propagated value at z, or None when the flood cannot reach it
-        inside the box.  Expands points until z is found or the queue is
-        empty, so a point of the box behind a wall costs the whole flood and
-        any other point only the points expanded before it is found; a point
-        outside the box costs nothing."""
+    def _pair(self, z: Point) -> Optional[tuple[int, int]]:
+        """The propagated value at z as its reduced pair (p, q), or None when
+        the flood cannot reach it inside the box.  Expands points until z is
+        found or the queue is empty, so a point of the box behind a wall
+        costs the whole flood and any other point only the points expanded
+        before it is found; a point outside the box costs nothing."""
         values = self.values
         if z in values:
             return values[z]
@@ -210,15 +231,20 @@ class _Flood:
         self._run(z)
         return values.get(z)
 
+    def get(self, z: Point) -> Optional[Fraction]:
+        """The propagated value at z, as ``_pair`` finds it, or None."""
+        pair = self._pair(z)
+        return None if pair is None else Fraction(*pair)
+
     def _run(self, z: Point) -> None:
         """Expand points in queue order until z is reached or the queue is
         empty.  A point found one step from a point at distance d is at
         d - 1, d or d + 1: only the moved axis's term of the distance
-        changes."""
-        values, steps, moves = self.values, self.steps, self.moves
+        changes.  The sides are evaluated inline, the divisor first, and the
+        pair is reduced as the module docstring says."""
+        values, steps, seen, moves = self.values, self.steps, self.seen, self.moves
         lo, hi, glo, ghi = self.lo, self.hi, self.glo, self.ghi
         buckets, heads = self.buckets, self.heads
-        multiplier = self._multiplier
         covers = self.spec.exceptions.covers if self.spec.exceptions.hyperplanes else None
         d, last = self.nearest, len(buckets) - 1
         while z not in values:
@@ -228,32 +254,44 @@ class _Flood:
                     break  # the queue is empty
                 d += 1
                 continue
-            node = bucket[head]
+            index, node = bucket[head]
             heads[d] = head + 1
-            value = values[node]
-            for axis, delta in moves:
+            p, q = values[node]
+            for axis, delta, stride, num_scale, num_factors, den_scale, den_factors in moves:
                 # a unit step leaves the window only along its own axis
                 x = node[axis] + delta
                 if not lo[axis] <= x <= hi[axis]:
                     continue
-                target = node[:axis] + (x,) + node[axis + 1 :]
-                if target in values:
+                target_index = index + stride
+                if target_index in seen:
                     continue
-                forward = delta > 0
-                at = node if forward else target
+                target = node[:axis] + (x,) + node[axis + 1 :]
+                at = node if delta > 0 else target
                 if covers is not None and covers(at):
                     continue
-                mult = multiplier(axis, forward, at)
-                if mult is None:
+                den = den_scale
+                for f, exp in den_factors:
+                    den *= f(at) ** exp
+                if not den:
                     continue
-                num, den = mult
-                values[target] = Fraction(value.numerator * num, value.denominator * den)
-                steps[target] = axis if forward else ~axis
-                if forward:
+                num = num_scale
+                for f, exp in num_factors:
+                    num *= f(at) ** exp
+                g = gcd(num, den)
+                num //= g
+                den //= g
+                g1 = gcd(p, den)
+                g2 = gcd(q, num)
+                tp = (p // g1) * (num // g2)
+                tq = (q // g2) * (den // g1)
+                values[target] = (-tp, -tq) if tq < 0 else (tp, tq)
+                steps[target] = axis if delta > 0 else ~axis
+                seen.add(target_index)
+                if delta > 0:
                     e = d + 1 if x > ghi[axis] else d - 1 if x <= glo[axis] else d
                 else:
                     e = d + 1 if x < glo[axis] else d - 1 if x >= ghi[axis] else d
-                buckets[e].append(target)
+                buckets[e].append((target_index, target))
             if d and heads[d - 1] < len(buckets[d - 1]):
                 d -= 1
         self.nearest = d
@@ -304,10 +342,8 @@ def propagate(
     certificate is the first path found.  The coordinates of both points
     follow the integer rule of ``poly._integer``: a fractional one or a
     bool raises TypeError naming its point."""
-    point, value = tuple(frm[0]), Fraction(frm[1])
-    point = tuple(_integer(x, f"coordinate of the point {point!r}") for x in point)
-    to = tuple(to)
-    to = tuple(_integer(x, f"coordinate of the point {to!r}") for x in to)
+    point, value = _integer_point(frm[0]), Fraction(frm[1])
+    to = _integer_point(to)
     if len(point) != spec.arity:
         raise DimensionError("point arity mismatch")
     flood = _box_flood(spec.with_seed(point, value), [to])
@@ -451,8 +487,9 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
 
     The closed form comes from ``structure._window_values``, which walks the
     window a row at a time and meets each piece in one integer interval per
-    row; its value num/den is compared with the oracle's p/q as
-    num * q == den * p, and a Fraction is built only for a mismatch.  The
+    row; its value num/den is compared with the oracle's reduced pair
+    (p, q), read without a Fraction (``_Flood._pair``), as
+    num * q == den * p, and Fractions are built only for a mismatch.  The
     oracle is the flood ``propagate_window`` runs, aimed at the window and
     asked, in window order, only at the points where the closed form has a
     value, so it stops as soon as it finds the last of them, or runs the
@@ -478,15 +515,16 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
         if status == "value-unknown":
             value_unknown += 1
             continue
-        oracle_value = flood.get(z)
-        if oracle_value is None:
+        pair = flood._pair(z)
+        if pair is None:
             blocked += 1
             continue
         checked += 1
-        if num * oracle_value.denominator == den * oracle_value.numerator:
+        p, q = pair
+        if num * q == den * p:
             equal += 1
         else:
-            mismatches.append(Mismatch(z, Fraction(num, den), oracle_value))
+            mismatches.append(Mismatch(z, Fraction(num, den), Fraction(p, q)))
     return GridReport(
         checked, equal, on_h, d_zero, blocked, value_unknown, tuple(mismatches)
     )

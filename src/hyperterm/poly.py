@@ -86,6 +86,13 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
+def _integer_point(z: Sequence) -> Point:
+    """z as a tuple of ints under the integer rule of ``_integer``; a
+    coordinate that breaks it raises TypeError naming the point."""
+    z = tuple(z)
+    return tuple(_integer(x, f"coordinate of the point {z!r}") for x in z)
+
+
 def _primitive(coeffs: list[Coeff], lead: Coeff) -> tuple[Coeff, Optional[list[int]]]:
     """(s, [c / s for c in coeffs]) for the rational s, of the sign of lead,
     that makes the coefficients coprime integers; (1, None) when they

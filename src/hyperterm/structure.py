@@ -86,7 +86,7 @@ from .poly import (
     Point,
     UniPoly,
     _coeff,
-    _integer,
+    _integer_point,
     find_nonzero_in_box,
     integer_roots,
     rational_roots,
@@ -446,8 +446,7 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     is evaluated once per structure.  A zero chain factor inside the
     touched product range violates the construction guarantees and raises
     IntegrityError naming j, at the same points as a fresh product would."""
-    z = tuple(z)
-    z = tuple(_integer(x, f"coordinate of the point {z!r}") for x in z)
+    z = _integer_point(z)
     if len(z) != ps.form.arity:
         raise DimensionError("point arity mismatch")
     ((_, status, num, den),) = _window_values(ps, LatticeBox(z, 0))
@@ -567,8 +566,9 @@ def factorial_eval(ff: FactorialForm, z: Sequence[int]) -> Optional[Fraction]:
     """Value of a factorial form at a point of its region; None when the
     denominator polynomial vanishes.  Points outside the region are a caller
     error (PreconditionError).  Inside it, negative upper limits and zero
-    chain factors violate the form's guarantees and raise IntegrityError."""
-    z = tuple(int(x) for x in z)
+    chain factors violate the form's guarantees and raise IntegrityError.
+    The coordinates follow the integer rule of ``poly._integer``."""
+    z = _integer_point(z)
     value = _prefactor(ff, z)
     if value is None:
         return None
@@ -672,8 +672,9 @@ def to_pochhammer(ff: FactorialForm) -> PochhammerForm:
 def pochhammer_eval(pf: PochhammerForm, z: Sequence[int]) -> Optional[Fraction]:
     """Evaluate gamma^z * scalar * C(z)/D(z) times the rising-factorial
     quotient; None when D vanishes at z.  Points outside the region are a
-    caller error."""
-    z = tuple(int(x) for x in z)
+    caller error.  The coordinates follow the integer rule of
+    ``poly._integer``."""
+    z = _integer_point(z)
     value = _prefactor(pf, z)
     if value is None:
         return None

@@ -396,6 +396,13 @@ def box_points(lo, hi):
     return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
+def assert_reduced_pairs(flood, values):
+    """Every value the flood holds is (p, q), q > 0, the numerator and
+    denominator of the reference's Fraction."""
+    for z, (p, q) in flood.values.items():
+        assert q > 0 and (p, q) == (values[z].numerator, values[z].denominator), z
+
+
 def test_flood_get_matches_reference():
     rng = random.Random(103)
     specs = random_extended_specs(rng, 12) + list(bundled_specs().values())
@@ -423,9 +430,10 @@ def test_flood_get_matches_reference():
             if value is not None:
                 assert flood.certificate(z) == paths[z]
             asked["reached" if value is not None else "blocked" if z in blocked else "outside"] += 1
-        # whatever the flood holds is a prefix of the reference, links included
-        for z, value in flood.values.items():
-            assert value == values[z]
+        # whatever the flood holds is a prefix of the reference, links included,
+        # each value as the reduced pair of the reference's Fraction
+        assert_reduced_pairs(flood, values)
+        for z in flood.values:
             assert flood.certificate(z) == paths[z]
         if blocked[:2]:
             assert flood.values.keys() == values.keys()
@@ -434,6 +442,14 @@ def test_flood_get_matches_reference():
 
 def goal_distance(z, glo, ghi):
     return sum(max(g - x, x - h, 0) for x, g, h in zip(z, glo, ghi))
+
+
+def box_index(z, lo, hi):
+    """The row-major index of z in the box [lo, hi]."""
+    index = 0
+    for x, a, b in zip(z, lo, hi):
+        index = index * (b - a + 1) + x - a
+    return index
 
 
 def queued(flood):
@@ -491,16 +507,62 @@ def test_goal_flood_matches_reference():
                 if value is not None:
                     assert_replays(spec, flood.certificate(z), z, value, box=(lo, hi))
                 asked["reached" if value is not None else "blocked" if z in blocked else "outside"] += 1
-            # every point found waits in the bucket of its distance to the goal
+            # every point found waits in the bucket of its distance to the
+            # goal, with its index in the box
             for d, bucket in enumerate(flood.buckets):
-                assert all(goal_distance(y, glo, ghi) == d for y in bucket)
+                assert all(goal_distance(y, glo, ghi) == d for _, y in bucket)
+                assert all(i == box_index(y, lo, hi) for i, y in bucket)
             # whatever the flood holds is reached by the reference, with its value
-            for z, value in flood.values.items():
-                assert value == values[z]
+            assert_reduced_pairs(flood, values)
             if blocked:
                 assert flood.values.keys() == values.keys() and not queued(flood)
     assert asked["reached"] > 150 and asked["blocked"] > 40 and asked["outside"] > 60
     assert walled_goals > 10
+
+
+def test_flood_values_are_reduced_pairs():
+    """A step reduces its multiplier, cross-cancels it with the value and
+    moves the sign to the numerator, so every value the flood holds is the
+    canonical pair of the reference's Fraction: on random extended specs
+    and the repository specs, on binomial, whose divisor z1 - z2 + 1 is
+    negative on part of the box, along a long 1-D path of odd.json, and at
+    the zeros binomial's z1 - z2 steps into."""
+    rng = random.Random(127)
+    specs = random_extended_specs(rng, 12) + list(bundled_specs().values())
+    specs += [scaled_binomial_spec()]
+    paths = sorted(SPECS_DIR.glob("*.json")) + sorted((ROOT / "perfbench" / "specs").glob("*.json"))
+    specs += [spec_from_json(json.loads(path.read_text())) for path in paths]
+    for spec in specs:
+        seed_point = spec.seed[0]
+        lo = tuple(x - 4 for x in seed_point)
+        hi = tuple(x + 4 for x in seed_point)
+        values, _ = reference_flood(spec, lo, hi)
+        flood = _Flood(spec, lo, hi)
+        for z in box_points(lo, hi):
+            flood.get(z)
+        assert flood.values.keys() == values.keys()
+        assert_reduced_pairs(flood, values)
+    # binomial on [-8, 8]^2: negative divisors carry a sign, and z1 - z2
+    # vanishes on z1 = z2, so zeros are stepped into and propagated from
+    spec = repository_spec("specs/binomial.json")
+    lo, hi = (-8, -8), (8, 8)
+    values, _ = reference_flood(spec, lo, hi)
+    flood = _Flood(spec, lo, hi)
+    for z in box_points(lo, hi):
+        assert flood.get(z) == values.get(z)
+    assert_reduced_pairs(flood, values)
+    assert any(step.multiplier < 0 for z in flood.values for step in flood.certificate(z))
+    zeros = [z for z, (p, _) in flood.values.items() if p == 0]
+    assert len(zeros) > 20 and all(flood.steps[z] is not None for z in zeros)
+    # odd.json over [-200, 200]: a path of 200 steps each way, numbers of
+    # hundreds of digits
+    spec = repository_spec("specs/odd.json")
+    window = LatticeBox((-200,), 400)
+    flood = _window_flood(spec, window)
+    values, _ = reference_flood(spec, flood.lo, flood.hi)
+    assert [flood.get(z) for z in window.points()] == [values[z] for z in window.points()]
+    assert_reduced_pairs(flood, values)
+    assert max(max(abs(p), q).bit_length() for p, q in flood.values.values()) > 1000
 
 
 def reference_grid_report(ps, spec, window):
@@ -563,7 +625,9 @@ def test_grid_compare_matches_reference():
 def structure_mutants(ps):
     """(kind, structure with one field changed): each gamma_i doubled, each
     nonzero base value doubled, each nonconstant chain numerator a(t)
-    shifted to a(t + 1), and C shifted by each e_i that moves it."""
+    shifted to a(t + 1), C shifted by each e_i that moves it, and each
+    half-space level n of each piece's region moved by +1 (the piece
+    shrinks by one level) and by -1 (it grows by one)."""
     form = ps.form
     k = form.arity
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
@@ -584,6 +648,15 @@ def structure_mutants(ps):
     for e in units:
         if form.c_poly.shift(e) != form.c_poly:
             yield "C", replace(ps, form=replace(form, c_poly=form.c_poly.shift(e)))
+    for n, piece in enumerate(ps.pieces):
+        region = piece.region
+        for j, h in enumerate(region.halfspaces):
+            for delta in (1, -1):
+                halfspaces = list(region.halfspaces)
+                halfspaces[j] = HalfSpace(h.v, h.n + delta)
+                pieces = list(ps.pieces)
+                pieces[n] = replace(piece, region=replace(region, halfspaces=tuple(halfspaces)))
+                yield "region", replace(ps, pieces=tuple(pieces))
 
 
 def mutation_cases():
@@ -613,16 +686,18 @@ def test_grid_compare_catches_mutants():
     # changes at a checked point, with the mutant's own closed-form value;
     # a mutant that breaks a construction guarantee raises IntegrityError in
     # grid_compare as it does point by point
-    caught = {}
+    caught, survived = {}, {}
     for name, spec, window in mutation_cases():
         ps = build_structure(spec)
         report = grid_compare(ps, spec, window)
         assert report.clean and report.checked, name
+        on_h = report.on_h
         flood = _window_flood(spec, window)
+        oracle = {z: value for z in window.points() if (value := flood.get(z)) is not None}
         checked = {}
         for z in window.points():
             outcome = closed_form_eval(ps, z)
-            if outcome.status == "ok" and flood.get(z) is not None:
+            if outcome.status == "ok" and z in oracle:
                 checked[z] = outcome.value
         for kind, mutant in structure_mutants(ps):
             try:
@@ -632,16 +707,34 @@ def test_grid_compare_catches_mutants():
                     grid_compare(replace(mutant), spec, window)
                 caught[kind] = caught.get(kind, 0) + 1
                 continue
-            changed = [z for z, value in checked.items() if values[z].value != value]
+            # only a region mutant moves points between pieces, and so
+            # between having a value and not
+            ok = [z for z in window.points() if values[z].status == "ok" and z in oracle]
+            if kind != "region":
+                assert ok == list(checked), (name, kind)
+            changed = [z for z in ok if values[z].value != oracle[z]]
             report = grid_compare(replace(mutant), spec, window)
-            assert report.checked == len(checked), (name, kind)
+            assert report.checked == len(ok), (name, kind)
             assert [m.z for m in report.mismatches] == changed, (name, kind)
             for m in report.mismatches:
-                assert m.closed == values[m.z].value and m.oracle == checked[m.z]
+                assert m.closed == values[m.z].value and m.oracle == oracle[m.z]
             if changed:
                 caught[kind] = caught.get(kind, 0) + 1
+            elif any(values[z].value != value for z, value in checked.items()):
+                survived[kind] = survived.get(kind, 0) + 1
+                # a checked point lost its value: the shrunk piece left it in
+                # no piece, off every excluded hyperplane, and the report
+                # counts it on H rather than as a mismatch
+                lost = [z for z in checked if values[z].status != "ok"]
+                assert lost and all(values[z].status == "no-piece" for z in lost), (name, kind)
+                assert not any(ps.excluded.covers(z) for z in lost), (name, kind)
+                assert report.on_h == on_h + len(lost), (name, kind)
     assert caught.get("gamma", 0) >= 10 and caught.get("base value", 0) >= 8, caught
     assert caught.get("chain", 0) >= 4 and caught.get("C", 0) >= 4, caught
+    # a region level moved by one changes no value the form gives, only
+    # which points have one: a grown piece's form holds one level further,
+    # and a shrunk piece's lost points go unreported
+    assert "region" not in caught and survived == {"region": 14}, (caught, survived)
 
 
 def test_compare_exits_1_on_a_mutated_structure(monkeypatch, capsys):

@@ -854,6 +854,21 @@ def test_closed_form_eval_integer_rule():
     assert closed_form_eval(ps, (5.0, 2.0)) == closed_form_eval(ps, [5, 2]) == EvalOutcome("ok", 10)
 
 
+def test_form_eval_integer_rule():
+    # factorial_eval and pochhammer_eval follow the same rule: on the form
+    # whose region holds (5, 2), (5.7, 2.2) is not read as (5, 2), where
+    # the value is 10, nor [True, 0] as (1, 0); 5.0 is accepted
+    repo = Path(__file__).parent.parent
+    spec = spec_from_json(json.loads((repo / "specs" / "binomial.json").read_text(encoding="utf-8")))
+    (ff,) = [ff for ff in split_factorial(build_structure(spec)) if ff.region.contains((5, 2))]
+    pf = to_pochhammer(ff)
+    for evaluate, form in [(factorial_eval, ff), (pochhammer_eval, pf)]:
+        for z, named in [((5.7, 2.2), r"\(5\.7, 2\.2\)"), ([True, 0], r"\(True, 0\)")]:
+            with pytest.raises(TypeError, match=f"coordinate of the point {named} must be an integer"):
+                evaluate(form, z)
+        assert evaluate(form, (5.0, 2.0)) == evaluate(form, [5, 2]) == 10
+
+
 def chain_root_structure():
     """One piece, all of Z, based at 0, with the chain a(j)/b(j) =
     ((j - 3)(j + 4)/3) / (j/2 + 3): zero factors at j = 3 above the base
