@@ -11,10 +11,14 @@ Conventions:
     a measure-zero set holds only planes with lattice points.
   * A box of size n at corner c is {z : c_i <= z_i <= c_i + n}.
 
-All decisions (feasibility, emptiness of interiors, bounds) are made with
-exact rational arithmetic by one Fourier-Motzkin elimination loop,
+All decisions (feasibility, emptiness of interiors, bounds) are made
+exactly over the rationals by one Fourier-Motzkin elimination loop,
 ``_fm_project_all``; ``fm_feasible``, ``fm_sample`` and ``fm_sup`` read its
-projections, and no floating point is involved.  The measure-zero
+projections, and no floating point is involved.  Its rows are integer: a
+primitive int coefficient vector and a right-hand side that is an int,
+or a Fraction where dividing by the gcd leaves one, so the elimination
+multiplies and divides small ints and builds a Fraction only for such a
+right-hand side and for the bounds the readers return.  The measure-zero
 dichotomy (a region either holds arbitrarily large boxes or is covered by
 finitely many hyperplanes) is decided by ``is_measure_zero`` on a system
 in (z, t) where t is the box size; eroding by d substitutes t -> t + d in
@@ -24,15 +28,17 @@ one that does not.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, IntegrityError, PreconditionError
-from .poly import MultiPoly, Point, _integer
+from .poly import Coeff, MultiPoly, Point, _coeff, _integer
 
 log = logging.getLogger(__name__)
 
@@ -154,6 +160,30 @@ class MeasureZeroSet:
     def covers(self, z: Sequence[int]) -> bool:
         return any(h.contains(z) for h in self.hyperplanes)
 
+    @functools.cached_property
+    def _normals(self) -> tuple[tuple[Point, int, frozenset[int]], ...]:
+        """(v[:-1], v[-1], the levels n of the planes v . z = n) per normal
+        v."""
+        levels: dict[Point, list[int]] = {}
+        for h in self.hyperplanes:
+            levels.setdefault(h.v, []).append(h.n)
+        return tuple((v[:-1], v[-1], frozenset(ns)) for v, ns in levels.items())
+
+    def row_lines(self, rest: Sequence[int]) -> Optional[list[tuple[int, int, frozenset[int]]]]:
+        """The planes on the row {rest + (t,)}: None when one holds the
+        whole row, else (d, c, levels) per normal v with c = v[-1] != 0 and
+        d = v[:-1] . rest, so that rest + (t,) lies on a plane exactly when
+        d + c t is in the levels of one of them.  A normal with v[-1] = 0
+        holds the whole row at level d or misses it."""
+        lines = []
+        for head, c, levels in self._normals:
+            d = sum(map(operator.mul, head, rest))
+            if c:
+                lines.append((d, c, levels))
+            elif d in levels:
+                return None
+        return lines
+
     def __len__(self) -> int:
         return len(self.hyperplanes)
 
@@ -185,23 +215,20 @@ class LatticeBox:
 # exact linear feasibility (Fourier-Motzkin)
 # ---------------------------------------------------------------------------
 
-# A row is (coeffs, rhs) meaning coeffs . x >= rhs.  Integer constraints
-# are tightened before they become rows (v . z > n is v . z >= n + 1), so
-# no row is strict.
-Row = tuple[tuple[Fraction, ...], Fraction]
-
-
-def _row_canonical(row: Row) -> Row:
-    coeffs, rhs = row
-    scale = next((abs(c) for c in coeffs if c != 0), None)
-    if scale is None:
-        return row
-    return (tuple(c / scale for c in coeffs), rhs / scale)
+# A row is (coeffs, rhs) meaning coeffs . x >= rhs, with coeffs integers
+# and rhs an int when integral, a Fraction otherwise (``poly._coeff``).
+# Integer constraints are tightened before they become rows (v . z > n is
+# v . z >= n + 1), so no row is strict.  Elimination keeps every row it
+# makes primitive: a row scaled by a positive number is the same
+# half-space, so dividing by the gcd of the coefficients changes nothing
+# but the size of the numbers, and rows whose primitive vectors are equal
+# are parallel, of which only the tightest is kept.
+Row = tuple[tuple[int, ...], Coeff]
 
 
 def _eliminate(rows: list[Row], var: int) -> Optional[list[Row]]:
     """Project away variable ``var``; returns None when a constant row is
-    already infeasible."""
+    already infeasible.  Each row of the result is primitive."""
     zero, pos, neg = [], [], []
     for row in rows:
         c = row[0][var]
@@ -211,32 +238,50 @@ def _eliminate(rows: list[Row], var: int) -> Optional[list[Row]]:
             pos.append(row)
         else:
             neg.append(row)
-    out: dict[tuple[Fraction, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Coeff] = {}
 
-    def add(row: Row) -> bool:
-        coeffs, rhs = _row_canonical(row)
-        if all(c == 0 for c in coeffs):
+    def add(coeffs: tuple[int, ...], rhs: Coeff) -> bool:
+        g = math.gcd(*coeffs)
+        if g == 0:
             return rhs <= 0  # 0 >= positive is infeasible; else drop
+        if g != 1:
+            coeffs = tuple(c // g for c in coeffs)
+            rhs = rhs // g if type(rhs) is int and rhs % g == 0 else Fraction(rhs, g)
+        if type(rhs) is not int and rhs.denominator == 1:
+            rhs = rhs.numerator
         prev = out.get(coeffs)
         if prev is None or rhs > prev:
             out[coeffs] = rhs
         return True
 
-    for row in zero:
-        if not add(row):
+    for coeffs, rhs in zero:
+        if not add(coeffs, rhs):
             return None
     for (pc, pr) in pos:
         for (nc, nr) in neg:
             a, b = pc[var], -nc[var]
             coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-            if not add((coeffs, b * pr + a * nr)):
+            if not add(coeffs, b * pr + a * nr):
                 return None
     return list(out.items())
 
 
+def _int_row(row: Sequence) -> Row:
+    """A row with integer coefficients as it is; a row with rational ones
+    scaled by the lcm of their denominators."""
+    coeffs, rhs = row
+    if all(type(c) is int for c in coeffs):
+        return tuple(coeffs), rhs
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * scale) for c in coeffs), _coeff(rhs * scale)
+
+
 def _fm_project_all(rows: list[Row], n_vars: int) -> Optional[list[list[Row]]]:
     """Eliminate variables n_vars-1 .. 0; returns the stack of systems
-    (systems[j] has variables 0..j-1), or None when infeasible."""
+    (systems[j] has variables 0..j-1), or None when infeasible.  Rational
+    input rows are first scaled to integer coefficients (``_int_row``)."""
+    rows = [_int_row(row) for row in rows]
     systems = [None] * (n_vars + 1)
     systems[n_vars] = rows
     current = rows
@@ -268,7 +313,7 @@ def fm_sample(rows: list[Row], n_vars: int) -> Optional[tuple[Fraction, ...]]:
             if c == 0:
                 continue
             rest = rhs - sum(a * v for a, v in zip(coeffs[:j], values))
-            bound = rest / c
+            bound = Fraction(rest, c)
             if c > 0:
                 if lo is None or bound > lo:
                     lo = bound
@@ -287,7 +332,7 @@ def fm_sample(rows: list[Row], n_vars: int) -> Optional[tuple[Fraction, ...]]:
 
 
 def fm_sup(
-    rows: list[Row], n_vars: int, objective: Sequence[Fraction]
+    rows: list[Row], n_vars: int, objective: Sequence[Coeff]
 ) -> Optional[Fraction]:
     """Supremum of objective . x over the solution set, None when unbounded;
     requires a feasible system.
@@ -295,19 +340,19 @@ def fm_sup(
     The objective becomes variable 0, tied to x by two opposite rows, and
     ``_fm_project_all`` projects x away; the supremum is the least upper
     bound the projected system puts on variable 0."""
-    obj = tuple(Fraction(c) for c in objective)
-    ext_rows: list[Row] = [((Fraction(0),) + tuple(c), rhs) for c, rhs in rows]
-    ext_rows.append(((Fraction(1),) + tuple(-c for c in obj), Fraction(0)))
-    ext_rows.append(((Fraction(-1),) + obj, Fraction(0)))
+    obj = tuple(objective)
+    ext_rows: list[Row] = [((0,) + tuple(c), rhs) for c, rhs in rows]
+    ext_rows.append(((1,) + tuple(-c for c in obj), 0))
+    ext_rows.append(((-1,) + obj, 0))
     systems = _fm_project_all(ext_rows, n_vars + 1)
     if systems is None:
         raise PreconditionError("fm_sup called on infeasible system")
-    return min((rhs / c[0] for c, rhs in systems[1] if c[0] < 0), default=None)
+    return min((Fraction(rhs, c[0]) for c, rhs in systems[1] if c[0] < 0), default=None)
 
 
 def region_rows(r: PolyhedralRegion) -> list[Row]:
-    """The region as rational rows in the integer-exact form v . z >= n + 1."""
-    return [(tuple(Fraction(x) for x in h.v), Fraction(h.n + 1)) for h in r.halfspaces]
+    """The region as integer rows in the exact form v . z >= n + 1."""
+    return [(h.v, h.n + 1) for h in r.halfspaces]
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +441,14 @@ def is_measure_zero(r: PolyhedralRegion) -> tuple[bool, Optional[MeasureZeroSet]
     rows: list[Row] = []
     for h in r.halfspaces:
         s = sum(max(0, -x) for x in h.v)
-        coeffs = tuple(Fraction(x) for x in h.v) + (Fraction(-s),)
-        rows.append((coeffs, Fraction(h.n + 1)))
-    objective = (Fraction(0),) * r.arity + (Fraction(1),)
-    sup_t = fm_sup(rows, r.arity + 1, objective)
+        rows.append((h.v + (-s,), h.n + 1))
+    sup_t = fm_sup(rows, r.arity + 1, (0,) * r.arity + (1,))
     if sup_t is None:
         return False, None
     # some constraint value is bounded above; cover its integer levels
     best: Optional[tuple[int, HalfSpace, int]] = None
     for h in r.halfspaces:
-        hi = fm_sup(base, r.arity, [Fraction(x) for x in h.v])
+        hi = fm_sup(base, r.arity, h.v)
         if hi is None:
             continue
         count = math.floor(hi) - h.n
@@ -430,7 +473,7 @@ def find_box(r: PolyhedralRegion, size: int) -> Optional[LatticeBox]:
     rows: list[Row] = []
     for h in r.halfspaces:
         s = sum(max(0, -x) for x in h.v)
-        rows.append((tuple(Fraction(x) for x in h.v), Fraction(h.n + 1 + (size + 1) * s)))
+        rows.append((h.v, h.n + 1 + (size + 1) * s))
     x = fm_sample(rows, r.arity)
     if x is None:
         return None

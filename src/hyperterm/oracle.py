@@ -496,6 +496,8 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     whole box when one of them is unreachable.  ``blocked`` counts those
     unreachable points; points on an excluded hyperplane, where D vanishes
     or in a piece of unknown base value are counted apart and never asked.
+    A point in no piece and on no excluded hyperplane raises IntegrityError
+    in the kernel, naming the point.
     A window of another arity than the spec raises DimensionError before
     any point is evaluated."""
     from .structure import _window_values

@@ -840,7 +840,12 @@ def _divisors(n: int) -> list[int]:
 def rational_roots(p: UniPoly) -> tuple[list[Coeff], UniPoly]:
     """All rational roots of p with multiplicity (sorted ascending), each an
     int when integral, plus the root-free cofactor q with
-    p = q * prod(t - root)."""
+    p = q * prod(t - root).
+
+    Roots of a factor of degree >= 2 are found among the candidates a/b of
+    the rational root theorem; once what is left is linear, c0 + c1 t, its
+    root is -c0/c1 and its cofactor the constant c1, as dividing it by
+    (t - root) would give."""
     if p.is_zero:
         raise PreconditionError("zero polynomial has no well-defined roots")
     roots: list[Coeff] = []
@@ -849,25 +854,29 @@ def rational_roots(p: UniPoly) -> tuple[list[Coeff], UniPoly]:
     while not work.is_constant and work.coeffs[0] == 0:
         roots.append(0)
         work = UniPoly(work.coeffs[1:])
-    if work.is_constant:
-        roots.sort()
-        return roots, work
-    _, prim = work.normalized()
-    trailing = prim.coeffs[0].numerator
-    lead = prim.coeffs[-1].numerator
-    candidates = sorted(
-        {
-            _coeff(Fraction(sign * a, b))
-            for a in _divisors(trailing)
-            for b in _divisors(lead)
-            for sign in (1, -1)
-        }
-    )
-    for cand in candidates:
-        while work.degree() >= 1 and work.evaluate(cand) == 0:
-            work, rem = work.divmod_linear(cand)
-            assert rem == 0
-            roots.append(cand)
+    if work.degree() >= 2:
+        _, prim = work.normalized()
+        trailing = prim.coeffs[0].numerator
+        lead = prim.coeffs[-1].numerator
+        candidates = sorted(
+            {
+                _coeff(Fraction(sign * a, b))
+                for a in _divisors(trailing)
+                for b in _divisors(lead)
+                for sign in (1, -1)
+            }
+        )
+        for cand in candidates:
+            if work.degree() < 2:
+                break
+            while work.evaluate(cand) == 0:
+                work, rem = work.divmod_linear(cand)
+                assert rem == 0
+                roots.append(cand)
+    if work.degree() == 1:
+        c0, c1 = work.coeffs
+        roots.append(_coeff(Fraction(-c0) / c1))
+        work = UniPoly.make([c1])
     roots.sort()
     return roots, work
 

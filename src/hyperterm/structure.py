@@ -57,7 +57,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionError,
@@ -360,6 +360,15 @@ def _row_runs(
     return runs
 
 
+def _cleared_evaluator(p: MultiPoly) -> Callable[[Point], int]:
+    """``p.evaluate_cleared``, or for a constant p (C = D = 1 is common) a
+    function that returns its one value without walking the terms."""
+    if p.is_constant:
+        value = p.evaluate_cleared((0,) * p.arity)
+        return lambda z: value
+    return p.evaluate_cleared
+
+
 def _window_values(
     ps: PiecewiseStructure, window: LatticeBox
 ) -> Iterator[tuple[Point, str, Optional[int], Optional[int]]]:
@@ -376,16 +385,35 @@ def _window_values(
     piece's prefix table at the affine index v[:-1].rest + v[-1] t.  The
     points are evaluated lazily in window order, so a zero chain factor
     raises IntegrityError at the same point, and naming the same j, as
-    evaluating the points one by one in that order."""
+    evaluating the points one by one in that order.
+
+    The pieces and ``ps.excluded`` cover Z^k, so a point in no piece lies
+    on an excluded hyperplane.  The planes are met once per row with a run
+    of no piece (``MeasureZeroSet.row_lines``), and a point of such a run
+    that none holds raises IntegrityError naming it."""
     form = ps.form
-    c_eval, d_eval = form.c_poly.evaluate_cleared, form.d_poly.evaluate_cleared
+    c_eval, d_eval = _cleared_evaluator(form.c_poly), _cleared_evaluator(form.d_poly)
     tables = ps._tables
     lo = window.corner[-1]
     hi = lo + window.size
     axes = [range(c, c + window.size + 1) for c in window.corner[:-1]]
     for rest in itertools.product(*axes):
+        lines = False  # the excluded planes on the row, met at its first run of no piece
         for start, stop, table in _row_runs(tables, rest, lo, hi):
             if table is None:
+                if lines is False:
+                    lines = ps.excluded.row_lines(rest)
+                # a run of no piece holds no value, so checking it whole
+                # before its points are yielded names the same first fault
+                if lines is not None:
+                    for t in range(start, stop):
+                        for d, c, levels in lines:
+                            if d + c * t in levels:
+                                break
+                        else:
+                            raise IntegrityError(
+                                f"the point {rest + (t,)} lies in no piece and on no excluded hyperplane"
+                            )
                 for t in range(start, stop):
                     yield rest + (t,), "no-piece", None, None
                 continue
@@ -445,7 +473,8 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     and extended to v.z if it does not reach it yet, so each chain factor
     is evaluated once per structure.  A zero chain factor inside the
     touched product range violates the construction guarantees and raises
-    IntegrityError naming j, at the same points as a fresh product would."""
+    IntegrityError naming j, at the same points as a fresh product would;
+    so does a point in no piece and on no excluded hyperplane, named."""
     z = _integer_point(z)
     if len(z) != ps.form.arity:
         raise DimensionError("point arity mismatch")

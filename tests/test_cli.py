@@ -348,10 +348,11 @@ def test_structure_error_exit_code(tmp_path, capsys):
 #
 # tests/golden/ holds the stdout of every command below on specs/*.json and on
 # the bundled specs (written with spec_to_json), the stdout of `check`,
-# `decompose` and `structure` on the benchmark specs and of `compare` over
-# their workload windows, the stdout of `compare` on specs/*.json over the
-# grid2d workload's windows (keys `specs_<stem>.compare_window`), the stdout
-# of `decompose` on tests/data/shift16.json, the stdout of `check` and
+# `decompose`, `structure`, `factorial` and `pochhammer` on the benchmark
+# specs and of `compare` over their workload windows, the stdout of `compare`
+# on specs/*.json over the grid2d workload's windows (keys
+# `specs_<stem>.compare_window`), the stdout of `decompose` on
+# tests/data/shift16.json, the stdout of `check` and
 # `decompose` on tests/data/incompatible.json, which both exit 1, and
 # golden/exit_status.json their exit statuses.  A change that
 # alters CLI output must regenerate them (`PYTHONPATH=src python
@@ -409,6 +410,8 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
         results[f"perfbench_{stem}.check"] = run_cli(["check", path])
         results[f"perfbench_{stem}.decompose"] = run_cli(["decompose", path])
         results[f"perfbench_{stem}.structure"] = run_cli(["structure", path])
+        results[f"perfbench_{stem}.factorial"] = run_cli(["factorial", path])
+        results[f"perfbench_{stem}.pochhammer"] = run_cli(["pochhammer", path])
         results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])
     for stem, window in SPEC_COMPARE_WINDOWS.items():
         path = str(REPO / "specs" / f"{stem}.json")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hyperterm.geometry import (
     LatticeBox,
     PolyhedralRegion,
     MeasureZeroSet,
-    _eliminate,
+    _fm_project_all,
     arrangement,
     certificate_cover,
     characteristic_certificates,
@@ -497,16 +498,107 @@ def test_certificates_identity_exhaustive():
 # -- references: the versions these routines replaced ---------------------------
 
 
+def reference_row_canonical(row):
+    """A Fraction row scaled to a leading coefficient of +-1."""
+    coeffs, rhs = row
+    scale = next((abs(c) for c in coeffs if c != 0), None)
+    if scale is None:
+        return row
+    return (tuple(c / scale for c in coeffs), rhs / scale)
+
+
+def reference_eliminate(rows, var):
+    """Fourier-Motzkin elimination of ``var`` over Fraction rows, each kept
+    at a leading +-1; None when a constant row is infeasible."""
+    zero, pos, neg = [], [], []
+    for row in rows:
+        c = row[0][var]
+        if c == 0:
+            zero.append(row)
+        elif c > 0:
+            pos.append(row)
+        else:
+            neg.append(row)
+    out = {}
+
+    def add(row):
+        coeffs, rhs = reference_row_canonical(row)
+        if all(c == 0 for c in coeffs):
+            return rhs <= 0
+        prev = out.get(coeffs)
+        if prev is None or rhs > prev:
+            out[coeffs] = rhs
+        return True
+
+    for row in zero:
+        if not add(row):
+            return None
+    for (pc, pr) in pos:
+        for (nc, nr) in neg:
+            a, b = pc[var], -nc[var]
+            coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
+            if not add((coeffs, b * pr + a * nr)):
+                return None
+    return list(out.items())
+
+
+def fraction_rows(rows):
+    return [(tuple(Fraction(c) for c in coeffs), Fraction(rhs)) for coeffs, rhs in rows]
+
+
+def reference_fm_project_all(rows, n_vars):
+    """The stack of projected systems in Fraction rows, or None."""
+    systems = [None] * (n_vars + 1)
+    systems[n_vars] = current = fraction_rows(rows)
+    for j in range(n_vars - 1, -1, -1):
+        current = reference_eliminate(current, j)
+        if current is None:
+            return None
+        systems[j] = current
+    if any(rhs > 0 for _, rhs in systems[0]):
+        return None
+    return systems
+
+
+def reference_fm_sample(rows, n_vars):
+    """fm_sample read off ``reference_fm_project_all``."""
+    systems = reference_fm_project_all(rows, n_vars)
+    if systems is None:
+        return None
+    values = []
+    for j in range(n_vars):
+        lo = hi = None
+        for coeffs, rhs in systems[j + 1]:
+            c = coeffs[j]
+            if c == 0:
+                continue
+            bound = (rhs - sum(a * v for a, v in zip(coeffs[:j], values))) / c
+            if c > 0:
+                if lo is None or bound > lo:
+                    lo = bound
+            elif hi is None or bound < hi:
+                hi = bound
+        if lo is None and hi is None:
+            values.append(Fraction(0))
+        elif lo is None:
+            values.append(hi - 1)
+        elif hi is None:
+            values.append(lo + 1)
+        else:
+            values.append((lo + hi) / 2)
+    return tuple(values)
+
+
 def reference_fm_sup(rows, n_vars, objective):
     """The supremum by its own elimination loop, the objective appended as
     the last variable."""
-    ext_rows = [(tuple(coeffs) + (Fraction(0),), rhs) for coeffs, rhs in rows]
+    ext_rows = [(tuple(coeffs) + (Fraction(0),), rhs) for coeffs, rhs in fraction_rows(rows)]
     obj = tuple(Fraction(c) for c in objective)
     ext_rows.append((obj + (Fraction(-1),), Fraction(0)))
     ext_rows.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0)))
     current = ext_rows
     for j in range(n_vars):
-        current = _eliminate(current, j)
+        current = reference_eliminate(current, j)
         if current is None:
             raise PreconditionError("fm_sup called on infeasible system")
     return min((rhs / c[n_vars] for c, rhs in current if c[n_vars] < 0), default=None)
@@ -544,6 +636,112 @@ def test_fm_sup_matches_reference():
         assert value == reference_fm_sup(rows, n, objective), (rows, objective)
         seen["bounded" if value is not None else "unbounded"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def random_fm_system(rng, n):
+    """A random system in n variables: integer or rational coefficients
+    and right-hand sides, some rows repeated at another positive scale
+    with another right-hand side, and in up to 3 variables sometimes a box
+    around the origin so that bounded systems occur."""
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = rng.randint(-6, 6)
+        if rng.random() < 0.15:
+            coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+        if rng.random() < 0.15:
+            rhs = Fraction(rhs, rng.randint(1, 5))
+        rows.append((tuple(coeffs), rhs))
+        if rng.random() < 0.3:
+            scale = rng.choice([2, 3, 6, Fraction(1, 2), Fraction(3, 4)])
+            shift = rng.choice([-1, 0, 1, Fraction(1, 3)])
+            scaled = tuple(c * scale for c in coeffs)
+            if all(type(c) is int or c.denominator == 1 for c in scaled):
+                scaled = tuple(int(c) for c in scaled)
+            rows.append((scaled, rhs * scale + shift))
+    if n < 4 and rng.random() < 0.4:
+        for i in range(n):
+            unit = tuple(int(i == j) for j in range(n))
+            bound = rng.randint(2, 5)
+            rows.append((unit, -bound))
+            rows.append((tuple(-x for x in unit), -bound))
+    rng.shuffle(rows)
+    return rows
+
+
+def half_space_set(system):
+    """A projected system as a set of half-spaces, each keyed by its
+    Fraction row at a leading +-1."""
+    return {reference_row_canonical(row) for row in fraction_rows(system)}
+
+
+def test_integer_fm_matches_fraction_reference():
+    # the integer elimination keeps each projected system's half-spaces,
+    # so feasibility, fm_sample and fm_sup equal the Fraction reference's;
+    # on integer input every projected row has primitive int coefficients
+    # and a Fraction right-hand side only where the gcd leaves one
+    rng = random.Random(59)
+    seen = dict.fromkeys(["infeasible", "bounded", "unbounded", "integer", "rational", "parallel"], 0)
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        rows = random_fm_system(rng, n)
+        integer_input = all(type(c) is int for coeffs, rhs in rows for c in coeffs + (rhs,))
+        seen["integer" if integer_input else "rational"] += 1
+        normals = [reference_row_canonical(row)[0] for row in fraction_rows(rows)]
+        seen["parallel"] += len(set(normals)) < len(normals)
+        systems = _fm_project_all(rows, n)
+        expected = reference_fm_project_all(rows, n)
+        assert (systems is None) == (expected is None), rows
+        assert fm_feasible(rows, n) == (expected is not None)
+        assert fm_sample(rows, n) == reference_fm_sample(rows, n), rows
+        objective = [rng.choice([-2, -1, 0, 1, 2, Fraction(1, 2)]) for _ in range(n)]
+        if systems is None:
+            seen["infeasible"] += 1
+            with pytest.raises(PreconditionError):
+                fm_sup(rows, n, objective)
+            continue
+        for j in range(n):
+            assert half_space_set(systems[j]) == half_space_set(expected[j]), (rows, j)
+            for coeffs, rhs in systems[j]:
+                assert all(type(c) is int for c in coeffs), (rows, j)
+                assert math.gcd(*coeffs) == 1, (rows, j)
+                assert type(rhs) is int or (type(rhs) is Fraction and rhs.denominator != 1)
+        value = fm_sup(rows, n, objective)
+        assert value == reference_fm_sup(rows, n, objective), (rows, objective)
+        assert value is None or type(value) is Fraction
+        seen["bounded" if value is not None else "unbounded"] += 1
+        sample = fm_sample(rows, n)
+        assert all(type(x) is Fraction for x in sample)
+        if integer_input:
+            assert all(
+                type(rhs) is int or rhs.denominator != 1
+                for system in systems[:n]
+                for _, rhs in system
+            )
+    assert min(seen.values()) > 100, seen
+
+
+def test_row_lines_match_covers():
+    # per row, the planes as lines d + c t in levels, or None for a plane
+    # holding the whole row, agree with covers at every point of the row
+    rng = random.Random(61)
+    whole = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        planes = []
+        for _ in range(rng.randint(0, 5)):
+            v = tuple(rng.randint(-3, 3) for _ in range(k))
+            if any(v):
+                planes.append(Hyperplane.make(v, rng.randint(-6, 6)))
+        cover = MeasureZeroSet.make(planes)
+        for rest in window(k - 1, -3, 3):
+            lines = cover.row_lines(rest)
+            whole += lines is None
+            for t in range(-12, 13):
+                z = rest + (t,)
+                on_line = lines is None or any(d + c * t in levels for d, c, levels in lines)
+                assert cover.covers(z) == on_line, (planes, z)
+    assert whole > 50
 
 
 def test_certificate_cover_matches_reference():

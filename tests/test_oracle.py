@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -685,13 +686,14 @@ def test_grid_compare_catches_mutants():
     # a structure with one field changed is reported exactly where its value
     # changes at a checked point, with the mutant's own closed-form value;
     # a mutant that breaks a construction guarantee raises IntegrityError in
-    # grid_compare as it does point by point
+    # grid_compare as it does point by point, and one whose pieces and
+    # excluded hyperplanes no longer cover the window raises it naming the
+    # first point left uncovered
     caught, survived = {}, {}
     for name, spec, window in mutation_cases():
         ps = build_structure(spec)
         report = grid_compare(ps, spec, window)
         assert report.clean and report.checked, name
-        on_h = report.on_h
         flood = _window_flood(spec, window)
         oracle = {z: value for z in window.points() if (value := flood.get(z)) is not None}
         checked = {}
@@ -702,9 +704,19 @@ def test_grid_compare_catches_mutants():
         for kind, mutant in structure_mutants(ps):
             try:
                 values = {z: closed_form_eval(replace(mutant), z) for z in window.points()}
-            except IntegrityError:
-                with pytest.raises(IntegrityError):
+            except IntegrityError as exc:
+                with pytest.raises(IntegrityError, match=re.escape(str(exc))):
                     grid_compare(replace(mutant), spec, window)
+                if kind == "region":
+                    # a shrunk piece left window points in no piece and off
+                    # every excluded hyperplane; the first of them is named
+                    uncovered = next(
+                        z
+                        for z in window.points()
+                        if not any(p.region.contains(z) for p in mutant.pieces)
+                        and not mutant.excluded.covers(z)
+                    )
+                    assert str(exc) == f"the point {uncovered} lies in no piece and on no excluded hyperplane"
                 caught[kind] = caught.get(kind, 0) + 1
                 continue
             # only a region mutant moves points between pieces, and so
@@ -722,19 +734,13 @@ def test_grid_compare_catches_mutants():
                 caught[kind] = caught.get(kind, 0) + 1
             elif any(values[z].value != value for z, value in checked.items()):
                 survived[kind] = survived.get(kind, 0) + 1
-                # a checked point lost its value: the shrunk piece left it in
-                # no piece, off every excluded hyperplane, and the report
-                # counts it on H rather than as a mismatch
-                lost = [z for z in checked if values[z].status != "ok"]
-                assert lost and all(values[z].status == "no-piece" for z in lost), (name, kind)
-                assert not any(ps.excluded.covers(z) for z in lost), (name, kind)
-                assert report.on_h == on_h + len(lost), (name, kind)
     assert caught.get("gamma", 0) >= 10 and caught.get("base value", 0) >= 8, caught
     assert caught.get("chain", 0) >= 4 and caught.get("C", 0) >= 4, caught
     # a region level moved by one changes no value the form gives, only
     # which points have one: a grown piece's form holds one level further,
-    # and a shrunk piece's lost points go unreported
-    assert "region" not in caught and survived == {"region": 14}, (caught, survived)
+    # and each of the 26 shrunk pieces that lose window points leaves them
+    # in no piece and off every excluded hyperplane
+    assert caught.get("region", 0) == 26 and not survived, (caught, survived)
 
 
 def test_compare_exits_1_on_a_mutated_structure(monkeypatch, capsys):

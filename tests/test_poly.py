@@ -662,6 +662,75 @@ def test_roots_zero_poly_rejected():
         rational_roots(UniPoly(()))
 
 
+def reference_rational_roots(p):
+    """rational_roots by the candidate scan alone: every root, linear
+    factors included, among the a/b of the rational root theorem."""
+    roots = []
+    work = p
+    while not work.is_constant and work.coeffs[0] == 0:
+        roots.append(0)
+        work = UniPoly(work.coeffs[1:])
+    if work.is_constant:
+        return sorted(roots), work
+    _, prim = work.normalized()
+    trailing = prim.coeffs[0].numerator
+    lead = prim.coeffs[-1].numerator
+    candidates = sorted(
+        {
+            poly._coeff(Fraction(sign * a, b))
+            for a in poly._divisors(trailing)
+            for b in poly._divisors(lead)
+            for sign in (1, -1)
+        }
+    )
+    for cand in candidates:
+        while work.degree() >= 1 and work.evaluate(cand) == 0:
+            work, rem = work.divmod_linear(cand)
+            assert rem == 0
+            roots.append(cand)
+    return sorted(roots), work
+
+
+def test_rational_roots_match_candidate_scan():
+    # degree 1-4 with planted rational roots, zero roots, repeated roots,
+    # irreducible quadratic factors and Fraction coefficients: the direct
+    # root of a linear remainder gives the scan's roots, in its order and
+    # with its types, and its cofactor
+    rng = random.Random(71)
+    met = set()
+    for _ in range(400):
+        degree = rng.randint(1, 4)
+        p = UniPoly.make([Fraction(rng.randint(1, 6), rng.randint(1, 4)) * rng.choice([1, -1])])
+        while p.degree() < degree:
+            kind = rng.choice(["int", "rational", "zero", "quadratic"])
+            if kind == "quadratic":
+                if p.degree() + 2 > degree:
+                    continue
+                # t^2 + b t + c with b^2 < 4c has no real root
+                factor = UniPoly.make([rng.randint(2, 5), rng.randint(-2, 2), 1])
+            elif kind == "zero":
+                factor = UniPoly.make([0, 1])
+            else:
+                root = rng.randint(-6, 6) if kind == "int" else Fraction(rng.randint(-6, 6), rng.randint(2, 5))
+                factor = UniPoly.make([-root, 1]).scale(rng.randint(1, 3))
+            p = p * factor
+            met.add(kind)
+        roots, cofactor = rational_roots(p)
+        expected_roots, expected_cofactor = reference_rational_roots(p)
+        assert roots == expected_roots, p
+        assert [type(r) for r in roots] == [type(r) for r in expected_roots], p
+        assert cofactor == expected_cofactor and cofactor.coeffs == expected_cofactor.coeffs, p
+        product = cofactor
+        for r in roots:
+            product = product * UniPoly.make([-r, 1])
+        assert product == p
+        met.add(("degree", p.degree(), len(roots)))
+    assert {"int", "rational", "zero", "quadratic"} <= met
+    for degree in range(1, 5):
+        assert ("degree", degree, degree) in met, degree
+    assert ("degree", 4, 2) in met and ("degree", 2, 0) in met
+
+
 # -- simple-polynomial zero structure -------------------------------------------
 
 

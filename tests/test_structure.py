@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -775,7 +776,7 @@ def test_row_intervals_match_linear_scan():
     assert len(normals) > 5
 
 
-def hand_built_structure(k, regions):
+def hand_built_structure(k, regions, excluded=MeasureZeroSet.empty()):
     """Pieces over the given half-space tuples, in that order, with the
     form C = D = 1 and no chains; a half-space is built as given, so its
     normal need not be primitive."""
@@ -783,7 +784,25 @@ def hand_built_structure(k, regions):
     pieces = tuple(
         Piece(PolyhedralRegion(k, tuple(halves)), (0,) * k, Fraction(1)) for halves in regions
     )
-    return PiecewiseStructure(form, pieces, MeasureZeroSet.empty())
+    return PiecewiseStructure(form, pieces, excluded)
+
+
+def test_point_in_no_piece_off_the_excluded_planes_is_an_integrity_error():
+    # the piece z1 > 0 with the excluded planes z1 = 0, which holds the
+    # whole row z1 = 0, and z2 = 3, which meets each row at one point: the
+    # rest of z1 <= 0 is in no piece and on no plane, which the build never
+    # leaves, and the first such point of a window is named
+    excluded = MeasureZeroSet.make([Hyperplane.make((1, 0), 0), Hyperplane.make((0, 1), 3)])
+    ps = hand_built_structure(2, [[HalfSpace((1, 0), 0)]], excluded)
+    assert closed_form_eval(ps, (1, 2)) == EvalOutcome("ok", 1)
+    assert closed_form_eval(ps, (0, 2)) == closed_form_eval(ps, (-1, 3)) == EvalOutcome("no-piece")
+    for z in [(-1, 2), (-5, 4)]:
+        with pytest.raises(IntegrityError, match=re.escape(f"the point {z} lies in no piece")):
+            closed_form_eval(ps, z)
+    spec = TermSpec.make(2, [(parse_multipoly("1", 2),) * 2] * 2, seed=((1, 1), Fraction(1)))
+    assert grid_compare(ps, spec, LatticeBox((0, 0), 3)).on_h == 4
+    with pytest.raises(IntegrityError, match=re.escape("the point (-1, 2) lies in no piece")):
+        grid_compare(dataclasses.replace(ps), spec, LatticeBox((-1, 2), 3))
 
 
 def test_row_intervals_on_hand_built_pieces():
