@@ -1,0 +1,75 @@
+"""Frozen value types without generated code.
+
+``dataclass(frozen=True)`` compiles six methods per class from generated
+source (ten with ``order=True``), and that compilation is most of the time
+the package takes to import.  ``Frozen`` gives the same ``__eq__``,
+``__hash__``, ``__repr__``, ``__setattr__`` and ``__delattr__`` once, over
+the fields a class annotates; ``Ordered`` adds the comparisons.  A package
+type is declared ``@dataclass(init=False, repr=False, eq=False)`` on one of
+them, which generates nothing but keeps ``fields``, ``replace`` and
+``__match_args__``, and writes its ``__init__`` out, storing each field
+with ``set_field``.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import FrozenInstanceError
+
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Equality and hashing by the tuple of the fields, in the order they are
+    annotated, between instances of one class only; the repr
+    ``QualName(field=value, ...)``; no field can be set or deleted."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if names:
+            get = operator.attrgetter(*names)
+            cls._fields = names
+            cls._key = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Ordered(Frozen):
+    """A ``Frozen`` type ordered by the tuple of its fields."""
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < self._key(other)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) <= self._key(other)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) > self._key(other)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) >= self._key(other)
+        return NotImplemented

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from ._frozen import Frozen, Ordered, set_field
 from .errors import DimensionError, IntegrityError, PreconditionError
 from .poly import Coeff, MultiPoly, Point, _coeff, _integer
 
@@ -48,8 +49,8 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Hyperplane:
+@dataclass(init=False, repr=False, eq=False)
+class Hyperplane(Ordered):
     """{z : v . z = n} in canonical form: v primitive with positive first
     nonzero entry.  If canonicalization shows the plane carries no integer
     points (gcd of v does not divide n), it is stored with ``empty`` set."""
@@ -57,6 +58,11 @@ class Hyperplane:
     v: Point
     n: int
     empty: bool = False
+
+    def __init__(self, v, n, empty=False):
+        set_field(self, "v", v)
+        set_field(self, "n", n)
+        set_field(self, "empty", empty)
 
     @staticmethod
     def make(v: Sequence[int], n: int) -> "Hyperplane":
@@ -80,13 +86,17 @@ class Hyperplane:
         return not self.empty and sum(a * b for a, b in zip(self.v, z)) == self.n
 
 
-@dataclass(frozen=True, order=True)
-class HalfSpace:
+@dataclass(init=False, repr=False, eq=False)
+class HalfSpace(Ordered):
     """{z : v . z > n} with v primitive (integer points are unchanged by
     dividing v by its gcd and flooring n)."""
 
     v: Point
     n: int
+
+    def __init__(self, v, n):
+        set_field(self, "v", v)
+        set_field(self, "n", n)
 
     @staticmethod
     def make(v: Sequence[int], n: int) -> "HalfSpace":
@@ -105,8 +115,8 @@ class HalfSpace:
         return sum(a * b for a, b in zip(self.v, z)) > self.n
 
 
-@dataclass(frozen=True)
-class PolyhedralRegion:
+@dataclass(init=False, repr=False, eq=False)
+class PolyhedralRegion(Frozen):
     """Intersection of finitely many half-spaces; no constraints means all
     of Z^k.  ``make`` keeps one half-space per normal: of {v . z > n} and
     {v . z > m} with m <= n the second holds wherever the first does, so
@@ -114,6 +124,10 @@ class PolyhedralRegion:
 
     arity: int
     halfspaces: tuple[HalfSpace, ...]
+
+    def __init__(self, arity, halfspaces):
+        set_field(self, "arity", arity)
+        set_field(self, "halfspaces", halfspaces)
 
     @staticmethod
     def make(arity: int, halfspaces: Iterable[HalfSpace]) -> "PolyhedralRegion":
@@ -139,12 +153,15 @@ class PolyhedralRegion:
         return PolyhedralRegion.make(self.arity, self.halfspaces + tuple(halfspaces))
 
 
-@dataclass(frozen=True)
-class MeasureZeroSet:
+@dataclass(init=False, repr=False, eq=False)
+class MeasureZeroSet(Frozen):
     """A finite sorted list of hyperplanes, deduplicated under canonical
     form; ``make`` drops the planes without lattice points."""
 
     hyperplanes: tuple[Hyperplane, ...]
+
+    def __init__(self, hyperplanes):
+        set_field(self, "hyperplanes", hyperplanes)
 
     @staticmethod
     def make(planes: Iterable[Hyperplane]) -> "MeasureZeroSet":
@@ -188,15 +205,17 @@ class MeasureZeroSet:
         return len(self.hyperplanes)
 
 
-@dataclass(frozen=True)
-class LatticeBox:
+@dataclass(init=False, repr=False, eq=False)
+class LatticeBox(Frozen):
     """{z : corner_i <= z_i <= corner_i + size}."""
 
     corner: Point
     size: int
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, corner, size):
+        set_field(self, "corner", corner)
+        set_field(self, "size", size)
+        if size < 0:
             raise PreconditionError("box size must be nonnegative")
 
     @property

@@ -82,6 +82,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import DimensionError, PreconditionError
 from .geometry import HalfSpace, Hyperplane, LatticeBox
 from .poly import MultiPoly, Point, _integer_point
@@ -92,8 +93,8 @@ from .termratio import FactoredRational, TermSpec
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathStep:
+@dataclass(init=False, repr=False, eq=False)
+class PathStep(Frozen):
     """One replayable propagation step: the recurrence for ``axis`` was
     evaluated at ``at`` and contributed ``multiplier`` to the value."""
 
@@ -102,12 +103,25 @@ class PathStep:
     forward: bool
     multiplier: Fraction
 
+    def __init__(self, at, axis, forward, multiplier):
+        set_field(self, "at", at)
+        set_field(self, "axis", axis)
+        set_field(self, "forward", forward)
+        set_field(self, "multiplier", multiplier)
 
-@dataclass(frozen=True)
-class PropagationResult:
+
+@dataclass(init=False, repr=False, eq=False)
+class PropagationResult(Frozen):
+    """The propagated value at a point, or None and why, with its path."""
+
     value: Optional[Fraction]
     reason: Optional[str] = None
     path: tuple[PathStep, ...] = ()
+
+    def __init__(self, value, reason=None, path=()):
+        set_field(self, "value", value)
+        set_field(self, "reason", reason)
+        set_field(self, "path", path)
 
     @property
     def ok(self) -> bool:
@@ -459,15 +473,24 @@ def _window_flood(spec: TermSpec, window: LatticeBox) -> _Flood:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mismatch:
+@dataclass(init=False, repr=False, eq=False)
+class Mismatch(Frozen):
+    """A point where the closed form and the propagated value differ."""
+
     z: Point
     closed: Fraction
     oracle: Fraction
 
+    def __init__(self, z, closed, oracle):
+        set_field(self, "z", z)
+        set_field(self, "closed", closed)
+        set_field(self, "oracle", oracle)
 
-@dataclass(frozen=True)
-class GridReport:
+
+@dataclass(init=False, repr=False, eq=False)
+class GridReport(Frozen):
+    """The counts of a window comparison, by outcome, and its mismatches."""
+
     checked: int
     equal: int
     on_h: int
@@ -475,6 +498,15 @@ class GridReport:
     blocked: int
     value_unknown: int
     mismatches: tuple[Mismatch, ...]
+
+    def __init__(self, checked, equal, on_h, d_zero, blocked, value_unknown, mismatches):
+        set_field(self, "checked", checked)
+        set_field(self, "equal", equal)
+        set_field(self, "on_h", on_h)
+        set_field(self, "d_zero", d_zero)
+        set_field(self, "blocked", blocked)
+        set_field(self, "value_unknown", value_unknown)
+        set_field(self, "mismatches", mismatches)
 
     @property
     def clean(self) -> bool:

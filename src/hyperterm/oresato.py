@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import (
     CocycleError,
     DimensionError,
@@ -51,6 +52,7 @@ from .poly import (
     Point,
     UniPoly,
     _coeff,
+    _integer_point,
     coprime_base,
     detect_simple,
     gcd,
@@ -88,17 +90,22 @@ def gp_eval(a: int, b: int, term: Callable[[int], Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chain:
+@dataclass(init=False, repr=False, eq=False)
+class Chain(Frozen):
     """Per-direction univariate chain: factors a(v.z+j)/b(v.z+j)."""
 
     direction: Point
     num: UniPoly
     den: UniPoly
 
+    def __init__(self, direction, num, den):
+        set_field(self, "direction", direction)
+        set_field(self, "num", num)
+        set_field(self, "den", den)
 
-@dataclass(frozen=True)
-class OreSatoForm:
+
+@dataclass(init=False, repr=False, eq=False)
+class OreSatoForm(Frozen):
     """C, D, the per-direction chains, and the residual per-axis scalars."""
 
     arity: int
@@ -106,6 +113,13 @@ class OreSatoForm:
     d_poly: MultiPoly
     gamma: tuple[Coeff, ...]
     chains: tuple[Chain, ...]
+
+    def __init__(self, arity, c_poly, d_poly, gamma, chains):
+        set_field(self, "arity", arity)
+        set_field(self, "c_poly", c_poly)
+        set_field(self, "d_poly", d_poly)
+        set_field(self, "gamma", gamma)
+        set_field(self, "chains", chains)
 
 
 def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
@@ -126,7 +140,7 @@ def _form_factors(
     k = form.arity
     if len(w) != k:
         raise DimensionError("direction arity mismatch")
-    w = tuple(int(x) for x in w)
+    w = _integer_point(w)
     scalar = Fraction(1)
     for g, wi in zip(form.gamma, w):
         scalar *= Fraction(g) ** wi

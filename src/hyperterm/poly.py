@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import DimensionError, PreconditionError
 
 Monomial = tuple[int, ...]
@@ -90,7 +91,10 @@ def _integer_point(z: Sequence) -> Point:
     """z as a tuple of ints under the integer rule of ``_integer``; a
     coordinate that breaks it raises TypeError naming the point."""
     z = tuple(z)
-    return tuple(_integer(x, f"coordinate of the point {z!r}") for x in z)
+    for x in z:
+        if type(x) is not int:
+            return tuple(_integer(x, f"coordinate of the point {z!r}") for x in z)
+    return z
 
 
 def _primitive(coeffs: list[Coeff], lead: Coeff) -> tuple[Coeff, Optional[list[int]]]:
@@ -128,8 +132,8 @@ def _term_key(term: tuple[Monomial, Coeff]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+@dataclass(init=False, repr=False, eq=False)
+class MultiPoly(Frozen):
     """Sparse multivariate polynomial with rational coefficients, each an
     int when integral and a Fraction otherwise.
 
@@ -140,6 +144,15 @@ class MultiPoly:
 
     arity: int
     terms: tuple[tuple[Monomial, Coeff], ...]
+
+    def __init__(self, arity, terms):
+        set_field(self, "arity", arity)
+        set_field(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.arity == other.arity and self.terms == other.terms
+        return NotImplemented
 
     @functools.cached_property
     def _hash(self) -> int:
@@ -682,12 +695,23 @@ def coprime_base(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniPoly:
+@dataclass(init=False, repr=False, eq=False)
+class UniPoly(Frozen):
     """Dense univariate polynomial, constant coefficient first; each
     coefficient is an int when integral and a Fraction otherwise."""
 
     coeffs: tuple[Coeff, ...]
+
+    def __init__(self, coeffs):
+        set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def make(coeffs: Iterable) -> "UniPoly":
@@ -767,12 +791,15 @@ class UniPoly:
         return UniPoly(tuple(_coeff(c * k) for k in self.coeffs))
 
     def shift_arg(self, c) -> "UniPoly":
-        """The polynomial t -> p(t + c)."""
-        result = UniPoly(())
-        linear = UniPoly.make([c, 1])
-        for coeff in reversed(self.coeffs):
-            result = result * linear + UniPoly.constant(coeff)
-        return result
+        """The polynomial t -> p(t + c), by Taylor shift: n passes of
+        synthetic division by t - c over the coefficient list in place."""
+        c = _coeff(c)
+        b = list(self.coeffs)
+        n = len(b) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                b[j] += c * b[j + 1]
+        return UniPoly.make(b)
 
     def reflect(self, c) -> "UniPoly":
         """The polynomial t -> p(c - t)."""

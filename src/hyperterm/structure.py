@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import (
     DimensionError,
     IntegrityError,
@@ -101,8 +102,8 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Piece:
+@dataclass(init=False, repr=False, eq=False)
+class Piece(Frozen):
     """A region with its base point and base value.  An unknown base value
     (None) comes with the wall no flood out of the seed crosses
     (``oracle._walls``) when one is known; without a wall it means only that
@@ -113,12 +114,25 @@ class Piece:
     base_value: Optional[Fraction]
     wall: Optional[HalfSpace] = None
 
+    def __init__(self, region, base_point, base_value, wall=None):
+        set_field(self, "region", region)
+        set_field(self, "base_point", base_point)
+        set_field(self, "base_value", base_value)
+        set_field(self, "wall", wall)
 
-@dataclass(frozen=True)
-class PiecewiseStructure:
+
+@dataclass(init=False, repr=False, eq=False)
+class PiecewiseStructure(Frozen):
+    """A decomposition's pieces and the cover of the points outside them."""
+
     form: OreSatoForm
     pieces: tuple[Piece, ...]
     excluded: MeasureZeroSet  # hyperplane cover of the complement of the pieces
+
+    def __init__(self, form, pieces, excluded):
+        set_field(self, "form", form)
+        set_field(self, "pieces", pieces)
+        set_field(self, "excluded", excluded)
 
     @functools.cached_property
     def _tables(self) -> tuple["_PieceTable", ...]:
@@ -128,10 +142,16 @@ class PiecewiseStructure:
         return tuple(_PieceTable(self.form, p) for p in self.pieces)
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
+@dataclass(init=False, repr=False, eq=False)
+class EvalOutcome(Frozen):
+    """The closed form at one point: its value, or why it has none."""
+
     status: str  # ok | no-piece | d-zero | value-unknown
     value: Optional[Fraction] = None
+
+    def __init__(self, status, value=None):
+        set_field(self, "status", status)
+        set_field(self, "value", value)
 
 
 def _chain_zero_hyperplanes(form: OreSatoForm, d: int) -> list[Hyperplane]:
@@ -487,22 +507,40 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorialChain:
+@dataclass(init=False, repr=False, eq=False)
+class FactorialChain(Frozen):
+    """A chain as plain products of num(j) / den(j) over a range of j."""
+
     direction: Point
     num: UniPoly
     den: UniPoly
     offset: int  # n with products running over 1 <= j <= direction.z + n
 
+    def __init__(self, direction, num, den, offset):
+        set_field(self, "direction", direction)
+        set_field(self, "num", num)
+        set_field(self, "den", den)
+        set_field(self, "offset", offset)
 
-@dataclass(frozen=True)
-class FactorialForm:
+
+@dataclass(init=False, repr=False, eq=False)
+class FactorialForm(Frozen):
+    """A piece's closed form as plain products with nonnegative limits."""
+
     region: PolyhedralRegion
     gamma: tuple[Coeff, ...]
     scalar: Coeff
     c_poly: MultiPoly
     d_poly: MultiPoly
     chains: tuple[FactorialChain, ...]
+
+    def __init__(self, region, gamma, scalar, c_poly, d_poly, chains):
+        set_field(self, "region", region)
+        set_field(self, "gamma", gamma)
+        set_field(self, "scalar", scalar)
+        set_field(self, "c_poly", c_poly)
+        set_field(self, "d_poly", d_poly)
+        set_field(self, "chains", chains)
 
 
 def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
@@ -619,15 +657,24 @@ def factorial_eval(ff: FactorialForm, z: Sequence[int]) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PochhammerEntry:
+@dataclass(init=False, repr=False, eq=False)
+class PochhammerEntry(Frozen):
+    """One rising factorial (m)_r with r linear in the point."""
+
     base: Coeff  # m of the rising factorial (m)_r
     direction: Point
     offset: int  # r = direction.z + offset
 
+    def __init__(self, base, direction, offset):
+        set_field(self, "base", base)
+        set_field(self, "direction", direction)
+        set_field(self, "offset", offset)
 
-@dataclass(frozen=True)
-class PochhammerForm:
+
+@dataclass(init=False, repr=False, eq=False)
+class PochhammerForm(Frozen):
+    """A piece's closed form with the chains as Pochhammer symbols."""
+
     region: PolyhedralRegion
     gamma: tuple[Coeff, ...]
     scalar: Coeff
@@ -635,6 +682,15 @@ class PochhammerForm:
     d_poly: MultiPoly
     numerator: tuple[PochhammerEntry, ...]
     denominator: tuple[PochhammerEntry, ...]
+
+    def __init__(self, region, gamma, scalar, c_poly, d_poly, numerator, denominator):
+        set_field(self, "region", region)
+        set_field(self, "gamma", gamma)
+        set_field(self, "scalar", scalar)
+        set_field(self, "c_poly", c_poly)
+        set_field(self, "d_poly", d_poly)
+        set_field(self, "numerator", numerator)
+        set_field(self, "denominator", denominator)
 
 
 def rising_factorial(m: Fraction, length: int) -> Fraction:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import CocycleError, DimensionError, PreconditionError
 from .geometry import (
     MeasureZeroSet,
@@ -50,8 +51,8 @@ from .poly import Coeff, MultiPoly, Point, _coeff, _integer, coprime_base
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredRational:
+@dataclass(init=False, repr=False, eq=False)
+class FactoredRational(Frozen):
     """scalar * prod(base ** exponent) with normalized, pairwise coprime,
     nonconstant bases and nonzero exponents.  The scalar follows the
     coefficient rule of ``poly``: an int when integral, else a Fraction.
@@ -63,6 +64,23 @@ class FactoredRational:
     arity: int
     scalar: Coeff
     factors: tuple[tuple[MultiPoly, int], ...]
+
+    def __init__(self, arity, scalar, factors):
+        set_field(self, "arity", arity)
+        set_field(self, "scalar", scalar)
+        set_field(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.arity == other.arity
+                and self.scalar == other.scalar
+                and self.factors == other.factors
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.scalar, self.factors))
 
     @staticmethod
     def make(arity: int, scalar, factors: Iterable[tuple[MultiPoly, int]] = ()) -> "FactoredRational":
@@ -209,8 +227,8 @@ def _cancel(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[Mult
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Generator:
+@dataclass(init=False, repr=False, eq=False)
+class Generator(Frozen):
     """One recurrence A(z) f(z) = B(z) f(z + e_i), both sides kept in
     factored form.  num/den need not be coprime: extending a term by zero
     multiplies both by the same certificate polynomial."""
@@ -218,13 +236,17 @@ class Generator:
     num: FactoredRational
     den: FactoredRational
 
+    def __init__(self, num, den):
+        set_field(self, "num", num)
+        set_field(self, "den", den)
+
     def ratio(self) -> FactoredRational:
         """The reduced quotient A / B."""
         return self.num * self.den.inv()
 
 
-@dataclass(frozen=True)
-class TermSpec:
+@dataclass(init=False, repr=False, eq=False)
+class TermSpec(Frozen):
     """A hypergeometric term given by its unit-direction quotients."""
 
     arity: int
@@ -232,6 +254,13 @@ class TermSpec:
     exceptions: MeasureZeroSet = field(default_factory=MeasureZeroSet.empty)
     seed: Optional[tuple[Point, Fraction]] = None
     zero_divisor_witness: Optional[MultiPoly] = None
+
+    def __init__(self, arity, generators, exceptions=None, seed=None, zero_divisor_witness=None):
+        set_field(self, "arity", arity)
+        set_field(self, "generators", generators)
+        set_field(self, "exceptions", MeasureZeroSet.empty() if exceptions is None else exceptions)
+        set_field(self, "seed", seed)
+        set_field(self, "zero_divisor_witness", zero_divisor_witness)
 
     @staticmethod
     def make(

@@ -394,6 +394,14 @@ def test_ratio_from_form_zero_direction():
     assert ratio_from_form(form, (0, 0)).is_one
 
 
+def test_ratio_from_form_direction_follows_the_integer_rule():
+    form = decompose(binomial_spec())
+    assert ratio_from_form(form, (2.0, 0)) == ratio_from_form(form, (2, 0))
+    for w in [(1.5, 0), (True, 0)]:
+        with pytest.raises(TypeError, match="coordinate of the point"):
+            ratio_from_form(form, w)
+
+
 def test_ratio_from_form_telescoping():
     form = OreSatoForm(
         2,

@@ -235,6 +235,37 @@ def test_unipoly_evaluate_cleared_is_kept_on_the_polynomial():
     assert UniPoly.make([]).evaluate_cleared(5) == 0
 
 
+def _shift_arg_horner(p, c):
+    """p(t + c) by Horner's rule over UniPoly products: the reference for the
+    Taylor shift of ``UniPoly.shift_arg``."""
+    result = UniPoly(())
+    linear = UniPoly.make([c, 1])
+    for coeff in reversed(p.coeffs):
+        result = result * linear + UniPoly.constant(coeff)
+    return result
+
+
+def test_unipoly_shift_arg_matches_horner_random():
+    rng = random.Random(29)
+
+    def number():
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for _ in range(400):
+        p = UniPoly.make([number() for _ in range(rng.randint(0, 7))])
+        c = number()
+        got, expected = p.shift_arg(c), _shift_arg_horner(p, c)
+        assert got == expected
+        assert [type(x) for x in got.coeffs] == [type(x) for x in expected.coeffs]
+        reflected = p.reflect(c)
+        assert all(reflected.evaluate(t) == p.evaluate(c - t) for t in (-2, 0, 3))
+    assert UniPoly.make([1, 2, 1]).shift_arg(-1) == UniPoly.make([0, 0, 1])
+    with pytest.raises(TypeError):
+        UniPoly.make([1, 1]).shift_arg(0.5)
+
+
 # -- gcd and division ---------------------------------------------------------
 
 
