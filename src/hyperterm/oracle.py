@@ -1,8 +1,8 @@
 """Ground-truth evaluation of a term from its recurrences.
 
-Values are propagated from the seed by breadth-first search over unit
-steps.  A forward step from y applies f(y + e_i) = f(y) * A_i(y) / B_i(y)
-and needs B_i(y) != 0; a backward step to y applies
+Values are propagated from the seed by a flood over unit steps.  A forward
+step from y applies f(y + e_i) = f(y) * A_i(y) / B_i(y) and needs
+B_i(y) != 0; a backward step to y applies
 f(y) = f(y + e_i) * B_i(y) / A_i(y) and needs A_i(y) != 0.  Either way the
 recurrence is evaluated at y, which must not lie on a declared exception
 hyperplane.  Zero values propagate (a vanishing numerator produces an
@@ -68,11 +68,11 @@ refuses both, so no flood out of the seed, in any box, reaches a point
 outside H.
 
 ``build_structure`` takes every piece's base value from one flood out of
-the seed over the seed and all base points (``propagate_targets``), in
-breadth-first order.  A flood over a comparison window and the seed, aimed
-at the window, supplies the oracle for piecewise closed forms:
-``grid_compare`` asks it only at the points where the closed form has a
-value.
+the seed over the seed and all base points (``propagate_targets``), aimed
+at the bounding box of the base points no wall cuts off.  A flood over a
+comparison window and the seed, aimed at the window, supplies the oracle
+for piecewise closed forms: ``grid_compare`` asks it only at the points
+where the closed form has a value.
 """
 
 from __future__ import annotations
@@ -328,14 +328,11 @@ class _Flood:
         return tuple(out)
 
 
-def _box_flood(
-    spec: TermSpec, points: Sequence[Point], what: str = "point", goal=None, step_order=None
-) -> _Flood:
-    """The flood, not yet run, over the bounding box of the seed and the
-    points inflated by 2 (k+1), the one box every flood here searches.  A
-    spec without a seed raises PreconditionError; then points of another
-    arity than the spec raise DimensionError, named ``what`` (a point or a
-    window), before any distance to the goal is computed."""
+def _box(spec: TermSpec, points: Sequence[Point], what: str = "point") -> tuple[Point, Point]:
+    """The bounding box (lo, hi) of the seed and the points inflated by
+    2 (k+1), the one box every flood here searches.  A spec without a seed
+    raises PreconditionError; then points of another arity than the spec
+    raise DimensionError, named ``what`` (a point or a window)."""
     if spec.seed is None:
         raise PreconditionError("propagation requires a seed value")
     if any(len(p) != spec.arity for p in points):
@@ -344,7 +341,16 @@ def _box_flood(
     coords = list(zip(spec.seed[0], *points))
     lo = tuple(min(c) - margin for c in coords)
     hi = tuple(max(c) + margin for c in coords)
-    return _Flood(spec, lo, hi, step_order=step_order, goal=goal)
+    return lo, hi
+
+
+def _box_flood(
+    spec: TermSpec, points: Sequence[Point], what: str = "point", goal=None, step_order=None
+) -> _Flood:
+    """The flood, not yet run, over ``_box(spec, points, what)``, which
+    checks the seed and the arity of the points before any distance to the
+    goal is computed."""
+    return _Flood(spec, *_box(spec, points, what), step_order=step_order, goal=goal)
 
 
 def propagate(
@@ -422,24 +428,36 @@ def _wall_against(walls: Sequence[HalfSpace], z: Point) -> Optional[HalfSpace]:
     return next((h for h in walls if not h.contains(z)), None)
 
 
-def propagate_targets(spec: TermSpec, targets: Sequence[Point]) -> list[Optional[Fraction]]:
+def propagate_targets(
+    spec: TermSpec, targets: Sequence[Point], walls: Optional[Sequence[HalfSpace]] = None
+) -> list[Optional[Fraction]]:
     """Values of the term at each target, from one flood out of the seed
     over the bounding box of the seed and all targets inflated by 2 (k+1),
     the margin ``propagate`` uses; None at a target the flood does not
     reach.  That box contains the box of every ``propagate(spec, spec.seed,
     t)``, so each target it reaches gets the same value, and it may reach
-    a target those floods do not.  A target of another arity than the spec
-    raises DimensionError.
+    a target those floods do not.  A spec without a seed raises
+    PreconditionError, then a target of another arity than the spec
+    DimensionError, both before the walls are sought.
 
-    A target behind a wall (``_walls``) is answered None without asking
-    the flood, since no flood reaches it; the box still holds it, so every
-    other target gets the answer the flood of the whole box gives.  The
-    flood runs breadth first and stops as soon as it finds the last target
-    not walled off, and runs its whole box only when one of those is
-    unreachable."""
-    flood = _box_flood(spec, targets)
-    walls = _walls(spec)
-    return [None if _wall_against(walls, t) else flood.get(t) for t in targets]
+    A target behind a wall (``_walls``, or ``walls`` when the caller has
+    them already) is answered None without asking the flood, since no
+    flood reaches it; the box still holds it, so every other target gets
+    the answer the flood of the whole box gives.  The flood is aimed at the
+    bounding box of the targets no wall cuts off; when every target is
+    walled, none is asked for and the flood keeps its default goal.  It
+    stops as soon as it finds the last of them, and runs its whole box only
+    when one of those is unreachable."""
+    lo, hi = _box(spec, targets)
+    if walls is None:
+        walls = _walls(spec)
+    walled = [_wall_against(walls, t) is not None for t in targets]
+    open_targets = [t for t, w in zip(targets, walled) if not w]
+    goal = None
+    if open_targets:
+        goal = tuple(map(min, zip(*open_targets))), tuple(map(max, zip(*open_targets)))
+    flood = _Flood(spec, lo, hi, goal=goal)
+    return [None if w else flood.get(t) for t, w in zip(targets, walled)]
 
 
 def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction]:

@@ -210,14 +210,19 @@ def _joint_refine(ratios: list[FactoredRational]) -> list[FactoredRational]:
     """Re-express all ratios over one shared coprime base: simple bases are
     split at the rational roots of their profiles, then one
     ``coprime_base`` call refines every ratio's bases together, with one
-    exponent coordinate per ratio."""
+    exponent coordinate per ratio.  The pieces of one ratio are one coprime
+    run: its bases are pairwise coprime, and the pieces of one base are
+    distinct normalized linear factors and a cofactor without rational
+    roots."""
     n = len(ratios)
-    pool = []
+    runs = []
     for i, fr in enumerate(ratios):
+        run = []
         for base, exp in fr.factors:
             for piece, mult in _split_simple_base(base):
-                pool.append((piece, tuple(mult * exp * u for u in _unit(n, i))))
-    refined = coprime_base([pair] for pair in pool)
+                run.append((piece, tuple(mult * exp * u for u in _unit(n, i))))
+        runs.append(run)
+    refined = coprime_base(runs)
     return [
         FactoredRational(fr.arity, fr.scalar, tuple((b, e[i]) for b, e in refined if e[i]))
         for i, fr in enumerate(ratios)

@@ -684,10 +684,13 @@ def coprime_base(
                 break
         else:
             base[p] = (e, r, linear)
-    return sorted(
-        ((b, e) for b, (e, _, _) in base.items() if any(e)),
-        key=lambda t: (t[0].total_degree(), t[0].terms),
-    )
+    return sorted(((b, e) for b, (e, _, _) in base.items() if any(e)), key=_base_order)
+
+
+def _base_order(factor: tuple[MultiPoly, object]) -> tuple:
+    """The sort key of a (base, exponent) pair in ``coprime_base``'s result:
+    the base's total degree, then its terms."""
+    return factor[0].total_degree(), factor[0].terms
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ All base values come from one flood out of the seed over the seed and
 every base point (``oracle.propagate_targets``); a piece has an unknown
 base value exactly when that flood does not reach z0.  A base point behind
 a directional wall is not asked for: the piece keeps the wall as the proof
-that no flood reaches it.  The flood runs breadth first, stops as soon as
-it finds the last base point not walled off, and runs its whole box only
-when one of those is not reached.
+that no flood reaches it.  The flood is aimed at the bounding box of the
+base points not walled off, stops as soon as it finds the last of them,
+and runs its whole box only when one of those is not reached.
 The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.
@@ -194,9 +194,10 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     and a piece can only go from unknown to known.  Pieces the flood does
     not reach by nonzero-quotient propagation are kept with an unknown
     base value rather than a guessed one.  A base point outside a
-    directional wall (``oracle._walls``) is never asked for, since no
-    flood crosses the wall; the piece keeps the wall.  A piece with an
-    unknown value and no wall was not reached within the flood's box.
+    directional wall (``oracle._walls``, computed once for the flood and
+    the pieces) is never asked for, since no flood crosses the wall; the
+    piece keeps the wall.  A piece with an unknown value and no wall was
+    not reached within the flood's box.
     """
     k = spec.arity
     if spec.zero_divisor_witness is not None:
@@ -226,8 +227,8 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
         assert z0 is not None
         found.append((shrunk, z0))
 
-    base_values = propagate_targets(spec, [z0 for _, z0 in found])
     walls = _walls(spec)
+    base_values = propagate_targets(spec, [z0 for _, z0 in found], walls)
     pieces: list[Piece] = []
     for (shrunk, z0), base_value in zip(found, base_values):
         wall = None

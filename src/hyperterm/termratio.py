@@ -17,7 +17,8 @@ Arithmetic trusts that invariant.  A product refines only across its
 operands: each operand's factors are one coprime run of ``coprime_base``,
 so no gcd is taken between two factors of the same operand, and none is
 normalized again.  Shifts and inverses keep the invariant as they are.  A
-spec computes its quotients once and keeps them.
+spec computes its quotients once and keeps them; one built from its
+quotients (``TermSpec.from_ratios``) keeps those it was given.
 
 Whether a product of factors is constant is decided by cancellation
 (``_cancel``): exponents are summed per normalized base over the operands,
@@ -44,7 +45,7 @@ from .geometry import (
     certificate_cover,
     characteristic_certificates,
 )
-from .poly import Coeff, MultiPoly, Point, _coeff, _integer, coprime_base
+from .poly import Coeff, MultiPoly, Point, _base_order, _coeff, _integer, coprime_base
 
 # ---------------------------------------------------------------------------
 # factored rational functions
@@ -306,21 +307,30 @@ class TermSpec(Frozen):
         seed: Optional[tuple[Sequence[int], Fraction]] = None,
     ) -> "TermSpec":
         """Build a spec directly from reduced quotients, preserving their
-        factored structure."""
-        return TermSpec.make(
+        factored structure.  The spec keeps the quotients as its
+        ``ratios()``, each with its factors in the order ``coprime_base``
+        gives: since their bases are pairwise coprime, that is what
+        A_i / B_i reduces to."""
+        spec = TermSpec.make(
             arity,
             [r.split() for r in ratios],
             exceptions=exceptions,
             seed=seed,
         )
+        kept = tuple(
+            FactoredRational(r.arity, r.scalar, tuple(sorted(r.factors, key=_base_order)))
+            for r in ratios
+        )
+        set_field(spec, "_ratios", kept)
+        return spec
 
     @functools.cached_property
     def _ratios(self) -> tuple[FactoredRational, ...]:
         return tuple(g.ratio() for g in self.generators)
 
     def ratios(self) -> list[FactoredRational]:
-        """The reduced quotients R_1..R_k, computed once per spec; the list
-        is the caller's own."""
+        """The reduced quotients R_1..R_k, computed once per spec or kept from
+        ``from_ratios``; the list is the caller's own."""
         return list(self._ratios)
 
     def with_seed(self, point: Sequence[int], value) -> "TermSpec":

@@ -390,6 +390,45 @@ def test_propagate_targets_matches_propagate():
             assert single is None or value == single
 
 
+def test_propagate_targets_matches_an_unaimed_flood():
+    """The build's flood, aimed at the targets no wall cuts off, answers
+    every target as the breadth-first flood of the same box does, value for
+    value and None for None: at the seed, at a repeated target, at a target
+    behind a wall and at one the box does not reach."""
+    rng = random.Random(127)
+    specs = random_extended_specs(rng, 10) + list(bundled_specs().values())
+    specs.append(repository_spec("perfbench/specs/wedge3d.json"))
+    counts = {"walled": 0, "unreached": 0, "reached": 0}
+    for spec in specs:
+        seed_point = spec.seed[0]
+        targets = [seed_point]
+        targets += [tuple(x + rng.randint(-6, 6) for x in seed_point) for _ in range(5)]
+        targets += [p.base_point for p in build_structure(spec).pieces]
+        targets.append(targets[rng.randrange(1, len(targets))])
+        rng.shuffle(targets)
+        unaimed = _box_flood(spec, targets)
+        expected = [unaimed.get(t) for t in targets]
+        assert propagate_targets(spec, targets) == expected
+        walls = _walls(spec)
+        for t, value in zip(targets, expected):
+            if any(not h.contains(t) for h in walls):
+                assert value is None
+                counts["walled"] += 1
+            else:
+                counts["reached" if value is not None else "unreached"] += 1
+    assert counts["walled"] >= 10 and counts["unreached"] >= 10 and counts["reached"] >= 50
+
+
+def test_propagate_targets_asks_nothing_when_every_target_is_walled(monkeypatch):
+    # the wall z1 >= -2 of odd_product_spec with the exception z1 = -3
+    spec = replace(odd_product_spec(), exceptions=MeasureZeroSet.make([Hyperplane.make((1,), -3)]))
+    floods = captured_floods(monkeypatch)
+    assert propagate_targets(spec, [(-6,), (-4,), (-6,)]) == [None, None, None]
+    (flood,) = floods
+    assert (flood.glo, flood.ghi) == (flood.lo, flood.hi)
+    assert list(flood.values) == [spec.seed[0]]
+
+
 # -- the demand-driven flood against the exhaustive reference ------------------
 
 
@@ -900,4 +939,7 @@ def test_build_flood_stops_at_the_last_reachable_base_point(monkeypatch):
     # the base point (0, 0, -21) lies behind z1 + z3 >= 0 and is not asked for;
     # asking it would run the whole box, 6,318 points
     assert [p.base_point for p in ps.pieces if p.wall is not None] == [(0, 0, -21)]
-    assert len(flood.values) <= 1500 and queued(flood)
+    # the flood is aimed at the other one, (0, 0, 10), and walks up to it:
+    # 55 points, where breadth first it held 1,070
+    assert (flood.glo, flood.ghi) == ((0, 0, 10), (0, 0, 10))
+    assert len(flood.values) <= 200 and queued(flood)

@@ -9,9 +9,17 @@ import pytest
 from conftest import random_form, spec_from_form
 from hyperterm.errors import CocycleError, PreconditionError, StructureError, ZeroTermError
 from hyperterm.jsonio import form_to_json
-from hyperterm.oresato import Chain, OreSatoForm, decompose, gp_eval, ratio_from_form
+from hyperterm.oresato import (
+    Chain,
+    OreSatoForm,
+    _joint_refine,
+    _split_simple_base,
+    decompose,
+    gp_eval,
+    ratio_from_form,
+)
 from hyperterm.parsing import parse_multipoly, parse_unipoly
-from hyperterm.poly import UniPoly, gcd
+from hyperterm.poly import UniPoly, coprime_base, gcd
 from hyperterm.termratio import (
     FactoredRational,
     TermSpec,
@@ -516,3 +524,46 @@ def test_decompose_random_forms_digest():
         hashlib.sha256(text.encode("utf-8")).hexdigest()
         == "89154ae41f71f6e13a72328104207dcb0fb1d5ef6db2b0537d7845971ae00ba9"
     )
+
+
+def test_joint_refine_runs_give_the_singleton_refinement():
+    """Each ratio's split bases go to ``coprime_base`` as one coprime run;
+    the result is the refinement of every piece in a run of its own, on
+    random forms and on quotients of C(z + e_i) / C(z) for C a polynomial in
+    one direction with rational roots, whose single base splits, and on
+    composite bases of different ratios that share a factor."""
+    rng = random.Random(149)
+    cases = []
+    for trial in range(120):
+        k = 1 + trial % 3
+        cases.append(spec_from_form(random_form(rng, k)).ratios())
+        v = [rng.randint(-1, 2) for _ in range(k)]
+        v[0] = v[0] or 1
+        line = " + ".join(f"{a}*z{j + 1}" for j, a in enumerate(v))
+        # two linear factors, and every other time a cofactor without roots
+        cofactor = f"*(({line})^2 + {rng.randint(1, 3)})" if trial % 2 else ""
+        c = P(f"({line} + {rng.randint(-2, 2)})*({line} + {rng.randint(3, 6)}){cofactor}", k)
+        units = [tuple(int(x == i) for x in range(k)) for i in range(k)]
+        cases.append([FactoredRational.make(k, 2, [(c.shift(e), 1), (c, -1)]) for e in units])
+        if k > 1:
+            # composite bases of different ratios that share a factor
+            atoms = rng.sample([P(t, k) for t in ["z1*z2 + 1", "z1^2 + z2", "z1*z2 + z2^2 + 3"]], 3)
+            bases = [atoms[0] * atoms[1 + i % 2] for i in range(k)]
+            cases.append([FactoredRational.make(k, 1, [(b, rng.choice([-1, 1]))]) for b in bases])
+    split = 0
+    for ratios in cases:
+        n = len(ratios)
+        singletons = []
+        for i, fr in enumerate(ratios):
+            for base, exp in fr.factors:
+                pieces = _split_simple_base(base)
+                split += len(pieces) > 1
+                unit = tuple(int(j == i) for j in range(n))
+                singletons += [[(p, tuple(m * exp * u for u in unit))] for p, m in pieces]
+        refined = coprime_base(singletons)
+        expected = [
+            FactoredRational(fr.arity, fr.scalar, tuple((b, e[i]) for b, e in refined if e[i]))
+            for i, fr in enumerate(ratios)
+        ]
+        assert _joint_refine(ratios) == expected
+    assert split > 300

@@ -12,6 +12,7 @@ from hyperterm.parsing import parse_multipoly
 from hyperterm.poly import MultiPoly
 from hyperterm.termratio import (
     FactoredRational,
+    Generator,
     TermSpec,
     _cancel,
     _refine,
@@ -385,6 +386,25 @@ def test_ratios_are_kept_and_returned_as_a_fresh_list():
     assert all(a is b for a, b in zip(spec.ratios(), spec.ratios()))
     # the kept ratios are no field: equality and hash see the generators
     assert spec == binomial_spec() and hash(spec) == hash(binomial_spec())
+
+
+def test_from_ratios_keeps_the_given_quotients(monkeypatch):
+    """A spec built from reduced quotients returns them as its ratios, with
+    the factors in the order ``g.ratio()`` gives, and never rebuilds them
+    from the generator sides."""
+    from conftest import random_form, spec_from_form
+
+    rng = random.Random(139)
+    specs = [spec_from_form(random_form(rng, 1 + trial % 3)) for trial in range(400)]
+    # given out of (total degree, terms) order
+    unsorted = FactoredRational(1, Fraction(1, 2), ((P("z1^2 + 1", 1), 1), (P("z1 + 2", 1), -1)))
+    specs.append(TermSpec.from_ratios(1, [unsorted]))
+    with monkeypatch.context() as m:
+        m.setattr(Generator, "ratio", lambda self: pytest.fail("ratio rebuilt"))
+        kept = [spec.ratios() for spec in specs]
+    for spec, ratios in zip(specs, kept):
+        assert ratios == [g.ratio() for g in spec.generators]
+    assert kept[-1][0].factors == unsorted.factors[::-1]
 
 
 # -- composition --------------------------------------------------------------------
