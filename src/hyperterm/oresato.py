@@ -21,12 +21,20 @@ anchor of its univariate profile (``_anchor_family``), a non-simple one by
 the exact anchor of its orbit (``poly.orbit_anchor``).  Each family and
 orbit is solved from one generator's exponents; the residue pass checks the
 rest: each generator divided by the form's ratio in its direction must be a
-constant, its gamma.  The formula's factors are listed as written, each
-normalized once, and cancelled against the generator's jointly refined
-factors by equal bases; only what does not cancel is refined
-(``termratio._cancel``).  That one pass is the verification.  When it
-fails, incompatible generators raise CocycleError and input that does not
+constant, its gamma.  That one pass is the verification.  When it fails,
+incompatible generators raise CocycleError and input that does not
 telescope raises StructureError.
+
+By the Ore-Sato theorem C, D and the chain sides are products of shifts of
+the families' and orbits' anchors, and ``decompose`` builds them as such:
+the form it returns keeps those normalized pieces, with signed
+multiplicities, beside the multiplied-out fields it displays.  The formula's
+factors are listed piece by piece, each normalized once.  The residue pass
+cancels them against the generator's jointly refined factors by equal
+bases and refines only what does not cancel (``termratio._cancel``), and
+``ratio_from_form`` refines the pieces, so neither has to find them again
+with gcds of the products.  A form made by the constructor or by
+``replace`` keeps no pieces and lists each displayed polynomial as one.
 """
 
 from __future__ import annotations
@@ -89,6 +97,11 @@ def gp_eval(a: int, b: int, term: Callable[[int], Fraction]) -> Fraction:
 # the decomposition form
 # ---------------------------------------------------------------------------
 
+# factors with signed multiplicities: positive in C or a chain's numerator,
+# negative in D or a chain's denominator
+Pieces = tuple[tuple[MultiPoly, int], ...]
+UniPieces = tuple[tuple[UniPoly, int], ...]
+
 
 @dataclass(init=False, repr=False, eq=False)
 class Chain(Frozen):
@@ -121,6 +134,19 @@ class OreSatoForm(Frozen):
         set_field(self, "gamma", gamma)
         set_field(self, "chains", chains)
 
+    @functools.cached_property
+    def _pieces(self) -> tuple[Pieces, tuple[UniPieces, ...]]:
+        """The factors the formula is written from: C and D as (piece,
+        multiplicity) pairs, positive for C and negative for D, and each
+        chain's sides likewise, in the order of ``chains``.  By default each
+        displayed polynomial is one piece; ``decompose`` keeps the
+        normalized pieces it multiplied C, D and the chain sides out of, and
+        a form made by the constructor or by ``replace`` has none."""
+        return (
+            ((self.c_poly, 1), (self.d_poly, -1)),
+            tuple(((c.num, 1), (c.den, -1)) for c in self.chains),
+        )
+
 
 def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
     """Evaluate the decomposition's displayed formula symbolically: the
@@ -134,9 +160,11 @@ def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
 def _form_factors(
     form: OreSatoForm, w: Sequence[int]
 ) -> tuple[Fraction, list[tuple[MultiPoly, int]]]:
-    """The factors of the displayed formula in direction w as written, each
-    normalized once and none refined, and the scalar they leave: gamma^w
-    times the constant chain sides and the normalization scalars."""
+    """The factors of the displayed formula in direction w, listed piece by
+    piece from the form's pieces, each normalized once and none refined,
+    and the scalar they leave: gamma^w times the constant chain pieces and
+    the normalization scalars.  A piece p of C or D with multiplicity m
+    gives p(z + w)^m / p(z)^m."""
     k = form.arity
     if len(w) != k:
         raise DimensionError("direction arity mismatch")
@@ -153,28 +181,23 @@ def _form_factors(
             scalar *= Fraction(s) ** exp
         factors.append((prim, exp))
 
-    if not form.c_poly.is_constant:
-        put(form.c_poly.shift(w), 1)
-        put(form.c_poly, -1)
-    if not form.d_poly.is_constant:
-        put(form.d_poly, 1)
-        put(form.d_poly.shift(w), -1)
-    for chain in form.chains:
+    cd, sides = form._pieces
+    for piece, mult in cd:
+        if not piece.is_constant:
+            put(piece.shift(w), mult)
+            put(piece, -mult)
+    for chain, side in zip(form.chains, sides):
         n = sum(a * b for a, b in zip(chain.direction, w))
         if n == 0:
             continue
-        # reciprocal convention: a negative range swaps the chain sides
-        js = range(0, n) if n > 0 else range(n, 0)
-        num, den = (chain.num, chain.den) if n > 0 else (chain.den, chain.num)
+        # reciprocal convention: a negative range inverts every factor
+        sign, js = (1, range(0, n)) if n > 0 else (-1, range(n, 0))
         for j in js:
-            if num.is_constant:
-                scalar *= num.coeffs[0]
-            else:
-                put(num.as_multipoly(chain.direction, j), 1)
-            if den.is_constant:
-                scalar /= den.coeffs[0]
-            else:
-                put(den.as_multipoly(chain.direction, j), -1)
+            for piece, mult in side:
+                if piece.is_constant:
+                    scalar *= Fraction(piece.coeffs[0]) ** (sign * mult)
+                else:
+                    put(piece.as_multipoly(chain.direction, j), sign * mult)
     return scalar, factors
 
 
@@ -342,32 +365,36 @@ def _solve_orbit(data: _Exponents, axis: int) -> dict[Point, int]:
     return m
 
 
-def _absorb(num, den, piece, mult: int):
-    """(num * piece^mult, den) when mult > 0, else (num, den * piece^-mult),
-    for univariate chain sides or the C/D pair alike."""
-    for _ in range(abs(mult)):
-        if mult > 0:
-            num = num * piece
-        else:
-            den = den * piece
+def _expand(one, pieces):
+    """(num, den): the product of the pieces of positive multiplicity and
+    that of the others, each raised to its |multiplicity|, for univariate
+    chain sides or the C/D pair alike."""
+    num = den = one
+    for piece, mult in pieces:
+        for _ in range(abs(mult)):
+            if mult > 0:
+                num = num * piece
+            else:
+                den = den * piece
     return num, den
 
 
 def decompose(spec: TermSpec) -> OreSatoForm:
     """Compute an Ore-Sato form whose displayed formula reproduces every
-    generator exactly.  The construction is heuristic-free for honest
-    compatible input presented in factored form: each factor is routed to
-    its family or orbit by one lookup of its canonical anchor, a simple one
-    by its direction and ``_anchor_family``, a non-simple one by
-    ``orbit_anchor``, whose offsets are exact and canonical, with no search
-    over shifts.  The closing residue pass is the only verification: R_i
-    over the gamma-free ratio in direction e_i must be a constant, which
-    becomes gamma_i.  It cancels the formula's factors, as written, against
-    R_i's by equal bases and refines only the remainder, so a
-    StructureError names a factor of that remainder.  A form that passes it
-    proves the generators compatible, since the ratios of one term satisfy
-    the cocycle identity; so compatibility is only consulted to name the
-    error when a residue is not constant."""
+    generator exactly.  The construction searches nothing: each factor is
+    routed to its family or orbit by one lookup of its canonical anchor, a
+    simple one by its direction and ``_anchor_family``, a non-simple one by
+    ``orbit_anchor``, whose offsets are exact and canonical.  Each family
+    and orbit gives normalized pieces, shifts of its anchor with signed
+    multiplicities, for C/D and for its direction's chain; the form keeps
+    them and displays their products.  The closing residue pass is the only
+    verification: R_i over the gamma-free ratio in direction e_i must be a
+    constant, which becomes gamma_i.  It cancels the formula's factors,
+    listed piece by piece, against R_i's by equal bases and refines only the
+    remainder, so a StructureError names a factor of that remainder.  A
+    form that passes it proves the generators compatible, since the ratios
+    of one term satisfy the cocycle identity; so compatibility is only
+    consulted to name the error when a residue is not constant."""
     if spec.zero_divisor_witness is not None:
         raise PreconditionError("zero-divisor specs have no reduced decomposition")
     k = spec.arity
@@ -395,34 +422,28 @@ def decompose(spec: TermSpec) -> OreSatoForm:
             data, offset = route
             data.add(i, offset, exp)
 
-    c_poly = MultiPoly.constant(k, 1)
-    d_poly = MultiPoly.constant(k, 1)
-    chain_parts: dict[Point, tuple[UniPoly, UniPoly]] = {}
+    # the pieces of C/D and of each chain's sides: shifts of normalized
+    # anchors, so normalized, also along a primitive direction
+    cd: list[tuple[MultiPoly, int]] = []
+    sides: dict[Point, list[tuple[UniPoly, int]]] = {}
 
     for (v, anchor), data in sorted(
         families.items(), key=lambda t: (t[0][0], t[0][1].coeffs)
     ):
         mu, nu = _solve_family(v, data)
-        num, den = chain_parts.get(v, (UniPoly.constant(1), UniPoly.constant(1)))
-        for s, mult in sorted(mu.items()):
-            num, den = _absorb(num, den, anchor.shift_arg(s), mult)
-        chain_parts[v] = (num, den)
-        for s, mult in sorted(nu.items()):
-            c_poly, d_poly = _absorb(c_poly, d_poly, anchor.shift_arg(s).as_multipoly(v), mult)
+        sides.setdefault(v, []).extend((anchor.shift_arg(s), m) for s, m in sorted(mu.items()))
+        cd.extend((anchor.shift_arg(s).as_multipoly(v), m) for s, m in sorted(nu.items()))
 
     for anchor, data in orbits.items():
         axis = next(i for i in range(k) if anchor.degree_in(i))
-        for w, mult in sorted(_solve_orbit(data, axis).items()):
-            c_poly, d_poly = _absorb(c_poly, d_poly, anchor.shift(w), mult)
+        cd.extend((anchor.shift(w), m) for w, m in sorted(_solve_orbit(data, axis).items()))
 
-    chains = tuple(
-        Chain(v, num, den)
-        for v, (num, den) in sorted(chain_parts.items())
-        if not (num.is_constant and den.is_constant)
-    )
-    form = OreSatoForm(
-        k, c_poly.normalized()[1], d_poly.normalized()[1], (1,) * k, chains
-    )
+    sides = {v: side for v, side in sorted(sides.items()) if side}
+    c_poly, d_poly = _expand(MultiPoly.constant(k, 1), cd)
+    chains = tuple(Chain(v, *_expand(UniPoly.constant(1), side)) for v, side in sides.items())
+    pieces = (tuple(cd), tuple(tuple(side) for side in sides.values()))
+    form = OreSatoForm(k, c_poly, d_poly, (1,) * k, chains)
+    set_field(form, "_pieces", pieces)
 
     gamma = []
     for i in range(k):
@@ -438,4 +459,6 @@ def decompose(spec: TermSpec) -> OreSatoForm:
         gamma.append(_coeff(ratios[i].scalar / scalar))
     if not gcd(form.c_poly, form.d_poly).is_constant:
         raise IntegrityError("decomposition produced non-coprime C and D")
-    return replace(form, gamma=tuple(gamma))
+    form = replace(form, gamma=tuple(gamma))
+    set_field(form, "_pieces", pieces)
+    return form

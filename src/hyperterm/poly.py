@@ -27,8 +27,7 @@ equal arguments share one entry.
 Shift equivalence is exact: ``orbit_anchor`` gives every polynomial the
 canonical anchor of its orbit under integer shifts, and its offset there,
 by linear algebra over Q and a Hermite normal form, with no search; two
-polynomials are shifts of each other exactly when their anchors are equal
-(``shift_between``).
+polynomials are shifts of each other exactly when their anchors are equal.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent tuple).  Normalization of a polynomial means
@@ -1213,16 +1212,3 @@ def orbit_anchor(p: MultiPoly) -> tuple[MultiPoly, Point]:
     Memoized by value, as ``MultiPoly.shift`` is."""
     anchor, offset, _ = _orbit(p)
     return anchor, offset
-
-
-def shift_between(p: MultiPoly, q: MultiPoly) -> Optional[Point]:
-    """An integer vector u with p(z + u) = q(z), or None: the difference of
-    the offsets of q and p when their orbit anchors are equal, canonical
-    modulo the translations that fix p."""
-    if p.arity != q.arity:
-        raise DimensionError("arity mismatch")
-    anchor, offset_p, lattice = _orbit(p)
-    other, offset_q, _ = _orbit(q)
-    if anchor != other:
-        return None
-    return _reduce([b - a for a, b in zip(offset_p, offset_q)], lattice)

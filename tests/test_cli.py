@@ -352,7 +352,7 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # specs and of `compare` over their workload windows, the stdout of `compare`
 # on specs/*.json over the grid2d workload's windows (keys
 # `specs_<stem>.compare_window`), the stdout of `decompose` on
-# tests/data/shift16.json, the stdout of `check` and
+# tests/data/shift16.json and tests/data/telescope.json, the stdout of `check` and
 # `decompose` on tests/data/incompatible.json, which both exit 1, and
 # golden/exit_status.json their exit statuses.  A change that
 # alters CLI output must regenerate them (`PYTHONPATH=src python
@@ -363,6 +363,10 @@ GOLDEN = REPO / "tests" / "golden"
 # C = p, D = p(z + (16, -16)) with p = (z1 + z2)^2 + z1: the two factors lie
 # 16 steps apart on the orbit of a degenerate top form (z1 + z2)^2
 SHIFT16 = REPO / "tests" / "data" / "shift16.json"
+# the spec of C = z1 + z2, D = z1^2 + z2^2 + 1, gamma = (3, -2) and the chains
+# (1, -1): t/(t + 3) and (2, 1): 1/(t + 3); the first telescopes, so decompose
+# folds (z1 - z2)(z1 - z2 + 1)(z1 - z2 + 2) into D
+TELESCOPE = REPO / "tests" / "data" / "telescope.json"
 # R_1 of specs/binomial.json times z2 + 1, which no second generator balances
 INCOMPATIBLE = REPO / "tests" / "data" / "incompatible.json"
 GOLDEN_COMMANDS = ["check", "decompose", "structure", "factorial", "pochhammer", "compare"]
@@ -417,6 +421,7 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
         path = str(REPO / "specs" / f"{stem}.json")
         results[f"specs_{stem}.compare_window"] = run_cli(["compare", path, "--window", window])
     results["shift16.decompose"] = run_cli(["decompose", str(SHIFT16)])
+    results["telescope.decompose"] = run_cli(["decompose", str(TELESCOPE)])
     for command in ("check", "decompose"):
         results[f"incompatible.{command}"] = run_cli([command, str(INCOMPATIBLE)])
     return results
@@ -431,10 +436,11 @@ def test_cli_output_matches_goldens(tmp_path):
         assert out.encode("utf-8") == (GOLDEN / f"{key}.out").read_bytes(), key
 
 
-def test_shift16_golden_form_round_trips():
-    # the golden form reproduces every generator of the spec it came from
-    spec = spec_from_json(json.loads(SHIFT16.read_text(encoding="utf-8")))
-    obj = json.loads((GOLDEN / "shift16.decompose.out").read_text(encoding="utf-8"))
+def _golden_form_round_trips(data: Path, key: str) -> None:
+    # the golden form, parsed from its printed fields, reproduces every
+    # generator of the spec it came from
+    spec = spec_from_json(json.loads(data.read_text(encoding="utf-8")))
+    obj = json.loads((GOLDEN / f"{key}.out").read_text(encoding="utf-8"))
     k = spec.arity
     form = OreSatoForm(
         k,
@@ -449,6 +455,16 @@ def test_shift16_golden_form_round_trips():
     for i, r in enumerate(spec.ratios()):
         e = tuple(int(j == i) for j in range(k))
         assert ratio_from_form(form, e).eq_rational(r)
+
+
+def test_shift16_golden_form_round_trips():
+    _golden_form_round_trips(SHIFT16, "shift16.decompose")
+
+
+def test_telescope_golden_form_round_trips():
+    # the parsed form keeps no pieces, so its ratios come from the
+    # multiplied-out D of degree 5
+    _golden_form_round_trips(TELESCOPE, "telescope.decompose")
 
 
 if __name__ == "__main__":

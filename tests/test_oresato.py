@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +19,7 @@ from hyperterm.oresato import (
     ratio_from_form,
 )
 from hyperterm.parsing import parse_multipoly, parse_unipoly
-from hyperterm.poly import UniPoly, coprime_base, gcd
+from hyperterm.poly import MultiPoly, UniPoly, coprime_base, gcd
 from hyperterm.termratio import (
     FactoredRational,
     TermSpec,
@@ -365,6 +365,92 @@ def test_mutated_form_is_not_equal():
                 )
             seen[name] = seen.get(name, 0) + 1
     assert seen["gamma"] >= 40 and seen["chain"] >= 15 and seen["C"] >= 10, seen
+
+
+def _displayed_pieces(form):
+    """The pieces a form reads from its displayed fields, one each."""
+    return (
+        ((form.c_poly, 1), (form.d_poly, -1)),
+        tuple(((c.num, 1), (c.den, -1)) for c in form.chains),
+    )
+
+
+def test_replaced_form_reads_its_displayed_fields():
+    # a mutant made by replace keeps none of decompose's pieces, so a
+    # mutated C is never checked against the pieces of the C it replaced
+    rng = random.Random(83)
+    specs = [binomial_spec(), odd_product_spec()]
+    specs += [spec_from_form(random_form(rng, rng.choice([1, 2, 3]))) for _ in range(40)]
+    seen = 0
+    for spec in specs:
+        form = decompose(spec)
+        for _, mutant, _ in _mutants(form):
+            assert mutant._pieces == _displayed_pieces(mutant)
+            seen += 1
+        assert replace(form)._pieces == _displayed_pieces(form)
+    assert seen >= 65, seen
+
+
+def _telescoping_forms():
+    """Forms whose chains telescope in part, so that decompose folds the
+    telescoped factors into C or D."""
+    return [
+        # seed-1 decompose_batch spec 97: (1, -1): t/(t + 3) becomes
+        # D = (z1 - z2)(z1 - z2 + 1)(z1 - z2 + 2)(z1^2 + z2^2 + 1)
+        OreSatoForm(
+            2,
+            P("z1 + z2", 2),
+            P("z1^2 + z2^2 + 1", 2),
+            (3, -2),
+            (Chain((1, -1), U("t"), U("t + 3")), Chain((2, 1), U("1"), U("t + 3"))),
+        ),
+        OreSatoForm(1, P("1", 1), P("1", 1), (2,), (Chain((1,), U("t"), U("t + 2")),)),
+        OreSatoForm(2, P("z1*z2 + 1", 2), P("1", 2), (1, 3), (Chain((1, 1), U("t + 3"), U("t")),)),
+        OreSatoForm(
+            3,
+            P("z1*z2 + z3", 3),
+            P("1", 3),
+            (1, 2, -2),
+            (Chain((1, 0, 1), U("2*t + 1"), U("2*t + 5")), Chain((0, 1, 0), U("t + 1"), U("1"))),
+        ),
+    ]
+
+
+def _multiplied_out(one, pieces):
+    num = den = one
+    for piece, mult in pieces:
+        for _ in range(abs(mult)):
+            if mult > 0:
+                num = num * piece
+            else:
+                den = den * piece
+    return num, den
+
+
+def test_form_pieces_multiply_back_to_the_fields():
+    rng = random.Random(89)
+    forms = [random_form(rng, rng.choice([1, 2, 3])) for _ in range(300)]
+    forms += _telescoping_forms()
+    several = 0
+    for form in (decompose(spec_from_form(f)) for f in forms):
+        k = form.arity
+        cd, sides = form._pieces
+        assert len(sides) == len(form.chains)
+        expected = [(cd, MultiPoly.constant(k, 1), (form.c_poly, form.d_poly))]
+        expected += [(side, UniPoly.constant(1), (c.num, c.den)) for side, c in zip(sides, form.chains)]
+        for pieces, one, sides_of_field in expected:
+            for piece, mult in pieces:
+                assert mult != 0 and not piece.is_constant, form
+                assert piece.normalized() == (1, piece), form
+            assert _multiplied_out(one, pieces) == sides_of_field, form
+        # C or D made of two pieces or more
+        several += any(sum(1 for _, m in cd if m * sign > 0) >= 2 for sign in (1, -1))
+        plain = OreSatoForm(*(getattr(form, f.name) for f in fields(form)))
+        assert plain == form and plain._pieces == _displayed_pieces(form)
+        directions = _units(k) + [tuple(range(1, k + 1)), tuple(-2 + 3 * (i % 2) for i in range(k))]
+        for w in directions:
+            assert ratio_from_form(form, w).eq_rational(ratio_from_form(plain, w)), (form, w)
+    assert several >= 10, several
 
 
 def test_gamma_with_normalization_scalars():

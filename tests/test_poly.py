@@ -20,7 +20,6 @@ from hyperterm.poly import (
     integer_roots,
     primitive_vector,
     rational_roots,
-    shift_between,
 )
 
 
@@ -787,22 +786,34 @@ def test_simple_zeros_lie_on_hyperplanes():
 
 
 # -- shift equivalence ------------------------------------------------------------
+#
+# p and q are shifts of each other exactly when their orbit anchors are equal,
+# and then the shift between them is the difference of their offsets; the
+# offset of the anchor shifted by t is t, canonical modulo the translations
+# that fix the anchor
+
+
+def _shift_between(p, q):
+    """u with p(z + u) = q(z) by ``orbit_anchor``, or None when the
+    anchors differ."""
+    (a, u), (b, v) = poly.orbit_anchor(p), poly.orbit_anchor(q)
+    return tuple(y - x for x, y in zip(u, v)) if a == b else None
 
 
 def test_shift_between_generic():
     p = P("z1*z2 + 1", 2)
     q = p.shift((3, -2))
-    assert shift_between(p, q) == (3, -2)
+    assert _shift_between(p, q) == (3, -2)
 
 
 def test_shift_between_degenerate_top():
     p = P("z1^2 + z2", 2)
     q = p.shift((1, 5))
-    assert shift_between(p, q) == (1, 5)
+    assert _shift_between(p, q) == (1, 5)
 
 
 def test_shift_between_none():
-    assert shift_between(P("z1*z2 + 1", 2), P("z1*z2 + z1", 2)) is None
+    assert _shift_between(P("z1*z2 + 1", 2), P("z1*z2 + z1", 2)) is None
 
 
 # degenerate top forms: the degree d - 1 coefficients leave a shift direction
@@ -839,21 +850,26 @@ def test_orbit_anchor_is_shift_invariant(text, k):
         assert anchor.shift(shifted) == q
 
 
+def _offset_of_shifted_anchor(text, k, t):
+    anchor, _ = poly.orbit_anchor(P(text, k))
+    other, offset = poly.orbit_anchor(anchor.shift(t))
+    assert other == anchor
+    return offset
+
+
 def test_shift_between_offsets_are_canonical():
     # a translation-invariant factor has one offset per shift, not a line
-    p = P("z2*z3 + 1", 3)
-    assert shift_between(p, p.shift((5, 1, 0))) == (0, 1, 0)
-    assert shift_between(p, p.shift((-16, 0, 1))) == (0, 0, 1)
-    p = P("(z1 + z2)*z3 + 1", 3)
-    assert shift_between(p, p.shift((3, -2, 4))) == (1, 0, 4)
-    assert shift_between(p, p.shift((-7, 7, 0))) == (0, 0, 0)
+    assert _offset_of_shifted_anchor("z2*z3 + 1", 3, (5, 1, 0)) == (0, 1, 0)
+    assert _offset_of_shifted_anchor("z2*z3 + 1", 3, (-16, 0, 1)) == (0, 0, 1)
+    assert _offset_of_shifted_anchor("(z1 + z2)*z3 + 1", 3, (3, -2, 4)) == (1, 0, 4)
+    assert _offset_of_shifted_anchor("(z1 + z2)*z3 + 1", 3, (-7, 7, 0)) == (0, 0, 0)
+    assert _offset_of_shifted_anchor("(2*z1 + 3*z2)*z3 + 1", 3, (7, -5, 0)) == (-2, 1, 0)
     p = P("(2*z1 + 3*z2)*z3 + 1", 3)
-    assert shift_between(p, p.shift((7, -5, 0))) == (-2, 1, 0)
     rng = random.Random(73)
     for _ in range(20):
-        a, b = (p.shift(tuple(rng.randint(-9, 9) for _ in range(3))) for _ in range(2))
-        u = shift_between(a, b)
-        assert u[1] in (0, 1) and a.shift(u) == b
+        q = p.shift(tuple(rng.randint(-9, 9) for _ in range(3)))
+        anchor, offset = poly.orbit_anchor(q)
+        assert offset[1] in (0, 1) and anchor.shift(offset) == q
 
 
 @pytest.mark.parametrize("text,k,t", [
@@ -866,7 +882,8 @@ def test_shift_between_offsets_are_canonical():
 def test_shift_between_far_along_degenerate_directions(text, k, t):
     # t is the canonical offset: the translations that fix the last form
     # move only the first two coordinates, and t[1] is 0
-    assert shift_between(P(text, k), P(text, k).shift(t)) == t
+    assert _offset_of_shifted_anchor(text, k, t) == t
+    assert _shift_between(P(text, k), P(text, k).shift(t)) == t
 
 
 def test_shift_between_matches_brute_force():
@@ -883,7 +900,7 @@ def test_shift_between_matches_brute_force():
         found = {
             u for u in itertools.product(range(-w, w + 1), repeat=k) if p.shift(u) == q
         }
-        u = shift_between(p, q)
+        u = _shift_between(p, q)
         if u is None:
             assert not found
         else:
