@@ -29,7 +29,7 @@ from .parsing import (
     parse_factored,
     parse_multipoly,
 )
-from .poly import _integer, coprime_base
+from .poly import _integer
 from .structure import FactorialForm, PiecewiseStructure, PochhammerForm
 from .termratio import FactoredRational, TermSpec
 
@@ -131,16 +131,18 @@ def spec_from_json(obj: dict) -> TermSpec:
         k, gens, exceptions=exceptions, seed=seed, zero_divisor_witness=witness
     )
     # quotients are stated on reduced pairs; unreduced input still works
-    # (reduction is applied on use) but is worth flagging.  On the joint
-    # coprime base of both sides, each side's factors one coprime run, a
-    # common factor is a base that carries a numerator and a denominator
-    # exponent.
-    for i, g in enumerate(spec.generators):
-        num = [(b, (e, 0)) for b, e in g.num.factors]
-        den = [(b, (0, e)) for b, e in g.den.factors]
-        if any(all(e) for _, e in coprime_base([num, den])):
+    # (reduction is applied on use) but is worth flagging.  Only a common
+    # factor of A_i and B_i cancels in R_i = A_i / B_i, so a generator is
+    # unreduced exactly when the spec's own quotient has a lower degree,
+    # sum |e| * deg over its factors, than the two sides together.
+    for i, (g, ratio) in enumerate(zip(spec.generators, spec.ratios())):
+        if _degree(ratio) < _degree(g.num) + _degree(g.den):
             log.warning("generator %d is not reduced; its quotient is reduced on use", i + 1)
     return spec
+
+
+def _degree(fr: FactoredRational) -> int:
+    return sum(abs(e) * b.total_degree() for b, e in fr.factors)
 
 
 # -- decomposition forms --------------------------------------------------------

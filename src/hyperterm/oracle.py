@@ -69,8 +69,9 @@ outside H.
 
 ``build_structure`` takes every piece's base value from one flood out of
 the seed over the seed and all base points (``propagate_targets``), aimed
-at the bounding box of the base points no wall cuts off.  A flood over a
-comparison window and the seed, aimed at the window, supplies the oracle
+at the bounding box of the base points no wall cuts off, and each walled
+piece's wall from the same call, which seeks the walls once.  A flood over
+a comparison window and the seed, aimed at the window, supplies the oracle
 for piecewise closed forms: ``grid_compare`` asks it only at the points
 where the closed form has a value.
 """
@@ -168,7 +169,7 @@ class _Flood:
     as (num_scale, num_factors, den_scale, den_factors).
     """
 
-    def __init__(self, spec: TermSpec, lo: Point, hi: Point, step_order=None, goal=None):
+    def __init__(self, spec: TermSpec, lo: Point, hi: Point, goal=None):
         self.spec = spec
         self.lo = lo
         self.hi = hi
@@ -195,7 +196,7 @@ class _Flood:
             for delta in (1, -1):
                 step = tuple(delta if j == i else 0 for j in range(k))
                 moves.append((step, (i, delta, delta * strides[i]) + self.sides[i][delta > 0]))
-        moves.sort(key=lambda m: m[0] if step_order is None else step_order(m[0]))
+        moves.sort(key=lambda m: m[0])
         self.moves = [move for _, move in moves]
         seed_point, seed_value = spec.seed
         seed_value = Fraction(seed_value)
@@ -344,13 +345,11 @@ def _box(spec: TermSpec, points: Sequence[Point], what: str = "point") -> tuple[
     return lo, hi
 
 
-def _box_flood(
-    spec: TermSpec, points: Sequence[Point], what: str = "point", goal=None, step_order=None
-) -> _Flood:
+def _box_flood(spec: TermSpec, points: Sequence[Point], what: str = "point", goal=None) -> _Flood:
     """The flood, not yet run, over ``_box(spec, points, what)``, which
     checks the seed and the arity of the points before any distance to the
     goal is computed."""
-    return _Flood(spec, *_box(spec, points, what), step_order=step_order, goal=goal)
+    return _Flood(spec, *_box(spec, points, what), goal=goal)
 
 
 def propagate(
@@ -429,35 +428,35 @@ def _wall_against(walls: Sequence[HalfSpace], z: Point) -> Optional[HalfSpace]:
 
 
 def propagate_targets(
-    spec: TermSpec, targets: Sequence[Point], walls: Optional[Sequence[HalfSpace]] = None
-) -> list[Optional[Fraction]]:
-    """Values of the term at each target, from one flood out of the seed
-    over the bounding box of the seed and all targets inflated by 2 (k+1),
-    the margin ``propagate`` uses; None at a target the flood does not
-    reach.  That box contains the box of every ``propagate(spec, spec.seed,
-    t)``, so each target it reaches gets the same value, and it may reach
-    a target those floods do not.  A spec without a seed raises
+    spec: TermSpec, targets: Sequence[Point]
+) -> tuple[list[Optional[Fraction]], list[Optional[HalfSpace]]]:
+    """Per target, its value and the first directional wall (``_walls``) it
+    lies behind, or None, from one flood out of the seed over the bounding
+    box of the seed and all targets inflated by 2 (k+1), the margin
+    ``propagate`` uses.  The value is None at a target the flood does not
+    reach.  That box contains the box of every ``propagate(spec,
+    spec.seed, t)``, so each target it reaches gets the same value, and it
+    may reach a target those floods do not.  A spec without a seed raises
     PreconditionError, then a target of another arity than the spec
     DimensionError, both before the walls are sought.
 
-    A target behind a wall (``_walls``, or ``walls`` when the caller has
-    them already) is answered None without asking the flood, since no
-    flood reaches it; the box still holds it, so every other target gets
-    the answer the flood of the whole box gives.  The flood is aimed at the
-    bounding box of the targets no wall cuts off; when every target is
-    walled, none is asked for and the flood keeps its default goal.  It
-    stops as soon as it finds the last of them, and runs its whole box only
-    when one of those is unreachable."""
+    A target behind a wall is answered None without asking the flood,
+    since no flood reaches it; the box still holds it, so every other
+    target gets the answer the flood of the whole box gives.  The flood is
+    aimed at the bounding box of the targets no wall cuts off; when every
+    target is walled, none is asked for and the flood keeps its default
+    goal.  It stops as soon as it finds the last of them, and runs its
+    whole box only when one of those is unreachable."""
     lo, hi = _box(spec, targets)
-    if walls is None:
-        walls = _walls(spec)
-    walled = [_wall_against(walls, t) is not None for t in targets]
-    open_targets = [t for t, w in zip(targets, walled) if not w]
+    every_wall = _walls(spec)
+    walls = [_wall_against(every_wall, t) for t in targets]
+    open_targets = [t for t, wall in zip(targets, walls) if wall is None]
     goal = None
     if open_targets:
         goal = tuple(map(min, zip(*open_targets))), tuple(map(max, zip(*open_targets)))
     flood = _Flood(spec, lo, hi, goal=goal)
-    return [None if w else flood.get(t) for t, w in zip(targets, walled)]
+    values = [None if wall is not None else flood.get(t) for t, wall in zip(targets, walls)]
+    return values, walls
 
 
 def propagate_window(spec: TermSpec, window: LatticeBox) -> dict[Point, Fraction]:

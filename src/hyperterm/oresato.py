@@ -34,14 +34,15 @@ cancels them against the generator's jointly refined factors by equal
 bases and refines only what does not cancel (``termratio._cancel``), and
 ``ratio_from_form`` refines the pieces, so neither has to find them again
 with gcds of the products.  A form made by the constructor or by
-``replace`` keeps no pieces and lists each displayed polynomial as one.
+``dataclasses.replace`` keeps no pieces and lists each displayed
+polynomial as one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -71,6 +72,7 @@ from .termratio import (
     FactoredRational,
     TermSpec,
     _cancel,
+    _expand,
     _refine,
     _unit,
     check_compatibility,
@@ -141,7 +143,8 @@ class OreSatoForm(Frozen):
         chain's sides likewise, in the order of ``chains``.  By default each
         displayed polynomial is one piece; ``decompose`` keeps the
         normalized pieces it multiplied C, D and the chain sides out of, and
-        a form made by the constructor or by ``replace`` has none."""
+        a form made by the constructor or by ``dataclasses.replace`` has
+        none."""
         return (
             ((self.c_poly, 1), (self.d_poly, -1)),
             tuple(((c.num, 1), (c.den, -1)) for c in self.chains),
@@ -150,27 +153,32 @@ class OreSatoForm(Frozen):
 
 def ratio_from_form(form: OreSatoForm, w: Sequence[int]) -> FactoredRational:
     """Evaluate the decomposition's displayed formula symbolically: the
-    reduced term ratio in direction w."""
-    scalar, factors = _form_factors(form, w)
+    reduced term ratio in direction w, from the form's own pieces."""
+    scalar, factors = _form_factors(form.arity, form.gamma, form.chains, form._pieces, w)
     if scalar == 0:
         raise PreconditionError("rational function scalar must be nonzero")
     return FactoredRational(form.arity, _coeff(scalar), _refine([pair] for pair in factors))
 
 
 def _form_factors(
-    form: OreSatoForm, w: Sequence[int]
+    k: int,
+    gamma: Sequence[Coeff],
+    chains: Sequence[Chain],
+    pieces: tuple[Pieces, tuple[UniPieces, ...]],
+    w: Sequence[int],
 ) -> tuple[Fraction, list[tuple[MultiPoly, int]]]:
-    """The factors of the displayed formula in direction w, listed piece by
-    piece from the form's pieces, each normalized once and none refined,
-    and the scalar they leave: gamma^w times the constant chain pieces and
-    the normalization scalars.  A piece p of C or D with multiplicity m
-    gives p(z + w)^m / p(z)^m."""
-    k = form.arity
+    """The factors of the formula of arity k with the given gamma, chains
+    and pieces (as ``OreSatoForm._pieces``, the chains' sides in the order
+    of ``chains``) in direction w, listed piece by piece, each normalized
+    once and none refined, and the scalar they leave: gamma^w times the
+    constant chain pieces and the normalization scalars.  A piece p of C or
+    D with multiplicity m gives p(z + w)^m / p(z)^m.  No form is needed, so
+    ``decompose`` checks its pieces before it builds one."""
     if len(w) != k:
         raise DimensionError("direction arity mismatch")
     w = _integer_point(w)
     scalar = Fraction(1)
-    for g, wi in zip(form.gamma, w):
+    for g, wi in zip(gamma, w):
         scalar *= Fraction(g) ** wi
     factors: list[tuple[MultiPoly, int]] = []
 
@@ -181,12 +189,12 @@ def _form_factors(
             scalar *= Fraction(s) ** exp
         factors.append((prim, exp))
 
-    cd, sides = form._pieces
+    cd, sides = pieces
     for piece, mult in cd:
         if not piece.is_constant:
             put(piece.shift(w), mult)
             put(piece, -mult)
-    for chain, side in zip(form.chains, sides):
+    for chain, side in zip(chains, sides):
         n = sum(a * b for a, b in zip(chain.direction, w))
         if n == 0:
             continue
@@ -365,20 +373,6 @@ def _solve_orbit(data: _Exponents, axis: int) -> dict[Point, int]:
     return m
 
 
-def _expand(one, pieces):
-    """(num, den): the product of the pieces of positive multiplicity and
-    that of the others, each raised to its |multiplicity|, for univariate
-    chain sides or the C/D pair alike."""
-    num = den = one
-    for piece, mult in pieces:
-        for _ in range(abs(mult)):
-            if mult > 0:
-                num = num * piece
-            else:
-                den = den * piece
-    return num, den
-
-
 def decompose(spec: TermSpec) -> OreSatoForm:
     """Compute an Ore-Sato form whose displayed formula reproduces every
     generator exactly.  The construction searches nothing: each factor is
@@ -389,7 +383,9 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     multiplicities, for C/D and for its direction's chain; the form keeps
     them and displays their products.  The closing residue pass is the only
     verification: R_i over the gamma-free ratio in direction e_i must be a
-    constant, which becomes gamma_i.  It cancels the formula's factors,
+    constant, which becomes gamma_i.  It reads the pieces and the chains
+    before any form exists (``_form_factors``), so the form is built once,
+    with its gamma, when the pass succeeds.  It cancels the formula's factors,
     listed piece by piece, against R_i's by equal bases and refines only the
     remainder, so a StructureError names a factor of that remainder.  A
     form that passes it proves the generators compatible, since the ratios
@@ -442,12 +438,10 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     c_poly, d_poly = _expand(MultiPoly.constant(k, 1), cd)
     chains = tuple(Chain(v, *_expand(UniPoly.constant(1), side)) for v, side in sides.items())
     pieces = (tuple(cd), tuple(tuple(side) for side in sides.values()))
-    form = OreSatoForm(k, c_poly, d_poly, (1,) * k, chains)
-    set_field(form, "_pieces", pieces)
 
     gamma = []
     for i in range(k):
-        scalar, factors = _form_factors(form, _unit(k, i))
+        scalar, factors = _form_factors(k, (1,) * k, chains, pieces, _unit(k, i))
         rest = _cancel((ratios[i].factors, ((b, -e) for b, e in factors)))
         if rest:
             if not check_compatibility(spec):
@@ -457,8 +451,8 @@ def decompose(spec: TermSpec) -> OreSatoForm:
                 factor=rest[0][0],
             )
         gamma.append(_coeff(ratios[i].scalar / scalar))
-    if not gcd(form.c_poly, form.d_poly).is_constant:
+    if not gcd(c_poly, d_poly).is_constant:
         raise IntegrityError("decomposition produced non-coprime C and D")
-    form = replace(form, gamma=tuple(gamma))
+    form = OreSatoForm(k, c_poly, d_poly, tuple(gamma), chains)
     set_field(form, "_pieces", pieces)
     return form

@@ -12,10 +12,11 @@ base value f(z0) obtained by recurrence propagation from the user seed.
 All base values come from one flood out of the seed over the seed and
 every base point (``oracle.propagate_targets``); a piece has an unknown
 base value exactly when that flood does not reach z0.  A base point behind
-a directional wall is not asked for: the piece keeps the wall as the proof
-that no flood reaches it.  The flood is aimed at the bounding box of the
-base points not walled off, stops as soon as it finds the last of them,
-and runs its whole box only when one of those is not reached.
+a directional wall is not asked for, and ``propagate_targets`` returns
+that wall with the values: the piece keeps it as the proof that no flood
+reaches it.  The flood is aimed at the bounding box of the base points not
+walled off, stops as soon as it finds the last of them, and runs its whole
+box only when one of those is not reached.
 The hyperplanes are chosen so that every chain factor touched by a
 generalized product inside a piece is nonzero; a zero there indicates a
 construction bug and raises IntegrityError.
@@ -79,7 +80,7 @@ from .geometry import (
     is_measure_zero,
     region_rows,
 )
-from .oracle import _wall_against, _walls, propagate_targets
+from .oracle import propagate_targets
 from .oresato import Chain, OreSatoForm, decompose
 from .poly import (
     Coeff,
@@ -193,11 +194,11 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     for each piece, so a piece that call reaches gets the same value here,
     and a piece can only go from unknown to known.  Pieces the flood does
     not reach by nonzero-quotient propagation are kept with an unknown
-    base value rather than a guessed one.  A base point outside a
-    directional wall (``oracle._walls``, computed once for the flood and
-    the pieces) is never asked for, since no flood crosses the wall; the
-    piece keeps the wall.  A piece with an unknown value and no wall was
-    not reached within the flood's box.
+    base value rather than a guessed one.  ``propagate_targets`` returns
+    the walls with the values: a base point outside a directional wall is
+    never asked for, since no flood crosses the wall, and its piece keeps
+    the wall.  A piece with an unknown value and no wall was not reached
+    within the flood's box.
     """
     k = spec.arity
     if spec.zero_divisor_witness is not None:
@@ -227,13 +228,10 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
         assert z0 is not None
         found.append((shrunk, z0))
 
-    walls = _walls(spec)
-    base_values = propagate_targets(spec, [z0 for _, z0 in found], walls)
+    base_values, walls = propagate_targets(spec, [z0 for _, z0 in found])
     pieces: list[Piece] = []
-    for (shrunk, z0), base_value in zip(found, base_values):
-        wall = None
+    for (shrunk, z0), base_value, wall in zip(found, base_values, walls):
         if base_value is None:
-            wall = _wall_against(walls, z0)
             if wall is None:
                 log.info("piece at %s is not reached within the flood's box", z0)
             else:

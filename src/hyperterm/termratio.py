@@ -114,10 +114,6 @@ class FactoredRational(Frozen):
         return FactoredRational.make(p.arity, 1, [(p, 1)])
 
     @property
-    def is_one(self) -> bool:
-        return self.scalar == 1 and not self.factors
-
-    @property
     def is_constant(self) -> bool:
         return not self.factors
 
@@ -153,18 +149,12 @@ class FactoredRational(Frozen):
         return num, den
 
     def numerator(self) -> MultiPoly:
-        num = MultiPoly.constant(self.arity, self.scalar)
-        for base, exp in self.factors:
-            if exp > 0:
-                num = num * base**exp
-        return num
+        positive = [(b, e) for b, e in self.factors if e > 0]
+        return _expand(MultiPoly.constant(self.arity, self.scalar), positive)[0]
 
     def denominator(self) -> MultiPoly:
-        den = MultiPoly.constant(self.arity, 1)
-        for base, exp in self.factors:
-            if exp < 0:
-                den = den * base ** (-exp)
-        return den
+        negative = [(b, e) for b, e in self.factors if e < 0]
+        return _expand(MultiPoly.constant(self.arity, 1), negative)[1]
 
     def eq_rational(self, other: "FactoredRational") -> bool:
         """Equality as rational functions at any factor granularity.  The
@@ -200,6 +190,20 @@ class FactoredRational(Frozen):
         if den.is_constant and den.constant_value() == 1:
             return format_multipoly(num)
         return f"({format_multipoly(num)}) / ({format_multipoly(den)})"
+
+
+def _expand(one, factors):
+    """(num, den): the product of the factors of positive exponent and that
+    of the others, each raised to its |exponent|, both starting from
+    ``one``; for multivariate or univariate polynomials alike."""
+    num = den = one
+    for base, exp in factors:
+        for _ in range(abs(exp)):
+            if exp > 0:
+                num = num * base
+            else:
+                den = den * base
+    return num, den
 
 
 def _refine(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[MultiPoly, int], ...]:

@@ -37,11 +37,19 @@ def test_spec_round_trip():
 
 
 def test_spec_loader_flags_unreduced_generators(caplog):
-    spec = {"k": 1, "generators": [{"num": "z1^2 + z1", "den": "z1 * (z1 + 2)"}]}
+    # a linear common factor, and a nonlinear one hidden in an expanded side:
+    # z1^3 + z1 = z1 * (z1^2 + 1)
+    for num, den in [("z1^2 + z1", "z1 * (z1 + 2)"), ("z1^3 + z1", "z1^2 + 1")]:
+        spec = {"k": 1, "generators": [{"num": num, "den": den}]}
+        with caplog.at_level("WARNING", logger="hyperterm.jsonio"):
+            spec_from_json(spec)
+        assert "generator 1 is not reduced" in caplog.text, (num, den)
+        caplog.clear()
+    # a reduced spec whose sides repeat a base: nothing cancels
+    reduced = {"k": 1, "generators": [{"num": "(z1 + 1)^2 * (z1 + 1)", "den": "(z1 + 2) * (z1 + 2)"}]}
     with caplog.at_level("WARNING", logger="hyperterm.jsonio"):
-        spec_from_json(spec)
-    assert "generator 1 is not reduced" in caplog.text
-    caplog.clear()
+        spec_from_json(reduced)
+    assert "not reduced" not in caplog.text
     paths = sorted(REPO.glob("specs/*.json")) + sorted(REPO.glob("perfbench/specs/*.json"))
     assert paths
     with caplog.at_level("WARNING", logger="hyperterm.jsonio"):

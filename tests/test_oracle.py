@@ -27,6 +27,7 @@ from hyperterm.oracle import (
     _box_flood,
     _integer_side,
     _side_numerator,
+    _wall_against,
     _walls,
     _window_flood,
     grid_compare,
@@ -148,17 +149,23 @@ def test_propagation_agrees_with_symbolic_ratio():
 
 
 def test_path_independence_random_tie_breaking():
+    """Aimed at a random goal box, the flood expands its points in another
+    order and reaches a target by another path, with the same value."""
     rng = random.Random(67)
     spec = binomial_spec()
+    other_paths = 0
     for _ in range(25):
         target = (rng.randint(-2, 8), rng.randint(-2, 8))
         baseline = propagate(spec, spec.seed, target)
-        shuffled = _box_flood(
-            spec, [target], step_order=lambda s, r=rng.random(): (hash((s, r)) % 97)
-        ).get(target)
-        assert baseline.ok == (shuffled is not None)
+        corners = [(rng.randint(-8, 14), rng.randint(-8, 14)) for _ in range(2)]
+        goal = tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners)))
+        aimed = _box_flood(spec, [target], goal=goal)
+        value = aimed.get(target)
+        assert baseline.ok == (value is not None)
         if baseline.ok:
-            assert baseline.value == shuffled
+            assert baseline.value == value
+            other_paths += aimed.certificate(target) != baseline.path
+    assert other_paths >= 5
 
 
 def test_propagate_window_matches_pointwise():
@@ -384,9 +391,9 @@ def test_propagate_targets_matches_propagate():
         targets = [tuple(x + rng.randint(-5, 5) for x in seed_point) for _ in range(8)]
         singles = [propagate(spec, spec.seed, t).value for t in targets]
         # one target floods the window propagate floods
-        assert [propagate_targets(spec, [t])[0] for t in targets] == singles
+        assert [propagate_targets(spec, [t])[0][0] for t in targets] == singles
         # all targets share one wider window, which can only add values
-        for value, single in zip(propagate_targets(spec, targets), singles):
+        for value, single in zip(propagate_targets(spec, targets)[0], singles):
             assert single is None or value == single
 
 
@@ -394,7 +401,8 @@ def test_propagate_targets_matches_an_unaimed_flood():
     """The build's flood, aimed at the targets no wall cuts off, answers
     every target as the breadth-first flood of the same box does, value for
     value and None for None: at the seed, at a repeated target, at a target
-    behind a wall and at one the box does not reach."""
+    behind a wall and at one the box does not reach.  Each target comes back
+    with the first wall it lies behind, and every walled target with None."""
     rng = random.Random(127)
     specs = random_extended_specs(rng, 10) + list(bundled_specs().values())
     specs.append(repository_spec("perfbench/specs/wedge3d.json"))
@@ -408,11 +416,12 @@ def test_propagate_targets_matches_an_unaimed_flood():
         rng.shuffle(targets)
         unaimed = _box_flood(spec, targets)
         expected = [unaimed.get(t) for t in targets]
-        assert propagate_targets(spec, targets) == expected
-        walls = _walls(spec)
-        for t, value in zip(targets, expected):
-            if any(not h.contains(t) for h in walls):
-                assert value is None
+        values, walls = propagate_targets(spec, targets)
+        assert values == expected
+        assert walls == [_wall_against(_walls(spec), t) for t in targets]
+        for t, value, wall in zip(targets, values, walls):
+            if wall is not None:
+                assert value is None and not wall.contains(t)
                 counts["walled"] += 1
             else:
                 counts["reached" if value is not None else "unreached"] += 1
@@ -423,7 +432,8 @@ def test_propagate_targets_asks_nothing_when_every_target_is_walled(monkeypatch)
     # the wall z1 >= -2 of odd_product_spec with the exception z1 = -3
     spec = replace(odd_product_spec(), exceptions=MeasureZeroSet.make([Hyperplane.make((1,), -3)]))
     floods = captured_floods(monkeypatch)
-    assert propagate_targets(spec, [(-6,), (-4,), (-6,)]) == [None, None, None]
+    wall = HalfSpace.make((1,), -3)
+    assert propagate_targets(spec, [(-6,), (-4,), (-6,)]) == ([None] * 3, [wall] * 3)
     (flood,) = floods
     assert (flood.glo, flood.ghi) == (flood.lo, flood.hi)
     assert list(flood.values) == [spec.seed[0]]
@@ -895,7 +905,10 @@ def test_wall_of_an_exception_plane():
     # a seed behind the plane is walled in from the other side
     spec = spec.with_seed((-5,), 1)
     assert _walls(spec) == (HalfSpace.make((-1,), 2),)
-    assert propagate_targets(spec, [(-3,), (-4,), (-6,), (-2,)]) == [63, -9, Fraction(-1, 11), None]
+    assert propagate_targets(spec, [(-3,), (-4,), (-6,), (-2,)]) == (
+        [63, -9, Fraction(-1, 11), None],
+        [None, None, None, HalfSpace.make((-1,), 2)],
+    )
 
 
 def test_walls_are_sound_on_random_specs():

@@ -485,7 +485,7 @@ def test_gamma_with_normalization_scalars():
 
 def test_ratio_from_form_zero_direction():
     form = decompose(binomial_spec())
-    assert ratio_from_form(form, (0, 0)).is_one
+    assert ratio_from_form(form, (0, 0)) == FactoredRational.one(2)
 
 
 def test_ratio_from_form_direction_follows_the_integer_rule():
