@@ -412,6 +412,12 @@ def region_sample(r: PolyhedralRegion) -> Optional[Point]:
 # ---------------------------------------------------------------------------
 
 
+def _slack(v: Point) -> int:
+    """s = sum(max(0, -v_i)), the most v . o falls below 0 for o in [0, 1]^k:
+    the one slack of ``erode``, ``is_measure_zero`` and ``find_box``."""
+    return sum(max(0, -x) for x in v)
+
+
 def erode(r: PolyhedralRegion, n: int) -> tuple[PolyhedralRegion, MeasureZeroSet]:
     """Shrink r so every remaining point carries a box of size n inside r.
 
@@ -430,7 +436,7 @@ def erode(r: PolyhedralRegion, n: int) -> tuple[PolyhedralRegion, MeasureZeroSet
     new_hs = []
     cover: list[Hyperplane] = []
     for h in r.halfspaces:
-        shift = n * sum(max(0, -x) for x in h.v)
+        shift = n * _slack(h.v)
         new_hs.append(HalfSpace.make(h.v, h.n + shift))
         for c in range(h.n + 1, h.n + shift + 1):
             cover.append(Hyperplane.make(h.v, c))
@@ -459,8 +465,7 @@ def is_measure_zero(r: PolyhedralRegion) -> tuple[bool, Optional[MeasureZeroSet]
         return True, MeasureZeroSet.empty()
     rows: list[Row] = []
     for h in r.halfspaces:
-        s = sum(max(0, -x) for x in h.v)
-        rows.append((h.v + (-s,), h.n + 1))
+        rows.append((h.v + (-_slack(h.v),), h.n + 1))
     sup_t = fm_sup(rows, r.arity + 1, (0,) * r.arity + (1,))
     if sup_t is None:
         return False, None
@@ -491,8 +496,7 @@ def find_box(r: PolyhedralRegion, size: int) -> Optional[LatticeBox]:
     every point of the box lies in the region."""
     rows: list[Row] = []
     for h in r.halfspaces:
-        s = sum(max(0, -x) for x in h.v)
-        rows.append((h.v, h.n + 1 + (size + 1) * s))
+        rows.append((h.v, h.n + 1 + (size + 1) * _slack(h.v)))
     x = fm_sample(rows, r.arity)
     if x is None:
         return None

@@ -179,13 +179,20 @@ def structure_to_json(ps: PiecewiseStructure) -> dict:
     }
 
 
+def _form_to_json(form: FactorialForm | PochhammerForm) -> dict:
+    """The keys a factorial and a Pochhammer form share."""
+    return {
+        "region": region_to_json(form.region),
+        "gamma": [fraction_to_json(g) for g in form.gamma],
+        "scalar": fraction_to_json(form.scalar),
+        "C": format_multipoly(form.c_poly),
+        "D": format_multipoly(form.d_poly),
+    }
+
+
 def factorial_to_json(ff: FactorialForm) -> dict:
     return {
-        "region": region_to_json(ff.region),
-        "gamma": [fraction_to_json(g) for g in ff.gamma],
-        "scalar": fraction_to_json(ff.scalar),
-        "C": format_multipoly(ff.c_poly),
-        "D": format_multipoly(ff.d_poly),
+        **_form_to_json(ff),
         "chains": [
             {
                 "v": list(c.direction),
@@ -206,11 +213,7 @@ def pochhammer_to_json(pf: PochhammerForm) -> dict:
         ]
 
     return {
-        "region": region_to_json(pf.region),
-        "gamma": [fraction_to_json(g) for g in pf.gamma],
-        "scalar": fraction_to_json(pf.scalar),
-        "C": format_multipoly(pf.c_poly),
-        "D": format_multipoly(pf.d_poly),
+        **_form_to_json(pf),
         "numerator": entries(pf.numerator),
         "denominator": entries(pf.denominator),
     }

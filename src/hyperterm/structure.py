@@ -45,8 +45,10 @@ index v.z, rather than a product rebuilt from the base point.
 ``split_factorial`` intersects each piece with the sign conditions of
 v.(z - z0) and rewrites the generalized products as plain products
 prod_{j=1}^{w.z + n} with nonnegative upper limits (the value 0 denotes
-the empty product).  ``to_pochhammer`` further rewrites each chain whose
-polynomials split over the rationals into rising factorials.
+the empty product), each chain's two sides rewritten once per piece and
+shared by its sign cells.  ``to_pochhammer`` further rewrites each chain
+whose polynomials split over the rationals into rising factorials,
+factoring each chain once.
 """
 
 from __future__ import annotations
@@ -184,9 +186,10 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     substitution t -> t + d in its system, so it cannot change the answer
     and the eroded cell is not tested again.  For d >= 1 the hull lemma
     (``geometry.hull_points``) joins any two points of a piece by unit
-    steps inside the cell and no connectivity check is made.  At d = 0 a thin cell may hold lattice points that no unit
-    step inside it reaches; that case is not proven here, and
-    ``grid_compare`` checks it against the oracle.
+    steps inside the cell and no connectivity check is made.  At d = 0 a
+    thin cell may hold lattice points that no unit step inside it reaches;
+    that case is not proven here, and ``grid_compare`` checks it against
+    the oracle.
 
     Base values come from a single flood out of the seed over the
     bounding box of the seed and all base points, inflated by 2 (k+1).
@@ -508,7 +511,8 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
 
 @dataclass(init=False, repr=False, eq=False)
 class FactorialChain(Frozen):
-    """A chain as plain products of num(j) / den(j) over a range of j."""
+    """A chain as plain products of num(j) / den(j) over a range of j; the
+    forms that share it share its factoring (``_pochhammer``)."""
 
     direction: Point
     num: UniPoly
@@ -520,6 +524,25 @@ class FactorialChain(Frozen):
         set_field(self, "num", num)
         set_field(self, "den", den)
         set_field(self, "offset", offset)
+
+    @functools.cached_property
+    def _pochhammer(self) -> tuple[tuple[tuple[PochhammerEntry, ...], Fraction], ...]:
+        """(symbols, alpha) of num, then of den, for ``to_pochhammer``: a
+        symbol per root, and the leading coefficient as a Fraction so that
+        its negative powers stay exact.  Built on first use and kept."""
+        sides = []
+        for poly in (self.num, self.den):
+            if poly.is_zero:
+                raise IntegrityError("zero chain polynomial in a factorial form")
+            roots, cofactor = rational_roots(poly)
+            if cofactor.degree() >= 1:
+                raise SplittingError(
+                    f"chain factor {cofactor} does not split over the rationals",
+                    factor=cofactor,
+                )
+            symbols = tuple(PochhammerEntry(1 - rho, self.direction, self.offset) for rho in roots)
+            sides.append((symbols, Fraction(cofactor.coeffs[0])))
+        return tuple(sides)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -551,7 +574,9 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
     arguments shifted by v.z0 - 1; on the negative side it becomes the
     reciprocal chain reflected through v.z0, running to v.z0 - v.z.  The
     upper limits are >= 0 on their subregions by construction, with 0
-    denoting the empty product.
+    denoting the empty product.  Both sides of each chain are built once
+    per piece; a subregion takes one side of every chain, nonnegative side
+    first, and is kept when Fourier-Motzkin elimination finds it feasible.
     """
     out: list[FactorialForm] = []
     form = ps.form
@@ -565,51 +590,24 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
         scalar *= form.d_poly.evaluate(z0) / form.c_poly.evaluate(z0)
         for g, z0i in zip(form.gamma, z0):
             scalar *= Fraction(g) ** (-z0i)
-        # the level v.z0 of each chain
-        levels = [sum(a * b for a, b in zip(c.direction, z0)) for c in form.chains]
-        for signs in itertools.product((1, -1), repeat=len(levels)):
-            halves = []
-            for chain, level, sign in zip(form.chains, levels, signs):
-                v = chain.direction
-                if sign > 0:
-                    halves.append(HalfSpace.make(v, level - 1))  # v.z >= v.z0
-                else:
-                    halves.append(
-                        HalfSpace.make(tuple(-x for x in v), -level)
-                    )  # v.z < v.z0
-            region = piece.region.intersect(*halves)
-            if not fm_feasible(region_rows(region), k):
-                continue
-            chains = []
-            for chain, level, sign in zip(form.chains, levels, signs):
-                if sign > 0:
-                    chains.append(
-                        FactorialChain(
-                            chain.direction,
-                            chain.num.shift_arg(level - 1),
-                            chain.den.shift_arg(level - 1),
-                            -level,
-                        )
-                    )
-                else:
-                    chains.append(
-                        FactorialChain(
-                            tuple(-x for x in chain.direction),
-                            chain.den.reflect(level),
-                            chain.num.reflect(level),
-                            level,
-                        )
-                    )
-            out.append(
-                FactorialForm(
-                    region,
-                    form.gamma,
-                    _coeff(scalar),
-                    form.c_poly,
-                    form.d_poly,
-                    tuple(chains),
-                )
+        scalar = _coeff(scalar)
+        sides = []  # per chain: (half-space, chain) for v.z >= v.z0, then for v.z < v.z0
+        for chain in form.chains:
+            v, num, den = chain.direction, chain.num, chain.den
+            minus = tuple(-x for x in v)
+            level = sum(a * b for a, b in zip(v, z0))  # v.z0
+            nonneg = FactorialChain(v, num.shift_arg(level - 1), den.shift_arg(level - 1), -level)
+            neg = FactorialChain(minus, den.reflect(level), num.reflect(level), level)
+            sides.append(
+                ((HalfSpace.make(v, level - 1), nonneg), (HalfSpace.make(minus, -level), neg))
             )
+        for cell in itertools.product(*sides):
+            region = piece.region.intersect(*(half for half, _ in cell))
+            if fm_feasible(region_rows(region), k):
+                chains = tuple(chain for _, chain in cell)
+                out.append(
+                    FactorialForm(region, form.gamma, scalar, form.c_poly, form.d_poly, chains)
+                )
     return out
 
 
@@ -709,36 +707,21 @@ def to_pochhammer(ff: FactorialForm) -> PochhammerForm:
     symbol (1 - rho) rising (w.z + n) times; the leading coefficient alpha
     contributes alpha^w to the per-axis scalars and alpha^n to the global
     one.  A chain polynomial with an irreducible nonlinear factor over the
-    rationals does not rewrite and raises SplittingError.  Scalars and
-    symbols follow the coefficient rule of ``poly``: an int when integral,
-    else a Fraction.
+    rationals does not rewrite and raises SplittingError, a zero one
+    IntegrityError, num before den.  Each chain factors its sides once
+    (``FactorialChain._pochhammer``); this assembles the symbols and the
+    powers of alpha.  Scalars and symbols follow the coefficient rule of
+    ``poly``: an int when integral, else a Fraction.
     """
     gamma = list(ff.gamma)
     scalar = ff.scalar
     numerator: list[PochhammerEntry] = []
     denominator: list[PochhammerEntry] = []
     for chain in ff.chains:
-        for poly, target, inverted in (
-            (chain.num, numerator, False),
-            (chain.den, denominator, True),
+        for (symbols, alpha), target, exponent in zip(
+            chain._pochhammer, (numerator, denominator), (1, -1)
         ):
-            if poly.is_constant:
-                alpha = poly.coeffs[0] if poly.coeffs else 0
-            else:
-                roots, cofactor = rational_roots(poly)
-                if cofactor.degree() >= 1:
-                    raise SplittingError(
-                        f"chain factor {cofactor} does not split over the rationals",
-                        factor=cofactor,
-                    )
-                alpha = cofactor.coeffs[0]
-                for rho in roots:
-                    target.append(PochhammerEntry(1 - rho, chain.direction, chain.offset))
-            if alpha == 0:
-                raise IntegrityError("zero chain polynomial in a factorial form")
-            # a Fraction, so that a negative power of an int alpha stays exact
-            alpha = Fraction(alpha)
-            exponent = -1 if inverted else 1
+            target.extend(symbols)
             for i, w in enumerate(chain.direction):
                 gamma[i] *= alpha ** (exponent * w)
             scalar *= alpha ** (exponent * chain.offset)

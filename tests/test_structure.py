@@ -973,24 +973,73 @@ def test_factorial_matches_closed_form(odd_structure, binomial_structure):
 
 
 def test_factorial_upper_limits_nonnegative(odd_structure, binomial_structure):
-    rng = random.Random(71)
+    # every point of [-9, 9]^k in a form's region, and each form holds one
     for ps in [odd_structure, binomial_structure]:
-        forms = split_factorial(ps)
-        for ff in forms:
-            from hyperterm.geometry import region_sample
-
-            pts = [region_sample(ff.region)]
-            k = ff.region.arity
-            for _ in range(100):
-                z = tuple(rng.randint(-9, 9) for _ in range(k))
-                if ff.region.contains(z):
-                    pts.append(z)
+        k = ps.form.arity
+        for ff in split_factorial(ps):
+            pts = [z for z in itertools.product(range(-9, 10), repeat=k) if ff.region.contains(z)]
+            assert pts, ff.region
             for z in pts:
-                if z is None:
-                    continue
                 for chain in ff.chains:
                     upper = sum(a * b for a, b in zip(chain.direction, z)) + chain.offset
                     assert upper >= 0
+
+
+def test_factorial_cells_partition_each_reached_piece():
+    # on a window, a point of a reached piece lies in exactly one factorial
+    # region, and a region holds no point outside a reached piece
+    from conftest import random_form, spec_from_form
+
+    root = Path(__file__).resolve().parent.parent
+    specs = [spec_from_json(json.loads((root / "specs" / "binomial.json").read_text(encoding="utf-8")))]
+    rng = random.Random(97)
+    for k in (1, 2, 3) * 8:
+        specs.append(spec_from_form(random_form(rng, k), seed=((0,) * k, Fraction(1))))
+    counted = 0
+    for spec in specs:
+        ps = build_structure(spec)
+        reached = [p.region for p in ps.pieces if p.base_value is not None]
+        regions = [ff.region for ff in split_factorial(ps)]
+        k = spec.arity
+        for z in LatticeBox((-5,) * k, 10).points():
+            hits = sum(1 for r in regions if r.contains(z))
+            if any(r.contains(z) for r in reached):
+                assert hits == 1, (spec, z)
+                counted += 1
+            else:
+                assert hits == 0, (spec, z)
+    assert counted > 1000
+
+
+def test_factorial_chain_sides_rewritten_and_factored_once_per_piece(monkeypatch):
+    # each piece builds the two sides of each chain once (two shift_arg or
+    # reflect calls per side), and to_pochhammer factors each side's num and
+    # den once, however many sign cells of the piece share them
+    from hyperterm import structure
+
+    root = Path(__file__).resolve().parent.parent
+    spec = spec_from_json(json.loads((root / "specs" / "binomial.json").read_text(encoding="utf-8")))
+    ps = build_structure(spec)
+    reached = sum(1 for p in ps.pieces if p.base_value is not None)
+    calls = {"shift_arg": 0, "rational_roots": 0}
+    shift_arg, rational_roots = UniPoly.shift_arg, structure.rational_roots
+
+    def counted_shift_arg(self, c):
+        calls["shift_arg"] += 1
+        return shift_arg(self, c)
+
+    def counted_rational_roots(p):
+        calls["rational_roots"] += 1
+        return rational_roots(p)
+
+    monkeypatch.setattr(UniPoly, "shift_arg", counted_shift_arg)
+    monkeypatch.setattr(structure, "rational_roots", counted_rational_roots)
+    forms = [to_pochhammer(ff) for ff in split_factorial(ps)]
+    bound = 4 * len(ps.form.chains) * reached
+    assert len(forms) > reached  # pieces are cut into several cells
+    assert bound == 36
+    assert 0 < calls["shift_arg"] <= bound
+    assert 0 < calls["rational_roots"] <= bound
 
 
 def test_factorial_empty_product_boundary(odd_structure):
@@ -1068,6 +1117,49 @@ def test_pochhammer_nonsplitting_raises():
     )
     with pytest.raises(SplittingError):
         to_pochhammer(ff)
+
+
+def test_pochhammer_factors_constant_zero_and_nonsplitting_sides():
+    # chains in order, num before den; a constant side is factored like any
+    # other, a zero one raises IntegrityError, and a failing chain raises
+    # again on the next form that shares it
+    def form(*chains):
+        return FactorialForm(
+            PolyhedralRegion.whole(1),
+            (Fraction(1),),
+            Fraction(1),
+            MultiPoly.constant(1, 1),
+            MultiPoly.constant(1, 1),
+            tuple(FactorialChain((1,), parse_unipoly(a), parse_unipoly(b), 0) for a, b in chains),
+        )
+
+    cases = [
+        ([("3", "t^2 + 2"), ("t^2 + 1", "1")], SplittingError, "t^2 + 2"),
+        ([("t^2 + 1", "0")], SplittingError, "t^2 + 1"),
+        ([("0", "t^2 + 1")], IntegrityError, None),
+        ([("t + 1", "1"), ("2", "0")], IntegrityError, None),
+    ]
+    for chains, error, factor in cases:
+        ff = form(*chains)
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                to_pochhammer(ff)
+            if factor is not None:
+                assert raised.value.factor == parse_unipoly(factor)
+    # a nonzero constant side only scales: 3 per step and 3 in the scalar
+    pf = to_pochhammer(
+        FactorialForm(
+            PolyhedralRegion.whole(1),
+            (Fraction(1),),
+            Fraction(1),
+            MultiPoly.constant(1, 1),
+            MultiPoly.constant(1, 1),
+            (FactorialChain((1,), UniPoly.constant(3), parse_unipoly("t + 1"), 1),),
+        )
+    )
+    assert pf.gamma == (3,) and pf.scalar == 3
+    assert pf.numerator == ()
+    assert [(e.base, e.offset) for e in pf.denominator] == [(2, 1)]
 
 
 def test_pochhammer_outside_region_rejected():
