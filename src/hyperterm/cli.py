@@ -10,7 +10,7 @@
 
 Exit status: 0 on success, 1 on mathematical failure (incompatible
 generators, non-telescoping structure, grid mismatches), 2 on usage
-errors.  All structured output is JSON with sorted keys, so identical
+errors, among them a spec without the seed value a command needs.  All structured output is JSON with sorted keys, so identical
 input and flags give byte-identical output.
 """
 
@@ -23,7 +23,7 @@ import re
 import sys
 from typing import Optional
 
-from .errors import HypertermError, ParseError
+from .errors import HypertermError, MissingSeedError, ParseError
 from .geometry import LatticeBox
 from .jsonio import (
     factorial_to_json,
@@ -197,7 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](spec, args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, MissingSeedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypertermError as exc:

@@ -13,6 +13,10 @@ class PreconditionError(HypertermError):
     """An operation was called outside its stated domain."""
 
 
+class MissingSeedError(PreconditionError):
+    """An operation needs the spec's seed value and the spec has none."""
+
+
 class ParseError(HypertermError):
     """Invalid polynomial or spec text."""
 

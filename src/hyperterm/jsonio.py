@@ -16,22 +16,18 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import ParseError
 from .geometry import HalfSpace, Hyperplane, MeasureZeroSet, PolyhedralRegion
-from .oracle import GridReport
-from .oresato import OreSatoForm
-from .parsing import (
-    format_fraction,
-    format_multipoly,
-    format_unipoly,
-    parse_factored,
-    parse_multipoly,
-)
-from .poly import _integer
-from .structure import FactorialForm, PiecewiseStructure, PochhammerForm
+from .parsing import parse_factored, parse_multipoly
+from .poly import _integer, format_fraction
 from .termratio import FactoredRational, TermSpec
+
+if TYPE_CHECKING:
+    from .oracle import GridReport
+    from .oresato import OreSatoForm
+    from .structure import FactorialForm, PiecewiseStructure, PochhammerForm
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +49,12 @@ def factored_to_json(fr: FactoredRational) -> str:
     if fr.scalar != 1 or not fr.factors:
         parts.append(format_fraction(fr.scalar))
     for base, exp in fr.factors:
-        body = f"({format_multipoly(base)})"
+        body = f"({base})"
         parts.append(body if exp == 1 else f"{body}^{exp}")
     if len(parts) == 1 and fr.scalar == 1 and fr.factors:
         base, exp = fr.factors[0]
         if exp == 1:
-            return format_multipoly(base)
+            return str(base)
     return " * ".join(parts)
 
 
@@ -102,7 +98,7 @@ def spec_to_json(spec: TermSpec) -> dict:
         point, value = spec.seed
         out["seed"] = {"point": list(point), "value": fraction_to_json(value)}
     if spec.zero_divisor_witness is not None:
-        out["zero_divisor_witness"] = format_multipoly(spec.zero_divisor_witness)
+        out["zero_divisor_witness"] = str(spec.zero_divisor_witness)
     return out
 
 
@@ -150,14 +146,14 @@ def _degree(fr: FactoredRational) -> int:
 
 def form_to_json(form: OreSatoForm) -> dict:
     return {
-        "C": format_multipoly(form.c_poly),
-        "D": format_multipoly(form.d_poly),
+        "C": str(form.c_poly),
+        "D": str(form.d_poly),
         "gamma": [fraction_to_json(g) for g in form.gamma],
         "chains": [
             {
                 "v": list(c.direction),
-                "a": format_unipoly(c.num),
-                "b": format_unipoly(c.den),
+                "a": str(c.num),
+                "b": str(c.den),
             }
             for c in form.chains
         ],
@@ -185,8 +181,8 @@ def _form_to_json(form: FactorialForm | PochhammerForm) -> dict:
         "region": region_to_json(form.region),
         "gamma": [fraction_to_json(g) for g in form.gamma],
         "scalar": fraction_to_json(form.scalar),
-        "C": format_multipoly(form.c_poly),
-        "D": format_multipoly(form.d_poly),
+        "C": str(form.c_poly),
+        "D": str(form.d_poly),
     }
 
 
@@ -196,8 +192,8 @@ def factorial_to_json(ff: FactorialForm) -> dict:
         "chains": [
             {
                 "v": list(c.direction),
-                "a": format_unipoly(c.num),
-                "b": format_unipoly(c.den),
+                "a": str(c.num),
+                "b": str(c.den),
                 "n": c.offset,
             }
             for c in ff.chains

@@ -73,7 +73,10 @@ at the bounding box of the base points no wall cuts off, and each walled
 piece's wall from the same call, which seeks the walls once.  A flood over
 a comparison window and the seed, aimed at the window, supplies the oracle
 for piecewise closed forms: ``grid_compare`` asks it only at the points
-where the closed form has a value.
+where the closed form has a value.  Those values come from the structure
+itself (``PiecewiseStructure.window_values``), so this module imports
+nothing of ``structure``, the layer above it, which imports
+``propagate_targets`` from here.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from ._frozen import Frozen, set_field
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, MissingSeedError
 from .geometry import HalfSpace, Hyperplane, LatticeBox
 from .poly import MultiPoly, Point, _integer_point
 from .termratio import FactoredRational, TermSpec
@@ -332,10 +335,10 @@ class _Flood:
 def _box(spec: TermSpec, points: Sequence[Point], what: str = "point") -> tuple[Point, Point]:
     """The bounding box (lo, hi) of the seed and the points inflated by
     2 (k+1), the one box every flood here searches.  A spec without a seed
-    raises PreconditionError; then points of another arity than the spec
+    raises MissingSeedError; then points of another arity than the spec
     raise DimensionError, named ``what`` (a point or a window)."""
     if spec.seed is None:
-        raise PreconditionError("propagation requires a seed value")
+        raise MissingSeedError("propagation requires a seed value")
     if any(len(p) != spec.arity for p in points):
         raise DimensionError(f"{what} arity mismatch")
     margin = 2 * (spec.arity + 1)
@@ -437,7 +440,7 @@ def propagate_targets(
     reach.  That box contains the box of every ``propagate(spec,
     spec.seed, t)``, so each target it reaches gets the same value, and it
     may reach a target those floods do not.  A spec without a seed raises
-    PreconditionError, then a target of another arity than the spec
+    MissingSeedError, then a target of another arity than the spec
     DimensionError, both before the walls are sought.
 
     A target behind a wall is answered None without asking the flood,
@@ -534,11 +537,12 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     """Compare the piecewise closed form against propagated values at every
     point of the window; exact equality where both are defined.
 
-    The closed form comes from ``structure._window_values``, which walks the
-    window a row at a time and meets each piece in one integer interval per
-    row; its value num/den is compared with the oracle's reduced pair
-    (p, q), read without a Fraction (``_Flood._pair``), as
-    num * q == den * p, and Fractions are built only for a mismatch.  The
+    The closed form comes from ``ps.window_values``, the structure's own
+    kernel, which walks the window a row at a time and meets each piece in
+    one integer interval per row; its value num/den is compared with the
+    oracle's reduced pair (p, q), read without a Fraction
+    (``_Flood._pair``), as num * q == den * p, and Fractions are built only
+    for a mismatch.  The
     oracle is the flood ``propagate_window`` runs, aimed at the window and
     asked, in window order, only at the points where the closed form has a
     value, so it stops as soon as it finds the last of them, or runs the
@@ -549,14 +553,12 @@ def grid_compare(ps, spec: TermSpec, window: LatticeBox) -> GridReport:
     in the kernel, naming the point.
     A window of another arity than the spec raises DimensionError before
     any point is evaluated."""
-    from .structure import _window_values
-
     if spec.seed is None:
-        raise PreconditionError("grid comparison requires a seed value")
+        raise MissingSeedError("grid comparison requires a seed value")
     flood = _window_flood(spec, window)
     checked = equal = on_h = d_zero = blocked = value_unknown = 0
     mismatches = []
-    for z, status, num, den in _window_values(ps, window):
+    for z, status, num, den in ps.window_values(window):
         if status == "no-piece":
             on_h += 1
             continue

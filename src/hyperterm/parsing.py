@@ -13,6 +13,10 @@ A leading unary minus binds to the first term alone, so ``-z1 + 5`` is
 5 - z1.  Variables are z1..zk, rationals are integer or ``p/q`` literals, and
 exponents must be nonnegative integer literals.  Implicit multiplication is
 not allowed; whitespace is insignificant.
+
+The module holds the grammar only.  A polynomial prints itself in it
+(``MultiPoly.__str__``, ``UniPoly.__str__``), and parsing the printed text
+gives the polynomial back.
 """
 
 from __future__ import annotations
@@ -204,44 +208,3 @@ def parse_unipoly(text: str) -> UniPoly:
         coeffs[e] = c
     return UniPoly.make(coeffs)
 
-
-def format_fraction(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
-def _format_terms(items: list[tuple[tuple[int, ...], Fraction]], names: list[str]) -> str:
-    if not items:
-        return "0"
-    parts: list[str] = []
-    for mono, coeff in items:
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = format_fraction(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_fraction(mag)] + factors)
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def format_multipoly(p: MultiPoly) -> str:
-    names = [f"z{i + 1}" for i in range(p.arity)]
-    return _format_terms(list(p.terms), names)
-
-
-def format_unipoly(p: UniPoly) -> str:
-    items = [((e,), c) for e, c in enumerate(p.coeffs) if c != 0]
-    items.sort(key=lambda t: t[0], reverse=True)
-    return _format_terms(items, ["t"])

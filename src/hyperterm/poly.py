@@ -15,6 +15,9 @@ have ``int`` coefficients only, so the gcd and the factor refinement on them
 run in int arithmetic; a division of coefficients goes through ``Fraction``
 explicitly.
 
+Both types print themselves (``__str__``) in the grammar that ``parsing``
+reads back.
+
 Both types are immutable and hashable, so they can be dict keys and shared
 freely between threads.  A ``MultiPoly`` computes its hash once and keeps
 it.  Five functions are memoized by value in bounded ``lru_cache``s:
@@ -124,6 +127,36 @@ def _term_key(term: tuple[Monomial, Coeff]):
     """The graded-lex key of a (monomial, coefficient) term."""
     mono = term[0]
     return (sum(mono), mono)
+
+
+def format_fraction(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    return f"{c.numerator}/{c.denominator}"
+
+
+def _format_terms(items: Iterable[tuple[Monomial, Coeff]], names: list[str]) -> str:
+    """The terms in the grammar ``parsing`` reads, in the given order."""
+    parts: list[str] = []
+    for mono, coeff in items:
+        factors = []
+        for name, e in zip(names, mono):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = format_fraction(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([format_fraction(mag)] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +396,9 @@ class MultiPoly(Frozen):
         return scalar, MultiPoly(self.arity, tuple(zip((m for m, _ in self.terms), prim)))
 
     def __str__(self) -> str:
-        from .parsing import format_multipoly
-
-        return format_multipoly(self)
+        """The polynomial in z1..zk, leading term first, as
+        ``parsing.parse_multipoly`` reads it back."""
+        return _format_terms(self.terms, [f"z{i + 1}" for i in range(self.arity)])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -839,9 +872,11 @@ class UniPoly(Frozen):
         return _substitute(self, direction, _integer(offset, "offset"))
 
     def __str__(self) -> str:
-        from .parsing import format_unipoly
-
-        return format_unipoly(self)
+        """The polynomial in t, highest degree first, as
+        ``parsing.parse_unipoly`` reads it back."""
+        return _format_terms(
+            (((e,), c) for e, c in reversed(list(enumerate(self.coeffs))) if c), ["t"]
+        )
 
 
 @functools.lru_cache(maxsize=4096)

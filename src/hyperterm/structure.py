@@ -31,8 +31,9 @@ the piece by unit steps inside the cell; nothing re-checks this.  At d = 0
 a thin cell may hold lattice points that no unit step inside it reaches;
 that case is not proven, and ``grid_compare`` checks it against the oracle.
 
-``closed_form_eval`` and ``grid_compare`` evaluate this formula in
-integers through one kernel, ``_window_values``, which walks a window a row
+The structure evaluates itself: ``closed_form_eval`` and
+``oracle.grid_compare`` evaluate this formula in integers through one
+kernel, ``PiecewiseStructure.window_values``, which walks a window a row
 at a time along the last axis.  A piece is convex, so a row meets it in one
 integer interval, found from each half-space by one floor division; the
 piece of a point is the first of the pieces whose interval holds it, as an
@@ -66,6 +67,7 @@ from ._frozen import Frozen, set_field
 from .errors import (
     DimensionError,
     IntegrityError,
+    MissingSeedError,
     PreconditionError,
     SplittingError,
 )
@@ -139,10 +141,95 @@ class PiecewiseStructure(Frozen):
 
     @functools.cached_property
     def _tables(self) -> tuple["_PieceTable", ...]:
-        """Per-piece evaluation tables for ``_window_values``, built on
+        """Per-piece evaluation tables for ``window_values``, built on
         first use and kept on the structure; their chain tables grow with
         the points evaluated."""
         return tuple(_PieceTable(self.form, p) for p in self.pieces)
+
+    def window_values(
+        self, window: LatticeBox
+    ) -> Iterator[tuple[Point, str, Optional[int], Optional[int]]]:
+        """(z, status, num, den) for every point of the window, in
+        ``LatticeBox.points`` order: status as in ``EvalOutcome``, and with
+        status ok the closed form's value num/den in unreduced integers,
+        den nonzero; num and den are None otherwise.
+
+        The window is walked a row at a time along the last axis, each row
+        cut into runs of one piece by ``_row_runs``.  Inside a run the value
+        is scale * gamma^(z - z0) * C(z)/D(z) * the chain ratios, with C and
+        D cleared of denominators: the powers of gamma along the other axes
+        are taken once per run, and each chain ratio gp(v.z0, v.z) is read
+        from the piece's prefix table at the affine index
+        v[:-1].rest + v[-1] t.  The points are evaluated lazily in window
+        order, so a zero chain factor raises IntegrityError at the same
+        point, and naming the same j, as evaluating the points one by one in
+        that order.
+
+        The pieces and ``excluded`` cover Z^k, so a point in no piece lies
+        on an excluded hyperplane.  The planes are met once per row with a
+        run of no piece (``MeasureZeroSet.row_lines``), and a point of such
+        a run that none holds raises IntegrityError naming it."""
+        form = self.form
+        c_eval, d_eval = _cleared_evaluator(form.c_poly), _cleared_evaluator(form.d_poly)
+        tables = self._tables
+        lo = window.corner[-1]
+        hi = lo + window.size
+        axes = [range(c, c + window.size + 1) for c in window.corner[:-1]]
+        for rest in itertools.product(*axes):
+            lines = False  # the excluded planes on the row, met at its first run of no piece
+            for start, stop, table in _row_runs(tables, rest, lo, hi):
+                if table is None:
+                    if lines is False:
+                        lines = self.excluded.row_lines(rest)
+                    # a run of no piece holds no value, so checking it whole
+                    # before its points are yielded names the same first fault
+                    if lines is not None:
+                        for t in range(start, stop):
+                            for d, c, levels in lines:
+                                if d + c * t in levels:
+                                    break
+                            else:
+                                raise IntegrityError(
+                                    f"the point {rest + (t,)} lies in no piece and on no excluded hyperplane"
+                                )
+                    for t in range(start, stop):
+                        yield rest + (t,), "no-piece", None, None
+                    continue
+                if table.scale is None:
+                    for t in range(start, stop):
+                        z = rest + (t,)
+                        yield z, "value-unknown" if d_eval(z) else "d-zero", None, None
+                    continue
+                z0 = table.piece.base_point
+                num0, den0 = table.scale
+                for (gn, gd), zi, z0i in zip(table.gamma, rest, z0):
+                    e = zi - z0i
+                    if e >= 0:
+                        num0, den0 = num0 * gn**e, den0 * gd**e
+                    else:
+                        num0, den0 = num0 * gd**-e, den0 * gn**-e
+                gn, gd = table.gamma[-1]
+                # per chain: its table and v.z = offset + c t along the row
+                chains = [
+                    (ch.ratio, sum(map(operator.mul, ch.chain.direction, rest)), ch.chain.direction[-1])
+                    for ch in table.chains
+                ]
+                for t in range(start, stop):
+                    z = rest + (t,)
+                    d_z = d_eval(z)
+                    if d_z == 0:
+                        yield z, "d-zero", None, None
+                        continue
+                    num, den = num0 * c_eval(z), den0 * d_z
+                    e = t - z0[-1]
+                    if e >= 0:
+                        num, den = num * gn**e, den * gd**e
+                    else:
+                        num, den = num * gd**-e, den * gn**-e
+                    for ratio, offset, c in chains:
+                        cn, cd = ratio(offset + c * t)
+                        num, den = num * cn, den * cd
+                    yield z, "ok", num, den
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -179,7 +266,8 @@ def _chain_zero_hyperplanes(form: OreSatoForm, d: int) -> list[Hyperplane]:
 
 def build_structure(spec: TermSpec) -> PiecewiseStructure:
     """Construct the piecewise closed form of a term given by a compatible
-    spec with a seed value.
+    spec with a seed value.  A spec without one raises MissingSeedError,
+    unless it has a zero-divisor witness, whose structure needs no seed.
 
     Each piece is a convex arrangement cell eroded by d = deg C + deg D.
     ``is_measure_zero`` runs once per cell, before erosion: erosion is the
@@ -207,7 +295,7 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     if spec.zero_divisor_witness is not None:
         return _zero_divisor_structure(spec)
     if spec.seed is None:
-        raise PreconditionError("building a structure requires a seed value")
+        raise MissingSeedError("building a structure requires a seed value")
     form = decompose(spec)
     d = form.c_poly.total_degree() + form.d_poly.total_degree()
     cd = form.c_poly * form.d_poly
@@ -391,91 +479,6 @@ def _cleared_evaluator(p: MultiPoly) -> Callable[[Point], int]:
     return p.evaluate_cleared
 
 
-def _window_values(
-    ps: PiecewiseStructure, window: LatticeBox
-) -> Iterator[tuple[Point, str, Optional[int], Optional[int]]]:
-    """(z, status, num, den) for every point of the window, in
-    ``LatticeBox.points`` order: status as in ``EvalOutcome``, and with
-    status ok the closed form's value num/den in unreduced integers, den
-    nonzero; num and den are None otherwise.
-
-    The window is walked a row at a time along the last axis, each row cut
-    into runs of one piece by ``_row_runs``.  Inside a run the value is
-    scale * gamma^(z - z0) * C(z)/D(z) * the chain ratios, with C and D
-    cleared of denominators: the powers of gamma along the other axes are
-    taken once per run, and each chain ratio gp(v.z0, v.z) is read from the
-    piece's prefix table at the affine index v[:-1].rest + v[-1] t.  The
-    points are evaluated lazily in window order, so a zero chain factor
-    raises IntegrityError at the same point, and naming the same j, as
-    evaluating the points one by one in that order.
-
-    The pieces and ``ps.excluded`` cover Z^k, so a point in no piece lies
-    on an excluded hyperplane.  The planes are met once per row with a run
-    of no piece (``MeasureZeroSet.row_lines``), and a point of such a run
-    that none holds raises IntegrityError naming it."""
-    form = ps.form
-    c_eval, d_eval = _cleared_evaluator(form.c_poly), _cleared_evaluator(form.d_poly)
-    tables = ps._tables
-    lo = window.corner[-1]
-    hi = lo + window.size
-    axes = [range(c, c + window.size + 1) for c in window.corner[:-1]]
-    for rest in itertools.product(*axes):
-        lines = False  # the excluded planes on the row, met at its first run of no piece
-        for start, stop, table in _row_runs(tables, rest, lo, hi):
-            if table is None:
-                if lines is False:
-                    lines = ps.excluded.row_lines(rest)
-                # a run of no piece holds no value, so checking it whole
-                # before its points are yielded names the same first fault
-                if lines is not None:
-                    for t in range(start, stop):
-                        for d, c, levels in lines:
-                            if d + c * t in levels:
-                                break
-                        else:
-                            raise IntegrityError(
-                                f"the point {rest + (t,)} lies in no piece and on no excluded hyperplane"
-                            )
-                for t in range(start, stop):
-                    yield rest + (t,), "no-piece", None, None
-                continue
-            if table.scale is None:
-                for t in range(start, stop):
-                    z = rest + (t,)
-                    yield z, "value-unknown" if d_eval(z) else "d-zero", None, None
-                continue
-            z0 = table.piece.base_point
-            num0, den0 = table.scale
-            for (gn, gd), zi, z0i in zip(table.gamma, rest, z0):
-                e = zi - z0i
-                if e >= 0:
-                    num0, den0 = num0 * gn**e, den0 * gd**e
-                else:
-                    num0, den0 = num0 * gd**-e, den0 * gn**-e
-            gn, gd = table.gamma[-1]
-            # per chain: its table and v.z = offset + c t along the row
-            chains = [
-                (ch.ratio, sum(map(operator.mul, ch.chain.direction, rest)), ch.chain.direction[-1])
-                for ch in table.chains
-            ]
-            for t in range(start, stop):
-                z = rest + (t,)
-                d_z = d_eval(z)
-                if d_z == 0:
-                    yield z, "d-zero", None, None
-                    continue
-                num, den = num0 * c_eval(z), den0 * d_z
-                e = t - z0[-1]
-                if e >= 0:
-                    num, den = num * gn**e, den * gd**e
-                else:
-                    num, den = num * gd**-e, den * gn**-e
-                for ratio, offset, c in chains:
-                    cn, cd = ratio(offset + c * t)
-                    num, den = num * cn, den * cd
-                yield z, "ok", num, den
-
-
 def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     """Value of the closed form at a lattice point, or the reason it is
     undefined there.
@@ -484,7 +487,7 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     integral float is accepted, a fractional one or a bool raises
     TypeError naming the point.  A point of another arity than the
     structure raises DimensionError.  The point is evaluated as the
-    one-point window ``LatticeBox(z, 0)`` of ``_window_values``, the kernel
+    one-point window ``LatticeBox(z, 0)`` of ``ps.window_values``, the kernel
     ``grid_compare`` runs over a whole window: its piece is the first of
     ``ps.pieces`` that contains z, found from the one integer interval in
     which each piece meets the row of z.
@@ -500,7 +503,7 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
     z = _integer_point(z)
     if len(z) != ps.form.arity:
         raise DimensionError("point arity mismatch")
-    ((_, status, num, den),) = _window_values(ps, LatticeBox(z, 0))
+    ((_, status, num, den),) = ps.window_values(LatticeBox(z, 0))
     return EvalOutcome(status, None if num is None else Fraction(num, den))
 
 

@@ -184,12 +184,10 @@ class FactoredRational(Frozen):
         return value
 
     def __str__(self) -> str:
-        from .parsing import format_multipoly
-
         num, den = self.numerator(), self.denominator()
         if den.is_constant and den.constant_value() == 1:
-            return format_multipoly(num)
-        return f"({format_multipoly(num)}) / ({format_multipoly(den)})"
+            return str(num)
+        return f"({num}) / ({den})"
 
 
 def _expand(one, factors):

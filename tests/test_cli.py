@@ -160,6 +160,43 @@ def test_eval_at_positive(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "15"
 
 
+def test_eval_on_the_shipped_specs(capsys):
+    # choose(5, 2); the binomial piece of (-3, 2) lies behind the wall
+    # z1 >= 0 that no flood from the seed crosses; wedge3d at (3, 1, 9)
+    cases = [
+        ("specs/binomial.json", "5,2", "10"),
+        ("specs/binomial.json", "-3,2", "undefined: value-unknown"),
+        ("perfbench/specs/wedge3d.json", "3,1,9", "1437004800"),
+    ]
+    for spec, at, value in cases:
+        assert main(["eval", str(REPO / spec), "--at", at]) == 0
+        assert capsys.readouterr().out == f"{value}\n"
+
+
+def test_spec_without_a_seed_is_a_usage_error_for_the_structure(tmp_path, capsys):
+    # check and decompose take a spec without a seed; every command that
+    # builds the structure needs one, so its absence is a usage error
+    obj = {"k": 1, "generators": [{"num": "2*z1 + 1", "den": "1"}]}
+    path = tmp_path / "seedless.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert main(["decompose", str(path)]) == 0
+    capsys.readouterr()
+    for argv in [["structure"], ["factorial"], ["pochhammer"], ["eval", "--at", "2"], ["compare"]]:
+        assert main([argv[0], str(path), *argv[1:]]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: building a structure requires a seed value\n"
+    # a zero-divisor structure needs no seed; only the oracle of compare does
+    obj = {"k": 1, "generators": [{"num": "z1", "den": "z1 + 1"}], "zero_divisor_witness": "z1"}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for argv in [["structure"], ["factorial"], ["pochhammer"], ["eval", "--at", "2"]]:
+        assert main([argv[0], str(path), *argv[1:]]) == 0, argv
+    capsys.readouterr()
+    assert main(["compare", str(path)]) == 2
+    assert capsys.readouterr().err == "error: grid comparison requires a seed value\n"
+
+
 def test_compare_command(tmp_path, capsys):
     path = write_spec(tmp_path, binomial_spec())
     assert main(["compare", path, "--window", "-6:6,-6:6"]) == 0
@@ -336,14 +373,12 @@ def test_structure_zero_divisor_spec(tmp_path, capsys):
 def test_structure_error_exit_code(tmp_path, capsys):
     # an expanded two-factor product cannot be classified once the factor
     # structure is gone from both generators
-    from hyperterm.parsing import format_multipoly, parse_multipoly
-
     c = parse_multipoly("(z1 + z2 + 1)*(z1*z2 + 1)", 2)
     obj = {
         "k": 2,
         "generators": [
-            {"num": format_multipoly(c.shift((1, 0))), "den": format_multipoly(c)},
-            {"num": format_multipoly(c.shift((0, 1))), "den": format_multipoly(c)},
+            {"num": str(c.shift((1, 0))), "den": str(c)},
+            {"num": str(c.shift((0, 1))), "den": str(c)},
         ],
     }
     path = tmp_path / "opaque.json"

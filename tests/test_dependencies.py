@@ -1,12 +1,15 @@
 """The package has no runtime dependency: it imports only the standard
-library and itself, and pyproject.toml declares none."""
+library and itself, and pyproject.toml declares none.  Its modules are
+layered: each imports only modules below it, and only when it loads."""
 
 import ast
 import re
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "hyperterm"
 
 
 def _absolute_imports(path: Path):
@@ -19,7 +22,7 @@ def _absolute_imports(path: Path):
 
 
 def test_package_imports_only_the_standard_library():
-    paths = sorted((REPO / "src" / "hyperterm").glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py"))
     assert paths
     outside = [
         f"{path.name}:{line}: {name}"
@@ -33,3 +36,59 @@ def test_package_imports_only_the_standard_library():
 def test_pyproject_declares_no_dependencies():
     text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"^dependencies\s*=.*$", text, re.M) == ["dependencies = []"]
+
+
+def _runtime_imports(path: Path):
+    """(import node, whether it sits in a function) for each import
+    statement of the module outside an ``if TYPE_CHECKING:`` block, whose
+    imports serve annotations only."""
+    stack = [(ast.parse(path.read_text(encoding="utf-8"), str(path)), False)]
+    while stack:
+        node, nested = stack.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack.extend((child, nested) for child in node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node, nested
+        nested = nested or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        stack.extend((child, nested) for child in ast.iter_child_nodes(node))
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules the module imports at run time, by relative
+    import."""
+    names = set()
+    for node, _ in _runtime_imports(path):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_import_inside_a_function():
+    # an import in a function body hides an edge, usually an upward one
+    # that would close a cycle, from the module's header
+    nested = sorted(
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in PACKAGE.glob("*.py")
+        for node, inside in _runtime_imports(path)
+        if inside
+    )
+    assert not nested, nested
+
+
+def test_package_imports_form_no_cycle():
+    graph = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def test_jsonio_loads_only_the_spec_layers():
+    # results are written from objects the caller built, so jsonio needs
+    # the layers that produce them only for its annotations
+    allowed = {"errors", "geometry", "parsing", "poly", "termratio"}
+    assert _package_imports(PACKAGE / "jsonio.py") <= allowed

@@ -48,7 +48,6 @@ from hyperterm.structure import (
     PiecewiseStructure,
     _chain_zero_hyperplanes,
     _row_runs,
-    _window_values,
     build_structure,
     closed_form_eval,
     factorial_eval,
@@ -769,7 +768,7 @@ def test_row_intervals_match_linear_scan():
         for window in windows:
             row_wise = [
                 (z, EvalOutcome(status, None if num is None else Fraction(num, den)))
-                for z, status, num, den in _window_values(ps, window)
+                for z, status, num, den in ps.window_values(window)
             ]
             assert row_wise == [(z, closed_form_eval(ps, z)) for z in window.points()], name
         normals.update(h.v for t in ps._tables for h in t.piece.region.halfspaces)
