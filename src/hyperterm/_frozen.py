@@ -1,22 +1,34 @@
 """Frozen value types without generated code.
 
 ``dataclass(frozen=True)`` compiles six methods per class from generated
-source (ten with ``order=True``), and that compilation is most of the time
-the package takes to import.  ``Frozen`` gives the same ``__eq__``,
-``__hash__``, ``__repr__``, ``__setattr__`` and ``__delattr__`` once, over
-the fields a class annotates; ``Ordered`` adds the comparisons.  A package
-type is declared ``@dataclass(init=False, repr=False, eq=False)`` on one of
-them, which generates nothing but keeps ``fields``, ``replace`` and
-``__match_args__``, and writes its ``__init__`` out, storing each field
-with ``set_field``.
+source (ten with ``order=True``), and importing ``dataclasses`` loads
+``inspect``, ``ast`` and ``dis``; together that was most of the time the
+package took to import.  ``Frozen`` gives the same ``__eq__``,
+``__hash__``, ``__repr__``, ``__setattr__``, ``__delattr__`` and
+``__match_args__`` once, over the fields a class annotates; ``Ordered``
+adds the comparisons.  A package type subclasses one of them and writes its
+``__init__`` out, taking the fields as keyword arguments of the same names
+and storing each with ``set_field``.  ``replace`` and ``FrozenInstanceError``
+stand in for their ``dataclasses`` namesakes.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError
 
 set_field = object.__setattr__
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a frozen instance was assigned or deleted."""
+
+
+def replace(obj, /, **changes):
+    """A copy of ``obj`` with the given fields changed, built by its class's
+    ``__init__``, as ``dataclasses.replace`` builds it."""
+    for name in obj._fields:
+        changes.setdefault(name, getattr(obj, name))
+    return obj.__class__(**changes)
 
 
 class Frozen:
@@ -29,7 +41,7 @@ class Frozen:
         names = tuple(cls.__dict__.get("__annotations__", ()))
         if names:
             get = operator.attrgetter(*names)
-            cls._fields = names
+            cls._fields = cls.__match_args__ = names
             cls._key = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
 
     def __eq__(self, other):

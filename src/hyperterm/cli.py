@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import re
 import sys
 from typing import Optional
@@ -34,10 +33,20 @@ from .jsonio import (
     report_to_json,
     spec_from_json,
     structure_to_json,
+    unreduced_generators,
 )
 from .oracle import grid_compare
 from .oresato import decompose
-from .structure import build_structure, closed_form_eval, split_factorial, to_pochhammer
+from .poly import MultiPoly
+from .structure import (
+    FactorialForm,
+    PiecewiseStructure,
+    arrangement_planes,
+    build_structure,
+    closed_form_eval,
+    split_factorial,
+    to_pochhammer,
+)
 from .termratio import TermSpec, check_compatibility
 
 EXIT_OK = 0
@@ -45,10 +54,17 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
+def _note(level: str, module: str, message: str) -> None:
+    """A line on stderr, as ``LEVEL:hyperterm.module:message``."""
+    print(f"{level}:hyperterm.{module}:{message}", file=sys.stderr)
+
+
 def _load_spec(path: str, seed_override: Optional[str]) -> TermSpec:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     spec = spec_from_json(obj)
+    for i in unreduced_generators(spec):
+        _note("WARNING", "jsonio", f"generator {i} is not reduced; its quotient is reduced on use")
     if seed_override is not None:
         point_text, _, value_text = seed_override.partition("=")
         if not value_text:
@@ -95,6 +111,40 @@ def _emit(obj: dict, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _build(spec: TermSpec, args) -> PiecewiseStructure:
+    """``build_structure``; with --verbose, the size of the arrangement and
+    each piece without a base value, in the order the arrangement lists
+    their cells: by the side of each plane, v.z > n before v.z < n."""
+    ps = build_structure(spec)
+    if args.verbose and spec.zero_divisor_witness is None:
+        planes = arrangement_planes(ps.form, spec.exceptions).hyperplanes
+        _note("INFO", "structure", f"structure: {len(planes)} hyperplanes in the arrangement")
+
+        def cell(piece):
+            return [sum(a * b for a, b in zip(h.v, piece.base_point)) < h.n for h in planes]
+
+        for piece in sorted(ps.pieces, key=cell):
+            if piece.base_value is not None:
+                continue
+            z0, wall = piece.base_point, piece.wall
+            if wall is None:
+                _note("INFO", "structure", f"piece at {z0} is not reached within the flood's box")
+            else:
+                behind = f"behind the wall {MultiPoly.linear(wall.v)} >= {wall.n + 1}"
+                _note("INFO", "structure", f"piece at {z0} is unreachable from the seed: {behind}")
+    return ps
+
+
+def _factorial_forms(spec: TermSpec, args) -> list[FactorialForm]:
+    ps = _build(spec, args)
+    if args.verbose:
+        for piece in ps.pieces:
+            if piece.base_value is None:
+                at = piece.base_point
+                _note("INFO", "structure", f"skipping factorial form for value-unknown piece at {at}")
+    return split_factorial(ps)
+
+
 def _cmd_check(spec: TermSpec, args) -> int:
     if check_compatibility(spec):
         print("compatible")
@@ -110,19 +160,19 @@ def _cmd_decompose(spec: TermSpec, args) -> int:
 
 
 def _cmd_structure(spec: TermSpec, args) -> int:
-    ps = build_structure(spec)
+    ps = _build(spec, args)
     _emit(structure_to_json(ps), args.output)
     return EXIT_OK
 
 
 def _cmd_factorial(spec: TermSpec, args) -> int:
-    forms = split_factorial(build_structure(spec))
+    forms = _factorial_forms(spec, args)
     _emit({"forms": [factorial_to_json(ff) for ff in forms]}, args.output)
     return EXIT_OK
 
 
 def _cmd_pochhammer(spec: TermSpec, args) -> int:
-    forms = [to_pochhammer(ff) for ff in split_factorial(build_structure(spec))]
+    forms = [to_pochhammer(ff) for ff in _factorial_forms(spec, args)]
     _emit({"forms": [pochhammer_to_json(pf) for pf in forms]}, args.output)
     return EXIT_OK
 
@@ -136,7 +186,7 @@ def _cmd_eval(spec: TermSpec, args) -> int:
         raise ParseError(f"bad point {args.at!r}: --at expects integers 'z1,...,zk'") from None
     if len(point) != spec.arity:
         raise ParseError(f"expected {spec.arity} coordinates in --at, got {len(point)}")
-    ps = build_structure(spec)
+    ps = _build(spec, args)
     outcome = closed_form_eval(ps, point)
     if outcome.status == "ok":
         print(fraction_to_json(outcome.value))
@@ -146,7 +196,7 @@ def _cmd_eval(spec: TermSpec, args) -> int:
 
 
 def _cmd_compare(spec: TermSpec, args) -> int:
-    ps = build_structure(spec)
+    ps = _build(spec, args)
     window = _parse_window(args.window, spec.arity)
     report = grid_compare(ps, spec, window)
     _emit(report_to_json(report), args.output)
@@ -175,7 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", help="comparison window, one lo:hi range per axis")
     parser.add_argument("--at", help="evaluation point z1,...,zk")
     parser.add_argument("--seed", help="override the spec seed: 'z1,...,zk=p/q'")
-    parser.add_argument("-v", "--verbose", action="store_true", help="log progress")
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="describe the structure on stderr: the size of its arrangement, "
+        "the pieces without a base value and the factorial forms skipped for them",
+    )
     # values like '-6:6,-6:6' or '-2,-3' are data, not option names
     parser._negative_number_matcher = re.compile(r"^-\d+([:,]-?\d+)*$")
     return parser
@@ -187,7 +243,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     # invalid input (file, JSON, spec validation) is a usage error; failures
     # of the mathematics (incompatibility, non-telescoping structure) are not
     try:

@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -41,15 +39,12 @@ from ._frozen import Frozen, Ordered, set_field
 from .errors import DimensionError, IntegrityError, PreconditionError
 from .poly import Coeff, MultiPoly, Point, _coeff, _integer
 
-log = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # basic value types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Hyperplane(Ordered):
     """{z : v . z = n} in canonical form: v primitive with positive first
     nonzero entry.  If canonicalization shows the plane carries no integer
@@ -86,7 +81,6 @@ class Hyperplane(Ordered):
         return not self.empty and sum(a * b for a, b in zip(self.v, z)) == self.n
 
 
-@dataclass(init=False, repr=False, eq=False)
 class HalfSpace(Ordered):
     """{z : v . z > n} with v primitive (integer points are unchanged by
     dividing v by its gcd and flooring n)."""
@@ -115,7 +109,6 @@ class HalfSpace(Ordered):
         return sum(a * b for a, b in zip(self.v, z)) > self.n
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PolyhedralRegion(Frozen):
     """Intersection of finitely many half-spaces; no constraints means all
     of Z^k.  ``make`` keeps one half-space per normal: of {v . z > n} and
@@ -153,7 +146,6 @@ class PolyhedralRegion(Frozen):
         return PolyhedralRegion.make(self.arity, self.halfspaces + tuple(halfspaces))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MeasureZeroSet(Frozen):
     """A finite sorted list of hyperplanes, deduplicated under canonical
     form; ``make`` drops the planes without lattice points."""
@@ -205,7 +197,6 @@ class MeasureZeroSet(Frozen):
         return len(self.hyperplanes)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LatticeBox(Frozen):
     """{z : corner_i <= z_i <= corner_i + size}."""
 
@@ -385,9 +376,8 @@ def region_sample(r: PolyhedralRegion) -> Optional[Point]:
     """An integer point of the region, or None when none is found.
 
     Rationally infeasible regions definitely have no integer points.  A
-    rationally feasible region is searched around a rational sample; the
-    rare failure to locate an integer witness is logged and reported as
-    None.
+    rationally feasible region is searched around a rational sample, within
+    a bounded radius; no integer point there is reported as None.
     """
     x = fm_sample(region_rows(r), r.arity)
     if x is None:
@@ -403,7 +393,6 @@ def region_sample(r: PolyhedralRegion) -> Optional[Point]:
                     best = (dist, z)
         if best is not None:
             return best[1]
-    log.warning("no integer point found near rational sample %s", x)
     return None
 
 

@@ -14,7 +14,6 @@ structure the decomposition relies on.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -28,8 +27,6 @@ if TYPE_CHECKING:
     from .oracle import GridReport
     from .oresato import OreSatoForm
     from .structure import FactorialForm, PiecewiseStructure, PochhammerForm
-
-log = logging.getLogger(__name__)
 
 
 def fraction_to_json(x: Fraction) -> str:
@@ -102,16 +99,26 @@ def spec_to_json(spec: TermSpec) -> dict:
     return out
 
 
+def _text(value: Any, path: str) -> str:
+    """A field that holds polynomial text, named by its path for errors."""
+    if not isinstance(value, str):
+        raise ParseError(f"{path}: expected a string")
+    return value
+
+
 def spec_from_json(obj: dict) -> TermSpec:
+    """The spec a JSON object states.  A polynomial field that is not a
+    string, and a zero ``zero_divisor_witness``, which annihilates every
+    term and so says nothing about this one, raise ParseError."""
     if "k" not in obj or "generators" not in obj:
         raise ParseError("spec JSON needs 'k' and 'generators'")
     k = _integer(obj["k"], "k")
     gens = []
-    for g in obj["generators"]:
+    for i, g in enumerate(obj["generators"]):
         gens.append(
             (
-                factored_from_json(g["num"], k),
-                factored_from_json(g["den"], k),
+                factored_from_json(_text(g["num"], f"generators[{i}].num"), k),
+                factored_from_json(_text(g["den"], f"generators[{i}].den"), k),
             )
         )
     exceptions = MeasureZeroSet.make(
@@ -122,19 +129,24 @@ def spec_from_json(obj: dict) -> TermSpec:
         seed = (obj["seed"]["point"], fraction_from_json(obj["seed"]["value"]))
     witness = None
     if obj.get("zero_divisor_witness") is not None:
-        witness = parse_multipoly(obj["zero_divisor_witness"], k)
-    spec = TermSpec.make(
-        k, gens, exceptions=exceptions, seed=seed, zero_divisor_witness=witness
-    )
-    # quotients are stated on reduced pairs; unreduced input still works
-    # (reduction is applied on use) but is worth flagging.  Only a common
-    # factor of A_i and B_i cancels in R_i = A_i / B_i, so a generator is
-    # unreduced exactly when the spec's own quotient has a lower degree,
-    # sum |e| * deg over its factors, than the two sides together.
-    for i, (g, ratio) in enumerate(zip(spec.generators, spec.ratios())):
-        if _degree(ratio) < _degree(g.num) + _degree(g.den):
-            log.warning("generator %d is not reduced; its quotient is reduced on use", i + 1)
-    return spec
+        witness = parse_multipoly(_text(obj["zero_divisor_witness"], "zero_divisor_witness"), k)
+        if witness.is_zero:
+            raise ParseError("zero_divisor_witness: the zero polynomial annihilates every term")
+    return TermSpec.make(k, gens, exceptions=exceptions, seed=seed, zero_divisor_witness=witness)
+
+
+def unreduced_generators(spec: TermSpec) -> list[int]:
+    """The numbers i, from 1, of the generators A_i / B_i whose two sides
+    share a factor.  Quotients are stated on reduced pairs; unreduced input
+    still works (reduction is applied on use) but is worth flagging.  Only
+    a common factor of A_i and B_i cancels in R_i = A_i / B_i, so a
+    generator is unreduced exactly when the spec's own quotient has a lower
+    degree, sum |e| * deg over its factors, than the two sides together."""
+    return [
+        i
+        for i, (g, ratio) in enumerate(zip(spec.generators, spec.ratios()), 1)
+        if _degree(ratio) < _degree(g.num) + _degree(g.den)
+    ]
 
 
 def _degree(fr: FactoredRational) -> int:

@@ -81,7 +81,6 @@ nothing of ``structure``, the layer above it, which imports
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -97,7 +96,6 @@ from .termratio import FactoredRational, TermSpec
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PathStep(Frozen):
     """One replayable propagation step: the recurrence for ``axis`` was
     evaluated at ``at`` and contributed ``multiplier`` to the value."""
@@ -114,7 +112,6 @@ class PathStep(Frozen):
         set_field(self, "multiplier", multiplier)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PropagationResult(Frozen):
     """The propagated value at a point, or None and why, with its path."""
 
@@ -493,7 +490,6 @@ def _window_flood(spec: TermSpec, window: LatticeBox) -> _Flood:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Mismatch(Frozen):
     """A point where the closed form and the propagated value differ."""
 
@@ -507,7 +503,6 @@ class Mismatch(Frozen):
         set_field(self, "oracle", oracle)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GridReport(Frozen):
     """The counts of a window comparison, by outcome, and its mismatches."""
 

@@ -34,7 +34,7 @@ cancels them against the generator's jointly refined factors by equal
 bases and refines only what does not cancel (``termratio._cancel``), and
 ``ratio_from_form`` refines the pieces, so neither has to find them again
 with gcds of the products.  A form made by the constructor or by
-``dataclasses.replace`` keeps no pieces and lists each displayed
+``_frozen.replace`` keeps no pieces and lists each displayed
 polynomial as one.
 """
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -105,7 +104,6 @@ Pieces = tuple[tuple[MultiPoly, int], ...]
 UniPieces = tuple[tuple[UniPoly, int], ...]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Chain(Frozen):
     """Per-direction univariate chain: factors a(v.z+j)/b(v.z+j)."""
 
@@ -119,7 +117,6 @@ class Chain(Frozen):
         set_field(self, "den", den)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class OreSatoForm(Frozen):
     """C, D, the per-direction chains, and the residual per-axis scalars."""
 
@@ -143,7 +140,7 @@ class OreSatoForm(Frozen):
         chain's sides likewise, in the order of ``chains``.  By default each
         displayed polynomial is one piece; ``decompose`` keeps the
         normalized pieces it multiplied C, D and the chain sides out of, and
-        a form made by the constructor or by ``dataclasses.replace`` has
+        a form made by the constructor or by ``_frozen.replace`` has
         none."""
         return (
             ((self.c_poly, 1), (self.d_poly, -1)),

@@ -10,9 +10,9 @@ single variable ``t``) multiply that out.  The grammar:
     atom   := '(' expr ')' | '-' atom | RATIONAL | VAR
 
 A leading unary minus binds to the first term alone, so ``-z1 + 5`` is
-5 - z1.  Variables are z1..zk, rationals are integer or ``p/q`` literals, and
-exponents must be nonnegative integer literals.  Implicit multiplication is
-not allowed; whitespace is insignificant.
+5 - z1.  Variables are z1..zk, rationals are integer or ``p/q`` literals in
+ASCII digits, and exponents must be nonnegative integer literals.  Implicit
+multiplication is not allowed; whitespace is insignificant.
 
 The module holds the grammar only.  A polynomial prints itself in it
 (``MultiPoly.__str__``, ``UniPoly.__str__``), and parsing the printed text
@@ -25,6 +25,10 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .poly import MultiPoly, UniPoly
+
+
+# literals are ASCII: str.isdigit also holds for '²' and '٣'
+_DIGITS = frozenset("0123456789")
 
 
 class _Lexer:
@@ -48,9 +52,9 @@ class _Lexer:
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("num", int(text[i:j]), i))
                 i = j

@@ -54,7 +54,6 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -164,7 +163,6 @@ def _format_terms(items: Iterable[tuple[Monomial, Coeff]], names: list[str]) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MultiPoly(Frozen):
     """Sparse multivariate polynomial with rational coefficients, each an
     int when integral and a Fraction otherwise.
@@ -730,7 +728,6 @@ def _base_order(factor: tuple[MultiPoly, object]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class UniPoly(Frozen):
     """Dense univariate polynomial, constant coefficient first; each
     coefficient is an int when integral and a Fraction otherwise."""

@@ -56,10 +56,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -99,15 +97,12 @@ from .poly import (
 )
 from .termratio import TermSpec
 
-log = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # piecewise structure
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Piece(Frozen):
     """A region with its base point and base value.  An unknown base value
     (None) comes with the wall no flood out of the seed crosses
@@ -126,7 +121,6 @@ class Piece(Frozen):
         set_field(self, "wall", wall)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PiecewiseStructure(Frozen):
     """A decomposition's pieces and the cover of the points outside them."""
 
@@ -232,7 +226,6 @@ class PiecewiseStructure(Frozen):
                     yield z, "ok", num, den
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EvalOutcome(Frozen):
     """The closed form at one point: its value, or why it has none."""
 
@@ -262,6 +255,14 @@ def _chain_zero_hyperplanes(form: OreSatoForm, d: int) -> list[Hyperplane]:
             for j in range(-reach, reach):
                 planes.append(Hyperplane.make(v, r - j))
     return planes
+
+
+def arrangement_planes(form: OreSatoForm, exceptions: MeasureZeroSet) -> MeasureZeroSet:
+    """The hyperplanes ``build_structure`` cuts Z^k along for a spec with a
+    seed: the spec's exceptions and ``_chain_zero_hyperplanes`` at
+    d = deg C + deg D."""
+    d = form.c_poly.total_degree() + form.d_poly.total_degree()
+    return MeasureZeroSet.make(_chain_zero_hyperplanes(form, d)).union(exceptions)
 
 
 def build_structure(spec: TermSpec) -> PiecewiseStructure:
@@ -299,8 +300,7 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
     form = decompose(spec)
     d = form.c_poly.total_degree() + form.d_poly.total_degree()
     cd = form.c_poly * form.d_poly
-    h2 = MeasureZeroSet.make(_chain_zero_hyperplanes(form, d)).union(spec.exceptions)
-    log.info("structure: %d hyperplanes in the arrangement", len(h2))
+    h2 = arrangement_planes(form, spec.exceptions)
     cells = arrangement(h2.hyperplanes, k)
     excluded = list(h2.hyperplanes)
 
@@ -320,20 +320,10 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
         found.append((shrunk, z0))
 
     base_values, walls = propagate_targets(spec, [z0 for _, z0 in found])
-    pieces: list[Piece] = []
-    for (shrunk, z0), base_value, wall in zip(found, base_values, walls):
-        if base_value is None:
-            if wall is None:
-                log.info("piece at %s is not reached within the flood's box", z0)
-            else:
-                log.info(
-                    "piece at %s is unreachable from the seed: behind the wall %s >= %d",
-                    z0,
-                    MultiPoly.linear(wall.v),
-                    wall.n + 1,
-                )
-        pieces.append(Piece(shrunk, z0, base_value, wall))
-
+    pieces = [
+        Piece(shrunk, z0, value, wall)
+        for (shrunk, z0), value, wall in zip(found, base_values, walls)
+    ]
     pieces.sort(key=lambda p: (p.region.halfspaces, p.base_point))
     return PiecewiseStructure(form, tuple(pieces), MeasureZeroSet.make(excluded))
 
@@ -512,7 +502,6 @@ def closed_form_eval(ps: PiecewiseStructure, z: Sequence[int]) -> EvalOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FactorialChain(Frozen):
     """A chain as plain products of num(j) / den(j) over a range of j; the
     forms that share it share its factoring (``_pochhammer``)."""
@@ -548,7 +537,6 @@ class FactorialChain(Frozen):
         return tuple(sides)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FactorialForm(Frozen):
     """A piece's closed form as plain products with nonnegative limits."""
 
@@ -580,13 +568,13 @@ def split_factorial(ps: PiecewiseStructure) -> list[FactorialForm]:
     denoting the empty product.  Both sides of each chain are built once
     per piece; a subregion takes one side of every chain, nonnegative side
     first, and is kept when Fourier-Motzkin elimination finds it feasible.
+    A piece with an unknown base value has no form.
     """
     out: list[FactorialForm] = []
     form = ps.form
     k = form.arity
     for piece in ps.pieces:
         if piece.base_value is None:
-            log.info("skipping factorial form for value-unknown piece at %s", piece.base_point)
             continue
         z0 = piece.base_point
         scalar = piece.base_value
@@ -657,7 +645,6 @@ def factorial_eval(ff: FactorialForm, z: Sequence[int]) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PochhammerEntry(Frozen):
     """One rising factorial (m)_r with r linear in the point."""
 
@@ -671,7 +658,6 @@ class PochhammerEntry(Frozen):
         set_field(self, "offset", offset)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PochhammerForm(Frozen):
     """A piece's closed form with the chains as Pochhammer symbols."""
 

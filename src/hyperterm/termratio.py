@@ -33,11 +33,10 @@ ask that question.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen, replace, set_field
 from .errors import CocycleError, DimensionError, PreconditionError
 from .geometry import (
     MeasureZeroSet,
@@ -52,7 +51,6 @@ from .poly import Coeff, MultiPoly, Point, _base_order, _coeff, _integer, coprim
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FactoredRational(Frozen):
     """scalar * prod(base ** exponent) with normalized, pairwise coprime,
     nonconstant bases and nonzero exponents.  The scalar follows the
@@ -230,7 +228,6 @@ def _cancel(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[Mult
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Generator(Frozen):
     """One recurrence A(z) f(z) = B(z) f(z + e_i), both sides kept in
     factored form.  num/den need not be coprime: extending a term by zero
@@ -248,13 +245,12 @@ class Generator(Frozen):
         return self.num * self.den.inv()
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TermSpec(Frozen):
     """A hypergeometric term given by its unit-direction quotients."""
 
     arity: int
     generators: tuple[Generator, ...]
-    exceptions: MeasureZeroSet = field(default_factory=MeasureZeroSet.empty)
+    exceptions: MeasureZeroSet
     seed: Optional[tuple[Point, Fraction]] = None
     zero_divisor_witness: Optional[MultiPoly] = None
 

@@ -1,12 +1,17 @@
 import contextlib
-import dataclasses
 import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from hyperterm import cli
+from hyperterm._frozen import replace
 from hyperterm.bundled import annihilated_spec, binomial_spec, constant_spec, odd_product_spec
 from hyperterm.cli import main
+from hyperterm.errors import ParseError
 from hyperterm.geometry import Hyperplane, MeasureZeroSet
 from hyperterm.jsonio import (
     factored_from_json,
@@ -16,9 +21,11 @@ from hyperterm.jsonio import (
     hyperplane_to_json,
     spec_from_json,
     spec_to_json,
+    unreduced_generators,
 )
 from hyperterm.oresato import Chain, OreSatoForm, ratio_from_form
 from hyperterm.parsing import parse_multipoly, parse_unipoly
+from hyperterm.structure import build_structure
 from hyperterm.termratio import FactoredRational
 
 
@@ -36,28 +43,42 @@ def test_spec_round_trip():
         assert spec_from_json(spec_to_json(spec)) == spec
 
 
-def test_spec_loader_flags_unreduced_generators(caplog):
+UNREDUCED_WARNING = (
+    "WARNING:hyperterm.jsonio:generator {} is not reduced; its quotient is reduced on use\n"
+)
+
+
+def test_spec_loader_flags_unreduced_generators(tmp_path, capsys):
     # a linear common factor, and a nonlinear one hidden in an expanded side:
     # z1^3 + z1 = z1 * (z1^2 + 1)
+    path = tmp_path / "spec.json"
     for num, den in [("z1^2 + z1", "z1 * (z1 + 2)"), ("z1^3 + z1", "z1^2 + 1")]:
-        spec = {"k": 1, "generators": [{"num": num, "den": den}]}
-        with caplog.at_level("WARNING", logger="hyperterm.jsonio"):
-            spec_from_json(spec)
-        assert "generator 1 is not reduced" in caplog.text, (num, den)
-        caplog.clear()
+        obj = {"k": 1, "generators": [{"num": num, "den": den}]}
+        assert unreduced_generators(spec_from_json(obj)) == [1], (num, den)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr() == ("compatible\n", UNREDUCED_WARNING.format(1)), (num, den)
+    # generators are numbered from 1
+    second = {
+        "k": 2,
+        "generators": [{"num": "z1 + 1", "den": "1"}, {"num": "z2 * (z2 + 1)", "den": "z2"}],
+    }
+    assert unreduced_generators(spec_from_json(second)) == [2]
     # a reduced spec whose sides repeat a base: nothing cancels
     reduced = {"k": 1, "generators": [{"num": "(z1 + 1)^2 * (z1 + 1)", "den": "(z1 + 2) * (z1 + 2)"}]}
-    with caplog.at_level("WARNING", logger="hyperterm.jsonio"):
-        spec_from_json(reduced)
-    assert "not reduced" not in caplog.text
+    assert unreduced_generators(spec_from_json(reduced)) == []
+    path.write_text(json.dumps(reduced), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr() == ("compatible\n", "")
     paths = sorted(REPO.glob("specs/*.json")) + sorted(REPO.glob("perfbench/specs/*.json"))
     assert paths
-    with caplog.at_level("WARNING", logger="hyperterm.jsonio"):
-        for path in paths:
-            spec_from_json(json.loads(path.read_text(encoding="utf-8")))
-        for spec in [constant_spec(), odd_product_spec(), binomial_spec(), annihilated_spec()]:
-            spec_from_json(spec_to_json(spec))
-    assert "not reduced" not in caplog.text
+    for spec in [constant_spec(), odd_product_spec(), binomial_spec(), annihilated_spec()]:
+        paths.append(Path(write_spec(tmp_path, spec, f"bundled{len(paths)}.json")))
+    for path in paths:
+        spec = spec_from_json(json.loads(path.read_text(encoding="utf-8")))
+        assert unreduced_generators(spec) == [], path
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().err == "", path
 
 
 def test_factored_round_trip():
@@ -80,7 +101,7 @@ def test_exception_without_lattice_points_round_trips():
     # 2 z1 = 1 holds no integer point; written out, it must not read back
     # as the plane z1 = 1
     declared = MeasureZeroSet.make([Hyperplane.make((2,), 1), Hyperplane.make((1,), -3)])
-    spec = dataclasses.replace(odd_product_spec(), exceptions=declared)
+    spec = replace(odd_product_spec(), exceptions=declared)
     back = spec_from_json(spec_to_json(spec))
     assert back == spec
     assert back.exceptions.hyperplanes == (Hyperplane.make((1,), -3),)
@@ -294,6 +315,42 @@ def test_usage_errors(tmp_path, capsys):
     assert spec_from_json(integral) == spec_from_json(integer_spec)
 
 
+def test_zero_witness_is_a_usage_error(tmp_path, capsys):
+    # 0 * f = 0 holds for every term, so a zero witness says nothing
+    obj = json.loads((REPO / "specs" / "binomial.json").read_text(encoding="utf-8"))
+    obj["zero_divisor_witness"] = "0"
+    with pytest.raises(ParseError, match="zero_divisor_witness"):
+        spec_from_json(obj)
+    path = tmp_path / "zero_witness.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for command in ["check", "structure"]:
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: zero_divisor_witness: "), captured.err
+
+
+def test_polynomial_field_of_the_wrong_json_type_is_named(tmp_path, capsys):
+    binomial = json.loads((REPO / "specs" / "binomial.json").read_text(encoding="utf-8"))
+    path = tmp_path / "wrong_type.json"
+    cases = [
+        ({"k": 1, "generators": [{"num": [1], "den": "1"}]}, "generators[0].num"),
+        ({"k": 1, "generators": [{"num": "1", "den": [1]}]}, "generators[0].den"),
+        ({"k": 1, "generators": [{"num": 3, "den": "1"}]}, "generators[0].num"),
+        (
+            {**binomial, "generators": [binomial["generators"][0], {"num": "z2", "den": ["z1"]}]},
+            "generators[1].den",
+        ),
+        ({**binomial, "zero_divisor_witness": [1]}, "zero_divisor_witness"),
+    ]
+    for obj, field in cases:
+        with pytest.raises(ParseError, match=re.escape(f"{field}: expected a string")):
+            spec_from_json(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["check", str(path)]) == 2, field
+        assert capsys.readouterr() == ("", f"error: {field}: expected a string\n"), field
+
+
 def test_malformed_window_range_is_named(tmp_path, capsys):
     path = write_spec(tmp_path, binomial_spec())
     cases = [("1:2:3,0:1", "'1:2:3'"), ("0:2,1", "'1'"), ("0:x,0:2", "'0:x'"), ("0:2,", "''")]
@@ -396,9 +453,10 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # on specs/*.json over the grid2d workload's windows (keys
 # `specs_<stem>.compare_window`), the stdout of `decompose` on
 # tests/data/shift16.json and tests/data/telescope.json, the stdout of `check` and
-# `decompose` on tests/data/incompatible.json, which both exit 1, and
-# golden/exit_status.json their exit statuses.  A change that
-# alters CLI output must regenerate them (`PYTHONPATH=src python
+# `decompose` on tests/data/incompatible.json, which both exit 1, the stdout of
+# `check` on tests/data/unreduced.json, and golden/exit_status.json their exit
+# statuses.  `<key>.err` holds the stderr of each command in STDERR_GOLDENS.
+# A change that alters CLI output must regenerate them (`PYTHONPATH=src python
 # tests/test_cli.py`) and say why.
 
 REPO = Path(__file__).resolve().parent.parent
@@ -412,6 +470,21 @@ SHIFT16 = REPO / "tests" / "data" / "shift16.json"
 TELESCOPE = REPO / "tests" / "data" / "telescope.json"
 # R_1 of specs/binomial.json times z2 + 1, which no second generator balances
 INCOMPATIBLE = REPO / "tests" / "data" / "incompatible.json"
+# R_1 = (z1^2 + z1) / (z1 (z1 + 2)), whose sides share the factor z1
+UNREDUCED = REPO / "tests" / "data" / "unreduced.json"
+# key -> a command whose stderr is golden: the unreduced-generator warning,
+# and --verbose on a structure with an unreachable piece and on one whose
+# three unreachable pieces come in another order than the structure lists
+# them and have no factorial forms
+STDERR_GOLDENS = {
+    "unreduced.check": ["check", str(UNREDUCED)],
+    "perfbench_wedge3d.structure_verbose": [
+        "structure",
+        "-v",
+        str(REPO / "perfbench" / "specs" / "wedge3d.json"),
+    ],
+    "specs_binomial.factorial_verbose": ["factorial", "-v", str(REPO / "specs" / "binomial.json")],
+}
 GOLDEN_COMMANDS = ["check", "decompose", "structure", "factorial", "pochhammer", "compare"]
 BUNDLED = {
     "constant": constant_spec,
@@ -440,11 +513,16 @@ def golden_spec_paths(workdir: Path) -> dict[str, str]:
     return paths
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
+def run_cli_streams(argv: list[str]) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of the command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)
-    return status, out.getvalue()
+    return status, out.getvalue(), err.getvalue()
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    return run_cli_streams(argv)[:2]
 
 
 def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
@@ -467,6 +545,7 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
     results["telescope.decompose"] = run_cli(["decompose", str(TELESCOPE)])
     for command in ("check", "decompose"):
         results[f"incompatible.{command}"] = run_cli([command, str(INCOMPATIBLE)])
+    results["unreduced.check"] = run_cli(["check", str(UNREDUCED)])
     return results
 
 
@@ -477,6 +556,30 @@ def test_cli_output_matches_goldens(tmp_path):
     for key, (status, out) in results.items():
         assert status == statuses[key], key
         assert out.encode("utf-8") == (GOLDEN / f"{key}.out").read_bytes(), key
+
+
+def test_cli_stderr_matches_goldens():
+    for key, argv in STDERR_GOLDENS.items():
+        status, out, err = run_cli_streams(argv)
+        assert err.encode("utf-8") == (GOLDEN / f"{key}.err").read_bytes(), key
+        # --verbose writes to stderr only
+        assert (status, out) == run_cli([arg for arg in argv if arg != "-v"]) == (0, out), key
+
+
+def test_verbose_names_a_piece_the_flood_did_not_reach(monkeypatch):
+    # no spec of the repository has a piece without a base value and
+    # without a wall, so this takes binomial's three and drops their walls
+    ps = build_structure(binomial_spec())
+    unwalled = replace(ps, pieces=tuple(replace(piece, wall=None) for piece in ps.pieces))
+    monkeypatch.setattr(cli, "build_structure", lambda spec: unwalled)
+    status, _, err = run_cli_streams(STDERR_GOLDENS["specs_binomial.factorial_verbose"])
+    assert status == 0
+    walled = (GOLDEN / "specs_binomial.factorial_verbose.err").read_text(encoding="utf-8")
+    expected = walled.replace(
+        "is unreachable from the seed: behind the wall z1 >= 0",
+        "is not reached within the flood's box",
+    )
+    assert err == expected != walled
 
 
 def _golden_form_round_trips(data: Path, key: str) -> None:
@@ -518,6 +621,8 @@ if __name__ == "__main__":
         results = golden_outputs(Path(workdir))
     for key, (_, out) in results.items():
         (GOLDEN / f"{key}.out").write_bytes(out.encode("utf-8"))
+    for key, argv in STDERR_GOLDENS.items():
+        (GOLDEN / f"{key}.err").write_bytes(run_cli_streams(argv)[2].encode("utf-8"))
     statuses = {key: status for key, (status, _) in sorted(results.items())}
     (GOLDEN / "exit_status.json").write_text(
         json.dumps(statuses, indent=2, sort_keys=True) + "\n", encoding="utf-8"

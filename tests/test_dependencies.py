@@ -1,9 +1,14 @@
 """The package has no runtime dependency: it imports only the standard
 library and itself, and pyproject.toml declares none.  Its modules are
-layered: each imports only modules below it, and only when it loads."""
+layered: each imports only modules below it, and only when it loads.  Of
+the standard library it loads only what runs: not ``logging``,
+``dataclasses`` or ``inspect``, which cost more to import than the
+package's own modules."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -92,3 +97,25 @@ def test_jsonio_loads_only_the_spec_layers():
     # the layers that produce them only for its annotations
     allowed = {"errors", "geometry", "parsing", "poly", "termratio"}
     assert _package_imports(PACKAGE / "jsonio.py") <= allowed
+
+
+# a module here is loaded by neither ``import hyperterm`` nor the CLI; each
+# pulls in others (``traceback``, ``string``; ``ast``, ``dis``) on import
+UNLOADED = ("logging", "dataclasses", "inspect")
+
+
+def test_import_leaves_heavy_stdlib_modules_unloaded():
+    code = (
+        "import sys\n"
+        "import hyperterm, hyperterm.cli\n"
+        f"print(' '.join(name for name in {UNLOADED!r} if name in sys.modules))"
+    )
+    path = os.pathsep.join([str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout.split() == []

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from hyperterm import geometry, oracle, oresato, poly, structure, termratio
+from hyperterm._frozen import Frozen, FrozenInstanceError, replace
 from hyperterm.bundled import binomial_spec, odd_product_spec
 from hyperterm.errors import PreconditionError
 from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet
@@ -28,33 +29,37 @@ TYPES = sorted(
         cls
         for module in MODULES
         for cls in vars(module).values()
-        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        if isinstance(cls, type) and issubclass(cls, Frozen) and cls.__module__ == module.__name__
     ),
     key=lambda cls: (cls.__module__, cls.__name__),
 )
 ORDERED = {Hyperplane, HalfSpace}
 COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
+# the default made afresh for each instance, as ``field(default_factory=...)``
+# makes it; ``__init__`` takes None for it
+FACTORIES = {(TermSpec, "exceptions"): MeasureZeroSet.empty}
 
 
 def twin(cls):
-    """``cls`` as a generated frozen dataclass with the same fields."""
+    """``cls`` as a generated frozen dataclass with the same fields, in the
+    order they are annotated, and defaults, the class attributes they set."""
     specs = []
-    for f in dataclasses.fields(cls):
+    for name in cls.__match_args__:
         default = {}
-        if f.default is not dataclasses.MISSING:
-            default["default"] = f.default
-        if f.default_factory is not dataclasses.MISSING:
-            default["default_factory"] = f.default_factory
-        specs.append((f.name, f.type, dataclasses.field(**default)))
+        if (cls, name) in FACTORIES:
+            default["default_factory"] = FACTORIES[cls, name]
+        elif name in vars(cls):
+            default["default"] = vars(cls)[name]
+        specs.append((name, cls.__annotations__[name], dataclasses.field(**default)))
     return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True, order=cls in ORDERED)
 
 
 def values(obj):
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {name: getattr(obj, name) for name in obj.__match_args__}
 
 
 def collect(obj, found):
-    if dataclasses.is_dataclass(obj):
+    if isinstance(obj, Frozen):
         found.setdefault(type(obj), []).append(obj)
         for value in values(obj).values():
             collect(value, found)
@@ -98,9 +103,13 @@ def test_every_type_is_sampled(samples):
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
 def test_type_matches_its_frozen_dataclass_twin(cls, samples):
     ref = twin(cls)
-    describe = operator.attrgetter("name", "type", "default", "default_factory", "init", "compare")
-    assert list(map(describe, dataclasses.fields(cls))) == list(map(describe, dataclasses.fields(ref)))
-    assert cls.__match_args__ == ref.__match_args__
+    assert cls.__match_args__ == ref.__match_args__ == tuple(f.name for f in dataclasses.fields(ref))
+    # the constructor takes the fields, in order, with the twin's defaults
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [f.name for f in dataclasses.fields(ref)]
+    for p, f in zip(params, dataclasses.fields(ref)):
+        default = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        assert p.default == (None if (cls, f.name) in FACTORIES else default), f.name
     xs = samples[cls]
     refs = [ref(**values(x)) for x in xs]
     for x, r in zip(xs, refs):
@@ -108,15 +117,15 @@ def test_type_matches_its_frozen_dataclass_twin(cls, samples):
         assert hash(x) == hash(r) == hash(tuple(values(x).values()))
         assert x == cls(**values(x)) and not x != cls(**values(x))
         assert x.__eq__(r) is NotImplemented and x != r
-        deep = copy.deepcopy(dataclasses.replace(x))
+        deep = copy.deepcopy(replace(x))
         assert type(deep) is cls and deep == x and repr(deep) == repr(copy.deepcopy(r))
         for name in [*values(x), "other"]:
-            with pytest.raises(dataclasses.FrozenInstanceError) as got:
+            with pytest.raises(FrozenInstanceError) as got:
                 setattr(x, name, 0)
             with pytest.raises(dataclasses.FrozenInstanceError) as expected:
                 setattr(r, name, 0)
             assert str(got.value) == str(expected.value)
-            with pytest.raises(dataclasses.FrozenInstanceError) as got:
+            with pytest.raises(FrozenInstanceError) as got:
                 delattr(x, name)
             with pytest.raises(dataclasses.FrozenInstanceError) as expected:
                 delattr(r, name)
@@ -124,7 +133,7 @@ def test_type_matches_its_frozen_dataclass_twin(cls, samples):
     for (x, r), (y, s) in zip(zip(xs, refs), zip(xs[1:] + xs[:1], refs[1:] + refs[:1])):
         assert (x == y) == (r == s) and (x != y) == (r != s)
         for name, value in values(y).items():
-            changed = dataclasses.replace(x, **{name: value})
+            changed = replace(x, **{name: value})
             assert type(changed) is cls
             assert repr(changed) == repr(dataclasses.replace(r, **{name: value}))
         for compare in COMPARISONS:
@@ -135,6 +144,14 @@ def test_type_matches_its_frozen_dataclass_twin(cls, samples):
                     compare(x, y)
             with pytest.raises(TypeError):
                 compare(x, r)
+
+
+def test_frozen_instance_error_is_an_attribute_error():
+    # as the dataclasses one is, so ``except AttributeError`` still catches it
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert issubclass(dataclasses.FrozenInstanceError, AttributeError)
+    with pytest.raises(TypeError):
+        replace(Hyperplane((1, 0), 2), normal=(0, 1))
 
 
 def test_defaults_match_the_twins():

@@ -3,12 +3,12 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hyperterm._frozen import replace
 from hyperterm.bundled import (
     annihilated_spec,
     binomial_spec,

@@ -1,12 +1,12 @@
 import hashlib
 import json
 import random
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_form, spec_from_form
+from hyperterm._frozen import replace
 from hyperterm.errors import CocycleError, PreconditionError, StructureError, ZeroTermError
 from hyperterm.jsonio import form_to_json
 from hyperterm.oresato import (
@@ -445,7 +445,7 @@ def test_form_pieces_multiply_back_to_the_fields():
             assert _multiplied_out(one, pieces) == sides_of_field, form
         # C or D made of two pieces or more
         several += any(sum(1 for _, m in cd if m * sign > 0) >= 2 for sign in (1, -1))
-        plain = OreSatoForm(*(getattr(form, f.name) for f in fields(form)))
+        plain = OreSatoForm(*(getattr(form, name) for name in form.__match_args__))
         assert plain == form and plain._pieces == _displayed_pieces(form)
         directions = _units(k) + [tuple(range(1, k + 1)), tuple(-2 + 3 * (i % 2) for i in range(k))]
         for w in directions:

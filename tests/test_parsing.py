@@ -25,6 +25,24 @@ def test_parse_rational_literal():
     assert parse_multipoly("-7/2", 1) == MultiPoly.constant(1, Fraction(-7, 2))
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("z1 + \u00b2", 5),  # superscript two: str.isdigit holds, int() refuses it
+        ("z1 + \u0663", 5),  # Arabic-Indic three: int() reads it as 3
+        ("\uff11/2", 0),  # fullwidth one
+        ("1/\u0662", 2),
+        ("z1^\u00b2", 3),
+        ("12\u0663", 2),
+    ],
+)
+def test_literals_are_ascii_digits(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_multipoly(text, 1)
+    assert err.value.position == position
+    assert repr(text[position]) in str(err.value)
+
+
 def test_whitespace_insignificant():
     assert parse_multipoly(" z1 +  2 ", 1) == parse_multipoly("z1+2", 1)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperterm._frozen import replace
 from hyperterm.bundled import (
     annihilated_spec,
     binomial_spec,
@@ -402,7 +402,7 @@ def test_build_decides_measure_zero_once_per_cell(monkeypatch):
     # them: cells on it are measure zero
     walls = MeasureZeroSet.make([Hyperplane.make((1, 0), 0), Hyperplane.make((1, 0), 2)])
     outcomes = set()
-    for spec in [binomial_spec(), dataclasses.replace(binomial_spec(), exceptions=walls)]:
+    for spec in [binomial_spec(), replace(binomial_spec(), exceptions=walls)]:
         cells.clear()
         calls.clear()
         build_structure(spec)
@@ -602,7 +602,7 @@ def assert_matches_reference(ps, points, seed):
     shuffled = list(points)
     random.Random(seed).shuffle(shuffled)
     for order in (list(points), list(reversed(points)), shuffled):
-        fresh = dataclasses.replace(ps)
+        fresh = replace(ps)
         for z in order:
             assert outcome_or_error(closed_form_eval, fresh, z) == expected[z], z
 
@@ -657,7 +657,7 @@ def test_closed_form_eval_from_threads(odd_structure):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            ps = dataclasses.replace(odd_structure)
+            ps = replace(odd_structure)
             results = [{} for _ in range(4)]
             start = threading.Barrier(len(results))
 
@@ -801,7 +801,7 @@ def test_point_in_no_piece_off_the_excluded_planes_is_an_integrity_error():
     spec = TermSpec.make(2, [(parse_multipoly("1", 2),) * 2] * 2, seed=((1, 1), Fraction(1)))
     assert grid_compare(ps, spec, LatticeBox((0, 0), 3)).on_h == 4
     with pytest.raises(IntegrityError, match=re.escape("the point (-1, 2) lies in no piece")):
-        grid_compare(dataclasses.replace(ps), spec, LatticeBox((-1, 2), 3))
+        grid_compare(replace(ps), spec, LatticeBox((-1, 2), 3))
 
 
 def test_row_intervals_on_hand_built_pieces():
@@ -847,7 +847,7 @@ def test_base_point_on_c_or_d_zero_is_an_integrity_error():
             closed_form_eval(ps, (2, 3))
         spec = TermSpec.make(k, [(parse_multipoly("1", k),) * 2] * k, seed=((0, 0), Fraction(1)))
         with pytest.raises(IntegrityError):
-            grid_compare(dataclasses.replace(ps), spec, LatticeBox((0, 0), 2))
+            grid_compare(replace(ps), spec, LatticeBox((0, 0), 2))
 
 
 def test_closed_form_eval_point_arity(binomial_structure):
