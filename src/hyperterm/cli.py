@@ -28,7 +28,6 @@ from .jsonio import (
     factorial_to_json,
     form_to_json,
     fraction_from_json,
-    fraction_to_json,
     pochhammer_to_json,
     report_to_json,
     spec_from_json,
@@ -37,7 +36,7 @@ from .jsonio import (
 )
 from .oracle import grid_compare
 from .oresato import decompose
-from .poly import MultiPoly
+from .poly import MultiPoly, format_fraction
 from .structure import (
     FactorialForm,
     PiecewiseStructure,
@@ -59,6 +58,20 @@ def _note(level: str, module: str, message: str) -> None:
     print(f"{level}:hyperterm.{module}:{message}", file=sys.stderr)
 
 
+# an integer argument is ASCII digits with an optional '-', as literals in
+# the polynomial grammar are: int() also reads '٣' as 3 and '1_0' as 10
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _integers(text: str, sep: str) -> Optional[tuple[int, ...]]:
+    """The integers text lists, separated by sep; None when one of them is
+    not an integer."""
+    parts = text.split(sep)
+    if all(_INTEGER.fullmatch(x) for x in parts):
+        return tuple(int(x) for x in parts)
+    return None
+
+
 def _load_spec(path: str, seed_override: Optional[str]) -> TermSpec:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -69,12 +82,9 @@ def _load_spec(path: str, seed_override: Optional[str]) -> TermSpec:
         point_text, _, value_text = seed_override.partition("=")
         if not value_text:
             raise ParseError("--seed expects 'z1,...,zk=p/q'")
-        try:
-            point = tuple(int(x) for x in point_text.split(","))
-        except ValueError:
-            raise ParseError(
-                f"bad seed point {point_text!r}: --seed expects 'z1,...,zk=p/q'"
-            ) from None
+        point = _integers(point_text, ",")
+        if point is None:
+            raise ParseError(f"bad seed point {point_text!r}: --seed expects 'z1,...,zk=p/q'")
         spec = spec.with_seed(point, fraction_from_json(value_text))
     return spec
 
@@ -84,13 +94,10 @@ def _parse_window(text: Optional[str], arity: int) -> LatticeBox:
         return LatticeBox((-8,) * arity, 16)
     ranges = []
     for part in text.split(","):
-        lo_text, _, hi_text = part.partition(":")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise ParseError(
-                f"bad window range {part!r}: --window expects 'lo:hi' per axis"
-            ) from None
+        bounds = _integers(part, ":")
+        if bounds is None or len(bounds) != 2:
+            raise ParseError(f"bad window range {part!r}: --window expects 'lo:hi' per axis")
+        lo, hi = bounds
         if lo > hi:
             raise ParseError(f"empty window range {part!r}")
         ranges.append((lo, hi))
@@ -180,16 +187,15 @@ def _cmd_pochhammer(spec: TermSpec, args) -> int:
 def _cmd_eval(spec: TermSpec, args) -> int:
     if args.at is None:
         raise ParseError("eval requires --at z1,...,zk")
-    try:
-        point = tuple(int(x) for x in args.at.split(","))
-    except ValueError:
-        raise ParseError(f"bad point {args.at!r}: --at expects integers 'z1,...,zk'") from None
+    point = _integers(args.at, ",")
+    if point is None:
+        raise ParseError(f"bad point {args.at!r}: --at expects integers 'z1,...,zk'")
     if len(point) != spec.arity:
         raise ParseError(f"expected {spec.arity} coordinates in --at, got {len(point)}")
     ps = _build(spec, args)
     outcome = closed_form_eval(ps, point)
     if outcome.status == "ok":
-        print(fraction_to_json(outcome.value))
+        print(format_fraction(outcome.value))
     else:
         print(f"undefined: {outcome.status}")
     return EXIT_OK
@@ -247,7 +253,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     # of the mathematics (incompatibility, non-telescoping structure) are not
     try:
         spec = _load_spec(args.spec, args.seed)
-    except (HypertermError, OSError, ValueError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (HypertermError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

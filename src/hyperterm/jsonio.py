@@ -14,6 +14,7 @@ structure the decomposition relies on.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -29,15 +30,20 @@ if TYPE_CHECKING:
     from .structure import FactorialForm, PiecewiseStructure, PochhammerForm
 
 
-def fraction_to_json(x: Fraction) -> str:
-    return format_fraction(Fraction(x))
+# ASCII only: Fraction() also reads '٣' as 3, '1_0' as 10 and '0.5' as 1/2
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def fraction_from_json(text: str) -> Fraction:
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
+    """The rational a "p/q" or "p" literal states: ASCII digits, an
+    optional '-' on p, surrounding whitespace ignored."""
+    body = str(text).strip()
+    if _RATIONAL.fullmatch(body):
+        try:
+            return Fraction(body)
+        except ZeroDivisionError:
+            pass
+    raise ParseError(f"bad rational literal {text!r}")
 
 
 def factored_to_json(fr: FactoredRational) -> str:
@@ -66,10 +72,6 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
     return {"v": list(h.v), "n": h.n}
 
 
-def hyperplane_from_json(obj: dict) -> Hyperplane:
-    return Hyperplane.make(obj["v"], obj["n"])
-
-
 def halfspace_to_json(h: HalfSpace) -> dict:
     return {"v": list(h.v), "gt": h.n}
 
@@ -93,10 +95,39 @@ def spec_to_json(spec: TermSpec) -> dict:
         out["exceptions"] = [hyperplane_to_json(h) for h in spec.exceptions.hyperplanes]
     if spec.seed is not None:
         point, value = spec.seed
-        out["seed"] = {"point": list(point), "value": fraction_to_json(value)}
+        out["seed"] = {"point": list(point), "value": format_fraction(value)}
     if spec.zero_divisor_witness is not None:
         out["zero_divisor_witness"] = str(spec.zero_divisor_witness)
     return out
+
+
+def _field(obj: Any, path: str, key: str) -> Any:
+    """obj[key] of the JSON object at path."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected an object")
+    if key not in obj:
+        raise ParseError(f"{path}.{key}: missing")
+    return obj[key]
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a list")
+    return value
+
+
+def _int(value: Any, path: str) -> int:
+    """An integer field under the integer rule of ``poly._integer``."""
+    try:
+        return _integer(value, path)
+    except TypeError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _ints(value: Any, path: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a list of integers")
+    return [_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
 def _text(value: Any, path: str) -> str:
@@ -107,32 +138,39 @@ def _text(value: Any, path: str) -> str:
 
 
 def spec_from_json(obj: dict) -> TermSpec:
-    """The spec a JSON object states.  A polynomial field that is not a
-    string, and a zero ``zero_divisor_witness``, which annihilates every
-    term and so says nothing about this one, raise ParseError."""
-    if "k" not in obj or "generators" not in obj:
+    """The spec a JSON object states.  A field of the wrong JSON type or
+    missing, named by its path, and a zero ``zero_divisor_witness``, which
+    annihilates every term and so says nothing about this one, raise
+    ParseError."""
+    if not isinstance(obj, dict) or "k" not in obj or "generators" not in obj:
         raise ParseError("spec JSON needs 'k' and 'generators'")
-    k = _integer(obj["k"], "k")
+    k = _int(obj["k"], "k")
     gens = []
-    for i, g in enumerate(obj["generators"]):
+    for i, g in enumerate(_list(obj["generators"], "generators")):
+        path = f"generators[{i}]"
         gens.append(
             (
-                factored_from_json(_text(g["num"], f"generators[{i}].num"), k),
-                factored_from_json(_text(g["den"], f"generators[{i}].den"), k),
+                factored_from_json(_text(_field(g, path, "num"), f"{path}.num"), k),
+                factored_from_json(_text(_field(g, path, "den"), f"{path}.den"), k),
             )
         )
-    exceptions = MeasureZeroSet.make(
-        [hyperplane_from_json(h) for h in obj.get("exceptions", [])]
-    )
+    planes = []
+    for i, h in enumerate(_list(obj.get("exceptions", []), "exceptions")):
+        path = f"exceptions[{i}]"
+        v = _ints(_field(h, path, "v"), f"{path}.v")
+        planes.append(Hyperplane.make(v, _int(_field(h, path, "n"), f"{path}.n")))
     seed = None
     if obj.get("seed") is not None:
-        seed = (obj["seed"]["point"], fraction_from_json(obj["seed"]["value"]))
+        point = _ints(_field(obj["seed"], "seed", "point"), "seed.point")
+        seed = (point, fraction_from_json(_field(obj["seed"], "seed", "value")))
     witness = None
     if obj.get("zero_divisor_witness") is not None:
         witness = parse_multipoly(_text(obj["zero_divisor_witness"], "zero_divisor_witness"), k)
         if witness.is_zero:
             raise ParseError("zero_divisor_witness: the zero polynomial annihilates every term")
-    return TermSpec.make(k, gens, exceptions=exceptions, seed=seed, zero_divisor_witness=witness)
+    return TermSpec.make(
+        k, gens, exceptions=MeasureZeroSet.make(planes), seed=seed, zero_divisor_witness=witness
+    )
 
 
 def unreduced_generators(spec: TermSpec) -> list[int]:
@@ -160,7 +198,7 @@ def form_to_json(form: OreSatoForm) -> dict:
     return {
         "C": str(form.c_poly),
         "D": str(form.d_poly),
-        "gamma": [fraction_to_json(g) for g in form.gamma],
+        "gamma": [format_fraction(g) for g in form.gamma],
         "chains": [
             {
                 "v": list(c.direction),
@@ -180,7 +218,7 @@ def structure_to_json(ps: PiecewiseStructure) -> dict:
             {
                 "region": region_to_json(p.region),
                 "z0": list(p.base_point),
-                "f0": None if p.base_value is None else fraction_to_json(p.base_value),
+                "f0": None if p.base_value is None else format_fraction(p.base_value),
             }
             for p in ps.pieces
         ],
@@ -191,8 +229,8 @@ def _form_to_json(form: FactorialForm | PochhammerForm) -> dict:
     """The keys a factorial and a Pochhammer form share."""
     return {
         "region": region_to_json(form.region),
-        "gamma": [fraction_to_json(g) for g in form.gamma],
-        "scalar": fraction_to_json(form.scalar),
+        "gamma": [format_fraction(g) for g in form.gamma],
+        "scalar": format_fraction(form.scalar),
         "C": str(form.c_poly),
         "D": str(form.d_poly),
     }
@@ -216,7 +254,7 @@ def factorial_to_json(ff: FactorialForm) -> dict:
 def pochhammer_to_json(pf: PochhammerForm) -> dict:
     def entries(entries_):
         return [
-            {"m": fraction_to_json(e.base), "v": list(e.direction), "r": e.offset}
+            {"m": format_fraction(e.base), "v": list(e.direction), "r": e.offset}
             for e in entries_
         ]
 
@@ -238,8 +276,8 @@ def report_to_json(report: GridReport) -> dict:
         "mismatches": [
             {
                 "z": list(m.z),
-                "closed": fraction_to_json(m.closed),
-                "oracle": fraction_to_json(m.oracle),
+                "closed": format_fraction(m.closed),
+                "oracle": format_fraction(m.oracle),
             }
             for m in report.mismatches
         ],

@@ -737,14 +737,6 @@ class UniPoly(Frozen):
     def __init__(self, coeffs):
         set_field(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
     @staticmethod
     def make(coeffs: Iterable) -> "UniPoly":
         cs = [_coeff(c) for c in coeffs]
@@ -952,26 +944,14 @@ def integer_roots(p: UniPoly) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def primitive_vector(values: Sequence[Fraction]) -> Optional[Point]:
+def primitive_vector(values: Sequence[Coeff]) -> Optional[Point]:
     """Scale a rational vector to a coprime integer vector whose first
-    nonzero entry is positive.  None for the zero vector."""
-    fracs = [Fraction(v) for v in values]
-    if all(v == 0 for v in fracs):
+    nonzero entry is positive (``_primitive``).  None for the zero vector."""
+    lead = next((v for v in values if v), None)
+    if lead is None:
         return None
-    den = 1
-    for v in fracs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in fracs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    _, ints = _primitive(values, lead)
+    return tuple(map(int, ints or values))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,58 +1033,33 @@ def find_nonzero_in_box(p: MultiPoly, corner: Sequence[int], size: int) -> Optio
 # ---------------------------------------------------------------------------
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination; returns (particular solution, nullspace basis)
-    or None when inconsistent."""
+def _solve_linear(rows: list[list[Coeff]], rhs: list[Coeff]):
+    """(particular solution, nullspace basis) of the first basis of the rows
+    met in row order; a row in the span of the rows before it is dropped
+    with its right-hand side.  Both are read off the reduced row echelon
+    form of the rows kept, which depends only on them."""
     n_vars = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n_vars):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][c]
-        aug[r] = [Fraction(x, scale) for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n_vars] != 0:
-            return None
-    particular = [Fraction(0)] * n_vars
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][n_vars]
-    free = [c for c in range(n_vars) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_vars
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -aug[i][f]
-        basis.append(vec)
-    return particular, basis
-
-
-def _independent_rows(rows: list[list[Coeff]]) -> list[int]:
-    """The indices of the rows that are not in the span of the rows before
-    them: the first basis of the row space met in row order."""
-    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot column, row scaled to 1 there)
-    keep = []
-    for index, row in enumerate(rows):
-        for col, e in echelon:
-            if row[col]:
-                f = row[col]
+    echelon: dict[int, list[Fraction]] = {}  # pivot column -> row scaled to 1 there
+    for row, b in zip(rows, rhs):
+        row = [*row, b]
+        for col, e in echelon.items():
+            if f := row[col]:
                 row = [x - f * y for x, y in zip(row, e)]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            echelon.append((col, [Fraction(x) / row[col] for x in row]))
-            keep.append(index)
-    return keep
+        col = next((c for c in range(n_vars) if row[c]), None)
+        if col is None:
+            continue
+        row = [Fraction(x) / row[col] for x in row]
+        for c, e in echelon.items():
+            if f := e[col]:
+                echelon[c] = [x - f * y for x, y in zip(e, row)]
+        echelon[col] = row
+    particular = [echelon[c][n_vars] if c in echelon else Fraction(0) for c in range(n_vars)]
+    basis = [
+        [-echelon[c][f] if c in echelon else Fraction(int(c == f)) for c in range(n_vars)]
+        for f in range(n_vars)
+        if f not in echelon
+    ]
+    return particular, basis
 
 
 def _hnf(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -1190,14 +1145,11 @@ def _orbit(p: MultiPoly) -> tuple[MultiPoly, Point, tuple[Point, ...]]:
                         m = mono[:i] + (e - 1,) + mono[i + 1 :]
                         g[m] = g.get(m, 0) + c * e * w[i]
         monos = sorted({m for g in grads for m, c in g.items() if c}, key=_glex_key, reverse=True)
-        rows = [[g.get(m, 0) for g in grads] for m in monos]
-        pivots = _independent_rows(rows)
-        if not pivots:
+        if not monos:
             continue
         lower = dict(q.terms)
-        # the pivot rows are independent, so the system is consistent
         lam, null = _solve_linear(
-            [rows[i] for i in pivots], [-lower.get(monos[i], 0) for i in pivots]
+            [[g.get(m, 0) for g in grads] for m in monos], [-lower.get(m, 0) for m in monos]
         )
         step = [sum(x * w[j] for x, w in zip(lam, free)) for j in range(k)]
         if any(step):
@@ -1237,7 +1189,9 @@ def orbit_anchor(p: MultiPoly) -> tuple[MultiPoly, Point]:
     c with p(z + c) equal to one canonical polynomial form an affine space
     c0 + V, V = {u : sum_i u_i dp/dz_i = 0}: degree by degree from d - 1
     down, the coefficients of p(z + c) are affine in the directions still
-    free, and c zeroes the pivot monomials among them (``_solve_linear``).
+    free, and c zeroes those of the monomials whose rows, in descending
+    graded-lex order, form the first basis of all the rows: one
+    ``_solve_linear`` over all of them.
     The integer shift of the anchor brings c into a fundamental box of the
     image of Z^k modulo V, a Hermite normal form; offsets are canonical
     modulo V ∩ Z^k, whose Hermite basis fixes their pivot coordinates.

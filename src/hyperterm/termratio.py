@@ -69,18 +69,6 @@ class FactoredRational(Frozen):
         set_field(self, "scalar", scalar)
         set_field(self, "factors", factors)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.arity == other.arity
-                and self.scalar == other.scalar
-                and self.factors == other.factors
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.arity, self.scalar, self.factors))
-
     @staticmethod
     def make(arity: int, scalar, factors: Iterable[tuple[MultiPoly, int]] = ()) -> "FactoredRational":
         scalar = _coeff(scalar)

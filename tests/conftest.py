@@ -1,11 +1,38 @@
-"""Shared helpers for building random decomposition forms and specs."""
+"""Shared helpers: the example spec files, and random decomposition forms
+and specs."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
+from hyperterm.jsonio import spec_from_json
 from hyperterm.oresato import Chain, OreSatoForm, ratio_from_form
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import UniPoly, gcd
 from hyperterm.termratio import TermSpec
+
+
+REPO = Path(__file__).resolve().parent.parent
+# name -> an example spec file: f(z1) = gp(0, z1) of (2j + 1), the odd double
+# factorials extended to negative arguments by the reciprocal convention;
+# choose(z1, z2) from its two quotients and f(0, 0) = 1; f = 1 on Z; and the
+# zero divisor A_1 = z1, B_1 = z1 + 1, a term supported on the line z1 = 0
+SPEC_FILES = {
+    "odd": REPO / "specs" / "odd.json",
+    "binomial": REPO / "specs" / "binomial.json",
+    "constant": REPO / "tests" / "data" / "constant.json",
+    "annihilated": REPO / "tests" / "data" / "annihilated.json",
+}
+
+
+def load_spec(name):
+    """The spec of the example file ``SPEC_FILES[name]``."""
+    return spec_from_json(json.loads(SPEC_FILES[name].read_text(encoding="utf-8")))
+
+
+def example_specs():
+    """Name -> spec for the constant, odd and binomial examples."""
+    return {name: load_spec(name) for name in ("constant", "odd", "binomial")}
 
 
 DIRECTIONS = {

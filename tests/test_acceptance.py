@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_form, spec_from_form
-from hyperterm.bundled import bundled_specs, odd_product_spec
+from conftest import example_specs, load_spec, random_form, spec_from_form
 from hyperterm.errors import SplittingError
 from hyperterm.geometry import (
     HalfSpace,
@@ -73,7 +72,7 @@ def _random_specs(rng, count):
 def test_criterion_1_cocycle_suite():
     t0 = time.monotonic()
     rng = random.Random(101)
-    for spec in bundled_specs().values():
+    for spec in example_specs().values():
         assert check_compatibility(spec)
     compatible = _random_specs(rng, 20)
     for spec in compatible:
@@ -95,7 +94,7 @@ def test_criterion_1_cocycle_suite():
 def test_criterion_2_decomposition_round_trip():
     t0 = time.monotonic()
     rng = random.Random(103)
-    specs = list(bundled_specs().values()) + _random_specs(rng, 20)
+    specs = list(example_specs().values()) + _random_specs(rng, 20)
     for spec in specs:
         form = decompose(spec)
         k = spec.arity
@@ -109,7 +108,7 @@ def test_criterion_2_decomposition_round_trip():
 
 def test_criterion_3_piecewise_structure_end_to_end():
     t0 = time.monotonic()
-    for name, spec in bundled_specs().items():
+    for name, spec in example_specs().items():
         ps = build_structure(spec)
         window = LatticeBox((-8,) * spec.arity, 16)
         report = grid_compare(ps, spec, window)
@@ -122,7 +121,7 @@ def test_criterion_3_piecewise_structure_end_to_end():
             if hits == 0:
                 assert ps.excluded.covers(z)
     # the two-case generalized product value at a negative argument
-    ps = build_structure(odd_product_spec())
+    ps = build_structure(load_spec("odd"))
     assert closed_form_eval(ps, (-2,)).value == Fraction(1, 3)
     assert closed_form_eval(ps, (3,)).value == 15
     _report(3, "piecewise structure end to end", t0, 60)
@@ -130,7 +129,7 @@ def test_criterion_3_piecewise_structure_end_to_end():
 
 def test_criterion_4_factorial_split():
     t0 = time.monotonic()
-    for name, spec in bundled_specs().items():
+    for name, spec in example_specs().items():
         ps = build_structure(spec)
         forms = split_factorial(ps)
         window = LatticeBox((-8,) * spec.arity, 16)
@@ -142,7 +141,7 @@ def test_criterion_4_factorial_split():
                 if ff.region.contains(z):
                     assert factorial_eval(ff, z) == outcome.value
     # the odd-product pieces are exactly {z1 >= 0} and {z1 < 0}
-    forms = split_factorial(build_structure(odd_product_spec()))
+    forms = split_factorial(build_structure(load_spec("odd")))
     assert len(forms) == 2
     nonneg = next(ff for ff in forms if ff.region.contains((0,)))
     neg = next(ff for ff in forms if not ff.region.contains((0,)))
@@ -158,7 +157,7 @@ def test_criterion_5_pochhammer_form():
     # with base point 0 its chain is prod (2j - 1), a shift of the
     # prod (2j + 1) = 2^{z1} (3/2)_{z1} display, and the emitted data is the
     # power base 2 with a half-integer rising factorial
-    forms = split_factorial(build_structure(odd_product_spec()))
+    forms = split_factorial(build_structure(load_spec("odd")))
     nonneg = next(ff for ff in forms if ff.region.contains((1,)))
     pf = to_pochhammer(nonneg)
     assert pf.gamma == (Fraction(2),)
@@ -169,8 +168,8 @@ def test_criterion_5_pochhammer_form():
     for z in range(0, 11):
         expected = Fraction(2) ** z * rising_factorial(Fraction(1, 2), z)
         assert pochhammer_eval(pf, (z,)) == expected
-    # every bundled factorial form converts and agrees exactly
-    for name, spec in bundled_specs().items():
+    # every example factorial form converts and agrees exactly
+    for name, spec in example_specs().items():
         ps = build_structure(spec)
         for ff in split_factorial(ps):
             pf = to_pochhammer(ff)
@@ -316,7 +315,7 @@ def test_criterion_6_geometry_suite():
 def test_criterion_7_oracle_consistency():
     t0 = time.monotonic()
     rng = random.Random(109)
-    for spec in bundled_specs().values():
+    for spec in example_specs().values():
         k = spec.arity
         seed_point, seed_value = spec.seed
         for _ in range(100):

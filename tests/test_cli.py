@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SPEC_FILES, load_spec
 from hyperterm import cli
 from hyperterm._frozen import replace
-from hyperterm.bundled import annihilated_spec, binomial_spec, constant_spec, odd_product_spec
 from hyperterm.cli import main
 from hyperterm.errors import ParseError
 from hyperterm.geometry import Hyperplane, MeasureZeroSet
@@ -17,7 +17,6 @@ from hyperterm.jsonio import (
     factored_from_json,
     factored_to_json,
     fraction_from_json,
-    hyperplane_from_json,
     hyperplane_to_json,
     spec_from_json,
     spec_to_json,
@@ -29,18 +28,13 @@ from hyperterm.structure import build_structure
 from hyperterm.termratio import FactoredRational
 
 
-def write_spec(tmp_path, spec, name="spec.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
-    return str(path)
-
-
 # -- serialization round trips ---------------------------------------------------
 
 
 def test_spec_round_trip():
-    for spec in [constant_spec(), odd_product_spec(), binomial_spec(), annihilated_spec()]:
-        assert spec_from_json(spec_to_json(spec)) == spec
+    for name in SPEC_FILES:
+        spec = load_spec(name)
+        assert spec_from_json(spec_to_json(spec)) == spec, name
 
 
 UNREDUCED_WARNING = (
@@ -72,8 +66,7 @@ def test_spec_loader_flags_unreduced_generators(tmp_path, capsys):
     assert capsys.readouterr() == ("compatible\n", "")
     paths = sorted(REPO.glob("specs/*.json")) + sorted(REPO.glob("perfbench/specs/*.json"))
     assert paths
-    for spec in [constant_spec(), odd_product_spec(), binomial_spec(), annihilated_spec()]:
-        paths.append(Path(write_spec(tmp_path, spec, f"bundled{len(paths)}.json")))
+    paths += [SPEC_FILES["constant"], SPEC_FILES["annihilated"]]
     for path in paths:
         spec = spec_from_json(json.loads(path.read_text(encoding="utf-8")))
         assert unreduced_generators(spec) == [], path
@@ -94,14 +87,16 @@ def test_factored_round_trip():
 
 def test_geometry_round_trips():
     h = Hyperplane.make((2, -4), 6)
-    assert hyperplane_from_json(hyperplane_to_json(h)) == h
+    assert hyperplane_to_json(h) == {"v": [1, -2], "n": 3}
+    spec = replace(load_spec("binomial"), exceptions=MeasureZeroSet.make([h]))
+    assert spec_from_json(spec_to_json(spec)).exceptions.hyperplanes == (h,)
 
 
 def test_exception_without_lattice_points_round_trips():
     # 2 z1 = 1 holds no integer point; written out, it must not read back
     # as the plane z1 = 1
     declared = MeasureZeroSet.make([Hyperplane.make((2,), 1), Hyperplane.make((1,), -3)])
-    spec = replace(odd_product_spec(), exceptions=declared)
+    spec = replace(load_spec("odd"), exceptions=declared)
     back = spec_from_json(spec_to_json(spec))
     assert back == spec
     assert back.exceptions.hyperplanes == (Hyperplane.make((1,), -3),)
@@ -111,8 +106,8 @@ def test_exception_without_lattice_points_round_trips():
 # -- commands ----------------------------------------------------------------------
 
 
-def test_check_compatible(tmp_path, capsys):
-    path = write_spec(tmp_path, binomial_spec())
+def test_check_compatible(capsys):
+    path = str(SPEC_FILES["binomial"])
     assert main(["check", path]) == 0
     assert capsys.readouterr().out.strip() == "compatible"
 
@@ -169,14 +164,14 @@ def test_incompatible_spec_is_an_error_for_decompose_and_structure(tmp_path, cap
         assert captured.err == "error: generators are not compatible\n"
 
 
-def test_eval_paper_value(tmp_path, capsys):
-    path = write_spec(tmp_path, odd_product_spec())
+def test_eval_paper_value(capsys):
+    path = str(SPEC_FILES["odd"])
     assert main(["eval", path, "--at", "-2"]) == 0
     assert capsys.readouterr().out.strip() == "1/3"
 
 
-def test_eval_at_positive(tmp_path, capsys):
-    path = write_spec(tmp_path, odd_product_spec())
+def test_eval_at_positive(capsys):
+    path = str(SPEC_FILES["odd"])
     assert main(["eval", path, "--at", "3"]) == 0
     assert capsys.readouterr().out.strip() == "15"
 
@@ -218,8 +213,8 @@ def test_spec_without_a_seed_is_a_usage_error_for_the_structure(tmp_path, capsys
     assert capsys.readouterr().err == "error: grid comparison requires a seed value\n"
 
 
-def test_compare_command(tmp_path, capsys):
-    path = write_spec(tmp_path, binomial_spec())
+def test_compare_command(capsys):
+    path = str(SPEC_FILES["binomial"])
     assert main(["compare", path, "--window", "-6:6,-6:6"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mismatches"] == []
@@ -227,7 +222,7 @@ def test_compare_command(tmp_path, capsys):
 
 
 def test_decompose_command_output_file(tmp_path):
-    path = write_spec(tmp_path, binomial_spec())
+    path = str(SPEC_FILES["binomial"])
     out = tmp_path / "form.json"
     assert main(["decompose", path, "-o", str(out)]) == 0
     obj = json.loads(out.read_text(encoding="utf-8"))
@@ -235,8 +230,8 @@ def test_decompose_command_output_file(tmp_path):
     assert len(obj["chains"]) == 3
 
 
-def test_structure_command(tmp_path, capsys):
-    path = write_spec(tmp_path, odd_product_spec())
+def test_structure_command(capsys):
+    path = str(SPEC_FILES["odd"])
     assert main(["structure", path]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["H"] == []
@@ -244,28 +239,28 @@ def test_structure_command(tmp_path, capsys):
     assert obj["pieces"][0]["f0"] == "1"
 
 
-def test_factorial_command(tmp_path, capsys):
-    path = write_spec(tmp_path, odd_product_spec())
+def test_factorial_command(capsys):
+    path = str(SPEC_FILES["odd"])
     assert main(["factorial", path]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["forms"]) == 2
 
 
-def test_pochhammer_command(tmp_path, capsys):
-    path = write_spec(tmp_path, odd_product_spec())
+def test_pochhammer_command(capsys):
+    path = str(SPEC_FILES["odd"])
     assert main(["pochhammer", path]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["forms"]) == 2
 
 
-def test_seed_override(tmp_path, capsys):
-    path = write_spec(tmp_path, odd_product_spec())
+def test_seed_override(capsys):
+    path = str(SPEC_FILES["odd"])
     assert main(["eval", path, "--at", "1", "--seed", "0=2"]) == 0
     assert capsys.readouterr().out.strip() == "2"
 
 
 def test_deterministic_output(tmp_path):
-    path = write_spec(tmp_path, binomial_spec())
+    path = str(SPEC_FILES["binomial"])
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["structure", path, "-o", str(out1)]) == 0
     assert main(["structure", path, "-o", str(out2)]) == 0
@@ -273,7 +268,7 @@ def test_deterministic_output(tmp_path):
 
 
 def test_usage_errors(tmp_path, capsys):
-    path = write_spec(tmp_path, odd_product_spec())
+    path = str(SPEC_FILES["odd"])
     assert main(["eval", path]) == 2  # missing --at
     assert main(["check", str(tmp_path / "missing.json")]) == 2
     assert main(["compare", path, "--window", "0:4:9"]) == 2
@@ -283,7 +278,7 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["check", path, "--seed", "0=1/0"]) == 2
     assert "bad rational literal '1/0'" in capsys.readouterr().err
     # an exception plane of arity 1 in a k = 2 spec is rejected on loading
-    flat = spec_to_json(binomial_spec())
+    flat = spec_to_json(load_spec("binomial"))
     flat["exceptions"] = [{"v": [1], "n": 0}]
     flat_path = tmp_path / "flat.json"
     flat_path.write_text(json.dumps(flat), encoding="utf-8")
@@ -351,8 +346,78 @@ def test_polynomial_field_of_the_wrong_json_type_is_named(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {field}: expected a string\n"), field
 
 
-def test_malformed_window_range_is_named(tmp_path, capsys):
-    path = write_spec(tmp_path, binomial_spec())
+ODD_JSON = json.loads(SPEC_FILES["odd"].read_text(encoding="utf-8"))
+ODD_GENERATORS = ODD_JSON["generators"]
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([ODD_JSON], "spec JSON needs 'k' and 'generators'"),
+        ({**ODD_JSON, "k": "1"}, "k must be an integer, got '1'"),
+        ({**ODD_JSON, "generators": ODD_GENERATORS[0]}, "generators: expected a list"),
+        ({**ODD_JSON, "generators": [1]}, "generators[0]: expected an object"),
+        ({**ODD_JSON, "generators": [{"den": "1"}]}, "generators[0].num: missing"),
+        ({**ODD_JSON, "generators": [{"num": "1"}]}, "generators[0].den: missing"),
+        ({**ODD_JSON, "exceptions": {"v": [1], "n": 0}}, "exceptions: expected a list"),
+        ({**ODD_JSON, "exceptions": [[1, 0]]}, "exceptions[0]: expected an object"),
+        ({**ODD_JSON, "exceptions": [{"n": 0}]}, "exceptions[0].v: missing"),
+        (
+            {**ODD_JSON, "exceptions": [{"v": 1, "n": 0}]},
+            "exceptions[0].v: expected a list of integers",
+        ),
+        (
+            {**ODD_JSON, "exceptions": [{"v": ["1"], "n": 0}]},
+            "exceptions[0].v[0] must be an integer, got '1'",
+        ),
+        ({**ODD_JSON, "exceptions": [{"v": [1]}]}, "exceptions[0].n: missing"),
+        (
+            {**ODD_JSON, "exceptions": [{"v": [1], "n": None}]},
+            "exceptions[0].n must be an integer, got None",
+        ),
+        ({**ODD_JSON, "seed": [[0], "1"]}, "seed: expected an object"),
+        ({**ODD_JSON, "seed": {"value": "1"}}, "seed.point: missing"),
+        ({**ODD_JSON, "seed": {"point": 0, "value": "1"}}, "seed.point: expected a list of integers"),
+        (
+            {**ODD_JSON, "seed": {"point": ["0"], "value": "1"}},
+            "seed.point[0] must be an integer, got '0'",
+        ),
+        ({**ODD_JSON, "seed": {"point": [0]}}, "seed.value: missing"),
+    ],
+    ids=[
+        "spec",
+        "k",
+        "generators",
+        "generators_0",
+        "generators_0_num",
+        "generators_0_den",
+        "exceptions",
+        "exceptions_0",
+        "exceptions_0_v",
+        "exceptions_0_v_list",
+        "exceptions_0_v_0",
+        "exceptions_0_n",
+        "exceptions_0_n_integer",
+        "seed",
+        "seed_point",
+        "seed_point_list",
+        "seed_point_0",
+        "seed_value",
+    ],
+)
+def test_spec_field_of_the_wrong_shape_is_named(obj, message, tmp_path, capsys):
+    # the loader names the field by its path, where a KeyError or a
+    # TypeError once printed only a key or a Python type
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        spec_from_json(obj)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_malformed_window_range_is_named(capsys):
+    path = str(SPEC_FILES["binomial"])
     cases = [("1:2:3,0:1", "'1:2:3'"), ("0:2,1", "'1'"), ("0:x,0:2", "'0:x'"), ("0:2,", "''")]
     for window, bad in cases:
         assert main(["compare", path, "--window", window]) == 2
@@ -379,8 +444,8 @@ def test_leading_minus_binds_to_the_first_term(tmp_path, capsys):
     assert outputs[0].endswith("\n20\n")
 
 
-def test_eval_point_arity_is_a_usage_error(tmp_path, capsys):
-    path = write_spec(tmp_path, binomial_spec())
+def test_eval_point_arity_is_a_usage_error(capsys):
+    path = str(SPEC_FILES["binomial"])
     for at in ["1", "1,2,3"]:
         assert main(["eval", path, "--at", at]) == 2
         captured = capsys.readouterr()
@@ -388,8 +453,8 @@ def test_eval_point_arity_is_a_usage_error(tmp_path, capsys):
         assert f"expected 2 coordinates in --at, got {len(at.split(','))}" in captured.err
 
 
-def test_malformed_eval_point_is_named(tmp_path, capsys):
-    path = write_spec(tmp_path, binomial_spec())
+def test_malformed_eval_point_is_named(capsys):
+    path = str(SPEC_FILES["binomial"])
     for at in ["1,x", "1.5,2", "1,,2"]:
         assert main(["eval", path, "--at", at]) == 2
         captured = capsys.readouterr()
@@ -397,8 +462,8 @@ def test_malformed_eval_point_is_named(tmp_path, capsys):
         assert captured.err == f"error: bad point {at!r}: --at expects integers 'z1,...,zk'\n"
 
 
-def test_malformed_seed_point_is_named(tmp_path, capsys):
-    path = write_spec(tmp_path, binomial_spec())
+def test_malformed_seed_point_is_named(capsys):
+    path = str(SPEC_FILES["binomial"])
     for seed, point in [("0,y=1", "0,y"), ("=1", ""), ("0;0=1", "0;0")]:
         assert main(["eval", path, "--at", "1,1", "--seed", seed]) == 2
         captured = capsys.readouterr()
@@ -406,21 +471,92 @@ def test_malformed_seed_point_is_named(tmp_path, capsys):
         assert captured.err == f"error: bad seed point {point!r}: --seed expects 'z1,...,zk=p/q'\n"
 
 
+# numbers on the command line and in a spec are ASCII: int() and Fraction()
+# also read '٣' as 3 and '1_0' as 10, and Fraction() '0.5' as 1/2
+ODD = str(SPEC_FILES["odd"])
+BAD_POINT = "error: bad point {!r}: --at expects integers 'z1,...,zk'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["eval", ODD, "--at", "٣"], BAD_POINT.format("٣")),
+        (["eval", ODD, "--at", "1_0"], BAD_POINT.format("1_0")),
+        (["eval", ODD, "--at", "+3"], BAD_POINT.format("+3")),
+        (["eval", str(SPEC_FILES["binomial"]), "--at", "٣,1"], BAD_POINT.format("٣,1")),
+        (
+            ["eval", ODD, "--at", "1", "--seed", "٠=2"],
+            "error: bad seed point '٠': --seed expects 'z1,...,zk=p/q'\n",
+        ),
+        (["eval", ODD, "--at", "1", "--seed", "0=٢"], "error: bad rational literal '٢'\n"),
+        (["eval", ODD, "--at", "1", "--seed", "0=0.5"], "error: bad rational literal '0.5'\n"),
+        (
+            ["compare", ODD, "--window", "٠:٢"],
+            "error: bad window range '٠:٢': --window expects 'lo:hi' per axis\n",
+        ),
+        (
+            ["compare", ODD, "--window", "0:1_0"],
+            "error: bad window range '0:1_0': --window expects 'lo:hi' per axis\n",
+        ),
+    ],
+    ids=[
+        "at_arabic_indic_digit",
+        "at_underscore",
+        "at_plus_sign",
+        "at_arabic_indic_digit_k2",
+        "seed_point_arabic_indic_digit",
+        "seed_value_arabic_indic_digit",
+        "seed_value_decimal",
+        "window_arabic_indic_digits",
+        "window_underscore",
+    ],
+)
+def test_non_ascii_numbers_in_arguments_are_usage_errors(argv, err, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["٣", "1_0", "0.5", "+3", "1 / 2", 0.5],
+    ids=["arabic_indic", "underscore", "decimal", "plus_sign", "inner_space", "json_number"],
+)
+def test_non_ascii_seed_value_in_a_spec_is_a_usage_error(value, tmp_path, capsys):
+    obj = {**ODD_JSON, "seed": {"point": [0], "value": value}}
+    with pytest.raises(ParseError, match=re.escape(f"bad rational literal {value!r}")):
+        spec_from_json(obj)
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["eval", str(path), "--at", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: bad rational literal {value!r}\n")
+
+
+def test_ascii_numbers_keep_their_sign_and_surrounding_space(capsys):
+    assert fraction_from_json(" -3/4 ") == Fraction(-3, 4)
+    assert fraction_from_json(3) == 3
+    assert main(["eval", ODD, "--at", " -2 "]) == 0
+    assert main(["eval", ODD, "--at", "1", "--seed", " 0 = -1/2 "]) == 0
+    assert main(["compare", ODD, "--window", " -2 : 2 "]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # f(1) = f(0) * (2 * 0 + 1)
+    assert out[:2] == ["1/3", "-1/2"]
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "hyperterm" in capsys.readouterr().out
 
 
-def test_eval_undefined_point(tmp_path, capsys):
+def test_eval_undefined_point(capsys):
     # the binomial piece behind the zero wall has no derivable value
-    path = write_spec(tmp_path, binomial_spec())
+    path = str(SPEC_FILES["binomial"])
     assert main(["eval", path, "--at", "-4,-4"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("undefined:")
 
 
-def test_structure_zero_divisor_spec(tmp_path, capsys):
-    path = write_spec(tmp_path, annihilated_spec())
+def test_structure_zero_divisor_spec(capsys):
+    path = str(SPEC_FILES["annihilated"])
     assert main(["structure", path]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["form"]["D"] == "z1"
@@ -447,7 +583,7 @@ def test_structure_error_exit_code(tmp_path, capsys):
 # -- golden outputs ----------------------------------------------------------------
 #
 # tests/golden/ holds the stdout of every command below on specs/*.json and on
-# the bundled specs (written with spec_to_json), the stdout of `check`,
+# tests/data/constant.json and tests/data/annihilated.json, the stdout of `check`,
 # `decompose`, `structure`, `factorial` and `pochhammer` on the benchmark
 # specs and of `compare` over their workload windows, the stdout of `compare`
 # on specs/*.json over the grid2d workload's windows (keys
@@ -486,12 +622,6 @@ STDERR_GOLDENS = {
     "specs_binomial.factorial_verbose": ["factorial", "-v", str(REPO / "specs" / "binomial.json")],
 }
 GOLDEN_COMMANDS = ["check", "decompose", "structure", "factorial", "pochhammer", "compare"]
-BUNDLED = {
-    "constant": constant_spec,
-    "odd_product": odd_product_spec,
-    "binomial": binomial_spec,
-    "annihilated": annihilated_spec,
-}
 # perfbench/specs/<stem>.json -> the --window of its workload
 COMPARE_WINDOWS = {
     "wedge3d": "-2:4,-2:4,8:14",
@@ -504,12 +634,12 @@ SPEC_COMPARE_WINDOWS = {
 }
 
 
-def golden_spec_paths(workdir: Path) -> dict[str, str]:
-    """Name -> spec file: specs/*.json as they are, the bundled specs
-    written into workdir."""
+def golden_spec_paths() -> dict[str, str]:
+    """Name -> spec file: specs/<stem>.json as specs_<stem>, and the two
+    example specs of tests/data by their stems."""
     paths = {f"specs_{p.stem}": str(p) for p in sorted((REPO / "specs").glob("*.json"))}
-    for name, make in BUNDLED.items():
-        paths[f"bundled_{name}"] = write_spec(workdir, make(), f"{name}.json")
+    for name in ("constant", "annihilated"):
+        paths[name] = str(SPEC_FILES[name])
     return paths
 
 
@@ -525,9 +655,9 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return run_cli_streams(argv)[:2]
 
 
-def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
+def golden_outputs() -> dict[str, tuple[int, str]]:
     results = {}
-    for name, path in golden_spec_paths(workdir).items():
+    for name, path in golden_spec_paths().items():
         for command in GOLDEN_COMMANDS:
             results[f"{name}.{command}"] = run_cli([command, path])
     for stem, window in COMPARE_WINDOWS.items():
@@ -549,9 +679,9 @@ def golden_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
     return results
 
 
-def test_cli_output_matches_goldens(tmp_path):
+def test_cli_output_matches_goldens():
     statuses = json.loads((GOLDEN / "exit_status.json").read_text(encoding="utf-8"))
-    results = golden_outputs(tmp_path)
+    results = golden_outputs()
     assert sorted(results) == sorted(statuses)
     for key, (status, out) in results.items():
         assert status == statuses[key], key
@@ -569,7 +699,7 @@ def test_cli_stderr_matches_goldens():
 def test_verbose_names_a_piece_the_flood_did_not_reach(monkeypatch):
     # no spec of the repository has a piece without a base value and
     # without a wall, so this takes binomial's three and drops their walls
-    ps = build_structure(binomial_spec())
+    ps = build_structure(load_spec("binomial"))
     unwalled = replace(ps, pieces=tuple(replace(piece, wall=None) for piece in ps.pieces))
     monkeypatch.setattr(cli, "build_structure", lambda spec: unwalled)
     status, _, err = run_cli_streams(STDERR_GOLDENS["specs_binomial.factorial_verbose"])
@@ -614,11 +744,8 @@ def test_telescope_golden_form_round_trips():
 
 
 if __name__ == "__main__":
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as workdir:
-        results = golden_outputs(Path(workdir))
+    results = golden_outputs()
     for key, (_, out) in results.items():
         (GOLDEN / f"{key}.out").write_bytes(out.encode("utf-8"))
     for key, argv in STDERR_GOLDENS.items():

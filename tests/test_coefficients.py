@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_form, spec_from_form
-from hyperterm.bundled import bundled_specs
+from conftest import SPEC_FILES, random_form, spec_from_form
 from hyperterm.geometry import PolyhedralRegion
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oresato import decompose
@@ -89,13 +88,11 @@ def _walk(spec, build=True):
             _exact(entry.base, "pochhammer base")
 
 
-def test_spec_files_and_bundled_specs_are_float_free():
+def test_spec_files_are_float_free():
     paths = sorted(REPO.glob("specs/*.json")) + sorted(REPO.glob("perfbench/specs/*.json"))
     assert paths
-    for path in paths:
+    for path in paths + [SPEC_FILES["constant"], SPEC_FILES["annihilated"]]:
         _walk(spec_from_json(json.loads(path.read_text(encoding="utf-8"))))
-    for spec in bundled_specs().values():
-        _walk(spec)
 
 
 def test_random_forms_are_float_free():

@@ -3,8 +3,8 @@
 Each type is compared with a twin: a ``dataclass(frozen=True)`` (with
 ``order=True`` for the ordered ones) made from the same fields and defaults,
 which keeps the behaviour the types had when they were declared that way.
-Sample instances come from running the pipeline on the bundled binomial
-and odd-product terms."""
+Sample instances come from running the pipeline on the binomial and odd
+example specs."""
 
 import copy
 import dataclasses
@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import load_spec
 from hyperterm import geometry, oracle, oresato, poly, structure, termratio
 from hyperterm._frozen import Frozen, FrozenInstanceError, replace
-from hyperterm.bundled import binomial_spec, odd_product_spec
 from hyperterm.errors import PreconditionError
 from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet
 from hyperterm.oracle import Mismatch, grid_compare, propagate
@@ -71,7 +71,7 @@ def collect(obj, found):
 @pytest.fixture(scope="module")
 def samples():
     found = {}
-    for spec in (binomial_spec(), odd_product_spec()):
+    for spec in (load_spec("binomial"), load_spec("odd")):
         ps = build_structure(spec)
         forms = split_factorial(ps)
         arity = spec.arity
@@ -157,7 +157,7 @@ def test_frozen_instance_error_is_an_attribute_error():
 def test_defaults_match_the_twins():
     plane, ref = Hyperplane((1, 0), 2), twin(Hyperplane)((1, 0), 2)
     assert repr(plane) == repr(ref) and plane.empty is False
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     bare = TermSpec(spec.arity, spec.generators)
     assert repr(bare) == repr(twin(TermSpec)(spec.arity, spec.generators))
     # the exceptions default is a fresh empty cover, as with default_factory

@@ -8,14 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import example_specs, load_spec
 from hyperterm._frozen import replace
-from hyperterm.bundled import (
-    annihilated_spec,
-    binomial_spec,
-    bundled_specs,
-    constant_spec,
-    odd_product_spec,
-)
 from hyperterm.errors import DimensionError, IntegrityError, PreconditionError
 from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet, PolyhedralRegion
 from hyperterm.jsonio import spec_from_json
@@ -68,7 +62,7 @@ def scaled_binomial_value(z):
 
 
 def test_propagate_to_seed():
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     result = propagate(spec, spec.seed, (0, 0))
     assert result.value == 1
     assert result.path == ()
@@ -76,7 +70,7 @@ def test_propagate_to_seed():
 
 def test_propagate_binomial_values():
     # Pascal-triangle brute force oracle
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     assert propagate(spec, spec.seed, (4, 2)).value == 6
     assert propagate(spec, spec.seed, (6, 3)).value == 20
     assert propagate(spec, spec.seed, (2, 5)).value == 0  # above the diagonal
@@ -85,14 +79,14 @@ def test_propagate_binomial_values():
 
 def test_propagate_blocked_behind_zero_wall():
     # every path into z1 < 0 must divide by A_1(-1, z2) = 0
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     result = propagate(spec, spec.seed, (-1, 0))
     assert not result.ok
     assert result.reason == "blocked"
 
 
 def test_propagate_certificate_replays():
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     result = propagate(spec, spec.seed, (5, 2))
     assert result.value == 10
     value = Fraction(1)
@@ -118,13 +112,13 @@ def test_propagate_integer_rule():
 
 
 def test_propagate_negative_direction():
-    spec = odd_product_spec()
+    spec = load_spec("odd")
     assert propagate(spec, spec.seed, (-2,)).value == Fraction(1, 3)
     assert propagate(spec, spec.seed, (3,)).value == 15
 
 
 def test_propagate_zero_divisor_support():
-    spec = annihilated_spec()
+    spec = load_spec("annihilated")
     assert propagate(spec, spec.seed, (0,)).value == 1
     assert propagate(spec, spec.seed, (3,)).value == 0
     assert propagate(spec, spec.seed, (-2,)).value == 0
@@ -132,7 +126,7 @@ def test_propagate_zero_divisor_support():
 
 def test_propagation_agrees_with_symbolic_ratio():
     rng = random.Random(61)
-    for spec in [odd_product_spec(), binomial_spec(), constant_spec()]:
+    for spec in [load_spec("odd"), load_spec("binomial"), load_spec("constant")]:
         k = spec.arity
         seed_point, seed_value = spec.seed
         count = 0
@@ -152,7 +146,7 @@ def test_path_independence_random_tie_breaking():
     """Aimed at a random goal box, the flood expands its points in another
     order and reaches a target by another path, with the same value."""
     rng = random.Random(67)
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     other_paths = 0
     for _ in range(25):
         target = (rng.randint(-2, 8), rng.randint(-2, 8))
@@ -169,7 +163,7 @@ def test_path_independence_random_tie_breaking():
 
 
 def test_propagate_window_matches_pointwise():
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     window = LatticeBox((-2, -2), 8)
     table = propagate_window(spec, window)
     for z in [(0, 0), (4, 2), (6, 6), (-1, 3)]:
@@ -179,7 +173,7 @@ def test_propagate_window_matches_pointwise():
 
 
 def test_propagate_window_lists_window_order():
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     window = LatticeBox((-3, -3), 7)
     table = propagate_window(spec, window)
     assert list(table) == [z for z in window.points() if z in table]
@@ -187,7 +181,7 @@ def test_propagate_window_lists_window_order():
 
 
 def test_arity_mismatch_is_a_dimension_error():
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     ps = build_structure(spec)
     for window in [LatticeBox((0,), 3), LatticeBox((0, 0, 0), 3)]:
         with pytest.raises(DimensionError, match="window arity mismatch"):
@@ -202,7 +196,7 @@ def test_arity_mismatch_is_a_dimension_error():
 
 
 def test_propagate_requires_seed():
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     bare = spec.with_seed((0, 0), 1)
     no_seed = TermSpec(bare.arity, bare.generators, bare.exceptions, None)
     with pytest.raises(PreconditionError):
@@ -223,8 +217,8 @@ def test_propagate_requires_seed():
 
 def test_integer_sides_match_factored_evaluate():
     specs = [spec_from_json(json.loads(f.read_text())) for f in sorted(SPECS_DIR.glob("*.json"))]
-    specs += list(bundled_specs().values())
-    specs += [annihilated_spec(), scaled_binomial_spec()]
+    specs += list(example_specs().values())
+    specs += [load_spec("annihilated"), scaled_binomial_spec()]
     assert len(specs) >= 7
     sides = [(s.arity, side) for s in specs for g in s.generators for side in (g.num, g.den)]
     # bases with rational coefficients, as a FactoredRational built directly
@@ -386,7 +380,7 @@ def test_flood_matches_reference_bfs():
 
 def test_propagate_targets_matches_propagate():
     rng = random.Random(101)
-    for spec in random_extended_specs(rng, 6) + [binomial_spec(), scaled_binomial_spec()]:
+    for spec in random_extended_specs(rng, 6) + [load_spec("binomial"), scaled_binomial_spec()]:
         seed_point = spec.seed[0]
         targets = [tuple(x + rng.randint(-5, 5) for x in seed_point) for _ in range(8)]
         singles = [propagate(spec, spec.seed, t).value for t in targets]
@@ -404,7 +398,7 @@ def test_propagate_targets_matches_an_unaimed_flood():
     behind a wall and at one the box does not reach.  Each target comes back
     with the first wall it lies behind, and every walled target with None."""
     rng = random.Random(127)
-    specs = random_extended_specs(rng, 10) + list(bundled_specs().values())
+    specs = random_extended_specs(rng, 10) + list(example_specs().values())
     specs.append(repository_spec("perfbench/specs/wedge3d.json"))
     counts = {"walled": 0, "unreached": 0, "reached": 0}
     for spec in specs:
@@ -430,7 +424,7 @@ def test_propagate_targets_matches_an_unaimed_flood():
 
 def test_propagate_targets_asks_nothing_when_every_target_is_walled(monkeypatch):
     # the wall z1 >= -2 of odd_product_spec with the exception z1 = -3
-    spec = replace(odd_product_spec(), exceptions=MeasureZeroSet.make([Hyperplane.make((1,), -3)]))
+    spec = replace(load_spec("odd"), exceptions=MeasureZeroSet.make([Hyperplane.make((1,), -3)]))
     floods = captured_floods(monkeypatch)
     wall = HalfSpace.make((1,), -3)
     assert propagate_targets(spec, [(-6,), (-4,), (-6,)]) == ([None] * 3, [wall] * 3)
@@ -455,7 +449,7 @@ def assert_reduced_pairs(flood, values):
 
 def test_flood_get_matches_reference():
     rng = random.Random(103)
-    specs = random_extended_specs(rng, 12) + list(bundled_specs().values())
+    specs = random_extended_specs(rng, 12) + list(example_specs().values())
     asked = {"reached": 0, "blocked": 0, "outside": 0}
     for spec in specs:
         k = spec.arity
@@ -513,7 +507,7 @@ def test_goal_flood_matches_reference():
     its boundary, or around a point the flood cannot reach.  Its
     certificates may take other paths, but each replays to the value."""
     rng = random.Random(113)
-    specs = random_extended_specs(rng, 12) + list(bundled_specs().values())
+    specs = random_extended_specs(rng, 12) + list(example_specs().values())
     asked = {"reached": 0, "blocked": 0, "outside": 0}
     walled_goals = 0
     for spec in specs:
@@ -578,7 +572,7 @@ def test_flood_values_are_reduced_pairs():
     negative on part of the box, along a long 1-D path of odd.json, and at
     the zeros binomial's z1 - z2 steps into."""
     rng = random.Random(127)
-    specs = random_extended_specs(rng, 12) + list(bundled_specs().values())
+    specs = random_extended_specs(rng, 12) + list(example_specs().values())
     specs += [scaled_binomial_spec()]
     paths = sorted(SPECS_DIR.glob("*.json")) + sorted((ROOT / "perfbench" / "specs").glob("*.json"))
     specs += [spec_from_json(json.loads(path.read_text())) for path in paths]
@@ -649,7 +643,7 @@ def reference_grid_report(ps, spec, window):
 def test_grid_compare_matches_reference():
     rng = random.Random(107)
     cases = []
-    for spec in random_extended_specs(rng, 8) + list(bundled_specs().values()):
+    for spec in random_extended_specs(rng, 8) + list(example_specs().values()):
         k = spec.arity
         ps = build_structure(spec)
         size = 4 if k < 3 else 3
@@ -896,7 +890,7 @@ def test_walls_of_the_repository_specs(path, walls, unknowns):
 def test_wall_of_an_exception_plane():
     # the exception z1 = -3 refuses the backward step into z1 = -3, and no
     # generator side vanishes anywhere
-    spec = replace(odd_product_spec(), exceptions=MeasureZeroSet.make([Hyperplane.make((1,), -3)]))
+    spec = replace(load_spec("odd"), exceptions=MeasureZeroSet.make([Hyperplane.make((1,), -3)]))
     assert _walls(spec) == (HalfSpace.make((1,), -3),)
     behind, ahead = build_structure(spec).pieces
     assert behind.base_point == (-6,) and behind.base_value is None

@@ -95,7 +95,7 @@ def test_gp_composition_random():
         assert gp_eval(a, b, term) * gp_eval(b, c, term) == gp_eval(a, c, term)
 
 
-# -- decompose: bundled examples ----------------------------------------------------
+# -- decompose: examples ------------------------------------------------------------
 
 
 def test_decompose_odd_product():

@@ -925,6 +925,58 @@ def test_primitive_vector():
     assert primitive_vector([Fraction(-2), Fraction(4)]) == (1, -2)
     assert primitive_vector([Fraction(0), Fraction(0)]) is None
     assert primitive_vector([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
+    assert primitive_vector([0, Fraction(-3), 6]) == (0, 1, -2)
+    # already primitive: integral Fractions come back as ints
+    v = primitive_vector([Fraction(2), Fraction(3)])
+    assert v == (2, 3) and all(type(x) is int for x in v)
+
+
+def _dot(row, x):
+    return sum(a * b for a, b in zip(row, x))
+
+
+def test_solve_linear_solves_the_first_basis_of_its_rows():
+    # the second row is twice the first, with a right-hand side that does
+    # not fit; it is dropped, so x + y = 2, x - y = 0 decides
+    assert poly._solve_linear([[1, 1], [2, 2], [1, -1]], [2, 5, 0]) == ([1, 1], [])
+    # random independent rows in row order, with rows in the span of those
+    # before them put in between, their right-hand sides consistent or not:
+    # the answer is exactly that of the independent rows alone
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, n)
+        # echelon rows at random pivot columns, mixed by a unit lower
+        # triangular matrix: m independent rows
+        pivots = sorted(rng.sample(range(n), m))
+        echelon = [
+            [0] * p + [rng.choice([-2, -1, 1, 3])] + [rng.randint(-3, 3) for _ in range(n - p - 1)]
+            for p in pivots
+        ]
+        basis = []
+        for i, row in enumerate(echelon):
+            for e in echelon[:i]:
+                f = rng.randint(-2, 2)
+                row = [x + f * y for x, y in zip(row, e)]
+            basis.append(row)
+        basis_rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in basis]
+        rows, rhs = [], []
+        for i in range(m + 1):
+            for _ in range(rng.randint(0, 2)):
+                # a combination of the rows so far; the zero row before any
+                rows.append([0] * n)
+                for e in basis[:i]:
+                    f = rng.randint(-2, 2)
+                    rows[-1] = [x + f * y for x, y in zip(rows[-1], e)]
+                rhs.append(Fraction(rng.randint(-5, 5)))
+            if i < m:
+                rows.append(basis[i])
+                rhs.append(basis_rhs[i])
+        particular, null = poly._solve_linear(rows, rhs)
+        assert (particular, null) == poly._solve_linear(basis, basis_rhs)
+        assert [_dot(row, particular) for row in basis] == basis_rhs
+        assert len(null) == n - m
+        assert all(_dot(row, v) == 0 for row in rows for v in null)
 
 
 def test_normalized():

@@ -23,6 +23,9 @@ ALLOWED = {
     "ratio_from_form": "the round trip of a decomposition, run by the benchmark",
     "region_sample": "wrapped by perfbench/tracing.py",
     "s_path": "acceptance criterion 6 checks the hull lemma through it",
+    "zero_divisor_spec": (
+        "the paper's zero divisor, A_i = p and B_i = p(z + e_i); test_termratio checks it"
+    ),
 }
 
 

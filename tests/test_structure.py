@@ -11,14 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import example_specs, load_spec
 from hyperterm._frozen import replace
-from hyperterm.bundled import (
-    annihilated_spec,
-    binomial_spec,
-    bundled_specs,
-    constant_spec,
-    odd_product_spec,
-)
 from hyperterm.errors import (
     DimensionError,
     IntegrityError,
@@ -61,12 +55,12 @@ from hyperterm.termratio import TermSpec
 
 @pytest.fixture(scope="module")
 def odd_structure():
-    return build_structure(odd_product_spec())
+    return build_structure(load_spec("odd"))
 
 
 @pytest.fixture(scope="module")
 def binomial_structure():
-    return build_structure(binomial_spec())
+    return build_structure(load_spec("binomial"))
 
 
 # -- build_structure ------------------------------------------------------------
@@ -88,7 +82,7 @@ def test_odd_structure_closed_form(odd_structure):
     ps = odd_structure
     assert closed_form_eval(ps, (3,)).value == 15
     assert closed_form_eval(ps, (-2,)).value == Fraction(1, 3)
-    spec = odd_product_spec()
+    spec = load_spec("odd")
     for z in range(-8, 9):
         outcome = closed_form_eval(ps, (z,))
         assert outcome.status == "ok"
@@ -97,7 +91,7 @@ def test_odd_structure_closed_form(odd_structure):
 
 
 def test_zero_divisor_structure():
-    spec = annihilated_spec()
+    spec = load_spec("annihilated")
     ps = build_structure(spec)
     assert ps.form.c_poly.is_constant
     assert ps.form.d_poly == spec.zero_divisor_witness.normalized()[1]
@@ -115,7 +109,7 @@ def test_zero_divisor_structure():
 
 
 def test_structure_requires_seed():
-    spec = binomial_spec()
+    spec = load_spec("binomial")
     from hyperterm.termratio import TermSpec
 
     no_seed = TermSpec(spec.arity, spec.generators, spec.exceptions, None)
@@ -130,7 +124,7 @@ def test_structure_missing_base_box_raises(monkeypatch):
 
     monkeypatch.setattr(structure, "find_box", lambda r, size: None)
     with pytest.raises(IntegrityError, match="no base box"):
-        build_structure(binomial_spec())
+        build_structure(load_spec("binomial"))
 
 
 def test_binomial_partition(binomial_structure):
@@ -153,7 +147,7 @@ def test_binomial_base_points_valid(binomial_structure):
 
 
 def test_binomial_grid_compare(binomial_structure):
-    report = grid_compare(binomial_structure, binomial_spec(), LatticeBox((-6, -6), 12))
+    report = grid_compare(binomial_structure, load_spec("binomial"), LatticeBox((-6, -6), 12))
     assert report.mismatches == ()
     assert report.checked > 50
     # the closed form matches the classical binomial where both are defined
@@ -166,20 +160,20 @@ def test_binomial_grid_compare(binomial_structure):
 
 
 def test_grid_compare_odd(odd_structure):
-    report = grid_compare(odd_structure, odd_product_spec(), LatticeBox((-8,), 16))
+    report = grid_compare(odd_structure, load_spec("odd"), LatticeBox((-8,), 16))
     assert report.checked == 17
     assert report.equal == 17
     assert report.mismatches == ()
 
 
 def test_grid_compare_constant():
-    ps = build_structure(constant_spec())
-    report = grid_compare(ps, constant_spec(), LatticeBox((-8,), 16))
+    ps = build_structure(load_spec("constant"))
+    report = grid_compare(ps, load_spec("constant"), LatticeBox((-8,), 16))
     assert report.checked == 17 and report.mismatches == ()
 
 
 def test_grid_compare_zero_divisor():
-    spec = annihilated_spec()
+    spec = load_spec("annihilated")
     ps = build_structure(spec)
     report = grid_compare(ps, spec, LatticeBox((-6,), 12))
     assert report.mismatches == ()
@@ -222,7 +216,7 @@ def test_structure_of_extended_term():
     from hyperterm.termratio import extend_by_zero
 
     support = PolyhedralRegion.make(1, [HalfSpace.make((1,), 0)])
-    spec = extend_by_zero(constant_spec().with_seed((1,), 1), support)
+    spec = extend_by_zero(load_spec("constant").with_seed((1,), 1), support)
     ps = build_structure(spec)
     assert ps.excluded.covers((0,))
     right = next(p for p in ps.pieces if p.region.contains((3,)))
@@ -276,7 +270,7 @@ def test_structure_extended_wedge_binomial():
             HalfSpace.make((1, -1), -1),
         ],
     )
-    spec = extend_by_zero(binomial_spec(), wedge).with_seed((2, 1), 2)
+    spec = extend_by_zero(load_spec("binomial"), wedge).with_seed((2, 1), 2)
     ps = build_structure(spec)
     report = grid_compare(ps, spec, LatticeBox((-6, -6), 12))
     assert report.mismatches == ()
@@ -300,7 +294,7 @@ def test_structure_binomial_with_denominator():
     from hyperterm.termratio import FactoredRational, TermSpec
 
     d = parse_multipoly("z1*z2 + 1", 2)
-    base = binomial_spec()
+    base = load_spec("binomial")
     ratios = []
     for i, e in enumerate([(1, 0), (0, 1)]):
         extra = FactoredRational.make(2, 1, [(d, 1), (d.shift(e), -1)])
@@ -349,12 +343,12 @@ def test_structure_random_forms_end_to_end():
 
 
 def single_flood_specs():
-    """specs/*.json, perfbench/specs/*.json, the bundled specs and 30
+    """specs/*.json, perfbench/specs/*.json, the example specs and 30
     seeded random forms, k = 1..3."""
     from conftest import random_form, spec_from_form
 
     root = Path(__file__).resolve().parent.parent
-    specs = list(bundled_specs().values())
+    specs = list(example_specs().values())
     for path in sorted(root.glob("specs/*.json")) + sorted(root.glob("perfbench/specs/*.json")):
         specs.append(spec_from_json(json.loads(path.read_text(encoding="utf-8"))))
     rng = random.Random(89)
@@ -402,7 +396,7 @@ def test_build_decides_measure_zero_once_per_cell(monkeypatch):
     # them: cells on it are measure zero
     walls = MeasureZeroSet.make([Hyperplane.make((1, 0), 0), Hyperplane.make((1, 0), 2)])
     outcomes = set()
-    for spec in [binomial_spec(), replace(binomial_spec(), exceptions=walls)]:
+    for spec in [load_spec("binomial"), replace(load_spec("binomial"), exceptions=walls)]:
         cells.clear()
         calls.clear()
         build_structure(spec)
@@ -619,7 +613,8 @@ def rational_gamma_binomial_spec():
 
 
 def test_closed_form_eval_matches_reference_on_specs():
-    specs = list(bundled_specs().values()) + [annihilated_spec(), rational_gamma_binomial_spec()]
+    specs = list(example_specs().values())
+    specs += [load_spec("annihilated"), rational_gamma_binomial_spec()]
     for path in sorted((Path(__file__).parent.parent / "specs").glob("*.json")):
         specs.append(spec_from_json(json.loads(path.read_text(encoding="utf-8"))))
     for n, spec in enumerate(specs):
@@ -680,14 +675,14 @@ def test_closed_form_eval_from_threads(odd_structure):
 
 
 def interval_structures():
-    """(name, structure, windows): the bundled specs, the zero-divisor
+    """(name, structure, windows): the example specs, the zero-divisor
     structure, specs/*.json, the benchmark specs (with their workload
     windows) and random forms for k = 1..3."""
     from conftest import random_form, spec_from_form
 
     repo = Path(__file__).parent.parent
-    named = [(f"bundled {n}", s) for n, s in bundled_specs().items()]
-    named.append(("annihilated", annihilated_spec()))
+    named = [(f"example {n}", s) for n, s in example_specs().items()]
+    named.append(("annihilated", load_spec("annihilated")))
     for path in sorted((repo / "specs").glob("*.json")) + sorted(
         (repo / "perfbench" / "specs").glob("*.json")
     ):
@@ -854,7 +849,7 @@ def test_closed_form_eval_point_arity(binomial_structure):
     # a row's half-spaces zip the point's other coordinates against each
     # normal, which would drop the extra coordinates of a long point; the
     # arity is checked first
-    ps = build_structure(annihilated_spec())
+    ps = build_structure(load_spec("annihilated"))
     for built, z in [(binomial_structure, (1, 2, 3)), (binomial_structure, (1,)), (ps, (1, 2))]:
         with pytest.raises(DimensionError, match="point arity mismatch"):
             closed_form_eval(built, z)
@@ -1164,7 +1159,7 @@ def test_pochhammer_factors_constant_zero_and_nonsplitting_sides():
 def test_pochhammer_outside_region_rejected():
     # both evaluators reject a point outside the form's region as a caller
     # error, on every binomial form over [-6, 6]^2
-    forms = split_factorial(build_structure(odd_product_spec()))
+    forms = split_factorial(build_structure(load_spec("odd")))
     nonneg = next(ff for ff in forms if ff.region.contains((1,)))
     pf = to_pochhammer(nonneg)
     with pytest.raises(PreconditionError):
@@ -1172,7 +1167,7 @@ def test_pochhammer_outside_region_rejected():
     with pytest.raises(PreconditionError):
         factorial_eval(nonneg, (-3,))
     outside = 0
-    for ff in split_factorial(build_structure(binomial_spec())):
+    for ff in split_factorial(build_structure(load_spec("binomial"))):
         pf = to_pochhammer(ff)
         for z in itertools.product(range(-6, 7), repeat=2):
             if ff.region.contains(z):
