@@ -6,7 +6,8 @@ source (ten with ``order=True``), and importing ``dataclasses`` loads
 package took to import.  ``Frozen`` gives the same ``__eq__``,
 ``__hash__``, ``__repr__``, ``__setattr__``, ``__delattr__`` and
 ``__match_args__`` once, over the fields a class annotates; ``Ordered``
-adds the comparisons.  A package type subclasses one of them and writes its
+adds ``__lt__``, from which ``functools.total_ordering`` derives the other
+comparisons.  A package type subclasses one of them and writes its
 ``__init__`` out, taking the fields as keyword arguments of the same names
 and storing each with ``set_field``.  ``replace`` and ``FrozenInstanceError``
 stand in for their ``dataclasses`` namesakes.
@@ -14,6 +15,7 @@ stand in for their ``dataclasses`` namesakes.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 set_field = object.__setattr__
@@ -63,25 +65,13 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+@functools.total_ordering
 class Ordered(Frozen):
-    """A ``Frozen`` type ordered by the tuple of its fields."""
+    """A ``Frozen`` type ordered by the tuple of its fields: ``__lt__``
+    compares the tuples, and ``functools.total_ordering`` derives the other
+    three comparisons from it and ``__eq__``."""
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) < self._key(other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) <= self._key(other)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) > self._key(other)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) >= self._key(other)
         return NotImplemented

@@ -10,8 +10,10 @@
 
 Exit status: 0 on success, 1 on mathematical failure (incompatible
 generators, non-telescoping structure, grid mismatches), 2 on usage
-errors, among them a spec without the seed value a command needs.  All structured output is JSON with sorted keys, so identical
-input and flags give byte-identical output.
+errors, among them a spec without the seed value a command needs and one
+whose oracle would flood more points than ``oracle.FLOOD_POINT_LIMIT``.
+All structured output is JSON with sorted keys, so identical input and
+flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 import sys
 from typing import Optional
 
-from .errors import HypertermError, MissingSeedError, ParseError
+from .errors import HypertermError, LimitError, MissingSeedError, ParseError
 from .geometry import LatticeBox
 from .jsonio import (
     factorial_to_json,
@@ -120,17 +122,13 @@ def _emit(obj: dict, output: Optional[str]) -> None:
 
 def _build(spec: TermSpec, args) -> PiecewiseStructure:
     """``build_structure``; with --verbose, the size of the arrangement and
-    each piece without a base value, in the order the arrangement lists
-    their cells: by the side of each plane, v.z > n before v.z < n."""
+    each piece without a base value, in the order the structure lists
+    them."""
     ps = build_structure(spec)
     if args.verbose and spec.zero_divisor_witness is None:
         planes = arrangement_planes(ps.form, spec.exceptions).hyperplanes
         _note("INFO", "structure", f"structure: {len(planes)} hyperplanes in the arrangement")
-
-        def cell(piece):
-            return [sum(a * b for a, b in zip(h.v, piece.base_point)) < h.n for h in planes]
-
-        for piece in sorted(ps.pieces, key=cell):
+        for piece in ps.pieces:
             if piece.base_value is not None:
                 continue
             z0, wall = piece.base_point, piece.wall
@@ -258,7 +256,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](spec, args)
-    except (ParseError, MissingSeedError, ValueError) as exc:
+    except (ParseError, MissingSeedError, LimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypertermError as exc:

@@ -17,6 +17,10 @@ class MissingSeedError(PreconditionError):
     """An operation needs the spec's seed value and the spec has none."""
 
 
+class LimitError(HypertermError):
+    """An input asks for more work than a named limit of the package allows."""
+
+
 class ParseError(HypertermError):
     """Invalid polynomial or spec text."""
 

@@ -22,7 +22,7 @@ from .errors import ParseError
 from .geometry import HalfSpace, Hyperplane, MeasureZeroSet, PolyhedralRegion
 from .parsing import parse_factored, parse_multipoly
 from .poly import _integer, format_fraction
-from .termratio import FactoredRational, TermSpec
+from .termratio import FactoredRational, TermSpec, _check_arity
 
 if TYPE_CHECKING:
     from .oracle import GridReport
@@ -141,12 +141,15 @@ def spec_from_json(obj: dict) -> TermSpec:
     """The spec a JSON object states.  A field of the wrong JSON type or
     missing, named by its path, and a zero ``zero_divisor_witness``, which
     annihilates every term and so says nothing about this one, raise
-    ParseError."""
+    ParseError.  An arity below 1 or a number of generators other than k
+    raises as ``TermSpec.make`` does, before any generator is parsed."""
     if not isinstance(obj, dict) or "k" not in obj or "generators" not in obj:
         raise ParseError("spec JSON needs 'k' and 'generators'")
     k = _int(obj["k"], "k")
+    generators = _list(obj["generators"], "generators")
+    _check_arity(k, len(generators))
     gens = []
-    for i, g in enumerate(_list(obj["generators"], "generators")):
+    for i, g in enumerate(generators):
         path = f"generators[{i}]"
         gens.append(
             (

@@ -27,22 +27,24 @@ is evaluated; the order, the values and the certificates are those of
 evaluating every move.  The values of A_i and B_i at a point are not
 memoised: each is needed by at most one step taken.
 
-The flood keeps, per point reached, only the step that reached it, as one
-small integer: i for a forward step along axis i, ~i for a backward one,
-so a link allocates no object.  ``propagate`` rebuilds the certificate of
-its target from the links on demand, re-evaluating the multiplier of each
-step on the path.
+The flood keeps one record per point reached, (p, q, link): the value and
+the step that reached the point, as one small integer: i for a forward
+step along axis i, ~i for a backward one, None at the seed, so a link
+allocates no object.  ``propagate`` rebuilds the certificate of its target
+from the links on demand, re-evaluating the multiplier of each step.
 
 The flood is demand driven and goal directed.  Building one only seeds
-it.  The points found wait in a bucket queue keyed by their L1 distance to
-a goal box, the bounding box of the points the caller will ask for, and the
-flood expands the first point found of the nearest bucket.  A step moves
-one coordinate by one, so it changes the distance by at most one, computed
-from the moved axis alone.  Each point asked for expands points until that
-point is found or the queue is empty, and the next question resumes where
-the last one stopped.  The goal defaults to the flood's own box: every
-distance is then 0, the queue is one FIFO list and the order is breadth
-first, which is the order of ``propagate``'s certificates.
+it, and refuses a box of more than ``FLOOD_POINT_LIMIT`` points.  The
+points found wait in deques keyed by their L1 distance to a goal box, the
+bounding box of the points the caller will ask for, each made when the
+first point at its distance is found, and the flood pops the first point
+of the nearest one.  A step moves one coordinate by one, so it changes the
+distance by at most one, computed from the moved axis alone.  Each point
+asked for expands points until that point is found or the queue is empty,
+and the next question resumes where the last one stopped.  The goal
+defaults to the flood's own box: every distance is then 0, the queue is
+one FIFO deque and the order is breadth first, which is the order of
+``propagate``'s certificates.
 
 Which points a flood reaches does not depend on the order, since a step is
 taken or refused by its two end points alone, and neither does a value,
@@ -81,12 +83,13 @@ nothing of ``structure``, the layer above it, which imports
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
 from ._frozen import Frozen, set_field
-from .errors import DimensionError, MissingSeedError
+from .errors import DimensionError, LimitError, MissingSeedError
 from .geometry import HalfSpace, Hyperplane, LatticeBox
 from .poly import MultiPoly, Point, _integer_point
 from .termratio import FactoredRational, TermSpec
@@ -94,6 +97,10 @@ from .termratio import FactoredRational, TermSpec
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
+
+# the most points a flood's box may hold: ten times the largest box the
+# tests, the goldens and the benchmarks flood (98,192 points)
+FLOOD_POINT_LIMIT = 1_000_000
 
 
 class PathStep(Frozen):
@@ -162,11 +169,13 @@ class _Flood:
     constructor only seeds the flood; ``get`` runs it as far as the points
     asked for need.
 
-    ``values`` holds each point reached so far as the numerator and
-    denominator of its value, ``steps`` the step that reached it and
-    ``seen`` its row-major index in the box.  ``sides[axis][forward]`` is a
-    step's multiplier num_scale * prod(f ** e) / (den_scale * prod(f ** e))
-    as (num_scale, num_factors, den_scale, den_factors).
+    ``values`` holds the record (p, q, link) of each point reached so far
+    and ``seen`` its row-major index in the box.  ``buckets`` maps a
+    distance to the goal, at most ``far``, to the (index, point) of the
+    points found at it and not expanded yet, in the order found; those
+    below ``nearest`` are empty.  ``sides[axis][forward]`` is a step's
+    multiplier num_scale * prod(f ** e) / (den_scale * prod(f ** e)) as
+    (num_scale, num_factors, den_scale, den_factors).
     """
 
     def __init__(self, spec: TermSpec, lo: Point, hi: Point, goal=None):
@@ -180,6 +189,12 @@ class _Flood:
         strides = [1] * k
         for i in range(k - 1, 0, -1):
             strides[i - 1] = strides[i] * (hi[i] - lo[i] + 1)
+        size = strides[0] * (hi[0] - lo[0] + 1)
+        if size > FLOOD_POINT_LIMIT:
+            raise LimitError(
+                f"the flood's box from {lo} to {hi} holds {size} points, "
+                f"more than FLOOD_POINT_LIMIT = {FLOOD_POINT_LIMIT}"
+            )
         # per axis: A = a_scale * prod(a_factors) / a_den and likewise B,
         # so A / B = (a_scale * b_den) * prod(a_factors)
         #          / ((b_scale * a_den) * prod(b_factors)) forward, and
@@ -200,21 +215,14 @@ class _Flood:
         self.moves = [move for _, move in moves]
         seed_point, seed_value = spec.seed
         seed_value = Fraction(seed_value)
-        self.values: dict[Point, tuple[int, int]] = {
-            seed_point: (seed_value.numerator, seed_value.denominator)
+        self.values: dict[Point, tuple[int, int, Optional[int]]] = {
+            seed_point: (seed_value.numerator, seed_value.denominator, None)
         }
-        # per point reached: the step that reached it, axis i forward or ~i
-        # backward; None at the seed
-        self.steps: dict[Point, Optional[int]] = {seed_point: None}
         seed_index = sum((x - a) * s for x, a, s in zip(seed_point, lo, strides))
         self.seen = {seed_index}
-        # buckets[d]: (index, point) of the points found at distance d from
-        # the goal, in the order found; the first heads[d] of them are
-        # expanded, and every point of the buckets below ``nearest`` is
         glo, ghi = self.glo, self.ghi
-        far = sum(max(g - a, b - h, 0) for a, b, g, h in zip(lo, hi, glo, ghi))
-        self.buckets: list[list[tuple[int, Point]]] = [[] for _ in range(far + 1)]
-        self.heads = [0] * (far + 1)
+        self.far = sum(max(g - a, b - h, 0) for a, b, g, h in zip(lo, hi, glo, ghi))
+        self.buckets: defaultdict[int, deque[tuple[int, Point]]] = defaultdict(deque)
         self.nearest = sum(
             g - x if x < g else x - h if x > h else 0 for x, g, h in zip(seed_point, glo, ghi)
         )
@@ -238,13 +246,11 @@ class _Flood:
         found or the queue is empty, so a point of the box behind a wall
         costs the whole flood and any other point only the points expanded
         before it is found; a point outside the box costs nothing."""
-        values = self.values
-        if z in values:
-            return values[z]
-        if not self._in_window(z):
-            return None
-        self._run(z)
-        return values.get(z)
+        record = self.values.get(z)
+        if record is None and self._in_window(z):
+            self._run(z)
+            record = self.values.get(z)
+        return None if record is None else record[:2]
 
     def get(self, z: Point) -> Optional[Fraction]:
         """The propagated value at z, as ``_pair`` finds it, or None."""
@@ -257,21 +263,20 @@ class _Flood:
         d - 1, d or d + 1: only the moved axis's term of the distance
         changes.  The sides are evaluated inline, the divisor first, and the
         pair is reduced as the module docstring says."""
-        values, steps, seen, moves = self.values, self.steps, self.seen, self.moves
+        values, seen, moves = self.values, self.seen, self.moves
         lo, hi, glo, ghi = self.lo, self.hi, self.glo, self.ghi
-        buckets, heads = self.buckets, self.heads
+        buckets = self.buckets
         covers = self.spec.exceptions.covers if self.spec.exceptions.hyperplanes else None
-        d, last = self.nearest, len(buckets) - 1
+        d, far = self.nearest, self.far
         while z not in values:
-            bucket, head = buckets[d], heads[d]
-            if head == len(bucket):
-                if d == last:
+            bucket = buckets.get(d)
+            if not bucket:
+                if d == far:
                     break  # the queue is empty
                 d += 1
                 continue
-            index, node = bucket[head]
-            heads[d] = head + 1
-            p, q = values[node]
+            index, node = bucket.popleft()
+            p, q, _ = values[node]
             for axis, delta, stride, num_scale, num_factors, den_scale, den_factors in moves:
                 # a unit step leaves the window only along its own axis
                 x = node[axis] + delta
@@ -299,15 +304,15 @@ class _Flood:
                 g2 = gcd(q, num)
                 tp = (p // g1) * (num // g2)
                 tq = (q // g2) * (den // g1)
-                values[target] = (-tp, -tq) if tq < 0 else (tp, tq)
-                steps[target] = axis if delta > 0 else ~axis
+                link = axis if delta > 0 else ~axis
+                values[target] = (-tp, -tq, link) if tq < 0 else (tp, tq, link)
                 seen.add(target_index)
                 if delta > 0:
                     e = d + 1 if x > ghi[axis] else d - 1 if x <= glo[axis] else d
                 else:
                     e = d + 1 if x < glo[axis] else d - 1 if x >= ghi[axis] else d
                 buckets[e].append((target_index, target))
-            if d and heads[d - 1] < len(buckets[d - 1]):
+            if buckets.get(d - 1):
                 d -= 1
         self.nearest = d
 
@@ -316,7 +321,7 @@ class _Flood:
         multiplier evaluated again."""
         out = []
         while True:
-            step = self.steps[z]
+            step = self.values[z][2]
             if step is None:
                 break
             forward = step >= 0

@@ -216,6 +216,16 @@ def _cancel(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[Mult
 # ---------------------------------------------------------------------------
 
 
+def _check_arity(arity: int, count: int) -> None:
+    """A spec of arity k needs k >= 1 and k generators.  The loader checks
+    this before it parses any generator text, which builds the variables
+    z1..zk."""
+    if arity < 1:
+        raise PreconditionError("arity must be at least 1")
+    if count != arity:
+        raise DimensionError(f"expected {arity} generators, got {count}")
+
+
 class Generator(Frozen):
     """One recurrence A(z) f(z) = B(z) f(z + e_i), both sides kept in
     factored form.  num/den need not be coprime: extending a term by zero
@@ -264,10 +274,7 @@ class TermSpec(Frozen):
         TypeError; a seed point, exception plane or zero-divisor witness of
         another arity than the spec raises DimensionError."""
         arity = _integer(arity, "arity")
-        if arity < 1:
-            raise PreconditionError("arity must be at least 1")
-        if len(generators) != arity:
-            raise DimensionError(f"expected {arity} generators, got {len(generators)}")
+        _check_arity(arity, len(generators))
         gens = []
         for num, den in generators:
             gens.append(Generator(_as_factored_poly(num, arity), _as_factored_poly(den, arity)))

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import SPEC_FILES, load_spec
+from conftest import REPO, SPEC_FILES, load_spec
+from goldens import GOLDEN, GOLDENS, expected, stdout_key
 from hyperterm import cli
 from hyperterm._frozen import replace
 from hyperterm.cli import main
@@ -310,6 +312,46 @@ def test_usage_errors(tmp_path, capsys):
     assert spec_from_json(integral) == spec_from_json(integer_spec)
 
 
+def test_generator_count_is_checked_before_any_generator_is_parsed(tmp_path, capsys):
+    # each of these named a generator before; parsing the first generator
+    # of "k": 2^70 would build 2^70 variables
+    cases = [
+        ({"k": 0, "generators": [{"num": "z1", "den": "1"}]}, "arity must be at least 1"),
+        ({"k": 2, "generators": [{"num": "z3", "den": "1"}]}, "expected 2 generators, got 1"),
+        ({"k": 1, "generators": [1, 2]}, "expected 1 generators, got 2"),
+        (
+            {"k": 2**70, "generators": [{"num": "z1 + 1", "den": "1"}]},
+            f"expected {2**70} generators, got 1",
+        ),
+    ]
+    path = tmp_path / "spec.json"
+    for obj, message in cases:
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 2, obj
+        assert time.perf_counter() - start < 1, obj
+        assert capsys.readouterr() == ("", f"error: {message}\n"), obj
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["structure"], ["eval", "--at", "5,2"], ["compare"]],
+    ids=["structure", "eval", "compare"],
+)
+def test_a_flood_past_its_limit_is_a_usage_error(argv, capsys):
+    # a seed at (2^70, 0): the box from the base points near the origin to
+    # the seed holds 26 (2^70 + 20) points
+    start = time.perf_counter()
+    seed = f"{2**70},0=1"
+    assert main([argv[0], str(SPEC_FILES["binomial"]), *argv[1:], "--seed", seed]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: the flood's box from (-13, -13) to ({2**70 + 6}, 12) holds "
+        f"{26 * (2**70 + 20)} points, more than FLOOD_POINT_LIMIT = 1000000\n",
+    )
+
+
 def test_zero_witness_is_a_usage_error(tmp_path, capsys):
     # 0 * f = 0 holds for every term, so a zero witness says nothing
     obj = json.loads((REPO / "specs" / "binomial.json").read_text(encoding="utf-8"))
@@ -582,65 +624,7 @@ def test_structure_error_exit_code(tmp_path, capsys):
 
 # -- golden outputs ----------------------------------------------------------------
 #
-# tests/golden/ holds the stdout of every command below on specs/*.json and on
-# tests/data/constant.json and tests/data/annihilated.json, the stdout of `check`,
-# `decompose`, `structure`, `factorial` and `pochhammer` on the benchmark
-# specs and of `compare` over their workload windows, the stdout of `compare`
-# on specs/*.json over the grid2d workload's windows (keys
-# `specs_<stem>.compare_window`), the stdout of `decompose` on
-# tests/data/shift16.json and tests/data/telescope.json, the stdout of `check` and
-# `decompose` on tests/data/incompatible.json, which both exit 1, the stdout of
-# `check` on tests/data/unreduced.json, and golden/exit_status.json their exit
-# statuses.  `<key>.err` holds the stderr of each command in STDERR_GOLDENS.
-# A change that alters CLI output must regenerate them (`PYTHONPATH=src python
-# tests/test_cli.py`) and say why.
-
-REPO = Path(__file__).resolve().parent.parent
-GOLDEN = REPO / "tests" / "golden"
-# C = p, D = p(z + (16, -16)) with p = (z1 + z2)^2 + z1: the two factors lie
-# 16 steps apart on the orbit of a degenerate top form (z1 + z2)^2
-SHIFT16 = REPO / "tests" / "data" / "shift16.json"
-# the spec of C = z1 + z2, D = z1^2 + z2^2 + 1, gamma = (3, -2) and the chains
-# (1, -1): t/(t + 3) and (2, 1): 1/(t + 3); the first telescopes, so decompose
-# folds (z1 - z2)(z1 - z2 + 1)(z1 - z2 + 2) into D
-TELESCOPE = REPO / "tests" / "data" / "telescope.json"
-# R_1 of specs/binomial.json times z2 + 1, which no second generator balances
-INCOMPATIBLE = REPO / "tests" / "data" / "incompatible.json"
-# R_1 = (z1^2 + z1) / (z1 (z1 + 2)), whose sides share the factor z1
-UNREDUCED = REPO / "tests" / "data" / "unreduced.json"
-# key -> a command whose stderr is golden: the unreduced-generator warning,
-# and --verbose on a structure with an unreachable piece and on one whose
-# three unreachable pieces come in another order than the structure lists
-# them and have no factorial forms
-STDERR_GOLDENS = {
-    "unreduced.check": ["check", str(UNREDUCED)],
-    "perfbench_wedge3d.structure_verbose": [
-        "structure",
-        "-v",
-        str(REPO / "perfbench" / "specs" / "wedge3d.json"),
-    ],
-    "specs_binomial.factorial_verbose": ["factorial", "-v", str(REPO / "specs" / "binomial.json")],
-}
-GOLDEN_COMMANDS = ["check", "decompose", "structure", "factorial", "pochhammer", "compare"]
-# perfbench/specs/<stem>.json -> the --window of its workload
-COMPARE_WINDOWS = {
-    "wedge3d": "-2:4,-2:4,8:14",
-    "flood3d": "-4:4,-4:4,-4:4",
-}
-# specs/<stem>.json -> the --window of the grid2d workload
-SPEC_COMPARE_WINDOWS = {
-    "binomial": "-30:30,-30:30",
-    "odd": "-30:30",
-}
-
-
-def golden_spec_paths() -> dict[str, str]:
-    """Name -> spec file: specs/<stem>.json as specs_<stem>, and the two
-    example specs of tests/data by their stems."""
-    paths = {f"specs_{p.stem}": str(p) for p in sorted((REPO / "specs").glob("*.json"))}
-    for name in ("constant", "annihilated"):
-        paths[name] = str(SPEC_FILES[name])
-    return paths
+# tests/goldens.py holds the table of golden commands and describes them.
 
 
 def run_cli_streams(argv: list[str]) -> tuple[int, str, str]:
@@ -651,49 +635,22 @@ def run_cli_streams(argv: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
-    return run_cli_streams(argv)[:2]
-
-
-def golden_outputs() -> dict[str, tuple[int, str]]:
-    results = {}
-    for name, path in golden_spec_paths().items():
-        for command in GOLDEN_COMMANDS:
-            results[f"{name}.{command}"] = run_cli([command, path])
-    for stem, window in COMPARE_WINDOWS.items():
-        path = str(REPO / "perfbench" / "specs" / f"{stem}.json")
-        results[f"perfbench_{stem}.check"] = run_cli(["check", path])
-        results[f"perfbench_{stem}.decompose"] = run_cli(["decompose", path])
-        results[f"perfbench_{stem}.structure"] = run_cli(["structure", path])
-        results[f"perfbench_{stem}.factorial"] = run_cli(["factorial", path])
-        results[f"perfbench_{stem}.pochhammer"] = run_cli(["pochhammer", path])
-        results[f"perfbench_{stem}.compare"] = run_cli(["compare", path, "--window", window])
-    for stem, window in SPEC_COMPARE_WINDOWS.items():
-        path = str(REPO / "specs" / f"{stem}.json")
-        results[f"specs_{stem}.compare_window"] = run_cli(["compare", path, "--window", window])
-    results["shift16.decompose"] = run_cli(["decompose", str(SHIFT16)])
-    results["telescope.decompose"] = run_cli(["decompose", str(TELESCOPE)])
-    for command in ("check", "decompose"):
-        results[f"incompatible.{command}"] = run_cli([command, str(INCOMPATIBLE)])
-    results["unreduced.check"] = run_cli(["check", str(UNREDUCED)])
-    return results
-
-
 def test_cli_output_matches_goldens():
     statuses = json.loads((GOLDEN / "exit_status.json").read_text(encoding="utf-8"))
-    results = golden_outputs()
-    assert sorted(results) == sorted(statuses)
-    for key, (status, out) in results.items():
-        assert status == statuses[key], key
-        assert out.encode("utf-8") == (GOLDEN / f"{key}.out").read_bytes(), key
+    keys = sorted(key for key in GOLDENS if stdout_key(key) == key)
+    # every golden file belongs to a command of the table
+    assert keys == sorted(statuses) == sorted(p.stem for p in GOLDEN.glob("*.out"))
+    assert {p.stem for p in GOLDEN.glob("*.err")} <= GOLDENS.keys()
+    for key, argv in GOLDENS.items():
+        status, out, _ = run_cli_streams(argv)
+        assert (status, out.encode("utf-8")) == expected(key)[:2], key
 
 
 def test_cli_stderr_matches_goldens():
-    for key, argv in STDERR_GOLDENS.items():
-        status, out, err = run_cli_streams(argv)
-        assert err.encode("utf-8") == (GOLDEN / f"{key}.err").read_bytes(), key
-        # --verbose writes to stderr only
-        assert (status, out) == run_cli([arg for arg in argv if arg != "-v"]) == (0, out), key
+    for key, argv in GOLDENS.items():
+        err = expected(key)[2]
+        if err is not None:
+            assert run_cli_streams(argv)[2].encode("utf-8") == err, key
 
 
 def test_verbose_names_a_piece_the_flood_did_not_reach(monkeypatch):
@@ -702,20 +659,20 @@ def test_verbose_names_a_piece_the_flood_did_not_reach(monkeypatch):
     ps = build_structure(load_spec("binomial"))
     unwalled = replace(ps, pieces=tuple(replace(piece, wall=None) for piece in ps.pieces))
     monkeypatch.setattr(cli, "build_structure", lambda spec: unwalled)
-    status, _, err = run_cli_streams(STDERR_GOLDENS["specs_binomial.factorial_verbose"])
+    status, _, err = run_cli_streams(GOLDENS["specs_binomial.factorial_verbose"])
     assert status == 0
     walled = (GOLDEN / "specs_binomial.factorial_verbose.err").read_text(encoding="utf-8")
-    expected = walled.replace(
+    unreached = walled.replace(
         "is unreachable from the seed: behind the wall z1 >= 0",
         "is not reached within the flood's box",
     )
-    assert err == expected != walled
+    assert err == unreached != walled
 
 
-def _golden_form_round_trips(data: Path, key: str) -> None:
+def _golden_form_round_trips(key: str) -> None:
     # the golden form, parsed from its printed fields, reproduces every
     # generator of the spec it came from
-    spec = spec_from_json(json.loads(data.read_text(encoding="utf-8")))
+    spec = spec_from_json(json.loads(Path(GOLDENS[key][1]).read_text(encoding="utf-8")))
     obj = json.loads((GOLDEN / f"{key}.out").read_text(encoding="utf-8"))
     k = spec.arity
     form = OreSatoForm(
@@ -734,23 +691,29 @@ def _golden_form_round_trips(data: Path, key: str) -> None:
 
 
 def test_shift16_golden_form_round_trips():
-    _golden_form_round_trips(SHIFT16, "shift16.decompose")
+    # C = p, D = p(z + (16, -16)) with p = (z1 + z2)^2 + z1: the two factors
+    # lie 16 steps apart on the orbit of a degenerate top form (z1 + z2)^2
+    _golden_form_round_trips("shift16.decompose")
 
 
 def test_telescope_golden_form_round_trips():
-    # the parsed form keeps no pieces, so its ratios come from the
+    # the spec of C = z1 + z2, D = z1^2 + z2^2 + 1, gamma = (3, -2) and the
+    # chains (1, -1): t/(t + 3) and (2, 1): 1/(t + 3); the first telescopes,
+    # so decompose folds (z1 - z2)(z1 - z2 + 1)(z1 - z2 + 2) into D.  The
+    # parsed form keeps no pieces, so its ratios come from the
     # multiplied-out D of degree 5
-    _golden_form_round_trips(TELESCOPE, "telescope.decompose")
+    _golden_form_round_trips("telescope.decompose")
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    results = golden_outputs()
-    for key, (_, out) in results.items():
-        (GOLDEN / f"{key}.out").write_bytes(out.encode("utf-8"))
-    for key, argv in STDERR_GOLDENS.items():
-        (GOLDEN / f"{key}.err").write_bytes(run_cli_streams(argv)[2].encode("utf-8"))
-    statuses = {key: status for key, (status, _) in sorted(results.items())}
+    statuses = {}
+    for key, argv in GOLDENS.items():
+        status, out, err = run_cli_streams(argv)
+        if stdout_key(key) == key:
+            statuses[key] = status
+            (GOLDEN / f"{key}.out").write_bytes(out.encode("utf-8"))
+        if (GOLDEN / f"{key}.err").exists():
+            (GOLDEN / f"{key}.err").write_bytes(err.encode("utf-8"))
     (GOLDEN / "exit_status.json").write_text(
         json.dumps(statuses, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

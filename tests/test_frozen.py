@@ -117,6 +117,10 @@ def test_type_matches_its_frozen_dataclass_twin(cls, samples):
         assert hash(x) == hash(r) == hash(tuple(values(x).values()))
         assert x == cls(**values(x)) and not x != cls(**values(x))
         assert x.__eq__(r) is NotImplemented and x != r
+        if cls in ORDERED:
+            # an equal copy: < and > are False, <= and >= True
+            same, r_same = cls(**values(x)), ref(**values(x))
+            assert [c(x, same) for c in COMPARISONS] == [c(r, r_same) for c in COMPARISONS]
         deep = copy.deepcopy(replace(x))
         assert type(deep) is cls and deep == x and repr(deep) == repr(copy.deepcopy(r))
         for name in [*values(x), "other"]:

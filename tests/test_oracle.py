@@ -10,10 +10,11 @@ import pytest
 
 from conftest import example_specs, load_spec
 from hyperterm._frozen import replace
-from hyperterm.errors import DimensionError, IntegrityError, PreconditionError
+from hyperterm.errors import DimensionError, IntegrityError, LimitError, PreconditionError
 from hyperterm.geometry import HalfSpace, Hyperplane, LatticeBox, MeasureZeroSet, PolyhedralRegion
 from hyperterm.jsonio import spec_from_json
 from hyperterm.oracle import (
+    FLOOD_POINT_LIMIT,
     GridReport,
     Mismatch,
     PathStep,
@@ -441,9 +442,9 @@ def box_points(lo, hi):
 
 
 def assert_reduced_pairs(flood, values):
-    """Every value the flood holds is (p, q), q > 0, the numerator and
-    denominator of the reference's Fraction."""
-    for z, (p, q) in flood.values.items():
+    """Every record the flood holds is (p, q, link) with q > 0, p and q
+    the numerator and denominator of the reference's Fraction."""
+    for z, (p, q, _) in flood.values.items():
         assert q > 0 and (p, q) == (values[z].numerator, values[z].denominator), z
 
 
@@ -498,7 +499,7 @@ def box_index(z, lo, hi):
 
 def queued(flood):
     """The points a flood has found but not expanded yet."""
-    return sum(len(bucket) - head for bucket, head in zip(flood.buckets, flood.heads))
+    return sum(len(bucket) for bucket in flood.buckets.values())
 
 
 def test_goal_flood_matches_reference():
@@ -553,7 +554,7 @@ def test_goal_flood_matches_reference():
                 asked["reached" if value is not None else "blocked" if z in blocked else "outside"] += 1
             # every point found waits in the bucket of its distance to the
             # goal, with its index in the box
-            for d, bucket in enumerate(flood.buckets):
+            for d, bucket in flood.buckets.items():
                 assert all(goal_distance(y, glo, ghi) == d for _, y in bucket)
                 assert all(i == box_index(y, lo, hi) for i, y in bucket)
             # whatever the flood holds is reached by the reference, with its value
@@ -562,6 +563,34 @@ def test_goal_flood_matches_reference():
                 assert flood.values.keys() == values.keys() and not queued(flood)
     assert asked["reached"] > 150 and asked["blocked"] > 40 and asked["outside"] > 60
     assert walled_goals > 10
+
+
+def test_flood_makes_buckets_only_where_it_finds_points():
+    """A flood aimed 2,000 steps from its seed makes a bucket only for a
+    distance at which it found a point: one step from the seed, three."""
+    spec = load_spec("binomial")
+    lo, hi = (-8, -8), (2008, 8)
+    glo, ghi = (2000, 0), (2008, 0)
+    flood = _Flood(spec, lo, hi, goal=(glo, ghi))
+    assert flood.far == 2008 + 8 and flood.get((1, 0)) == 1
+    found = {goal_distance(z, glo, ghi) for z in flood.values}
+    assert set(flood.buckets) == found == {1999, 2000, 2001}
+    # walked to the goal, it has made one bucket per distance it passed
+    assert flood.get((2000, 0)) == 1
+    assert set(flood.buckets) == {goal_distance(z, glo, ghi) for z in flood.values}
+    # run to exhaustion by a point behind the wall z1 >= 0, it has made none
+    # for the distances 2009..2016 of the points with z1 < 0
+    assert flood.get((-5, 0)) is None and not queued(flood)
+    assert set(flood.buckets) == {goal_distance(z, glo, ghi) for z in flood.values}
+    assert max(flood.buckets) == 2008 < flood.far
+
+
+def test_flood_refuses_a_box_past_its_limit():
+    spec = load_spec("odd")
+    flood = _Flood(spec, (0,), (FLOOD_POINT_LIMIT - 1,))
+    assert flood.get((3,)) == 15
+    with pytest.raises(LimitError, match=f"holds {FLOOD_POINT_LIMIT + 1} points"):
+        _Flood(spec, (0,), (FLOOD_POINT_LIMIT,))
 
 
 def test_flood_values_are_reduced_pairs():
@@ -596,8 +625,8 @@ def test_flood_values_are_reduced_pairs():
         assert flood.get(z) == values.get(z)
     assert_reduced_pairs(flood, values)
     assert any(step.multiplier < 0 for z in flood.values for step in flood.certificate(z))
-    zeros = [z for z, (p, _) in flood.values.items() if p == 0]
-    assert len(zeros) > 20 and all(flood.steps[z] is not None for z in zeros)
+    zero_links = [link for p, _, link in flood.values.values() if p == 0]
+    assert len(zero_links) > 20 and None not in zero_links
     # odd.json over [-200, 200]: a path of 200 steps each way, numbers of
     # hundreds of digits
     spec = repository_spec("specs/odd.json")
@@ -606,7 +635,7 @@ def test_flood_values_are_reduced_pairs():
     values, _ = reference_flood(spec, flood.lo, flood.hi)
     assert [flood.get(z) for z in window.points()] == [values[z] for z in window.points()]
     assert_reduced_pairs(flood, values)
-    assert max(max(abs(p), q).bit_length() for p, q in flood.values.values()) > 1000
+    assert max(max(abs(p), q).bit_length() for p, q, _ in flood.values.values()) > 1000
 
 
 def reference_grid_report(ps, spec, window):

@@ -343,12 +343,12 @@ def test_structure_random_forms_end_to_end():
 
 
 def single_flood_specs():
-    """specs/*.json, perfbench/specs/*.json, the example specs and 30
-    seeded random forms, k = 1..3."""
+    """The constant example, specs/*.json, which hold the other two
+    examples, perfbench/specs/*.json and 30 seeded random forms, k = 1..3."""
     from conftest import random_form, spec_from_form
 
     root = Path(__file__).resolve().parent.parent
-    specs = list(example_specs().values())
+    specs = [load_spec("constant")]
     for path in sorted(root.glob("specs/*.json")) + sorted(root.glob("perfbench/specs/*.json")):
         specs.append(spec_from_json(json.loads(path.read_text(encoding="utf-8"))))
     rng = random.Random(89)
@@ -369,7 +369,7 @@ def test_single_build_flood_never_loses_a_piece():
             if single.ok:
                 assert piece.base_value == single.value, (spec, piece)
             pieces += 1
-    assert pieces > 60
+    assert pieces >= 60
 
 
 def test_build_decides_measure_zero_once_per_cell(monkeypatch):
@@ -675,14 +675,14 @@ def test_closed_form_eval_from_threads(odd_structure):
 
 
 def interval_structures():
-    """(name, structure, windows): the example specs, the zero-divisor
-    structure, specs/*.json, the benchmark specs (with their workload
-    windows) and random forms for k = 1..3."""
+    """(name, structure, windows): the constant example, the zero-divisor
+    structure, specs/*.json, which hold the other two examples, the
+    benchmark specs (with their workload windows) and random forms for
+    k = 1..3."""
     from conftest import random_form, spec_from_form
 
     repo = Path(__file__).parent.parent
-    named = [(f"example {n}", s) for n, s in example_specs().items()]
-    named.append(("annihilated", load_spec("annihilated")))
+    named = [(name, load_spec(name)) for name in ("constant", "annihilated")]
     for path in sorted((repo / "specs").glob("*.json")) + sorted(
         (repo / "perfbench" / "specs").glob("*.json")
     ):
