@@ -176,7 +176,8 @@ def _form_factors(
     w = _integer_point(w)
     scalar = Fraction(1)
     for g, wi in zip(gamma, w):
-        scalar *= Fraction(g) ** wi
+        if wi:
+            scalar *= Fraction(g) ** wi
     factors: list[tuple[MultiPoly, int]] = []
 
     def put(p: MultiPoly, exp: int) -> None:

@@ -14,6 +14,10 @@ A leading unary minus binds to the first term alone, so ``-z1 + 5`` is
 ASCII digits, and exponents must be nonnegative integer literals.  Implicit
 multiplication is not allowed; whitespace is insignificant.
 
+A power, and a text read by ``parse_factored``, whose total degree (the
+sum of exponent times base degree over its factors) is more than
+``DEGREE_LIMIT`` raises ``LimitError`` before it is multiplied out.
+
 The module holds the grammar only.  A polynomial prints itself in it
 (``MultiPoly.__str__``, ``UniPoly.__str__``), and parsing the printed text
 gives the polynomial back.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import LimitError, ParseError
 from .poly import MultiPoly, UniPoly
 
 
@@ -86,6 +90,20 @@ class _Lexer:
 
 
 _Factors = list[tuple[MultiPoly, int]]
+
+# the largest total degree of a power or a text: the specs, tests and
+# benchmarks state 6 at most; `structure` on specs/binomial.json with one
+# side z1^1000 takes a quarter of a second, with z1^5000 four seconds
+DEGREE_LIMIT = 100
+
+
+def _check_degree(factors: _Factors) -> _Factors:
+    degree = 0
+    for base, exp in factors:
+        degree += exp * base.total_degree()
+    if degree > DEGREE_LIMIT:
+        raise LimitError(f"total degree {degree} is more than DEGREE_LIMIT = {DEGREE_LIMIT}")
+    return factors
 
 
 def _expand(factors: _Factors) -> MultiPoly:
@@ -158,7 +176,7 @@ class _Parser:
             kind, value, pos = self.lex.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
-            factors = [(base, exp * int(value)) for base, exp in factors]
+            factors = _check_degree([(base, exp * int(value)) for base, exp in factors])
         return factors
 
     def atom(self) -> _Factors:
@@ -196,7 +214,7 @@ def parse_factored(text: str, arity: int) -> list[tuple[MultiPoly, int]]:
     own.  A sum is one base, expanded.  Downstream factor refinement relies
     on input arriving in the finest form the user can supply."""
     variables = {f"z{i + 1}": i for i in range(arity)}
-    return _Parser(_Lexer(text, variables), arity).parse()
+    return _check_degree(_Parser(_Lexer(text, variables), arity).parse())
 
 
 def parse_multipoly(text: str, arity: int) -> MultiPoly:

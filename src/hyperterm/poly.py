@@ -19,13 +19,16 @@ Both types print themselves (``__str__``) in the grammar that ``parsing``
 reads back.
 
 Both types are immutable and hashable, so they can be dict keys and shared
-freely between threads.  A ``MultiPoly`` computes its hash once and keeps
-it.  Five functions are memoized by value in bounded ``lru_cache``s:
-``MultiPoly.shift``, ``UniPoly.as_multipoly``, ``gcd``, ``detect_simple``
-and ``orbit_anchor``.  The pipeline asks for the same few hundred shifts and
-substitutions thousands of times, from many equal instances; a shift vector
-or substitution direction follows the integer rule of ``_integer``, so
-equal arguments share one entry.
+freely between threads.  A ``MultiPoly`` computes three things once and
+keeps them on itself, outside its fields, so that equality, hashing, the
+repr and ``_frozen.replace`` do not see them: its hash (``_hash``), its
+integer-cleared terms (``cleared``) and its normal form (``_normal``, which
+``normalized`` returns).  Five functions are memoized by value in bounded
+``lru_cache``s: ``MultiPoly.shift``, ``UniPoly.as_multipoly``, ``gcd``,
+``detect_simple`` and ``orbit_anchor``.  The pipeline asks for the same few
+hundred shifts and substitutions thousands of times, from many equal
+instances; a shift vector or substitution direction follows the integer
+rule of ``_integer``, so equal arguments share one entry.
 
 Shift equivalence is exact: ``orbit_anchor`` gives every polynomial the
 canonical anchor of its orbit under integer shifts, and its offset there,
@@ -34,9 +37,10 @@ polynomials are shifts of each other exactly when their anchors are equal.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent tuple).  Normalization of a polynomial means
-scaling by a positive rational so the coefficients are coprime integers and
-the graded-lex leading coefficient is positive; this gives every nonzero
-polynomial a canonical associate.
+dividing it by the rational scalar, of the sign of its graded-lex leading
+coefficient, that leaves coprime integer coefficients and a positive
+leading one: ``(-2*z1).normalized()`` is ``(-2, z1)``.  This gives every
+nonzero polynomial a canonical associate.
 
 ``gcd`` feeds the factor refinement ``coprime_base``, through which every
 factored rational function is built; the refinement takes its input in
@@ -384,8 +388,14 @@ class MultiPoly(Frozen):
 
     def normalized(self) -> tuple[Coeff, "MultiPoly"]:
         """Split p = scalar * q with q having coprime integer coefficients
-        and positive graded-lex leading coefficient.  The zero polynomial
-        normalizes to (1, 0), and a normalized p to (1, p)."""
+        and positive graded-lex leading coefficient, so the scalar has the
+        sign of p's leading coefficient.  The zero polynomial normalizes to
+        (1, 0), and a normalized p to (1, p).  Computed once per polynomial
+        and kept on it (``_normal``)."""
+        return self._normal
+
+    @functools.cached_property
+    def _normal(self) -> tuple[Coeff, "MultiPoly"]:
         if self.is_zero:
             return 1, self
         scalar, prim = _primitive([c for _, c in self.terms], self.terms[0][1])

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._frozen import Frozen, replace, set_field
-from .errors import CocycleError, DimensionError, PreconditionError
+from .errors import CocycleError, DimensionError, LimitError, PreconditionError
 from .geometry import (
     MeasureZeroSet,
     PolyhedralRegion,
@@ -216,14 +216,23 @@ def _cancel(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[Mult
 # ---------------------------------------------------------------------------
 
 
+# the largest arity a spec may have: the specs, tests and benchmarks of the
+# repository have 3 at most; the flood's limit refuses `structure` on
+# prod z_i! of arity 8 in a third of a second, of arity 12 in four seconds,
+# and on arity 16 it runs past 20 s
+ARITY_LIMIT = 8
+
+
 def _check_arity(arity: int, count: int) -> None:
-    """A spec of arity k needs k >= 1 and k generators.  The loader checks
-    this before it parses any generator text, which builds the variables
-    z1..zk."""
+    """A spec of arity k needs 1 <= k <= ``ARITY_LIMIT`` and k generators.
+    The loader checks this before it parses any generator text, which
+    builds the variables z1..zk."""
     if arity < 1:
         raise PreconditionError("arity must be at least 1")
     if count != arity:
         raise DimensionError(f"expected {arity} generators, got {count}")
+    if arity > ARITY_LIMIT:
+        raise LimitError(f"arity {arity} is more than ARITY_LIMIT = {ARITY_LIMIT}")
 
 
 class Generator(Frozen):

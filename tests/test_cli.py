@@ -352,6 +352,45 @@ def test_a_flood_past_its_limit_is_a_usage_error(argv, capsys):
     )
 
 
+def test_a_spec_past_the_degree_or_arity_limit_is_a_usage_error(tmp_path, capsys):
+    # "num": "z1^100000" passed check, and structure ran past 10 s; each text
+    # is refused before it is multiplied out
+    binomial = json.loads(SPEC_FILES["binomial"].read_text(encoding="utf-8"))
+
+    def with_num(num):
+        return {**binomial, "generators": [{**binomial["generators"][0], "num": num}, binomial["generators"][1]]}
+
+    def factorials(k):
+        return {"k": k, "generators": [{"num": f"z{i + 1} + 1", "den": "1"} for i in range(k)]}
+
+    cases = [
+        (with_num("z1^100000"), "total degree 100000 is more than DEGREE_LIMIT = 100"),
+        (with_num("(z1 + 1)^50 * (z1 - z2)^51"), "total degree 101 is more than DEGREE_LIMIT = 100"),
+        # a power is refused before it is multiplied out, also in a sum
+        (with_num("(z1 + z2 + 1)^101 + z1^200"), "total degree 101 is more than DEGREE_LIMIT = 100"),
+        (
+            {**binomial, "zero_divisor_witness": "(z1 + z2)^51 * z1^51"},
+            "total degree 102 is more than DEGREE_LIMIT = 100",
+        ),
+        (factorials(9), "arity 9 is more than ARITY_LIMIT = 8"),
+        ({**factorials(9), "generators": []}, "expected 9 generators, got 0"),
+    ]
+    path = tmp_path / "spec.json"
+    for obj, message in cases:
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for command in ["check", "structure"]:
+            start = time.perf_counter()
+            assert main([command, str(path)]) == 2, (command, obj)
+            assert time.perf_counter() - start < 1, (command, obj)
+            assert capsys.readouterr() == ("", f"error: {message}\n"), (command, obj)
+    # at the limits the specs load
+    at_limit = {"k": 1, "generators": [{"num": "(z1 + 1)^50 * z1^50", "den": "1"}]}
+    for obj in [at_limit, factorials(8)]:
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["check", str(path)]) == 0, obj
+        capsys.readouterr()
+
+
 def test_zero_witness_is_a_usage_error(tmp_path, capsys):
     # 0 * f = 0 holds for every term, so a zero witness says nothing
     obj = json.loads((REPO / "specs" / "binomial.json").read_text(encoding="utf-8"))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperterm.errors import ParseError
+from hyperterm.errors import LimitError, ParseError
 from hyperterm.parsing import parse_factored, parse_multipoly, parse_unipoly
 from hyperterm.poly import MultiPoly
 from hyperterm.termratio import FactoredRational
@@ -112,3 +112,22 @@ def test_parenthesized_product_keeps_its_factors():
         parse_multipoly("z1", 2): 2,
         parse_multipoly("z1 + z2", 2): 2,
     }
+
+
+def test_total_degree_past_the_limit_is_refused_before_it_is_expanded():
+    # the degree is exponent times base degree, summed over the factors
+    assert parse_factored("(z1 + z2)^50 * z1^50", 2)[0][1] == 50
+    assert parse_multipoly("z1^100", 1).total_degree() == 100
+    for text, degree in [
+        ("z1^101", 101),
+        ("(z1 + z2)^50 * z1^51", 101),
+        ("((z1*z2 + 1)^10)^10", 200),
+        # a power is refused before it is multiplied out, also in a sum
+        ("(z1 + z2 + 1)^101 + z1^200", 101),
+        # a sum of powers under the limit is refused by the degree of the sum
+        ("1 + z1 * (z1^2 + 2)^50", 101),
+    ]:
+        with pytest.raises(LimitError, match=f"^total degree {degree} is more than DEGREE_LIMIT = 100$"):
+            parse_factored(text, 2)
+    with pytest.raises(LimitError):
+        parse_unipoly("(t + 1)^101")

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_form
 from hyperterm import poly
-from hyperterm._frozen import FrozenInstanceError
+from hyperterm._frozen import FrozenInstanceError, replace
+from hyperterm.oresato import ratio_from_form
 from hyperterm.errors import DimensionError, PreconditionError
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import (
@@ -984,3 +986,63 @@ def test_normalized():
     assert prim == P("z1 - 2", 1)
     assert scalar == -2
     assert prim.scale(scalar) == P("-2*z1 + 4", 1)
+    assert P("-2*z1", 1).normalized() == (-2, P("z1", 1))
+
+
+def _direct_normal_form(p):
+    """(scalar, primitive part) of p from ``poly._primitive``, computed anew."""
+    if p.is_zero:
+        return 1, p
+    scalar, prim = poly._primitive([c for _, c in p.terms], p.terms[0][1])
+    if prim is None:
+        return 1, p
+    return scalar, MultiPoly(p.arity, tuple(zip((m for m, _ in p.terms), prim)))
+
+
+def _normal_form_samples():
+    """The polynomials of ``conftest.random_form`` forms (C, D, the chain
+    sides along their directions and the factors of the ratios), each also
+    scaled by a negative fraction, and the zero, constant, negative-leading
+    and fractional cases."""
+    rng = random.Random(41)
+    samples = [
+        MultiPoly(2, ()),
+        MultiPoly.constant(2, 5),
+        MultiPoly.constant(1, Fraction(-3, 4)),
+        MultiPoly.constant(1, 1),
+        P("-z1 + z2", 2),
+        P("-6*z1*z2 + 4*z1 - 2", 2),
+        P("1/2*z1^2 - 1/3*z2 + 5/6", 2),
+        P("-3/4*z1 + 9/8", 1),
+        P("z1 + 2*z2 - 1", 2),
+    ]
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        form = random_form(rng, k)
+        polys = [form.c_poly, form.d_poly]
+        for chain in form.chains:
+            for side in (chain.num, chain.den):
+                polys.append(side.as_multipoly(chain.direction, rng.randint(-3, 3)))
+        w = tuple(rng.randint(-2, 2) for _ in range(k))
+        polys += [base for base, _ in ratio_from_form(form, w).factors]
+        for p in polys:
+            samples += [p, p.scale(Fraction(-rng.randint(1, 6), rng.randint(1, 6)))]
+    return samples
+
+
+def test_normal_form_is_computed_once_and_kept_out_of_the_fields():
+    for p in _normal_form_samples():
+        # a fresh copy, so that nothing has normalized it yet
+        p = MultiPoly(p.arity, p.terms)
+        before = (repr(p), hash(p), replace(p))
+        first = p.normalized()
+        assert first == _direct_normal_form(p)
+        scalar, prim = first
+        assert prim.scale(scalar) == p
+        assert all(type(c) is int for _, c in prim.terms)
+        assert prim.is_zero or (prim.terms[0][1] > 0 and math.gcd(*(c for _, c in prim.terms)) == 1)
+        assert p.normalized() is first
+        assert prim.normalized() == (1, prim)
+        assert (repr(p), hash(p), replace(p)) == before
+        assert p == MultiPoly(p.arity, p.terms) == before[2]
+        assert "_normal" not in vars(replace(p))
