@@ -11,8 +11,9 @@
 Exit status: 0 on success, 1 on mathematical failure (incompatible
 generators, non-telescoping structure, grid mismatches), 2 on usage
 errors, among them a spec without the seed value a command needs, one
-past ``termratio.ARITY_LIMIT`` or ``parsing.DEGREE_LIMIT``, and one whose
-oracle would flood more points than ``oracle.FLOOD_POINT_LIMIT``.
+past ``termratio.ARITY_LIMIT`` or ``parsing.DEGREE_LIMIT``,
+``TERM_LIMIT`` or ``CONSTANT_BITS_LIMIT``, and one whose oracle would
+flood more points than ``oracle.FLOOD_POINT_LIMIT``.
 All structured output is JSON with sorted keys, so identical input and
 flags give byte-identical output.
 """

@@ -19,13 +19,18 @@ and evaluates the divisor first.  A value is kept as its reduced pair
 (p, q), q > 0.  A step reduces its multiplier num/den by their gcd,
 cross-cancels it with the value by gcd(p, den) and gcd(q, num) (Knuth's
 rule, as ``Fraction`` multiplication does) and moves the sign into the
-numerator, so no gcd of the grown products is taken.  A move is dropped
-when its target is outside the window or already visited, tested on its
-row-major index in the box, before its tuple is built, the exception
-planes are consulted (not at all when the spec declares none) or anything
-is evaluated; the order, the values and the certificates are those of
-evaluating every move.  The values of A_i and B_i at a point are not
-memoised: each is needed by at most one step taken.
+numerator, so no gcd of the grown products is taken.  Zero is absorbing:
+a step taken from the value (0, 1) stores (0, 1) without evaluating the
+numerator side or taking a gcd, which is what the rule gives, since
+gcd(0, den) = |den|.  The divisor is still evaluated first, so a step out
+of a zero region is refused where its divisor vanishes, as any step is,
+and ``certificate`` evaluates every multiplier of its path again.  A move
+is dropped when its target is outside the window or already visited,
+tested on its row-major index in the box, before its tuple is built, the
+exception planes are consulted (not at all when the spec declares none)
+or anything is evaluated; the order, the values and the certificates are
+those of evaluating every move.  The values of A_i and B_i at a point are
+not memoised: each is needed by at most one step taken.
 
 The flood keeps one record per point reached, (p, q, link): the value and
 the step that reached the point, as one small integer: i for a forward
@@ -262,7 +267,8 @@ class _Flood:
         empty.  A point found one step from a point at distance d is at
         d - 1, d or d + 1: only the moved axis's term of the distance
         changes.  The sides are evaluated inline, the divisor first, and the
-        pair is reduced as the module docstring says."""
+        pair is reduced as the module docstring says; a step taken from a
+        zero value stores (0, 1) and evaluates no numerator side."""
         values, seen, moves = self.values, self.seen, self.moves
         lo, hi, glo, ghi = self.lo, self.hi, self.glo, self.ghi
         buckets = self.buckets
@@ -294,18 +300,22 @@ class _Flood:
                     den *= f(at) ** exp
                 if not den:
                     continue
-                num = num_scale
-                for f, exp in num_factors:
-                    num *= f(at) ** exp
-                g = gcd(num, den)
-                num //= g
-                den //= g
-                g1 = gcd(p, den)
-                g2 = gcd(q, num)
-                tp = (p // g1) * (num // g2)
-                tq = (q // g2) * (den // g1)
                 link = axis if delta > 0 else ~axis
-                values[target] = (-tp, -tq, link) if tq < 0 else (tp, tq, link)
+                if p:
+                    num = num_scale
+                    for f, exp in num_factors:
+                        num *= f(at) ** exp
+                    g = gcd(num, den)
+                    num //= g
+                    den //= g
+                    g1 = gcd(p, den)
+                    g2 = gcd(q, num)
+                    tp = (p // g1) * (num // g2)
+                    tq = (q // g2) * (den // g1)
+                    values[target] = (-tp, -tq, link) if tq < 0 else (tp, tq, link)
+                else:
+                    # zero is absorbing: the reduced pair of 0 is (0, 1)
+                    values[target] = (0, 1, link)
                 seen.add(target_index)
                 if delta > 0:
                     e = d + 1 if x > ghi[axis] else d - 1 if x <= glo[axis] else d

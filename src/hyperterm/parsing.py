@@ -16,7 +16,11 @@ multiplication is not allowed; whitespace is insignificant.
 
 A power, and a text read by ``parse_factored``, whose total degree (the
 sum of exponent times base degree over its factors) is more than
-``DEGREE_LIMIT`` raises ``LimitError`` before it is multiplied out.
+``DEGREE_LIMIT`` raises ``LimitError`` before it is multiplied out.  So
+does a power or a product, before it is multiplied out, when a bound of
+its term count passes ``TERM_LIMIT`` or its powers of constants hold more
+than ``CONSTANT_BITS_LIMIT`` bits (``_check_size``): the check costs a few
+operations per factor, whatever the term count.
 
 The module holds the grammar only.  A polynomial prints itself in it
 (``MultiPoly.__str__``, ``UniPoly.__str__``), and parsing the printed text
@@ -26,6 +30,7 @@ gives the polynomial back.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, log2
 
 from .errors import LimitError, ParseError
 from .poly import MultiPoly, UniPoly
@@ -95,6 +100,15 @@ _Factors = list[tuple[MultiPoly, int]]
 # benchmarks state 6 at most; `structure` on specs/binomial.json with one
 # side z1^1000 takes a quarter of a second, with z1^5000 four seconds
 DEGREE_LIMIT = 100
+# the most terms a power or a product may expand to, by the bound of
+# ``_check_size``: the specs, tests and benchmarks reach 216;
+# (z1 + z2 + z3 + 1)^29, 4,960 terms, expands in 0.6 s, (z1 + z2 + 1)^98,
+# 4,950 terms, in 1.6 s, and (z1 + z2 + z3 + 1)^60, 39,711 terms, in 35 s
+TERM_LIMIT = 5_000
+# the most bits the powers of constants in a power or a product may hold:
+# no spec holds one; 3^200000 has 316,993 bits, and Python refuses to
+# print an int of more than 4,300 digits (about 14,000 bits)
+CONSTANT_BITS_LIMIT = 1_000
 
 
 def _check_degree(factors: _Factors) -> _Factors:
@@ -106,9 +120,45 @@ def _check_degree(factors: _Factors) -> _Factors:
     return factors
 
 
+def _check_size(factors: _Factors) -> _Factors:
+    """Refuse a product of powers before it is multiplied out, at a cost
+    per factor, not per term: when an upper bound of its term count passes
+    ``TERM_LIMIT``, or its powers of constants hold more than
+    ``CONSTANT_BITS_LIMIT`` bits.  The bound is the product of each power's
+    multinomial count C(n + e - 1, e), n the terms of its base, and, when
+    that passes the limit, the count C(k + D, k) of the monomials of total
+    degree at most D in k variables, D the product's degree.  The bits of
+    c^e, floor(e log2 c) + 1, are summed over the constants, c the larger
+    of numerator and denominator.  A base of more than one term has an
+    exponent of at most ``DEGREE_LIMIT``, since the degree of each power
+    is checked where it is read."""
+    terms, bits = 1, 0.0
+    for base, exp in factors:
+        n = len(base.terms)
+        if n > 1:
+            if exp != 1:
+                n = comb(n + exp - 1, exp)
+        elif n and exp > 1 and not any(base.terms[0][0]):
+            c = base.terms[0][1]
+            bits += exp * log2(max(abs(c.numerator), c.denominator))
+        terms *= n
+    if bits >= CONSTANT_BITS_LIMIT:
+        raise LimitError(
+            f"a constant power of {int(bits) + 1} bits is more than "
+            f"CONSTANT_BITS_LIMIT = {CONSTANT_BITS_LIMIT}"
+        )
+    if terms > TERM_LIMIT:
+        k = factors[0][0].arity
+        terms = min(terms, comb(k + sum(exp * base.total_degree() for base, exp in factors), k))
+        if terms > TERM_LIMIT:
+            raise LimitError(f"an expansion of up to {terms} terms is more than TERM_LIMIT = {TERM_LIMIT}")
+    return factors
+
+
 def _expand(factors: _Factors) -> MultiPoly:
-    """The product of a factor list; a lone base with exponent 1 is
-    returned as it is."""
+    """The product of a factor list, which the parser checked where it read
+    each power and product; a lone base with exponent 1 is returned as it
+    is."""
     product = None
     for base, exp in factors:
         if exp != 1:
@@ -164,10 +214,12 @@ class _Parser:
 
     def term(self) -> _Factors:
         factors = self.factor()
+        if self.lex.peek()[0] != "*":
+            return factors
         while self.lex.peek()[0] == "*":
             self.lex.next()
             factors.extend(self.factor())
-        return factors
+        return _check_size(factors)
 
     def factor(self) -> _Factors:
         factors = self.atom()
@@ -176,7 +228,7 @@ class _Parser:
             kind, value, pos = self.lex.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
-            factors = _check_degree([(base, exp * int(value)) for base, exp in factors])
+            factors = _check_size(_check_degree([(base, exp * int(value)) for base, exp in factors]))
         return factors
 
     def atom(self) -> _Factors:

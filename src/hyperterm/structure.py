@@ -159,6 +159,11 @@ class PiecewiseStructure(Frozen):
         point, and naming the same j, as evaluating the points one by one in
         that order.
 
+        Zero is absorbing: in a piece of base value 0 (scale 0) a point off
+        D = 0 yields num/den = 0/1 without evaluating C, the powers of gamma
+        or any product.  Its chain ratios are still read, in the same order,
+        so a zero chain factor there raises the same IntegrityError too.
+
         The pieces and ``excluded`` cover Z^k, so a point in no piece lies
         on an excluded hyperplane.  The planes are met once per row with a
         run of no piece (``MeasureZeroSet.row_lines``), and a point of such
@@ -194,8 +199,25 @@ class PiecewiseStructure(Frozen):
                         z = rest + (t,)
                         yield z, "value-unknown" if d_eval(z) else "d-zero", None, None
                     continue
-                z0 = table.piece.base_point
+                # per chain: its table and v.z = offset + c t along the row
+                chains = [
+                    (ch.ratio, sum(map(operator.mul, ch.chain.direction, rest)), ch.chain.direction[-1])
+                    for ch in table.chains
+                ]
                 num0, den0 = table.scale
+                if not num0:
+                    # zero is absorbing: no product is taken, but every chain
+                    # ratio is still read, so a zero factor raises as below
+                    for t in range(start, stop):
+                        z = rest + (t,)
+                        if d_eval(z) == 0:
+                            yield z, "d-zero", None, None
+                            continue
+                        for ratio, offset, c in chains:
+                            ratio(offset + c * t)
+                        yield z, "ok", 0, 1
+                    continue
+                z0 = table.piece.base_point
                 for (gn, gd), zi, z0i in zip(table.gamma, rest, z0):
                     e = zi - z0i
                     if e >= 0:
@@ -203,11 +225,6 @@ class PiecewiseStructure(Frozen):
                     else:
                         num0, den0 = num0 * gd**-e, den0 * gn**-e
                 gn, gd = table.gamma[-1]
-                # per chain: its table and v.z = offset + c t along the row
-                chains = [
-                    (ch.ratio, sum(map(operator.mul, ch.chain.direction, rest)), ch.chain.direction[-1])
-                    for ch in table.chains
-                ]
                 for t in range(start, stop):
                     z = rest + (t,)
                     d_z = d_eval(z)

@@ -372,6 +372,13 @@ def test_a_spec_past_the_degree_or_arity_limit_is_a_usage_error(tmp_path, capsys
             {**binomial, "zero_divisor_witness": "(z1 + z2)^51 * z1^51"},
             "total degree 102 is more than DEGREE_LIMIT = 100",
         ),
+        # the term count of a power or product is bounded before it is
+        # multiplied out, and the bits of a power of a constant too
+        (
+            {"k": 3, "generators": [{"num": "(z1 + z2 + z3 + 1)^60 + 1", "den": "1"}] + factorials(3)["generators"][1:]},
+            "an expansion of up to 39711 terms is more than TERM_LIMIT = 5000",
+        ),
+        (with_num("3^200000 * (z1 + 1)"), "a constant power of 316993 bits is more than CONSTANT_BITS_LIMIT = 1000"),
         (factorials(9), "arity 9 is more than ARITY_LIMIT = 8"),
         ({**factorials(9), "generators": []}, "expected 9 generators, got 0"),
     ]
@@ -385,7 +392,11 @@ def test_a_spec_past_the_degree_or_arity_limit_is_a_usage_error(tmp_path, capsys
             assert capsys.readouterr() == ("", f"error: {message}\n"), (command, obj)
     # at the limits the specs load
     at_limit = {"k": 1, "generators": [{"num": "(z1 + 1)^50 * z1^50", "den": "1"}]}
-    for obj in [at_limit, factorials(8)]:
+    sparse = {
+        "k": 3,
+        "generators": [{"num": "(z1*z2*z3)^30 * 2^999", "den": "(z1*z2*z3)^30"}] + [{"num": "1", "den": "1"}] * 2,
+    }
+    for obj in [at_limit, sparse, factorials(8)]:
         path.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["check", str(path)]) == 0, obj
         capsys.readouterr()

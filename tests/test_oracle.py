@@ -638,6 +638,57 @@ def test_flood_values_are_reduced_pairs():
     assert max(max(abs(p), q).bit_length() for p, q, _ in flood.values.values()) > 1000
 
 
+def test_zero_is_absorbing_in_the_flood():
+    """A step taken from a zero value stores (0, 1) without evaluating its
+    numerator, but its divisor is still evaluated first.  On binomial,
+    scaled_binomial_spec and random extended specs the window flood holds
+    the reference's points and values, many of them zero, and propagate's
+    certificates into the zero regions are the reference's paths.  Steps
+    out of a zero region into a point the reference does not give the value
+    0 are refused because their divisor vanishes; a flood that took them
+    would store 0 there."""
+    rng = random.Random(131)
+    specs = [repository_spec("specs/binomial.json"), scaled_binomial_spec()]
+    # k <= 2 keeps the reference's boxes small
+    specs += [spec for spec in random_extended_specs(rng, 16) if spec.arity < 3]
+    zeros = refused = certified = 0
+    for spec in specs:
+        k = spec.arity
+        seed_point = spec.seed[0]
+        window = LatticeBox(tuple(x - 4 for x in seed_point), 8)
+        flood = _window_flood(spec, window)
+        lo, hi = flood.lo, flood.hi
+        values, _ = reference_flood(spec, lo, hi)
+        assert [flood.get(z) for z in window.points()] == [values.get(z) for z in window.points()]
+        for z in box_points(lo, hi):
+            assert flood.get(z) == values.get(z)
+        assert flood.values.keys() == values.keys()
+        assert_reduced_pairs(flood, values)
+        zero = [z for z, v in values.items() if v == 0]
+        zeros += len(zero)
+        for z in zero:
+            for axis in range(k):
+                for delta in (1, -1):
+                    y = z[:axis] + (z[axis] + delta,) + z[axis + 1 :]
+                    at = z if delta > 0 else y
+                    if not all(a <= x <= b for x, a, b in zip(y, lo, hi)) or spec.exceptions.covers(at):
+                        continue
+                    # the divisor: B_i forward, A_i backward
+                    gen = spec.generators[axis]
+                    divisor = gen.den if delta > 0 else gen.num
+                    if values.get(y) != 0 and divisor.evaluate(at) == 0:
+                        refused += 1
+        for to in rng.sample(zero, min(6, len(zero))):
+            ref_values, ref_paths = reference_flood(spec, *inflated_box([seed_point, to], k))
+            result = propagate(spec, spec.seed, to)
+            if to in ref_values:
+                assert result.value == ref_values[to] == 0 and result.path == ref_paths[to]
+                certified += 1
+            else:
+                assert not result.ok
+    assert zeros > 500 and refused > 100 and certified > 25
+
+
 def reference_grid_report(ps, spec, window):
     """``grid_compare`` over a table from ``reference_flood``, every window
     point evaluated and looked up."""

@@ -131,3 +131,38 @@ def test_total_degree_past_the_limit_is_refused_before_it_is_expanded():
             parse_factored(text, 2)
     with pytest.raises(LimitError):
         parse_unipoly("(t + 1)^101")
+
+
+def test_term_count_and_constant_power_past_their_limits_are_refused_before_they_are_expanded():
+    # the bound is each power's multinomial count C(n + e - 1, e), n the
+    # terms of its base, times the other factors', and C(k + D, k), the
+    # monomials of total degree at most D, when that product passes the limit
+    four = "(z1 + z2 + z3 + 1)"
+    for text, terms in [
+        (f"{four}^60 + 1", 39711),
+        # refused also where the loader keeps it factored
+        (f"{four}^60", 39711),
+        (f"{four}^20 * {four}^20 + 1", 12341),
+        ("*".join([four] * 30) + " + 1", 5456),
+    ]:
+        with pytest.raises(LimitError, match=f"^an expansion of up to {terms} terms is more than TERM_LIMIT = 5000$"):
+            parse_factored(text, 3)
+    # sparse powers load: a monomial has one term, a univariate power k = 1
+    assert parse_multipoly("(z1*z2*z3)^30 + 1", 3) == parse_multipoly("z1^30*z2^30*z3^30 + 1", 3)
+    assert len(parse_multipoly("(z1 + 1)^100", 1).terms) == 101
+    assert len(parse_multipoly(f"{four}^12 + 1", 3).terms) == 455
+    # a constant power's bits, floor(e log2 |c|) + 1, summed over the
+    # constant powers of a product, the larger of numerator and denominator
+    for text, bits in [
+        ("3^200000 * (z1 + 1)", 316993),
+        ("(2/3)^700 * z1", 1110),
+        ("2^500 * z1 * 2^500 + 1", 1001),
+    ]:
+        with pytest.raises(
+            LimitError, match=f"^a constant power of {bits} bits is more than CONSTANT_BITS_LIMIT = 1000$"
+        ):
+            parse_factored(text, 1)
+    with pytest.raises(LimitError, match="CONSTANT_BITS_LIMIT"):
+        parse_unipoly("3^1000 * t")
+    assert parse_multipoly("2^999 * z1", 1) == MultiPoly.variable(1, 0) * MultiPoly.constant(1, 2**999)
+    assert parse_multipoly("1^100000 * (-1)^100001 * z1", 1) == parse_multipoly("-z1", 1)

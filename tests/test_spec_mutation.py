@@ -115,6 +115,19 @@ NAMED = {
     "k = 2^70": (with_field("binomial", ["k"], 2**70), (2, 2)),
     "a seed at (2^70, 0)": (with_field("binomial", ["seed", "point"], [2**70, 0]), (0, 2)),
     "z1^100000": (with_field("binomial", ["generators", 0, "num"], "z1^100000"), (2, 2)),
+    # 35 s in the parser's expansion; a power of degree 60 and 39,711 terms
+    "(z1 + z2 + z3 + 1)^60 + 1": (
+        {
+            "k": 3,
+            "generators": [{"num": "(z1 + z2 + z3 + 1)^60 + 1", "den": "1"}]
+            + [{"num": "1", "den": "1"}] * 2,
+        },
+        (2, 2),
+    ),
+    # check said compatible, and decompose failed to print the scalar
+    "3^200000 * (z1 + 1)": (
+        with_field("binomial", ["generators", 0, "num"], "3^200000 * (z1 + 1)"), (2, 2)
+    ),
 }
 
 

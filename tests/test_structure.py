@@ -882,10 +882,11 @@ def test_form_eval_integer_rule():
         assert evaluate(form, (5.0, 2.0)) == evaluate(form, [5, 2]) == 10
 
 
-def chain_root_structure():
-    """One piece, all of Z, based at 0, with the chain a(j)/b(j) =
-    ((j - 3)(j + 4)/3) / (j/2 + 3): zero factors at j = 3 above the base
-    point and at j = -4, -6 below it, all inside the piece."""
+def chain_root_structure(base_value=Fraction(5)):
+    """One piece, all of Z, based at 0 with the given value, with the chain
+    a(j)/b(j) = ((j - 3)(j + 4)/3) / (j/2 + 3): zero factors at j = 3
+    above the base point and at j = -4, -6 below it, all inside the
+    piece."""
     num = parse_unipoly("(t - 3)*(t + 4)").scale(Fraction(1, 3))
     den = UniPoly.make([3, Fraction(1, 2)])
     form = OreSatoForm(
@@ -895,7 +896,7 @@ def chain_root_structure():
         (Fraction(1, 2),),
         (Chain((1,), num, den),),
     )
-    piece = Piece(PolyhedralRegion.whole(1), (0,), Fraction(5))
+    piece = Piece(PolyhedralRegion.whole(1), (0,), base_value)
     return PiecewiseStructure(form, (piece,), MeasureZeroSet.empty())
 
 
@@ -921,6 +922,28 @@ def test_closed_form_eval_zero_chain_factor_raises():
     # a raise leaves the tables as they were
     for z in [3, 2, -3, 0, -2]:
         assert closed_form_eval(ps, (z,)) == reference_eval(ps, (z,))
+
+
+def test_zero_is_absorbing_in_the_kernel(binomial_structure):
+    # a piece of base value 0 yields 0/1 without any product, but still
+    # reads every chain ratio: with base value 0 the chain's roots raise
+    # the same IntegrityError, naming the same j, in every order
+    zero_root = chain_root_structure(Fraction(0))
+    points = [(z,) for z in range(-12, 13)]
+    assert_matches_reference(zero_root, points, seed=7)
+    for z, j in [(4, 3), (9, 3), (-5, -4), (-7, -6)]:
+        with pytest.raises(IntegrityError, match=f"at j = {j}$"):
+            closed_form_eval(chain_root_structure(Fraction(0)), (z,))
+    assert list(chain_root_structure(Fraction(0)).window_values(LatticeBox((-3,), 6))) == [
+        ((z,), "ok", 0, 1) for z in range(-3, 4)
+    ]
+    # binomial's pieces of base value 0, D = 1 there
+    window = LatticeBox((-12, -12), 24)
+    zero = [z for z in window.points() if (t := scan(binomial_structure, z)) and t.piece.base_value == 0]
+    assert len(zero) > 150 and any(z[1] < 0 for z in zero) and any(z[1] > z[0] for z in zero)
+    assert_matches_reference(binomial_structure, zero, seed=11)
+    statuses = {z: (status, num, den) for z, status, num, den in replace(binomial_structure).window_values(window)}
+    assert all(statuses[z] == ("ok", 0, 1) for z in zero)
 
 
 # -- factorial split -------------------------------------------------------------
