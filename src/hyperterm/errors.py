@@ -51,6 +51,11 @@ class SplittingError(HypertermError):
         self.factor = factor
 
 
+class WitnessError(HypertermError):
+    """A value of the term is nonzero off the zero set of its zero-divisor
+    witness, which the witness says cannot be."""
+
+
 class ZeroTermError(HypertermError):
     """A generalized product touched a zero factor."""
 

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen, Ordered, set_field
 from .errors import DimensionError, IntegrityError, PreconditionError
-from .poly import Coeff, MultiPoly, Point, _coeff, _integer
+from .poly import Coeff, MultiPoly, Point, _coeff, _integer, expand
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +645,8 @@ def characteristic_certificates(r: PolyhedralRegion) -> list[MultiPoly]:
     level contributes the vanishing factor (v . z - level)."""
     out = []
     for i in range(r.arity):
-        p = MultiPoly.constant(r.arity, 1)
-        for h in r.halfspaces:
-            for m in _crossed_levels(h, i):
-                p = p * MultiPoly.linear(h.v, -m)
-        out.append(p)
+        levels = [(MultiPoly.linear(h.v, -m), 1) for h in r.halfspaces for m in _crossed_levels(h, i)]
+        out.append(expand(MultiPoly.constant(r.arity, 1), levels)[0])
     return out
 
 

@@ -63,6 +63,7 @@ from .poly import (
     _integer_point,
     coprime_base,
     detect_simple,
+    expand,
     gcd,
     orbit_anchor,
     rational_roots,
@@ -71,7 +72,6 @@ from .termratio import (
     FactoredRational,
     TermSpec,
     _cancel,
-    _expand,
     _refine,
     _unit,
     check_compatibility,
@@ -433,8 +433,8 @@ def decompose(spec: TermSpec) -> OreSatoForm:
         cd.extend((anchor.shift(w), m) for w, m in sorted(_solve_orbit(data, axis).items()))
 
     sides = {v: side for v, side in sorted(sides.items()) if side}
-    c_poly, d_poly = _expand(MultiPoly.constant(k, 1), cd)
-    chains = tuple(Chain(v, *_expand(UniPoly.constant(1), side)) for v, side in sides.items())
+    c_poly, d_poly = expand(MultiPoly.constant(k, 1), cd)
+    chains = tuple(Chain(v, *expand(UniPoly.constant(1), side)) for v, side in sides.items())
     pieces = (tuple(cd), tuple(tuple(side) for side in sides.values()))
 
     gamma = []

@@ -29,11 +29,12 @@ gives the polynomial back.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, log2
 
 from .errors import LimitError, ParseError
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly, UniPoly, expand
 
 
 # literals are ASCII: str.isdigit also holds for '²' and '٣'
@@ -101,9 +102,11 @@ _Factors = list[tuple[MultiPoly, int]]
 # side z1^1000 takes a quarter of a second, with z1^5000 four seconds
 DEGREE_LIMIT = 100
 # the most terms a power or a product may expand to, by the bound of
-# ``_check_size``: the specs, tests and benchmarks reach 216;
-# (z1 + z2 + z3 + 1)^29, 4,960 terms, expands in 0.6 s, (z1 + z2 + 1)^98,
-# 4,950 terms, in 1.6 s, and (z1 + z2 + z3 + 1)^60, 39,711 terms, in 35 s
+# ``_check_size``: the specs, tests and benchmarks reach 216; with Python
+# 3.11, (z1 + z2 + z3 + 1)^29, 4,960 terms, expands in 0.18 s,
+# (z1 + z2 + 1)^98, 4,950 terms, in 0.6 s, and (z1 + z2 + z3 + 1)^60,
+# 39,711 terms, in 5.4 s; the worst load inside the limits is a product of
+# two dense sums, ((z1 + z2 + 1)^49 + 1)^2, 1,276^2 term products, 1.8 s
 TERM_LIMIT = 5_000
 # the most bits the powers of constants in a power or a product may hold:
 # no spec holds one; 3^200000 has 316,993 bits, and Python refuses to
@@ -155,16 +158,10 @@ def _check_size(factors: _Factors) -> _Factors:
     return factors
 
 
-def _expand(factors: _Factors) -> MultiPoly:
-    """The product of a factor list, which the parser checked where it read
-    each power and product; a lone base with exponent 1 is returned as it
-    is."""
-    product = None
-    for base, exp in factors:
-        if exp != 1:
-            base = base**exp
-        product = base if product is None else product * base
-    return product
+@functools.lru_cache(maxsize=16)
+def _one(arity: int) -> MultiPoly:
+    """The constant 1 that ``poly.expand`` gives for an empty product."""
+    return MultiPoly.constant(arity, 1)
 
 
 class _Parser:
@@ -200,7 +197,7 @@ class _Parser:
             return factors
         total: dict = {}
         while True:
-            for mono, c in _expand(factors).terms:
+            for mono, c in expand(_one(self.arity), factors)[0].terms:
                 total[mono] = total.get(mono, 0) + sign * c
             kind = self.lex.peek()[0]
             if kind == "+":
@@ -229,6 +226,14 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
             factors = _check_size(_check_degree([(base, exp * int(value)) for base, exp in factors]))
+            # the limits pass 0, 1 and -1 at any exponent, so their powers
+            # are taken on the coefficient, not by n - 1 products
+            factors = [
+                (MultiPoly.constant(self.arity, base.constant_value() ** exp), 1)
+                if base.is_constant and base.constant_value() in (0, 1, -1)
+                else (base, exp)
+                for base, exp in factors
+            ]
         return factors
 
     def atom(self) -> _Factors:
@@ -271,12 +276,12 @@ def parse_factored(text: str, arity: int) -> list[tuple[MultiPoly, int]]:
 
 def parse_multipoly(text: str, arity: int) -> MultiPoly:
     """Parse polynomial text in variables z1..z<arity>."""
-    return _expand(parse_factored(text, arity))
+    return expand(_one(arity), parse_factored(text, arity))[0]
 
 
 def parse_unipoly(text: str) -> UniPoly:
     """Parse univariate polynomial text in the variable t."""
-    p = _expand(_Parser(_Lexer(text, {"t": 0}), 1).parse())
+    p = expand(_one(1), _Parser(_Lexer(text, {"t": 0}), 1).parse())[0]
     coeffs = [0] * (p.total_degree() + 1)
     for (e,), c in p.terms:
         coeffs[e] = c

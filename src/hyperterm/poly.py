@@ -18,6 +18,14 @@ explicitly.
 Both types print themselves (``__str__``) in the grammar that ``parsing``
 reads back.
 
+One routine, ``expand``, multiplies out a product of powers into a
+(numerator, denominator) pair, for both types.  A power is repeated
+products with its base, never squaring: squaring the dense top half of a
+power costs more than all the products with a small base, so
+(z1 + z2 + 1)^98 takes 0.6 s this way and 2.9 s by squaring.  Each type
+has one evaluation loop, ``evaluate_cleared`` over its integer-cleared
+form (``cleared``); ``evaluate`` divides it by the cleared denominator.
+
 Both types are immutable and hashable, so they can be dict keys and shared
 freely between threads.  A ``MultiPoly`` computes three things once and
 keeps them on itself, outside its fields, so that equality, hashing, the
@@ -288,14 +296,7 @@ class MultiPoly(Frozen):
         return MultiPoly.from_dict(self.arity, d)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        d = self.as_dict()
-        for m, c in other.terms:
-            d[m] = d.get(m, 0) - c
-        return MultiPoly.from_dict(self.arity, d)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, tuple((m, -c) for m, c in self.terms))
+        return self + other.scale(-1)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
@@ -313,29 +314,19 @@ class MultiPoly(Frozen):
         return MultiPoly(self.arity, tuple((m, _coeff(c * k)) for m, k in self.terms))
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """p ** n for n >= 0 by ``expand``: n - 1 products with p, no
+        squaring (see the module docstring)."""
         if n < 0:
             raise PreconditionError("negative polynomial power")
-        result = MultiPoly.constant(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return expand(MultiPoly.constant(self.arity, 1), [(self, n)])[0]
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """p(point), ``evaluate_cleared`` over ``cleared[0]``; a coordinate
+        that is not an int is converted with ``Fraction`` first."""
         if len(point) != self.arity:
             raise DimensionError("evaluation point has wrong length")
-        vals = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for mono, coeff in self.terms:
-            term = coeff
-            for e, v in zip(mono, vals):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        point = [x if type(x) is int else Fraction(x) for x in point]
+        return Fraction(self.evaluate_cleared(point), self.cleared[0])
 
     @functools.cached_property
     def cleared(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -354,8 +345,8 @@ class MultiPoly(Frozen):
         return d, terms
 
     def evaluate_cleared(self, point: Sequence[int]) -> int:
-        """d * p(point) at an integer point of length ``arity``, in int
-        arithmetic only, where d = ``cleared[0]``."""
+        """d * p(point), d = ``cleared[0]``, at a point of length ``arity``;
+        in int arithmetic only at an integer point."""
         total = 0
         for c, variables in self.cleared[1]:
             for i in variables:
@@ -436,6 +427,22 @@ def _shift(p: MultiPoly, v: Point) -> MultiPoly:
         for m, c in partial.items():
             d[m] = d.get(m, 0) + c
     return MultiPoly.from_dict(p.arity, d)
+
+
+def expand(one, factors):
+    """(num, den): the product of the bases of positive exponent and that
+    of the others, each base taken |exponent| times, for ``MultiPoly`` and
+    ``UniPoly`` alike.  Each side starts from its first base, so a lone
+    base of exponent 1 comes back as itself; it is ``one`` only when no
+    factor lands on it, as an exponent 0 does not."""
+    num = den = None
+    for base, exp in factors:
+        for _ in range(abs(exp)):
+            if exp > 0:
+                num = base if num is None else num * base
+            else:
+                den = base if den is None else den * base
+    return (one if num is None else num), (one if den is None else den)
 
 
 # ---------------------------------------------------------------------------
@@ -771,11 +778,10 @@ class UniPoly(Frozen):
         return max(len(self.coeffs) - 1, 0)
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+        """p(x), ``evaluate_cleared`` over ``cleared[0]``; an x that is not
+        an int is converted with ``Fraction`` first."""
+        x = x if type(x) is int else Fraction(x)
+        return Fraction(self.evaluate_cleared(x), self.cleared[0])
 
     @functools.cached_property
     def cleared(self) -> tuple[int, tuple[int, ...]]:
@@ -786,8 +792,8 @@ class UniPoly(Frozen):
         return d, tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
 
     def evaluate_cleared(self, x: int) -> int:
-        """d * p(x) at an integer x by Horner's rule in int arithmetic
-        only, where d = ``cleared[0]``."""
+        """d * p(x), d = ``cleared[0]``, by Horner's rule; in int
+        arithmetic only at an integer x."""
         total = 0
         for c in reversed(self.cleared[1]):
             total = total * x + c
@@ -802,12 +808,6 @@ class UniPoly(Frozen):
                 for i in range(n)
             ]
         )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
@@ -972,12 +972,18 @@ def primitive_vector(values: Sequence[Coeff]) -> Optional[Point]:
 @functools.lru_cache(maxsize=8192)
 def detect_simple(p: MultiPoly) -> Optional[tuple[Point, UniPoly]]:
     """Recognize p(z) = q(v . z) for a univariate q and a primitive integer
-    direction v.
+    direction v; constants report the zero direction, and None means there
+    is no such q.
 
-    The candidate direction comes from proportionality of the formal partial
-    derivatives (q(v.z) has gradient parallel to v everywhere); it is then
-    verified by exact expansion.  Constants report the zero direction.
-    Returns None when no such representation exists.
+    With j0 the first variable p depends on, each partial must equal c_i
+    times the j0-th exactly, so grad p = (dp/dz_j0) r with r_j0 = 1.  No
+    expansion of q(v . z) checks the q read off the axis, since it is p:
+    every u orthogonal to r has u . grad p = 0, so p is constant on each
+    coset of r's orthogonal complement, which holds z - (r . z) e_j0; so
+    p(z) = q~(r . z) with q~(s) = p(s e_j0).  Then v = lambda r with
+    lambda > 0 (r's first nonzero entry is r_j0 = 1), and q(t) = q~(t /
+    lambda) has as coefficient of t^n p's coefficient of z_j0^n over
+    v_j0^n, as read below; so q(v . z) = p(z).
     """
     if p.is_zero:
         raise PreconditionError("detect_simple requires a nonzero polynomial")
@@ -992,7 +998,7 @@ def detect_simple(p: MultiPoly) -> Optional[tuple[Point, UniPoly]]:
     base_lead_mono, base_lead_coeff = base.leading()
     for i in used[1:]:
         ci = Fraction(partials[i].coefficient(base_lead_mono), base_lead_coeff)
-        if ci == 0 or partials[i] - base.scale(ci) != MultiPoly(p.arity, ()):
+        if ci == 0 or partials[i] != base.scale(ci):
             return None
         ratios[i] = ci
     v = primitive_vector(ratios)
@@ -1004,10 +1010,7 @@ def detect_simple(p: MultiPoly) -> Optional[tuple[Point, UniPoly]]:
     for m, c in p.terms:
         if sum(m) == m[j0]:
             axis[m[j0]] = Fraction(c, vj ** m[j0])
-    q = UniPoly.make(axis)
-    if q.as_multipoly(v) != p:
-        return None
-    return v, q
+    return v, UniPoly.make(axis)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ from .errors import (
     MissingSeedError,
     PreconditionError,
     SplittingError,
+    WitnessError,
 )
 from .geometry import (
     HalfSpace,
@@ -82,7 +83,7 @@ from .geometry import (
     is_measure_zero,
     region_rows,
 )
-from .oracle import propagate_targets
+from .oracle import _Flood, propagate_targets
 from .oresato import Chain, OreSatoForm, decompose
 from .poly import (
     Coeff,
@@ -92,6 +93,7 @@ from .poly import (
     _coeff,
     _integer_point,
     find_nonzero_in_box,
+    format_fraction,
     integer_roots,
     rational_roots,
 )
@@ -348,17 +350,27 @@ def build_structure(spec: TermSpec) -> PiecewiseStructure:
 def _zero_divisor_structure(spec: TermSpec) -> PiecewiseStructure:
     """A term annihilated by p vanishes wherever p does not; the closed form
     C = 1, D = p, no chains, one piece covering everything, is exact off
-    the zero set of p."""
+    the zero set of p.  A seed refutes p with WitnessError when its value,
+    or a value one recurrence step from it along +-e_i, is nonzero off
+    p = 0; each step is the one a flood over seed -+ e_i takes, so its
+    divisor is nonzero and it is not evaluated on an exception plane."""
     witness = spec.zero_divisor_witness
     k = spec.arity
+    if spec.seed is not None:
+        z0, value = spec.seed
+        reached = [(z0, value)]
+        for i in range(k):
+            segment = (z0[:i] + (z0[i] - 1,) + z0[i + 1 :], z0[:i] + (z0[i] + 1,) + z0[i + 1 :])
+            flood = _Flood(spec, *segment)
+            reached += [(z, flood.get(z)) for z in segment]
+        for z, v in reached:
+            if v and witness.evaluate(z):
+                raise WitnessError(
+                    f"the zero-divisor witness {witness} is refuted: the term is "
+                    f"{format_fraction(v)} at {z}, off its zero set"
+                )
     d_poly = witness.normalized()[1]
-    form = OreSatoForm(
-        k,
-        MultiPoly.constant(k, 1),
-        d_poly,
-        (1,) * k,
-        (),
-    )
+    form = OreSatoForm(k, MultiPoly.constant(k, 1), d_poly, (1,) * k, ())
     z0 = find_nonzero_in_box(d_poly, (0,) * k, d_poly.total_degree())
     piece = Piece(PolyhedralRegion.whole(k), z0, Fraction(0))
     return PiecewiseStructure(form, (piece,), MeasureZeroSet.empty())

@@ -44,7 +44,7 @@ from .geometry import (
     certificate_cover,
     characteristic_certificates,
 )
-from .poly import Coeff, MultiPoly, Point, _base_order, _coeff, _integer, coprime_base
+from .poly import Coeff, MultiPoly, Point, _base_order, _coeff, _integer, coprime_base, expand
 
 # ---------------------------------------------------------------------------
 # factored rational functions
@@ -99,10 +99,6 @@ class FactoredRational(Frozen):
             raise PreconditionError("zero polynomial is not a rational function")
         return FactoredRational.make(p.arity, 1, [(p, 1)])
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.factors
-
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         if self.arity != other.arity:
             raise DimensionError("arity mismatch")
@@ -136,11 +132,11 @@ class FactoredRational(Frozen):
 
     def numerator(self) -> MultiPoly:
         positive = [(b, e) for b, e in self.factors if e > 0]
-        return _expand(MultiPoly.constant(self.arity, self.scalar), positive)[0]
+        return expand(MultiPoly.constant(self.arity, 1), positive)[0].scale(self.scalar)
 
     def denominator(self) -> MultiPoly:
         negative = [(b, e) for b, e in self.factors if e < 0]
-        return _expand(MultiPoly.constant(self.arity, 1), negative)[1]
+        return expand(MultiPoly.constant(self.arity, 1), negative)[1]
 
     def eq_rational(self, other: "FactoredRational") -> bool:
         """Equality as rational functions at any factor granularity.  The
@@ -168,26 +164,6 @@ class FactoredRational(Frozen):
                 return Fraction(0)
             value *= v**exp
         return value
-
-    def __str__(self) -> str:
-        num, den = self.numerator(), self.denominator()
-        if den.is_constant and den.constant_value() == 1:
-            return str(num)
-        return f"({num}) / ({den})"
-
-
-def _expand(one, factors):
-    """(num, den): the product of the factors of positive exponent and that
-    of the others, each raised to its |exponent|, both starting from
-    ``one``; for multivariate or univariate polynomials alike."""
-    num = den = one
-    for base, exp in factors:
-        for _ in range(abs(exp)):
-            if exp > 0:
-                num = num * base
-            else:
-                den = den * base
-    return num, den
 
 
 def _refine(runs: Iterable[Iterable[tuple[MultiPoly, int]]]) -> tuple[tuple[MultiPoly, int], ...]:

@@ -16,8 +16,10 @@ tests/data/annihilated.json; all of them on the benchmark specs, compare
 over their workload windows; compare on specs/*.json over the grid2d
 workload's windows (keys ``specs_<stem>.compare_window``); decompose on
 tests/data/shift16.json and tests/data/telescope.json; check and decompose
-on tests/data/incompatible.json, which both exit 1; and check on
-tests/data/unreduced.json, whose stderr is the unreduced-generator warning.
+on tests/data/incompatible.json, which both exit 1; check on
+tests/data/unreduced.json, whose stderr is the unreduced-generator warning;
+and structure on tests/data/refuted_witness.json, which exits 1 with the
+error on stderr.
 A change that alters CLI output must regenerate the goldens and say why.
 """
 
@@ -67,6 +69,9 @@ def _table() -> dict[str, list[str]]:
         table[f"incompatible.{command}"] = [command, str(DATA / "incompatible.json")]
     # R_1 = (z1^2 + z1) / (z1 (z1 + 2)), whose sides share the factor z1
     table["unreduced.check"] = ["check", str(DATA / "unreduced.json")]
+    # specs/binomial.json with the zero-divisor witness z1, which the step
+    # from the seed to (1, 0), of value 1, refutes
+    table["refuted_witness.structure"] = ["structure", str(DATA / "refuted_witness.json")]
     for key in VERBOSE:
         command, *rest = table[key]
         table[f"{key}_verbose"] = [command, "-v", *rest]

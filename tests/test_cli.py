@@ -510,12 +510,21 @@ def test_spec_field_of_the_wrong_shape_is_named(obj, message, tmp_path, capsys):
 
 def test_malformed_window_range_is_named(capsys):
     path = str(SPEC_FILES["binomial"])
-    cases = [("1:2:3,0:1", "'1:2:3'"), ("0:2,1", "'1'"), ("0:x,0:2", "'0:x'"), ("0:2,", "''")]
-    for window, bad in cases:
+    expects = "--window expects 'lo:hi' per axis"
+    cases = [
+        ("1:2:3,0:1", f"bad window range '1:2:3': {expects}"),
+        ("0:2,1", f"bad window range '1': {expects}"),
+        ("0:x,0:2", f"bad window range '0:x': {expects}"),
+        ("0:2,", f"bad window range '': {expects}"),
+        ("3:1,0:2", "empty window range '3:1'"),
+        ("0:2", "expected 2 window ranges, got 1"),
+        ("0:2,0:3", "window ranges must all have the same length"),
+    ]
+    for window, message in cases:
         assert main(["compare", path, "--window", window]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: bad window range {bad}: --window expects 'lo:hi' per axis\n"
+        assert captured.err == f"error: {message}\n"
 
 
 def test_leading_minus_binds_to_the_first_term(tmp_path, capsys):
@@ -556,11 +565,18 @@ def test_malformed_eval_point_is_named(capsys):
 
 def test_malformed_seed_point_is_named(capsys):
     path = str(SPEC_FILES["binomial"])
-    for seed, point in [("0,y=1", "0,y"), ("=1", ""), ("0;0=1", "0;0")]:
+    expects = "--seed expects 'z1,...,zk=p/q'"
+    cases = [
+        ("0,y=1", f"bad seed point '0,y': {expects}"),
+        ("=1", f"bad seed point '': {expects}"),
+        ("0;0=1", f"bad seed point '0;0': {expects}"),
+        ("0,0", expects),
+    ]
+    for seed, message in cases:
         assert main(["eval", path, "--at", "1,1", "--seed", seed]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: bad seed point {point!r}: --seed expects 'z1,...,zk=p/q'\n"
+        assert captured.err == f"error: {message}\n"
 
 
 # numbers on the command line and in a spec are ASCII: int() and Fraction()

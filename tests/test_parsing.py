@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,3 +167,21 @@ def test_term_count_and_constant_power_past_their_limits_are_refused_before_they
         parse_unipoly("3^1000 * t")
     assert parse_multipoly("2^999 * z1", 1) == MultiPoly.variable(1, 0) * MultiPoly.constant(1, 2**999)
     assert parse_multipoly("1^100000 * (-1)^100001 * z1", 1) == parse_multipoly("-z1", 1)
+
+
+def test_the_densest_power_inside_the_limits_multiplies_out_in_time():
+    # 4,950 terms, just inside TERM_LIMIT, the densest power the limits let
+    # through: repeated products with the base take about 0.6 s
+    start = time.perf_counter()
+    p = parse_multipoly("(z1 + z2 + 1)^98 + 1", 2)
+    assert time.perf_counter() - start < 1.5
+    assert len(p.terms) == 4950
+
+
+def test_a_power_of_a_constant_is_taken_on_its_coefficient():
+    # the limits let (-1)^n through at any n, and n - 1 products with the
+    # base would take seconds
+    start = time.perf_counter()
+    assert parse_multipoly("(-1)^1000001 * z1 + 1^1000000", 1) == parse_multipoly("1 - z1", 1)
+    assert parse_unipoly("(-1)^1000001 * t") == parse_unipoly("-t")
+    assert time.perf_counter() - start < 1

@@ -17,6 +17,7 @@ from hyperterm.poly import (
     coprime_base,
     detect_simple,
     exact_div,
+    expand,
     find_nonzero_in_box,
     gcd,
     integer_roots,
@@ -151,7 +152,44 @@ def test_fields_stay_frozen_after_hashing():
     assert p == P("z1 + 1", 1) and hash(p) == hash((1, p.terms))
 
 
+# -- products of powers --------------------------------------------------------
+
+
+def test_expand_starts_each_side_from_its_first_base():
+    a, b = P("z1 + z2 + 1", 2), P("z1 - 2", 2)
+    one = MultiPoly.constant(2, 1)
+    assert expand(one, [(a, 1)])[0] is a
+    assert expand(one, []) == expand(one, [(a, 0)]) == (one, one)
+    assert expand(one, [(a, 2), (b, -3), (a, 1)]) == (a * a * a, b * b * b)
+    t = parse_unipoly("t + 1")
+    assert expand(UniPoly.constant(1), [(t, -2)]) == (UniPoly.constant(1), t * t)
+    with pytest.raises(PreconditionError):
+        a ** -1
+
+
+def test_power_matches_the_multinomial_coefficients():
+    # (z1 + z2 + 1)^n has coefficient n! / (i! j! (n - i - j)!) at z1^i z2^j
+    base = P("z1 + z2 + 1", 2)
+    for n in [0, 1, 2, 3, 7, 20]:
+        expected = {
+            (i, j): math.factorial(n) // (math.factorial(i) * math.factorial(j) * math.factorial(n - i - j))
+            for i in range(n + 1)
+            for j in range(n + 1 - i)
+        }
+        assert base**n == MultiPoly.from_dict(2, expected)
+
+
 # -- integer evaluation -------------------------------------------------------
+
+
+def _term_sum(p, z):
+    """p(z) summed term by term in Fraction arithmetic: the reference for
+    the one evaluation loop, over the cleared form, behind both
+    ``evaluate_cleared`` and ``evaluate``."""
+    return sum(
+        (c * math.prod(Fraction(x) ** e for x, e in zip(z, mono)) for mono, c in p.terms),
+        Fraction(0),
+    )
 
 
 def test_evaluate_cleared_matches_evaluate_random():
@@ -188,10 +226,14 @@ def test_evaluate_cleared_matches_evaluate_random():
             z = tuple(z)
             value = p.evaluate_cleared(z)
             assert isinstance(value, int)
-            assert value == d * p.evaluate(z)
+            assert value == d * _term_sum(p, z) == d * p.evaluate(z)
             if z[axis] == root:
                 assert value == 0
                 roots_hit += 1
+        # evaluate also takes rational coordinates and gives a Fraction
+        z = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(k))
+        value = p.evaluate(z)
+        assert type(value) is Fraction and value == _term_sum(p, z)
     assert roots_hit > 100
 
 
@@ -223,7 +265,12 @@ def test_unipoly_evaluate_cleared_matches_evaluate_random():
         for x in range(-7, 8):
             value = p.evaluate_cleared(x)
             assert isinstance(value, int)
-            assert value == d * p.evaluate(x)
+            reference = sum((c * Fraction(x) ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+            assert value == d * reference == d * p.evaluate(x)
+        x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        value = p.evaluate(x)
+        assert type(value) is Fraction
+        assert value == sum((c * x**i for i, c in enumerate(p.coeffs)), Fraction(0))
 
 
 def test_unipoly_evaluate_cleared_is_kept_on_the_polynomial():
@@ -619,6 +666,40 @@ def test_detect_simple_round_trip_random():
         assert got is not None
         vv, qq = got
         assert qq.as_multipoly(vv) == p
+
+
+def test_detect_simple_is_none_or_round_trips_random():
+    # detect_simple reads q off an axis and does not expand q(v . z) again
+    # (its docstring proves it need not): planted q(v . z + c), v not
+    # necessarily primitive, are found, and with one random term added the
+    # answer is None or a (v, q) that still gives the polynomial back
+    rng = random.Random(36)
+    found = refused = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        v = tuple(rng.randint(-3, 3) for _ in range(k))
+        if not any(v):
+            continue
+        q = UniPoly.make(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(2, 5))
+        )
+        if q.is_constant:
+            continue
+        planted = q.as_multipoly(v, rng.randint(-3, 3))
+        mono = tuple(rng.randint(0, 2) for _ in range(k))
+        perturbed = planted + MultiPoly.from_dict(k, {mono: rng.choice([-2, -1, 1, 3])})
+        for p in (planted, perturbed):
+            if p.is_zero:
+                continue
+            got = detect_simple(p)
+            if got is None:
+                assert p is perturbed
+                refused += 1
+                continue
+            vv, qq = got
+            assert qq.as_multipoly(vv) == p
+            found += 1
+    assert found > 300 and refused > 100
 
 
 # -- find_nonzero_in_box --------------------------------------------------------

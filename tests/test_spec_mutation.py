@@ -112,6 +112,11 @@ NAMED = {
         with_field("binomial", ["generators", 0, "num"], [1]), (2, 2)
     ),
     "a zero witness": (with_field("binomial", ["zero_divisor_witness"], "0"), (2, 2)),
+    # check said compatible, and structure printed one piece with f0 = 0,
+    # though the step from the seed gives f(1, 0) = 1 where z1 is not 0
+    "a witness the seed refutes": (
+        with_field("binomial", ["zero_divisor_witness"], "z1"), (0, 1)
+    ),
     "k = 2^70": (with_field("binomial", ["k"], 2**70), (2, 2)),
     "a seed at (2^70, 0)": (with_field("binomial", ["seed", "point"], [2**70, 0]), (0, 2)),
     "z1^100000": (with_field("binomial", ["generators", 0, "num"], "z1^100000"), (2, 2)),

@@ -18,6 +18,7 @@ from hyperterm.errors import (
     IntegrityError,
     PreconditionError,
     SplittingError,
+    WitnessError,
     ZeroTermError,
 )
 from hyperterm.geometry import (
@@ -106,6 +107,23 @@ def test_zero_divisor_structure():
             assert outcome.status == "d-zero"
         else:
             assert outcome.value == 0
+
+
+def test_a_seed_refutes_a_wrong_zero_divisor_witness():
+    # a nonzero value off p = 0, at the seed or one step from it, refutes
+    # the witness p; a step is refused where the flood refuses it
+    binomial = replace(load_spec("binomial"), zero_divisor_witness=parse_multipoly("z1", 2))
+    with pytest.raises(WitnessError, match=r"witness z1 is refuted: the term is 1 at \(1, 0\), off its zero set$"):
+        build_structure(binomial)
+    annihilated = load_spec("annihilated")
+    with pytest.raises(WitnessError, match=r"the term is 3/2 at \(2,\)"):
+        build_structure(annihilated.with_seed((2,), Fraction(3, 2)))
+    # with the plane z1 = 0 declared an exception, each step from (0, 0) is
+    # evaluated on it or divides by A_1(-1, 0) = 0, so none refutes z1
+    walled = replace(binomial, exceptions=MeasureZeroSet.make([Hyperplane.make((1, 0), 0)]))
+    assert build_structure(walled).pieces[0].base_value == 0
+    # annihilated's steps from f(0) = 1 give 0 both ways
+    assert build_structure(annihilated).pieces[0].base_value == 0
 
 
 def test_structure_requires_seed():
