@@ -103,10 +103,10 @@ _Factors = list[tuple[MultiPoly, int]]
 DEGREE_LIMIT = 100
 # the most terms a power or a product may expand to, by the bound of
 # ``_check_size``: the specs, tests and benchmarks reach 216; with Python
-# 3.11, (z1 + z2 + z3 + 1)^29, 4,960 terms, expands in 0.18 s,
-# (z1 + z2 + 1)^98, 4,950 terms, in 0.6 s, and (z1 + z2 + z3 + 1)^60,
-# 39,711 terms, in 5.4 s; the worst load inside the limits is a product of
-# two dense sums, ((z1 + z2 + 1)^49 + 1)^2, 1,276^2 term products, 1.8 s
+# 3.11, (z1 + z2 + z3 + 1)^29, 4,960 terms, expands in 0.13 s,
+# (z1 + z2 + 1)^98, 4,950 terms, in 0.4 s, and (z1 + z2 + z3 + 1)^60,
+# 39,711 terms, in 2.1 s; the worst load inside the limits is a product of
+# two dense sums, ((z1 + z2 + 1)^49 + 1)^2, 1,276^2 term products, 1.0 s
 TERM_LIMIT = 5_000
 # the most bits the powers of constants in a power or a product may hold:
 # no spec holds one; 3^200000 has 316,993 bits, and Python refuses to

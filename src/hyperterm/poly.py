@@ -22,7 +22,7 @@ One routine, ``expand``, multiplies out a product of powers into a
 (numerator, denominator) pair, for both types.  A power is repeated
 products with its base, never squaring: squaring the dense top half of a
 power costs more than all the products with a small base, so
-(z1 + z2 + 1)^98 takes 0.6 s this way and 2.9 s by squaring.  Each type
+(z1 + z2 + 1)^98 takes 0.4 s this way and 1.2 s by squaring.  Each type
 has one evaluation loop, ``evaluate_cleared`` over its integer-cleared
 form (``cleared``); ``evaluate`` divides it by the cleared denominator.
 
@@ -66,6 +66,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -303,7 +304,7 @@ class MultiPoly(Frozen):
         d: dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(operator.add, m1, m2))
                 d[m] = d.get(m, 0) + c1 * c2
         return MultiPoly.from_dict(self.arity, d)
 

@@ -171,7 +171,7 @@ def test_term_count_and_constant_power_past_their_limits_are_refused_before_they
 
 def test_the_densest_power_inside_the_limits_multiplies_out_in_time():
     # 4,950 terms, just inside TERM_LIMIT, the densest power the limits let
-    # through: repeated products with the base take about 0.6 s
+    # through: repeated products with the base take about 0.4 s
     start = time.perf_counter()
     p = parse_multipoly("(z1 + z2 + 1)^98 + 1", 2)
     assert time.perf_counter() - start < 1.5
