@@ -508,22 +508,41 @@ def arrangement(planes: Iterable[Hyperplane], arity: int) -> list[PolyhedralRegi
     the hyperplanes cover Z^k.  A cell feasible in integer-tightened
     rational rows is returned even with no integer point; it holds no box,
     so ``is_measure_zero`` covers it by hyperplanes.
+
+    The planes are taken one normal at a time, and a region branches once
+    per slab between them, each child checked by ``fm_feasible`` before it
+    branches again.  For the levels n_1 < ... < n_m of a normal v the
+    children are v . z > n_m, each slab n_i < v . z < n_(i+1) from the top
+    down, and v . z < n_1: the cells, in the order of a branch at each
+    plane in turn.  A slab with n_(i+1) - n_i < 2 is skipped: v is
+    primitive, so its tightened rows are v . z >= n_i + 1 and
+    v . z <= n_(i+1) - 1 <= n_i, which no rational point meets, and FM
+    refuses it whatever else the region holds.
     """
     unique = MeasureZeroSet.make(planes).hyperplanes
     for p in unique:
         if p.arity != arity:
             raise DimensionError("hyperplane arity mismatch")
+    # sorted, so the planes of one normal are adjacent, in ascending level
+    normals = [
+        (v, [h.n for h in group])
+        for v, group in itertools.groupby(unique, key=operator.attrgetter("v"))
+    ]
     cells: list[PolyhedralRegion] = []
 
     def recurse(index: int, region: PolyhedralRegion) -> None:
         if not fm_feasible(region_rows(region), arity):
             return
-        if index == len(unique):
+        if index == len(normals):
             cells.append(region)
             return
-        h = unique[index]
-        recurse(index + 1, region.intersect(HalfSpace.make(h.v, h.n)))
-        recurse(index + 1, region.intersect(HalfSpace.make(tuple(-x for x in h.v), -h.n)))
+        v, levels = normals[index]
+        neg = tuple(-x for x in v)
+        recurse(index + 1, region.intersect(HalfSpace(v, levels[-1])))
+        for lo, hi in reversed(list(itertools.pairwise(levels))):
+            if hi - lo >= 2:
+                recurse(index + 1, region.intersect(HalfSpace(v, lo), HalfSpace(neg, -hi)))
+        recurse(index + 1, region.intersect(HalfSpace(neg, -levels[0])))
 
     recurse(0, PolyhedralRegion.whole(arity))
     return cells

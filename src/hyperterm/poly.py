@@ -40,8 +40,11 @@ rule of ``_integer``, so equal arguments share one entry.
 
 Shift equivalence is exact: ``orbit_anchor`` gives every polynomial the
 canonical anchor of its orbit under integer shifts, and its offset there,
-by linear algebra over Q and a Hermite normal form, with no search; two
+by exact linear algebra and a Hermite normal form, with no search; two
 polynomials are shifts of each other exactly when their anchors are equal.
+The linear algebra keeps the coefficient rule, so it runs in ints and makes
+a Fraction only for a value that is not integral, such as the centre -1/2
+of z1^2 + z1.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent tuple).  Normalization of a polynomial means
@@ -628,11 +631,15 @@ def _drop_first(f: MultiPoly) -> MultiPoly:
 
 
 def _evaluate_first(f: MultiPoly, xi: int) -> MultiPoly:
-    """f with its first variable set to xi, one variable fewer."""
+    """f with its first variable set to xi, one variable fewer.  Each power
+    of xi is computed once, by one product from the power below it."""
+    powers = [1]
+    for _ in range(max((m[0] for m, _ in f.terms), default=0)):
+        powers.append(powers[-1] * xi)
     d: dict[Monomial, int] = {}
     for m, c in f.terms:
         key = m[1:]
-        d[key] = d.get(key, 0) + c * xi ** m[0]
+        d[key] = d.get(key, 0) + c * powers[m[0]]
     return MultiPoly.from_dict(f.arity - 1, d)
 
 
@@ -1051,25 +1058,27 @@ def _solve_linear(rows: list[list[Coeff]], rhs: list[Coeff]):
     """(particular solution, nullspace basis) of the first basis of the rows
     met in row order; a row in the span of the rows before it is dropped
     with its right-hand side.  Both are read off the reduced row echelon
-    form of the rows kept, which depends only on them."""
+    form of the rows kept, which depends only on them.  Entries follow the
+    coefficient rule, so integral ones are ints throughout."""
     n_vars = len(rows[0]) if rows else 0
-    echelon: dict[int, list[Fraction]] = {}  # pivot column -> row scaled to 1 there
+    echelon: dict[int, list[Coeff]] = {}  # pivot column -> row scaled to 1 there
     for row, b in zip(rows, rhs):
-        row = [*row, b]
+        row = [_coeff(x) for x in (*row, b)]
         for col, e in echelon.items():
             if f := row[col]:
-                row = [x - f * y for x, y in zip(row, e)]
+                row = [_coeff(x - f * y) for x, y in zip(row, e)]
         col = next((c for c in range(n_vars) if row[c]), None)
         if col is None:
             continue
-        row = [Fraction(x) / row[col] for x in row]
+        if (pivot := row[col]) != 1:
+            row = [_coeff(Fraction(x, pivot)) for x in row]
         for c, e in echelon.items():
             if f := e[col]:
-                echelon[c] = [x - f * y for x, y in zip(e, row)]
+                echelon[c] = [_coeff(x - f * y) for x, y in zip(e, row)]
         echelon[col] = row
-    particular = [echelon[c][n_vars] if c in echelon else Fraction(0) for c in range(n_vars)]
+    particular = [echelon[c][n_vars] if c in echelon else 0 for c in range(n_vars)]
     basis = [
-        [-echelon[c][f] if c in echelon else Fraction(int(c == f)) for c in range(n_vars)]
+        [-echelon[c][f] if c in echelon else int(c == f) for c in range(n_vars)]
         for f in range(n_vars)
         if f not in echelon
     ]
@@ -1133,6 +1142,11 @@ def _reduce(u: Sequence[int], lattice: tuple[Point, ...]) -> Point:
     return tuple(u)
 
 
+def _combine(weights: list[Coeff], vectors: list[list[Coeff]], k: int) -> list[Coeff]:
+    """sum_i weights[i] * vectors[i], of length k, by the coefficient rule."""
+    return [_coeff(sum(x * w[j] for x, w in zip(weights, vectors))) for j in range(k)]
+
+
 @functools.lru_cache(maxsize=4096)
 def _orbit(p: MultiPoly) -> tuple[MultiPoly, Point, tuple[Point, ...]]:
     """(anchor, offset, lattice) for ``orbit_anchor``; lattice is a basis of
@@ -1143,8 +1157,8 @@ def _orbit(p: MultiPoly) -> tuple[MultiPoly, Point, tuple[Point, ...]]:
     # from degree d - 1 down, the coefficients of p(z + c + w) of that degree
     # are affine in w over the free directions (the higher ones no longer
     # move), and c is moved to zero the pivot monomials among them
-    centre = [Fraction(0)] * k
-    free = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    centre: list[Coeff] = [0] * k
+    free = [[int(i == j) for j in range(k)] for i in range(k)]
     q = p
     for deg in range(p.total_degree(), 0, -1):
         if not free:
@@ -1165,11 +1179,14 @@ def _orbit(p: MultiPoly) -> tuple[MultiPoly, Point, tuple[Point, ...]]:
         lam, null = _solve_linear(
             [[g.get(m, 0) for g in grads] for m in monos], [-lower.get(m, 0) for m in monos]
         )
-        step = [sum(x * w[j] for x, w in zip(lam, free)) for j in range(k)]
+        step = _combine(lam, free, k)
         if any(step):
-            centre = [a + b for a, b in zip(centre, step)]
-            q = _shift.__wrapped__(q, tuple(step))  # a rational shift, not memoized
-        free = [[sum(x * w[j] for x, w in zip(n, free)) for j in range(k)] for n in null]
+            centre = [_coeff(a + b) for a, b in zip(centre, step)]
+            if all(type(x) is int for x in step):
+                q = q.shift(step)
+            else:
+                q = _shift.__wrapped__(q, tuple(step))  # a rational shift, not memoized
+        free = [_combine(n, free, k) for n in null]
     if not free:
         s = [math.floor(x) for x in centre]
         lattice: tuple[Point, ...] = ()
@@ -1184,7 +1201,7 @@ def _orbit(p: MultiPoly) -> tuple[MultiPoly, Point, tuple[Point, ...]]:
         x = [sum(a * b for a, b in zip(row, centre)) for row in proj]
         s = [0] * k
         for i in range(n):
-            a = math.floor(x[i] / h[i][i])
+            a = x[i] // h[i][i]
             x = [xj - a * hj for xj, hj in zip(x, h[i])]
             s = [sj + a * tj for sj, tj in zip(s, t[i])]
         # the last nonzero entry of each row is its pivot
@@ -1209,6 +1226,11 @@ def orbit_anchor(p: MultiPoly) -> tuple[MultiPoly, Point]:
     The integer shift of the anchor brings c into a fundamental box of the
     image of Z^k modulo V, a Hermite normal form; offsets are canonical
     modulo V ∩ Z^k, whose Hermite basis fixes their pivot coordinates.
+    The systems, c and the free directions keep the coefficient rule: an
+    integral value is an int, so the solve runs in int arithmetic, and an
+    integral step of c is taken by the memoized ``MultiPoly.shift``; only a
+    step with a coordinate that is not integral makes Fractions.  The box
+    uses floor division, which stays exact on ints of any size.
     Memoized by value, as ``MultiPoly.shift`` is."""
     anchor, offset, _ = _orbit(p)
     return anchor, offset

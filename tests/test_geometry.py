@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperterm import geometry
 from hyperterm.errors import PreconditionError
 from hyperterm.geometry import (
     HalfSpace,
@@ -613,6 +614,76 @@ def reference_certificate_cover(r):
         for m in range(h.n - pos + 1, h.n + neg + 1):
             planes.append(Hyperplane.make(h.v, m))
     return MeasureZeroSet.make(planes)
+
+
+def reference_arrangement(planes, arity):
+    """The cells by a branch at every plane in sorted order, both sides
+    checked by ``fm_feasible``: the recursion ``arrangement`` replaced."""
+    unique = MeasureZeroSet.make(planes).hyperplanes
+    cells = []
+
+    def recurse(index, r):
+        if not fm_feasible(region_rows(r), arity):
+            return
+        if index == len(unique):
+            cells.append(r)
+            return
+        h = unique[index]
+        recurse(index + 1, r.intersect(HalfSpace.make(h.v, h.n)))
+        recurse(index + 1, r.intersect(HalfSpace.make(tuple(-x for x in h.v), -h.n)))
+
+    recurse(0, PolyhedralRegion.whole(arity))
+    return cells
+
+
+def random_plane_runs(rng, k):
+    """Up to three normals in k variables, each with a run of parallel
+    planes whose canonical levels are 1, 2 or 3 apart, shuffled."""
+    planes = []
+    for _ in range(rng.randint(1, 3)):
+        v = tuple(rng.randint(-2, 2) for _ in range(k))
+        if not any(v):
+            continue
+        g = math.gcd(*v)
+        level = g * rng.randint(-3, 3)
+        for _ in range(rng.randint(1, 5)):
+            planes.append(Hyperplane.make(v, level))
+            level += g * rng.choice([1, 2, 3])
+    rng.shuffle(planes)
+    return planes
+
+
+def test_arrangement_matches_the_binary_recursion():
+    # the same cells in the same order, on runs of parallel planes at every
+    # gap: a gap of 1 leaves an empty slab, 2 a slab that is one plane thick
+    rng = random.Random(61)
+    gaps = dict.fromkeys([1, 2, 3], 0)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        planes = random_plane_runs(rng, k)
+        unique = MeasureZeroSet.make(planes).hyperplanes
+        for a, b in zip(unique, unique[1:]):
+            if a.v == b.v and b.n - a.n in gaps:
+                gaps[b.n - a.n] += 1
+        assert arrangement(planes, k) == reference_arrangement(planes, k), planes
+    assert min(gaps.values()) > 50, gaps
+
+
+@pytest.mark.parametrize("v", [(1,), (2, -3), (1, 0, 1)])
+@pytest.mark.parametrize("m", [1, 2, 18])
+def test_consecutive_parallel_planes_cost_three_checks(monkeypatch, v, m):
+    # the whole space, then the sides above the top plane and below the
+    # bottom one; the slabs between consecutive levels are empty
+    calls = []
+
+    def counting(rows, n_vars):
+        calls.append(rows)
+        return fm_feasible(rows, n_vars)
+
+    monkeypatch.setattr(geometry, "fm_feasible", counting)
+    cells = arrangement([Hyperplane.make(v, n) for n in range(-5, m - 5)], len(v))
+    assert len(cells) == 2
+    assert len(calls) <= 3
 
 
 def test_fm_sup_matches_reference():

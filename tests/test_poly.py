@@ -427,6 +427,21 @@ def test_gcdheu_matches_prs():
     assert answered >= 300
 
 
+def test_evaluate_first_matches_the_per_term_powers():
+    rng = random.Random(89)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        f = MultiPoly.from_dict(k, {
+            tuple(rng.randint(0, 7) for _ in range(k)): rng.randint(-9, 9)
+            for _ in range(rng.randint(1, 8))
+        })
+        xi = rng.choice([2, 3, rng.randint(4, 10**6), rng.randint(10**40, 10**41)])
+        expected = {}
+        for m, c in f.terms:
+            expected[m[1:]] = expected.get(m[1:], 0) + c * xi ** m[0]
+        assert poly._evaluate_first(f, xi) == MultiPoly.from_dict(k - 1, expected), (f, xi)
+
+
 def test_gcd_prs_fallback(monkeypatch):
     # with the heuristic answering None everywhere, the PRS alone (its
     # content gcds included) gives the gcds the heuristic gave
@@ -990,6 +1005,108 @@ def test_shift_between_matches_brute_force():
             assert found and p.shift(u) == q
 
 
+def reference_solve_linear(rows, rhs):
+    """``poly._solve_linear`` in Fraction arithmetic throughout, as it was
+    before integral entries stayed ints."""
+    n_vars = len(rows[0]) if rows else 0
+    echelon = {}
+    for row, b in zip(rows, rhs):
+        row = [*row, b]
+        for col, e in echelon.items():
+            if f := row[col]:
+                row = [x - f * y for x, y in zip(row, e)]
+        col = next((c for c in range(n_vars) if row[c]), None)
+        if col is None:
+            continue
+        row = [Fraction(x) / row[col] for x in row]
+        for c, e in echelon.items():
+            if f := e[col]:
+                echelon[c] = [x - f * y for x, y in zip(e, row)]
+        echelon[col] = row
+    particular = [echelon[c][n_vars] if c in echelon else Fraction(0) for c in range(n_vars)]
+    basis = [
+        [-echelon[c][f] if c in echelon else Fraction(int(c == f)) for c in range(n_vars)]
+        for f in range(n_vars)
+        if f not in echelon
+    ]
+    return particular, basis
+
+
+def reference_orbit(p):
+    """``poly._orbit`` with the centre, the free directions and every step
+    in Fraction arithmetic, each step by the unmemoized rational shift."""
+    k = p.arity
+    centre = [Fraction(0)] * k
+    free = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    q = p
+    for deg in range(p.total_degree(), 0, -1):
+        if not free:
+            break
+        grads = [dict() for _ in free]
+        for mono, c in q.terms:
+            if sum(mono) != deg:
+                continue
+            for g, w in zip(grads, free):
+                for i, e in enumerate(mono):
+                    if e and w[i]:
+                        m = mono[:i] + (e - 1,) + mono[i + 1 :]
+                        g[m] = g.get(m, 0) + c * e * w[i]
+        monos = sorted(
+            {m for g in grads for m, c in g.items() if c}, key=poly._glex_key, reverse=True
+        )
+        if not monos:
+            continue
+        lower = dict(q.terms)
+        lam, null = reference_solve_linear(
+            [[g.get(m, 0) for g in grads] for m in monos], [-lower.get(m, 0) for m in monos]
+        )
+        step = [sum(x * w[j] for x, w in zip(lam, free)) for j in range(k)]
+        if any(step):
+            centre = [a + b for a, b in zip(centre, step)]
+            q = poly._shift.__wrapped__(q, tuple(step))
+        free = [[sum(x * w[j] for x, w in zip(n, free)) for j in range(k)] for n in null]
+    if not free:
+        s = [math.floor(x) for x in centre]
+        lattice = ()
+    else:
+        _, perp = reference_solve_linear(free, [0] * len(free))
+        proj = [primitive_vector(v) for v in perp]
+        n = len(proj)
+        h, t = poly._hnf([[row[i] for row in proj] for i in range(k)], n)
+        x = [sum(a * b for a, b in zip(row, centre)) for row in proj]
+        s = [0] * k
+        for i in range(n):
+            a = math.floor(x[i] / h[i][i])
+            x = [xj - a * hj for xj, hj in zip(x, h[i])]
+            s = [sj + a * tj for sj, tj in zip(s, t[i])]
+        flipped, _ = poly._hnf([row[::-1] for row in t[n:]], k)
+        lattice = tuple(tuple(row[::-1]) for row in flipped)
+    return p.shift(s), poly._reduce([-x for x in s], lattice), lattice
+
+
+# rational centres: -1/2 for the first two, the second with the line of
+# translations along e2 fixing it; (-1/4, 1/8) for the third
+RATIONAL_CENTRE = [("z1^2 + z1", 1), ("z1^2 + z1", 2), ("2*z1^2 + z1 + z2", 2)]
+
+
+@pytest.mark.parametrize("text,k", DEGENERATE + INVARIANT + RATIONAL_CENTRE)
+def test_orbit_matches_the_fraction_reference(text, k):
+    # shifts up to 10^30 put integer centres far past 2^53, where a float
+    # quotient in the box reduction would round
+    rng = random.Random(text + str(k))
+    p = P(text, k)
+    shifts = [(0,) * k] + [
+        tuple(rng.randint(-(10**e), 10**e) for _ in range(k)) for e in (1, 6, 17, 30) * 3
+    ]
+    for t in shifts:
+        q = p.shift(t)
+        anchor, offset, lattice = poly._orbit.__wrapped__(q)
+        assert (anchor, offset, lattice) == reference_orbit(q), (text, t)
+        assert all(type(c) is int for _, c in anchor.terms)
+        assert all(type(x) is int for x in offset)
+        assert anchor.shift(offset) == q
+
+
 def test_as_multipoly_memo_and_integer_rule():
     q = UniPoly.make([1, 2, 3])
     first = q.as_multipoly((1, -2), 3)
@@ -1060,6 +1177,10 @@ def test_solve_linear_solves_the_first_basis_of_its_rows():
         assert [_dot(row, particular) for row in basis] == basis_rhs
         assert len(null) == n - m
         assert all(_dot(row, v) == 0 for row in rows for v in null)
+        # the coefficient rule: an integral entry is an int
+        for x in particular + [x for v in null for x in v]:
+            assert type(x) is int or x.denominator != 1
+
 
 
 def test_normalized():
