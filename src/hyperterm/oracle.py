@@ -23,20 +23,21 @@ numerator, so no gcd of the grown products is taken.  Zero is absorbing:
 a step taken from the value (0, 1) stores (0, 1) without evaluating the
 numerator side or taking a gcd, which is what the rule gives, since
 gcd(0, den) = |den|.  The divisor is still evaluated first, so a step out
-of a zero region is refused where its divisor vanishes, as any step is,
-and ``certificate`` evaluates every multiplier of its path again.  A move
-is dropped when its target is outside the window or already visited,
-tested on its row-major index in the box, before its tuple is built, the
-exception planes are consulted (not at all when the spec declares none)
-or anything is evaluated; the order, the values and the certificates are
-those of evaluating every move.  The values of A_i and B_i at a point are
-not memoised: each is needed by at most one step taken.
+of a zero region is refused where its divisor vanishes, as any step is.
+A move is dropped when its target is outside the window or already
+visited, tested on its row-major index in the box, before its tuple is
+built, the exception planes are consulted (not at all when the spec
+declares none) or anything is evaluated; the order, the values and the
+certificates are those of evaluating every move.  The values of A_i and
+B_i at a point are not memoised: each is needed by at most one step taken.
 
 The flood keeps one record per point reached, (p, q, link): the value and
 the step that reached the point, as one small integer: i for a forward
 step along axis i, ~i for a backward one, None at the seed, so a link
 allocates no object.  ``propagate`` rebuilds the certificate of its target
-from the links on demand, re-evaluating the multiplier of each step.
+from the links on demand, each multiplier evaluated again with
+``FactoredRational.evaluate``, not read from the integer table, so a
+certificate that replays to the value re-checks that table.
 
 The flood is demand driven and goal directed.  Building one only seeds
 it, and refuses a box of more than ``FLOOD_POINT_LIMIT`` points.  The
@@ -154,12 +155,6 @@ def _integer_side(side: FactoredRational) -> tuple[int, tuple, int]:
     return scale, tuple(factors), denominator
 
 
-def _side_numerator(scale: int, factors: tuple, z: Point) -> int:
-    for f, exp in factors:
-        scale *= f(z) ** exp
-    return scale
-
-
 class _Flood:
     """Deterministic flood of propagated values from the seed of a seeded
     spec, inside the box [lo, hi], which holds the seed, aimed at the goal
@@ -178,9 +173,9 @@ class _Flood:
     and ``seen`` its row-major index in the box.  ``buckets`` maps a
     distance to the goal, at most ``far``, to the (index, point) of the
     points found at it and not expanded yet, in the order found; those
-    below ``nearest`` are empty.  ``sides[axis][forward]`` is a step's
-    multiplier num_scale * prod(f ** e) / (den_scale * prod(f ** e)) as
-    (num_scale, num_factors, den_scale, den_factors).
+    below ``nearest`` are empty.  ``moves`` holds per unit step its axis,
+    sign, index stride and multiplier num_scale * prod(f ** e) /
+    (den_scale * prod(f ** e)) as (num_scale, num_factors, den_scale, den_factors).
     """
 
     def __init__(self, spec: TermSpec, lo: Point, hi: Point, goal=None):
@@ -204,18 +199,15 @@ class _Flood:
         # so A / B = (a_scale * b_den) * prod(a_factors)
         #          / ((b_scale * a_den) * prod(b_factors)) forward, and
         # B / A backward
-        self.sides = []
-        for gen in spec.generators:
+        moves = []
+        for i, gen in enumerate(spec.generators):
             a_scale, a_factors, a_den = _integer_side(gen.num)
             b_scale, b_factors, b_den = _integer_side(gen.den)
             forward = (a_scale * b_den, a_factors, b_scale * a_den, b_factors)
             backward = (b_scale * a_den, b_factors, a_scale * b_den, a_factors)
-            self.sides.append((backward, forward))
-        moves = []
-        for i in range(k):
-            for delta in (1, -1):
+            for delta, side in ((1, forward), (-1, backward)):
                 step = tuple(delta if j == i else 0 for j in range(k))
-                moves.append((step, (i, delta, delta * strides[i]) + self.sides[i][delta > 0]))
+                moves.append((step, (i, delta, delta * strides[i]) + side))
         moves.sort(key=lambda m: m[0])
         self.moves = [move for _, move in moves]
         seed_point, seed_value = spec.seed
@@ -235,15 +227,6 @@ class _Flood:
 
     def _in_window(self, z: Point) -> bool:
         return all(a <= x <= b for x, a, b in zip(z, self.lo, self.hi))
-
-    def _multiplier(self, axis: int, forward: bool, at: Point) -> Optional[tuple[int, int]]:
-        """A_i(at) / B_i(at) forward or B_i(at) / A_i(at) backward, as an
-        integer (numerator, denominator); None when the divisor vanishes."""
-        num_scale, num_factors, den_scale, den_factors = self.sides[axis][forward]
-        den = _side_numerator(den_scale, den_factors, at)
-        if den == 0:
-            return None
-        return _side_numerator(num_scale, num_factors, at), den
 
     def _pair(self, z: Point) -> Optional[tuple[int, int]]:
         """The propagated value at z as its reduced pair (p, q), or None when
@@ -327,8 +310,8 @@ class _Flood:
         self.nearest = d
 
     def certificate(self, z: Point) -> tuple[PathStep, ...]:
-        """The steps from the seed to z, rebuilt from the links with each
-        multiplier evaluated again."""
+        """The steps from the seed to z, rebuilt from the links, each
+        multiplier evaluated again with ``FactoredRational.evaluate``."""
         out = []
         while True:
             step = self.values[z][2]
@@ -338,7 +321,9 @@ class _Flood:
             axis = step if forward else ~step
             node = z[:axis] + (z[axis] - 1 if forward else z[axis] + 1,) + z[axis + 1 :]
             at = node if forward else z
-            out.append(PathStep(at, axis, forward, Fraction(*self._multiplier(axis, forward, at))))
+            gen = self.spec.generators[axis]
+            a, b = gen.num.evaluate(at), gen.den.evaluate(at)
+            out.append(PathStep(at, axis, forward, a / b if forward else b / a))
             z = node
         out.reverse()
         return tuple(out)
@@ -360,27 +345,20 @@ def _box(spec: TermSpec, points: Sequence[Point], what: str = "point") -> tuple[
     return lo, hi
 
 
-def _box_flood(spec: TermSpec, points: Sequence[Point], what: str = "point", goal=None) -> _Flood:
-    """The flood, not yet run, over ``_box(spec, points, what)``, which
-    checks the seed and the arity of the points before any distance to the
-    goal is computed."""
-    return _Flood(spec, *_box(spec, points, what), goal=goal)
-
-
 def propagate(
     spec: TermSpec, frm: tuple[Sequence[int], Fraction], to: Sequence[int]
 ) -> PropagationResult:
     """Value of the term at ``to`` propagated from the given point/value
     pair, searching breadth first within the bounding box of the two points
     inflated by 2 (k+1), the margin ``propagate_window`` uses too; the
-    certificate is the first path found.  The coordinates of both points
-    follow the integer rule of ``poly._integer``: a fractional one or a
-    bool raises TypeError naming its point."""
+    certificate is the first path found (``_Flood.certificate``).  The
+    coordinates of both points follow the integer rule of ``poly._integer``:
+    a fractional one or a bool raises TypeError naming its point, and then
+    a point of another arity than the spec raises DimensionError."""
     point, value = _integer_point(frm[0]), Fraction(frm[1])
     to = _integer_point(to)
-    if len(point) != spec.arity:
-        raise DimensionError("point arity mismatch")
-    flood = _box_flood(spec.with_seed(point, value), [to])
+    spec = spec.with_seed(point, value)
+    flood = _Flood(spec, *_box(spec, [to]))
     value = flood.get(to)
     if value is None:
         return PropagationResult(None, reason="blocked")
@@ -497,7 +475,7 @@ def _window_flood(spec: TermSpec, window: LatticeBox) -> _Flood:
     expanded first, so the flood walks from the seed toward the window
     rather than through a ball around the seed."""
     corner_hi = tuple(c + window.size for c in window.corner)
-    return _box_flood(spec, [window.corner, corner_hi], "window", goal=(window.corner, corner_hi))
+    return _Flood(spec, *_box(spec, [window.corner, corner_hi], "window"), goal=(window.corner, corner_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -398,22 +398,16 @@ def decompose(spec: TermSpec) -> OreSatoForm:
     orbits: dict[MultiPoly, _Exponents] = {}  # by orbit anchor
     # each base goes to the exponents of its family or orbit, at its offset
     # there: an integer along a family's direction, a shift for an orbit
-    base_route: dict[MultiPoly, tuple[_Exponents, int | Point]] = {}
-
     for i, fr in enumerate(ratios):
         for base, exp in fr.factors:
-            route = base_route.get(base)
-            if route is None:
-                info = detect_simple(base)
-                if info is not None:
-                    v, profile = info
-                    anchor, offset = _anchor_family(profile)
-                    route = (families.setdefault((v, anchor), _Exponents(k)), offset)
-                else:
-                    anchor, offset = orbit_anchor(base)
-                    route = (orbits.setdefault(anchor, _Exponents(k)), offset)
-                base_route[base] = route
-            data, offset = route
+            info = detect_simple(base)
+            if info is not None:
+                v, profile = info
+                anchor, offset = _anchor_family(profile)
+                data = families.setdefault((v, anchor), _Exponents(k))
+            else:
+                anchor, offset = orbit_anchor(base)
+                data = orbits.setdefault(anchor, _Exponents(k))
             data.add(i, offset, exp)
 
     # the pieces of C/D and of each chain's sides: shifts of normalized

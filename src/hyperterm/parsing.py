@@ -20,7 +20,9 @@ sum of exponent times base degree over its factors) is more than
 does a power or a product, before it is multiplied out, when a bound of
 its term count passes ``TERM_LIMIT`` or its powers of constants hold more
 than ``CONSTANT_BITS_LIMIT`` bits (``_check_size``): the check costs a few
-operations per factor, whatever the term count.
+operations per factor, whatever the term count.  All the products one text
+multiplies out share one budget of ``TERM_LIMIT`` terms
+(``_Parser.multiply_out``).
 
 The module holds the grammar only.  A polynomial prints itself in it
 (``MultiPoly.__str__``, ``UniPoly.__str__``), and parsing the printed text
@@ -102,11 +104,13 @@ _Factors = list[tuple[MultiPoly, int]]
 # side z1^1000 takes a quarter of a second, with z1^5000 four seconds
 DEGREE_LIMIT = 100
 # the most terms a power or a product may expand to, by the bound of
-# ``_check_size``: the specs, tests and benchmarks reach 216; with Python
-# 3.11, (z1 + z2 + z3 + 1)^29, 4,960 terms, expands in 0.13 s,
+# ``_check_size``, and all the expansions of one text together
+# (``_Parser.multiply_out``): the specs, tests and benchmarks reach 216; with
+# Python 3.11, (z1 + z2 + z3 + 1)^29, 4,960 terms, expands in 0.14 s,
 # (z1 + z2 + 1)^98, 4,950 terms, in 0.4 s, and (z1 + z2 + z3 + 1)^60,
 # 39,711 terms, in 2.1 s; the worst load inside the limits is a product of
-# two dense sums, ((z1 + z2 + 1)^49 + 1)^2, 1,276^2 term products, 1.0 s
+# two dense sums, ((z1 + z2 + 1)^39 + 1) * ((z1 + z2 + 2)^40 + 1),
+# 820 x 861 term products, 0.5 s
 TERM_LIMIT = 5_000
 # the most bits the powers of constants in a power or a product may hold:
 # no spec holds one; 3^200000 has 316,993 bits, and Python refuses to
@@ -123,14 +127,14 @@ def _check_degree(factors: _Factors) -> _Factors:
     return factors
 
 
-def _check_size(factors: _Factors) -> _Factors:
+def _check_size(factors: _Factors) -> int:
     """Refuse a product of powers before it is multiplied out, at a cost
     per factor, not per term: when an upper bound of its term count passes
     ``TERM_LIMIT``, or its powers of constants hold more than
-    ``CONSTANT_BITS_LIMIT`` bits.  The bound is the product of each power's
-    multinomial count C(n + e - 1, e), n the terms of its base, and, when
-    that passes the limit, the count C(k + D, k) of the monomials of total
-    degree at most D in k variables, D the product's degree.  The bits of
+    ``CONSTANT_BITS_LIMIT`` bits; else return the bound: the product of each
+    power's multinomial count C(n + e - 1, e), n the terms of its base, and,
+    when that passes the limit, the count C(k + D, k) of the monomials of
+    total degree at most D in k variables, D the product's degree.  The bits of
     c^e, floor(e log2 c) + 1, are summed over the constants, c the larger
     of numerator and denominator.  A base of more than one term has an
     exponent of at most ``DEGREE_LIMIT``, since the degree of each power
@@ -155,7 +159,7 @@ def _check_size(factors: _Factors) -> _Factors:
         terms = min(terms, comb(k + sum(exp * base.total_degree() for base, exp in factors), k))
         if terms > TERM_LIMIT:
             raise LimitError(f"an expansion of up to {terms} terms is more than TERM_LIMIT = {TERM_LIMIT}")
-    return factors
+    return terms
 
 
 @functools.lru_cache(maxsize=16)
@@ -173,6 +177,21 @@ class _Parser:
     def __init__(self, lexer: _Lexer, arity: int):
         self.lex = lexer
         self.arity = arity
+        self.expanded = 0  # the bounds of the products charged so far
+
+    def multiply_out(self, *products: _Factors) -> list[MultiPoly]:
+        """The products multiplied out (``poly.expand``), each charged first,
+        by its bound of ``_check_size``, to one budget of ``TERM_LIMIT``
+        terms for the text: LimitError when that is passed, before any is
+        multiplied out.  A lone base of exponent 1 costs nothing."""
+        for factors in products:
+            if len(factors) > 1 or factors[0][1] != 1:
+                self.expanded += _check_size(factors)
+        if self.expanded > TERM_LIMIT:
+            raise LimitError(
+                f"expansions of up to {self.expanded} terms in one text are more than TERM_LIMIT = {TERM_LIMIT}"
+            )
+        return [expand(_one(self.arity), factors)[0] for factors in products]
 
     def parse(self) -> _Factors:
         factors = self.expr()
@@ -195,19 +214,16 @@ class _Parser:
             if sign < 0:
                 factors.insert(0, (MultiPoly.constant(self.arity, -1), 1))
             return factors
+        # every summand is read and charged before any is multiplied out
+        signs, products = [sign], [factors]
+        while self.lex.peek()[0] in ("+", "-"):
+            signs.append(1 if self.lex.next()[0] == "+" else -1)
+            products.append(self.term())
         total: dict = {}
-        while True:
-            for mono, c in expand(_one(self.arity), factors)[0].terms:
+        for sign, p in zip(signs, self.multiply_out(*products)):
+            for mono, c in p.terms:
                 total[mono] = total.get(mono, 0) + sign * c
-            kind = self.lex.peek()[0]
-            if kind == "+":
-                sign = 1
-            elif kind == "-":
-                sign = -1
-            else:
-                return [(MultiPoly.from_dict(self.arity, total), 1)]
-            self.lex.next()
-            factors = self.term()
+        return [(MultiPoly.from_dict(self.arity, total), 1)]
 
     def term(self) -> _Factors:
         factors = self.factor()
@@ -216,7 +232,8 @@ class _Parser:
         while self.lex.peek()[0] == "*":
             self.lex.next()
             factors.extend(self.factor())
-        return _check_size(factors)
+        _check_size(factors)
+        return factors
 
     def factor(self) -> _Factors:
         factors = self.atom()
@@ -225,7 +242,8 @@ class _Parser:
             kind, value, pos = self.lex.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
-            factors = _check_size(_check_degree([(base, exp * int(value)) for base, exp in factors]))
+            factors = _check_degree([(base, exp * int(value)) for base, exp in factors])
+            _check_size(factors)
             # the limits pass 0, 1 and -1 at any exponent, so their powers
             # are taken on the coefficient, not by n - 1 products
             factors = [
@@ -270,18 +288,20 @@ def parse_factored(text: str, arity: int) -> list[tuple[MultiPoly, int]]:
     exponents 2 and 1, and a unary minus or a constant is a factor of its
     own.  A sum is one base, expanded.  Downstream factor refinement relies
     on input arriving in the finest form the user can supply."""
-    variables = {f"z{i + 1}": i for i in range(arity)}
-    return _check_degree(_Parser(_Lexer(text, variables), arity).parse())
+    return _check_degree(_Parser(_Lexer(text, {f"z{i + 1}": i for i in range(arity)}), arity).parse())
 
 
 def parse_multipoly(text: str, arity: int) -> MultiPoly:
-    """Parse polynomial text in variables z1..z<arity>."""
-    return expand(_one(arity), parse_factored(text, arity))[0]
+    """Parse polynomial text in variables z1..z<arity>, multiplying its
+    product out as one more expansion of the text."""
+    parser = _Parser(_Lexer(text, {f"z{i + 1}": i for i in range(arity)}), arity)
+    return parser.multiply_out(_check_degree(parser.parse()))[0]
 
 
 def parse_unipoly(text: str) -> UniPoly:
     """Parse univariate polynomial text in the variable t."""
-    p = expand(_one(1), _Parser(_Lexer(text, {"t": 0}), 1).parse())[0]
+    parser = _Parser(_Lexer(text, {"t": 0}), 1)
+    p = parser.multiply_out(parser.parse())[0]
     coeffs = [0] * (p.total_degree() + 1)
     for (e,), c in p.terms:
         coeffs[e] = c

@@ -152,14 +152,14 @@ class FactoredRational(Frozen):
         )
 
     def evaluate(self, z: Sequence[int]) -> Optional[Fraction]:
-        """Value at an integer point; None when a denominator factor
-        vanishes there."""
-        for base, exp in self.factors:
-            if exp < 0 and base.evaluate(z) == 0:
-                return None
+        """Value at an integer point, each base evaluated once; None when a
+        denominator factor vanishes there, also where a numerator factor
+        does."""
+        values = [(base.evaluate(z), exp) for base, exp in self.factors]
+        if any(v == 0 and exp < 0 for v, exp in values):
+            return None
         value = Fraction(self.scalar)
-        for base, exp in self.factors:
-            v = base.evaluate(z)
+        for v, exp in values:
             if v == 0:
                 return Fraction(0)
             value *= v**exp

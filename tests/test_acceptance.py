@@ -23,7 +23,7 @@ from hyperterm.geometry import (
     hull_points,
     s_path,
 )
-from hyperterm.oracle import _box_flood, grid_compare, propagate
+from hyperterm.oracle import _Flood, _box, grid_compare, propagate
 from hyperterm.oresato import decompose, ratio_from_form
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import (
@@ -326,7 +326,7 @@ def test_criterion_7_oracle_consistency():
             # another order, which must not change derived values
             corners = [[x + rng.randint(-8, 8) for x in seed_point] for _ in range(2)]
             goal = tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners)))
-            other = _box_flood(spec, [target], goal=goal).get(target)
+            other = _Flood(spec, *_box(spec, [target]), goal=goal).get(target)
             assert base.ok == (other is not None)
             if base.ok:
                 assert base.value == other

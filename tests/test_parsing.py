@@ -178,6 +178,36 @@ def test_the_densest_power_inside_the_limits_multiplies_out_in_time():
     assert len(p.terms) == 4950
 
 
+def test_the_expansions_of_one_text_share_one_term_budget():
+    # each summand below is inside the limits and took about 0.4 s; the
+    # budget refuses the sum before any summand is multiplied out
+    four = " + ".join(f"(z1 + z2 + {c})^98" for c in range(1, 5))
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match="^expansions of up to 19800 terms in one text are more than TERM_LIMIT = 5000$"):
+        parse_factored(four, 2)
+    assert time.perf_counter() - start < 0.1
+    # 1,275 terms for the inner power, then C(2 + 98, 2) = 4,950 for the
+    # square multiplied out, in a sum or by parse_multipoly; the loader
+    # keeps the square factored
+    for text in ["((z1 + z2 + 1)^49 + 1)^2 + 1", "z1 + ((z1 + z2 + 1)^49 + 1)^2"]:
+        with pytest.raises(LimitError, match="up to 6225 terms in one text"):
+            parse_factored(text, 2)
+    with pytest.raises(LimitError, match="up to 6225 terms in one text"):
+        parse_multipoly("((z1 + z2 + 1)^49 + 1)^2", 2)
+    assert parse_factored("((z1 + z2 + 1)^49 + 1)^2", 2)[0][1] == 2
+    # (t + 1)^99 expands to 100 terms
+    with pytest.raises(LimitError, match="up to 5100 terms in one text"):
+        parse_unipoly(" + ".join(["(t + 1)^99"] * 51))
+    # a lone base of exponent 1 is not multiplied out: a sum in parentheses
+    # costs nothing more, and neither does parse_multipoly of a sum, so the
+    # 2,556 terms of this power are charged once
+    assert len(parse_multipoly("((z1 + z2 + 1)^70 + 1) + z1", 2).terms) == 2556
+    # the worst load inside the limits, two dense sums multiplied out:
+    # 820 + 861 + C(2 + 79, 2) = 4,921 terms charged
+    p = parse_multipoly("((z1 + z2 + 1)^39 + 1) * ((z1 + z2 + 2)^40 + 1) + 1", 2)
+    assert len(p.terms) == 3240
+
+
 def test_a_power_of_a_constant_is_taken_on_its_coefficient():
     # the limits let (-1)^n through at any n, and n - 1 products with the
     # base would take seconds

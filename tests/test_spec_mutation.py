@@ -9,6 +9,7 @@ import copy
 import json
 import random
 import signal
+import time
 
 import pytest
 
@@ -105,6 +106,7 @@ def with_field(name, path, value):
     return obj
 
 
+FOUR_POWERS = "(z1 + z2 + 1)^98 + ... + (z1 + z2 + 4)^98"
 # the inputs that ended in a traceback or ran without end before the loader
 # and the oracle checked them; exit status of (check, structure)
 NAMED = {
@@ -129,6 +131,16 @@ NAMED = {
         },
         (2, 2),
     ),
+    # 1.5-2.1 s in the parser's expansions, 0.4 s a summand, each inside
+    # the limits; one budget per text refuses it before any is multiplied out
+    FOUR_POWERS: (
+        with_field(
+            "binomial",
+            ["generators", 0, "num"],
+            " + ".join(f"(z1 + z2 + {c})^98" for c in range(1, 5)),
+        ),
+        (2, 2),
+    ),
     # check said compatible, and decompose failed to print the scalar
     "3^200000 * (z1 + 1)": (
         with_field("binomial", ["generators", 0, "num"], "3^200000 * (z1 + 1)"), (2, 2)
@@ -143,6 +155,15 @@ def test_named_input_ends_in_its_exit_status(name, tmp_path, capsys):
         status, err = run(obj, command, tmp_path, capsys)
         assert status == expected, (command, err)
         assert status == 0 or err.startswith("error: "), (command, err)
+
+
+def test_a_text_of_four_dense_powers_is_refused_at_once(tmp_path, capsys):
+    obj, statuses = NAMED[FOUR_POWERS]
+    for command, expected in zip(COMMANDS, statuses):
+        start = time.perf_counter()
+        status, err = run(obj, command, tmp_path, capsys)
+        assert time.perf_counter() - start < 0.25
+        assert status == expected and "in one text are more than TERM_LIMIT" in err, err
 
 
 def test_mutated_specs_end_in_a_result_or_a_typed_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from hyperterm._frozen import replace
 from hyperterm.errors import (
     DimensionError,
     IntegrityError,
+    LimitError,
     PreconditionError,
     SplittingError,
     WitnessError,
@@ -31,7 +32,7 @@ from hyperterm.geometry import (
     s_path,
 )
 from hyperterm.jsonio import spec_from_json
-from hyperterm.oracle import grid_compare, propagate
+from hyperterm.oracle import grid_compare, propagate, propagate_targets
 from hyperterm.oresato import Chain, OreSatoForm, gp_eval
 from hyperterm.parsing import parse_multipoly, parse_unipoly
 from hyperterm.poly import MultiPoly, UniPoly, integer_roots
@@ -51,7 +52,7 @@ from hyperterm.structure import (
     split_factorial,
     to_pochhammer,
 )
-from hyperterm.termratio import TermSpec
+from hyperterm.termratio import ARITY_LIMIT, TermSpec
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,28 @@ def test_a_seed_refutes_a_wrong_zero_divisor_witness():
     assert build_structure(walled).pieces[0].base_value == 0
     # annihilated's steps from f(0) = 1 give 0 both ways
     assert build_structure(annihilated).pieces[0].base_value == 0
+
+
+def test_the_witness_check_runs_at_every_arity_the_loader_accepts():
+    # generators z_i + 1 over 1 at k = ARITY_LIMIT: the step from f(0) = 1
+    # along e_1 refutes z1, and with f(0) = 0 the one piece is built; one
+    # flood over the seed and every seed -+ e_i would hold 39^8 points
+    k = ARITY_LIMIT
+    obj = {
+        "k": k,
+        "generators": [{"num": f"z{i + 1} + 1", "den": "1"} for i in range(k)],
+        "seed": {"point": [0] * k, "value": "1"},
+        "zero_divisor_witness": "z1",
+    }
+    spec = spec_from_json(obj)
+    with pytest.raises(WitnessError, match=re.escape("the term is 1 at (1, 0, 0, 0, 0, 0, 0, 0), off")):
+        build_structure(spec)
+    steps = [tuple(s * (j == i) for j in range(k)) for i in range(k) for s in (-1, 1)]
+    with pytest.raises(LimitError, match="holds 5352009260481 points"):
+        propagate_targets(spec, steps)
+    obj["seed"]["value"] = "0"
+    ps = build_structure(spec_from_json(obj))
+    assert [p.base_value for p in ps.pieces] == [0]
 
 
 def test_structure_requires_seed():

@@ -275,6 +275,19 @@ def test_factored_evaluate():
     assert fr.evaluate((-1,)) is None
 
 
+def test_factored_evaluate_takes_each_base_once_and_none_before_zero(monkeypatch):
+    fr = FactoredRational.make(2, 3, [(P("z1", 2), 1), (P("z2", 2), -1), (P("z1 + z2 + 1", 2), -2)])
+    assert fr.evaluate((1, 1)) == Fraction(1, 3)
+    assert fr.evaluate((0, 1)) == 0
+    # a vanishing denominator factor wins over a vanishing numerator one
+    assert fr.evaluate((0, 0)) is None
+    evaluated = []
+    evaluate = MultiPoly.evaluate
+    monkeypatch.setattr(MultiPoly, "evaluate", lambda p, z: evaluated.append(p) or evaluate(p, z))
+    assert fr.evaluate((2, 1)) == Fraction(3, 8)
+    assert evaluated == [base for base, _ in fr.factors]
+
+
 def test_factored_zero_rejected():
     with pytest.raises(PreconditionError):
         FactoredRational.make(1, 0)
